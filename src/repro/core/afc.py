@@ -93,16 +93,33 @@ class AlignedFileChunkSet:
     def constant_map(self) -> Dict[str, int]:
         return dict(self.constants)
 
-    def implicit_columns(self, needed: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Materialise requested implicit attributes as full columns."""
+    def implicit_columns(
+        self,
+        needed: Sequence[str],
+        dtypes: Optional[Dict[str, np.dtype]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Materialise requested implicit attributes as full columns.
+
+        Values are integers; ``dtypes`` narrows a column to its
+        schema-declared type so results match stored layouts.
+        """
         out: Dict[str, np.ndarray] = {}
         constants = self.constant_map
         inner = {iv.name: iv for iv in self.inner_vars}
         for name in needed:
+            want = dtypes.get(name) if dtypes else None
             if name in constants:
-                out[name] = np.full(self.num_rows, constants[name])
+                try:
+                    out[name] = np.full(self.num_rows, constants[name], want)
+                except OverflowError:
+                    # A too-narrow declared type (lint RV124) wraps, as
+                    # the int64 -> ``want`` cast always has.
+                    out[name] = np.full(
+                        self.num_rows, constants[name]
+                    ).astype(want)
             elif name in inner:
-                out[name] = inner[name].materialise(self.num_rows)
+                col = inner[name].materialise(self.num_rows)
+                out[name] = col if want is None else col.astype(want, copy=False)
         return out
 
     def implicit_bounds(self) -> Dict[str, Tuple[int, int]]:

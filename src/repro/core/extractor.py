@@ -41,7 +41,7 @@ from ..errors import ExtractionError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from .afc import AlignedFileChunkSet, ExtractionPlan
-from .kernels import KERNEL_BLOCK_ROWS, BlockPipeline, KernelCache
+from .kernels import BlockPipeline, CompiledPredicate, KernelCache, block_rows_for
 from .stats import IOStats
 from .table import VirtualTable, own_column
 
@@ -50,6 +50,9 @@ Mount = Callable[[str, str], str]
 
 #: A chunk read request: (node, path, offset, nbytes) — the segment-cache key.
 ReadKey = Tuple[str, str, int, int]
+
+#: One AFC's decoded columns, by attribute name.
+Columns = Dict[str, np.ndarray]
 
 #: Upper bound on one coalesced read's span.  Merging an entire file into
 #: one read would be ideal for the read_calls count but holds the whole
@@ -276,6 +279,108 @@ class CoalescePlan:
     @property
     def num_members(self) -> int:
         return len(self._runs)
+
+
+class AfcReader:
+    """One ``execute`` call's AFC -> columns decoder.
+
+    Holds what is invariant across the call's AFCs — the needed set, the
+    implicit attributes' target dtypes and, per strip, the projected
+    attribute list with its record dtype — so the per-AFC loop rebuilds
+    none of it.  Deliberately scoped to one call, never cached on the
+    extractor: over ``tcp://`` every EXECUTE decodes fresh ``Strip``
+    objects, so a memo that outlives the call only pins dead plans.
+
+    ``node`` is the executing node of a data-source service: chunks
+    homed elsewhere are charged as ``remote_bytes_read`` and each AFC
+    gets an ``extract_afc`` span.  One call's intra-node worker threads
+    may share a reader (the memo is idempotent, ``stats`` per call site).
+    """
+
+    def __init__(
+        self,
+        extractor: "Extractor",
+        needed: Sequence[str],
+        dtypes: Optional[Dict[str, np.dtype]] = None,
+        tracer=NULL_TRACER,
+        coalesce: Optional[CoalescePlan] = None,
+        node: Optional[str] = None,
+    ):
+        self.extractor = extractor
+        self.needed = needed
+        self.needed_set = set(needed)
+        self.dtypes = dtypes
+        self.tracer = tracer
+        self.coalesce = coalesce
+        self.node = node
+        #: id(strip) -> (strip, wanted attrs, projected record dtype); the
+        #: strip reference keeps the id from being reused mid-call.
+        self._layouts: Dict[int, tuple] = {}
+
+    def _layout(self, strip) -> tuple:
+        layout = self._layouts.get(id(strip))
+        if layout is None:
+            wanted = [a for a in strip.attrs if a in self.needed_set]
+            dtype = strip.record_dtype(wanted) if wanted else None
+            layout = (strip, wanted, dtype)
+            self._layouts[id(strip)] = layout
+        return layout
+
+    def columns(self, afc: AlignedFileChunkSet, stats: IOStats) -> Columns:
+        """Materialise the needed columns of one aligned file chunk set."""
+        columns = afc.implicit_columns(self.needed, self.dtypes)
+        read_chunk = self.extractor.read_chunk
+        for chunk in afc.chunks:
+            _, wanted, dtype = self._layout(chunk.strip)
+            if not wanted:
+                continue
+            data = read_chunk(
+                chunk.node, chunk.path, chunk.offset,
+                afc.num_rows * chunk.bytes_per_row, stats, self.tracer,
+                self.coalesce,
+            )
+            stats.chunks_read += 1
+            records = np.frombuffer(data, dtype=dtype)
+            for name in wanted:
+                columns[name] = records[name]
+        if len(columns) != len(self.needed_set):
+            raise ExtractionError(
+                f"plan cannot supply columns "
+                f"{sorted(self.needed_set.difference(columns))}; "
+                "they are neither stored in any chunk nor implicit"
+            )
+        return columns
+
+    def extract(self, afc: AlignedFileChunkSet, stats: IOStats) -> Columns:
+        """:meth:`columns` plus the per-AFC accounting every execute
+        path shares (AFC/row counts, remote bytes, extraction span)."""
+        stats.afcs_processed += 1
+        if self.node is not None:
+            for chunk in afc.chunks:
+                if chunk.node != self.node and self._layout(chunk.strip)[1]:
+                    stats.remote_bytes_read += chunk.total_bytes(afc.num_rows)
+        if self.node is not None and self.tracer.enabled:
+            with self.tracer.span(
+                "extract_afc", node=self.node, rows=afc.num_rows
+            ):
+                columns = self.columns(afc, stats)
+        else:
+            columns = self.columns(afc, stats)
+        stats.rows_extracted += afc.num_rows
+        return columns
+
+
+def assemble_table(
+    pieces: Dict[str, List[np.ndarray]], plan: ExtractionPlan
+) -> VirtualTable:
+    """Concatenate per-block output pieces into the plan's result table."""
+    final: Dict[str, np.ndarray] = {}
+    for name in plan.output:
+        if pieces[name]:
+            final[name] = np.concatenate(pieces[name])
+        else:
+            final[name] = np.empty(0, dtype=plan.dtypes.get(name, np.float64))
+    return VirtualTable(final, order=plan.output)
 
 
 class Extractor:
@@ -537,37 +642,10 @@ class Extractor:
         dtypes: Optional[Dict[str, np.dtype]] = None,
         tracer=NULL_TRACER,
         coalesce: Optional[CoalescePlan] = None,
-    ) -> Dict[str, np.ndarray]:
+    ) -> Columns:
         """Materialise the needed columns of one aligned file chunk set."""
-        columns: Dict[str, np.ndarray] = afc.implicit_columns(needed)
-        if dtypes:
-            # Implicit attributes are materialised as integers; narrow them
-            # to the schema-declared type so results match stored layouts.
-            for name, col in columns.items():
-                want = dtypes.get(name)
-                if want is not None and col.dtype != want:
-                    columns[name] = col.astype(want)
-        needed_set = set(needed)
-        for chunk in afc.chunks:
-            wanted = [a for a in chunk.strip.attrs if a in needed_set]
-            if not wanted:
-                continue
-            nbytes = afc.num_rows * chunk.bytes_per_row
-            data = self.read_chunk(
-                chunk.node, chunk.path, chunk.offset, nbytes, stats, tracer,
-                coalesce,
-            )
-            stats.chunks_read += 1
-            records = np.frombuffer(data, dtype=chunk.strip.record_dtype(wanted))
-            for name in wanted:
-                columns[name] = records[name]
-        missing = needed_set - set(columns)
-        if missing:
-            raise ExtractionError(
-                f"plan cannot supply columns {sorted(missing)}; "
-                "they are neither stored in any chunk nor implicit"
-            )
-        return columns
+        reader = AfcReader(self, needed, dtypes, tracer, coalesce)
+        return reader.columns(afc, stats)
 
     # -- plan execution ---------------------------------------------------------
 
@@ -604,18 +682,14 @@ class Extractor:
         coalesce_gap_bytes: int = 0,
         vectorize: bool = False,
     ) -> VirtualTable:
-        if vectorize and plan.where is not None:
-            return self._execute_vectorized(
-                plan, stats, tracer, coalesce_gap_bytes
-            )
         coalesce = self.coalesce_for(plan.afcs, plan.needed, coalesce_gap_bytes)
+        reader = AfcReader(self, plan.needed, plan.dtypes, tracer, coalesce)
+        if vectorize and plan.where is not None:
+            kernel = self._kernels.get(plan.where, tracer)
+            return self.execute_blocks(plan, plan.afcs, kernel, reader, stats)
         pieces: Dict[str, List[np.ndarray]] = {name: [] for name in plan.output}
         for afc in plan.afcs:
-            stats.afcs_processed += 1
-            columns = self.extract_afc(
-                afc, plan.needed, stats, plan.dtypes, tracer, coalesce
-            )
-            stats.rows_extracted += afc.num_rows
+            columns = reader.extract(afc, stats)
             if plan.where is not None:
                 if tracer.enabled:
                     with tracer.span("filter", rows=afc.num_rows):
@@ -642,48 +716,56 @@ class Extractor:
             stats.rows_output += count
             for name in plan.output:
                 pieces[name].append(own_column(selected[name]))
-        return self._finish(pieces, plan)
+        return assemble_table(pieces, plan)
 
-    def _execute_vectorized(
+    def execute_blocks(
         self,
         plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        kernel: CompiledPredicate,
+        reader: AfcReader,
         stats: IOStats,
-        tracer,
-        coalesce_gap_bytes: int,
+        meter=None,
     ) -> VirtualTable:
-        """Batched kernel path: extract per AFC, filter per fused block.
+        """The serial AFC -> block driver: extract per AFC, filter per
+        fused block; returns the output rows in serial AFC order.
 
-        AFC blocks accumulate until :data:`KERNEL_BLOCK_ROWS` rows are
-        pending, then one kernel evaluation and one gather per output
-        column emit the block's surviving rows — same rows, same serial
-        order, one interpreter-free pass.
+        AFC columns accumulate until :func:`block_rows_for` rows (a
+        cache-sized block of the plan's needed columns) are pending,
+        then one kernel evaluation and one gather per output column emit
+        the block's surviving rows — same rows, same order as per-AFC
+        filtering, one interpreter-free pass.
+
+        ``meter`` is the scheduler's cooperative cancel/quota state
+        (``ExecOptions.run_state``; anything with ``checkpoint()`` and
+        ``charge(rows, nbytes)``).  It is checked before every AFC read
+        and charged each AFC's bytes as they are read, so a byte quota
+        trips at the first AFC boundary past it; rows are charged when
+        their block is filtered and once more after the final flush, so
+        a row quota is overshot by at most one block or one AFC,
+        whichever is larger.
         """
-        coalesce = self.coalesce_for(plan.afcs, plan.needed, coalesce_gap_bytes)
-        kernel = self._kernels.get(plan.where, tracer)
         pipeline = BlockPipeline(
-            kernel, plan.needed, plan.output, KERNEL_BLOCK_ROWS, stats, tracer
+            kernel, plan.needed, plan.output,
+            block_rows_for(plan.needed, plan.dtypes), stats, reader.tracer,
         )
-        for afc in plan.afcs:
-            stats.afcs_processed += 1
-            columns = self.extract_afc(
-                afc, plan.needed, stats, plan.dtypes, tracer, coalesce
-            )
-            stats.rows_extracted += afc.num_rows
-            pipeline.add(columns, afc.num_rows)
+        charged = 0
+        if meter is not None:
+            meter.checkpoint()
+        for afc in afcs:
+            before = stats.bytes_read
+            pipeline.add(reader.extract(afc, stats), afc.num_rows)
+            if meter is not None:
+                # charge() ends in a checkpoint: the one before the next read.
+                meter.charge(
+                    rows=pipeline.rows_selected - charged,
+                    nbytes=stats.bytes_read - before,
+                )
+                charged = pipeline.rows_selected
         pipeline.finish()
-        return self._finish(pipeline.pieces, plan)
-
-    def _finish(
-        self, pieces: Dict[str, List[np.ndarray]], plan: ExtractionPlan
-    ) -> VirtualTable:
-        final: Dict[str, np.ndarray] = {}
-        for name in plan.output:
-            if pieces[name]:
-                final[name] = np.concatenate(pieces[name])
-            else:
-                final[name] = np.empty(0, dtype=plan.dtypes.get(name, np.float64))
-        return VirtualTable(final, order=plan.output)
-
+        if meter is not None:
+            meter.charge(rows=pipeline.rows_selected - charged)
+        return assemble_table(pipeline.pieces, plan)
 
     def execute_iter(
         self,
@@ -713,6 +795,7 @@ class Extractor:
             raise ExtractionError("batch_rows must be positive")
         stats = stats if stats is not None else IOStats()
         coalesce = self.coalesce_for(plan.afcs, plan.needed, coalesce_gap_bytes)
+        reader = AfcReader(self, plan.needed, plan.dtypes, tracer, coalesce)
         kernel = None
         if vectorize and plan.where is not None:
             kernel = self._kernels.get(plan.where, tracer)
@@ -738,11 +821,7 @@ class Extractor:
             return np.asarray(plan.where.evaluate(columns, self.functions))
 
         for afc in plan.afcs:
-            stats.afcs_processed += 1
-            columns = self.extract_afc(
-                afc, plan.needed, stats, plan.dtypes, tracer, coalesce
-            )
-            stats.rows_extracted += afc.num_rows
+            columns = reader.extract(afc, stats)
             if plan.where is not None:
                 if tracer.enabled:
                     with tracer.span(

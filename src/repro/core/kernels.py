@@ -72,12 +72,21 @@ from ..sql.functions import FunctionRegistry
 from .stats import IOStats
 from .table import own_column
 
-#: Target rows per fused evaluation block.  Small AFCs are concatenated
-#: up to this size before one kernel pass; large AFCs simply form their
-#: own block.  64Ki rows of one float64 column is 512 KiB — big enough
-#: to amortize per-block Python overhead, small enough to stay cache-
-#: and memory-friendly.
-KERNEL_BLOCK_ROWS = 65536
+#: Target bytes of needed-column data per fused evaluation block.  Small
+#: AFCs are concatenated up to this much before one kernel pass; large
+#: AFCs simply form their own block.  256 KiB keeps a block, its masks
+#: and the kernel's temporaries L2-resident; the block-size sweep in
+#: EXPERIMENTS.md ("Ablations") shows both sides of that optimum.
+KERNEL_BLOCK_BYTES = 256 * 1024
+
+
+def block_rows_for(needed: Sequence[str], dtypes: Mapping[str, np.dtype]) -> int:
+    """Rows per fused block for a plan: :data:`KERNEL_BLOCK_BYTES` over
+    the needed columns' row width, clamped to [1Ki, 64Ki] so very wide
+    rows still amortize per-block overhead and very narrow ones keep
+    mask buffers small."""
+    width = sum(np.dtype(dtypes.get(n, np.float64)).itemsize for n in needed)
+    return min(65536, max(1024, KERNEL_BLOCK_BYTES // max(1, width)))
 
 #: Compile returns this for "not a compile-time constant".
 _NOT_CONST = object()
@@ -482,7 +491,7 @@ class BlockPipeline:
         kernel: CompiledPredicate,
         needed: Sequence[str],
         output: Sequence[str],
-        block_rows: int = KERNEL_BLOCK_ROWS,
+        block_rows: int,
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
     ):

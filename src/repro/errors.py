@@ -252,9 +252,10 @@ class QueryCancelledError(SchedulerError):
 class QuotaExceededError(SchedulerError):
     """A query tripped its cooperative row or byte quota mid-execution.
 
-    Checked at data-source partial boundaries (per AFC locally, per node
-    partial over ``tcp://``), so a query may briefly overshoot by at
-    most one partial before the trip surfaces.
+    Checked at data-source partial boundaries, so a query may briefly
+    overshoot before the trip surfaces: bytes by at most one AFC, rows
+    by at most one kernel block or one AFC, whichever is larger
+    (locally); either by at most one node partial over ``tcp://``.
     """
 
     def __init__(self, kind: str, used: int, quota: int):

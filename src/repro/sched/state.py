@@ -3,16 +3,18 @@
 A :class:`RunState` is created by the scheduler for each admitted query
 and travels on ``ExecOptions.run_state`` through the coordinator into
 the data-source services.  Execution code calls :meth:`charge` after
-producing a partial (an AFC locally, a node partial over ``tcp://``)
-and :meth:`checkpoint` before starting more work; both raise the typed
-scheduler error — :class:`~repro.errors.QueryCancelledError` or
+producing a partial (an AFC's bytes and a filtered block's rows
+locally, a node partial over ``tcp://``) and :meth:`checkpoint` before
+starting more work; both raise the typed scheduler error —
+:class:`~repro.errors.QueryCancelledError` or
 :class:`~repro.errors.QuotaExceededError` — once the query must stop.
 
 Cooperative by design: a trip never interrupts a read mid-flight, it
 surfaces at the next partial boundary, so a query overshoots its quota
-by at most one partial.  The state is deliberately dependency-free
-(``threading`` + ``repro.errors`` only) so any layer can hold one
-without import cycles.
+by at most one partial — locally one AFC of bytes, and one kernel block
+or one AFC of rows, whichever is larger.  The state is deliberately
+dependency-free (``threading`` + ``repro.errors`` only) so any layer
+can hold one without import cycles.
 
 This module also owns the process-wide abandoned-thread ledger backing
 the ``sched.threads_abandoned`` counter: every sacrificial extraction

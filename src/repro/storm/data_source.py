@@ -19,17 +19,16 @@ deterministically in that same order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.afc import AlignedFileChunkSet, ExtractionPlan
-from ..core.aggregate import partial_aggregate
-from ..core.extractor import CoalescePlan, Extractor, Mount
-from ..core.kernels import KERNEL_BLOCK_ROWS, BlockPipeline
+from ..core.aggregate import merge_partials, partial_aggregate
+from ..core.extractor import AfcReader, Extractor, Mount, assemble_table
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
-from ..core.table import VirtualTable, own_column
+from ..core.table import VirtualTable
 from ..obs.tracer import NULL_TRACER
 from .filtering import FilteringService
 
@@ -76,120 +75,85 @@ class DataSourceService:
         ``options`` supplies the I/O shape: ``coalesce_gap_bytes`` merges
         nearby chunk reads across all of this node's AFCs into wide
         reads, and ``intra_node_workers`` extracts AFCs concurrently.
+        A serial run with a compiled WHERE goes through the extractor's
+        block driver whether or not the scheduler attached a
+        ``run_state``; everything else filters per AFC.
         """
         stats = stats if stats is not None else self.stats
         opts = options if options is not None else DEFAULT_OPTIONS
-        coalesce = self.extractor.coalesce_for(
-            afcs, plan.needed, opts.coalesce_gap_bytes
+        reader = AfcReader(
+            self.extractor, plan.needed, plan.dtypes, tracer,
+            self.extractor.coalesce_for(
+                afcs, plan.needed, opts.coalesce_gap_bytes
+            ),
+            node=self.node,
         )
-        if plan.aggregate is not None:
-            return self._execute_aggregate(
-                plan, afcs, stats, tracer, opts, coalesce
-            )
-        needed_set = set(plan.needed)
+        # Resolved once per call: a per-AFC lookup re-hashes the whole
+        # WHERE tree for every chunk set.
+        kernel = None
+        if opts.vectorize == "on" and plan.where is not None:
+            kernel = self.filtering.kernel_for(plan.where, tracer)
         run_state = opts.run_state
-        vectorize = opts.vectorize == "on"
-        pieces: Dict[str, List[np.ndarray]] = {name: [] for name in plan.output}
         workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
-        if workers > 1:
 
-            def job(afc: AlignedFileChunkSet):
-                local = IOStats()
-                selected = self._extract_one(
-                    plan, afc, needed_set, local, tracer, coalesce, run_state,
-                    vectorize,
-                )
-                return selected, local
+        def one(afc: AlignedFileChunkSet, st: IOStats):
+            return self._extract_one(plan, afc, reader, st, run_state, kernel)
 
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"intra-{self.node}"
-            ) as pool:
-                outcomes = list(pool.map(job, afcs))
-            # Merge in AFC order: row order and stats totals are identical
-            # to a serial run whatever the thread interleaving was.
-            for selected, local in outcomes:
-                stats.merge(local)
-                if selected is None:
-                    continue
-                for name in plan.output:
-                    pieces[name].append(selected[name])
-        elif vectorize and plan.where is not None and run_state is None:
-            # Serial, unmetered path: fuse small AFCs into shared kernel
-            # evaluation blocks.  Skipped under a run_state because the
-            # scheduler charges quotas at per-AFC boundaries — batching
-            # across AFCs would widen the documented overshoot bound.
-            pieces = self._execute_vectorized(
-                plan, afcs, needed_set, stats, tracer, coalesce
+        if plan.aggregate is not None:
+            return self._execute_aggregate(plan, afcs, stats, workers, one)
+        if workers == 1 and kernel is not None:
+            # The serial driver, metered or not: small AFCs fuse into
+            # cache-sized kernel blocks (quota bounds: execute_blocks).
+            return self.extractor.execute_blocks(
+                plan, afcs, kernel, reader, stats, meter=run_state
             )
-        else:
-            for afc in afcs:
-                selected = self._extract_one(
-                    plan, afc, needed_set, stats, tracer, coalesce, run_state,
-                    vectorize,
-                )
-                if selected is None:
-                    continue
-                for name in plan.output:
-                    pieces[name].append(selected[name])
-        final: Dict[str, np.ndarray] = {}
-        for name in plan.output:
-            if pieces[name]:
-                final[name] = np.concatenate(pieces[name])
-            else:
-                final[name] = np.empty(0, dtype=plan.dtypes.get(name, np.float64))
-        return VirtualTable(final, order=plan.output)
+        selected = self._per_afc(afcs, stats, workers, one)
+        pieces = {
+            name: [s[name] for s in selected if s is not None]
+            for name in plan.output
+        }
+        return assemble_table(pieces, plan)
 
-    def _execute_vectorized(
-        self,
-        plan: ExtractionPlan,
-        afcs: List[AlignedFileChunkSet],
-        needed_set: Set[str],
-        stats: IOStats,
-        tracer,
-        coalesce: Optional[CoalescePlan],
-    ) -> Dict[str, List[np.ndarray]]:
-        """Batched kernel filtering: per-AFC extraction, per-block WHERE.
-
-        Emits the same rows in the same serial AFC order as the per-AFC
-        path; only the number of predicate evaluations (and the Python
-        overhead per chunk set) changes.  The gathered pieces are owned
-        arrays, so no per-AFC ``own_column`` pass is needed.
+    def _per_afc(self, afcs, stats: IOStats, workers: int, one) -> list:
+        """``one(afc, stats)`` for every AFC, serially or on ``workers``
+        threads; results in AFC order.  Workers count into per-job stats
+        merged in that same order, so row order and stats totals are
+        identical to a serial run whatever the thread interleaving was.
         """
-        kernel = self.filtering.kernel_for(plan.where, tracer)
-        pipeline = BlockPipeline(
-            kernel, plan.needed, plan.output, KERNEL_BLOCK_ROWS, stats, tracer
-        )
-        for afc in afcs:
-            columns = self._extract_columns(
-                plan, afc, needed_set, stats, tracer, coalesce
-            )
-            pipeline.add(columns, afc.num_rows)
-        pipeline.finish()
-        return pipeline.pieces
+        if workers <= 1:
+            return [one(afc, stats) for afc in afcs]
+
+        def job(afc: AlignedFileChunkSet):
+            local = IOStats()
+            return one(afc, local), local
+
+        with ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix=f"intra-{self.node}"
+        ) as pool:
+            outcomes = list(pool.map(job, afcs))
+        for _, local in outcomes:
+            stats.merge(local)
+        return [result for result, _ in outcomes]
 
     def _execute_aggregate(
         self,
         plan: ExtractionPlan,
         afcs: List[AlignedFileChunkSet],
         stats: IOStats,
-        tracer,
-        opts: ExecOptions,
-        coalesce: Optional[CoalescePlan],
+        workers: int,
+        extract_one,
     ) -> VirtualTable:
         """Aggregate pushdown: fold this node's AFCs into one state frame.
 
-        Each AFC is extracted and filtered exactly as in the row path,
-        then reduced immediately via
+        Each AFC is extracted and filtered exactly as in the per-AFC row
+        path, then reduced immediately via
         :func:`repro.core.aggregate.partial_aggregate`; per-AFC frames
         merge into a single per-node frame.  Extracted row blocks die
-        here — only (group key, state) rows leave the node.
+        here — only (group key, state) rows leave the node.  The fold
+        stays per AFC: folding per fused block would re-associate float
+        ``SUM``/``AVG`` and break bit-identity with ``vectorize="off"``.
         """
-        from ..core.aggregate import merge_partials
-
         spec = plan.aggregate
-        needed_set = set(plan.needed)
-        run_state = opts.run_state
-        vectorize = opts.vectorize == "on"
 
         def one(afc: AlignedFileChunkSet, st: IOStats):
             # filtering.apply adds the filtered row count to rows_output;
@@ -197,83 +161,35 @@ class DataSourceService:
             # no columns at all (pure COUNT(*)).  Safe: ``st`` is either
             # a per-job local or used strictly sequentially.
             before = st.rows_output
-            selected = self._extract_one(
-                plan, afc, needed_set, st, tracer, coalesce, run_state,
-                vectorize,
-            )
+            selected = extract_one(afc, st)
             if selected is None:
                 return None
             num_rows = st.rows_output - before
             st.rows_aggregated += num_rows
             return partial_aggregate(spec, selected, num_rows, plan.dtypes)
 
-        workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
-        partials: List[VirtualTable] = []
-        if workers > 1:
-
-            def job(afc: AlignedFileChunkSet):
-                local = IOStats()
-                return one(afc, local), local
-
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"intra-{self.node}"
-            ) as pool:
-                outcomes = list(pool.map(job, afcs))
-            for frame, local in outcomes:
-                stats.merge(local)
-                if frame is not None:
-                    partials.append(frame)
-        else:
-            for afc in afcs:
-                frame = one(afc, stats)
-                if frame is not None:
-                    partials.append(frame)
+        partials = [
+            frame
+            for frame in self._per_afc(afcs, stats, workers, one)
+            if frame is not None
+        ]
         merged = merge_partials(spec, partials, plan.dtypes)
         stats.groups_emitted += merged.num_rows
         return merged
-
-    def _extract_columns(
-        self,
-        plan: ExtractionPlan,
-        afc: AlignedFileChunkSet,
-        needed_set: Set[str],
-        stats: IOStats,
-        tracer,
-        coalesce: Optional[CoalescePlan],
-    ) -> Dict[str, np.ndarray]:
-        """Extract one AFC's needed columns with full per-AFC accounting
-        (chunk counts, remote bytes, extraction span) but no filtering."""
-        stats.afcs_processed += 1
-        for chunk in afc.chunks:
-            if chunk.node != self.node and needed_set.intersection(
-                chunk.strip.attrs
-            ):
-                stats.remote_bytes_read += chunk.total_bytes(afc.num_rows)
-        if tracer.enabled:
-            with tracer.span("extract_afc", node=self.node, rows=afc.num_rows):
-                columns = self.extractor.extract_afc(
-                    afc, plan.needed, stats, plan.dtypes, tracer, coalesce
-                )
-        else:
-            columns = self.extractor.extract_afc(
-                afc, plan.needed, stats, plan.dtypes, coalesce=coalesce
-            )
-        stats.rows_extracted += afc.num_rows
-        return columns
 
     def _extract_one(
         self,
         plan: ExtractionPlan,
         afc: AlignedFileChunkSet,
-        needed_set: Set[str],
+        reader: AfcReader,
         stats: IOStats,
-        tracer,
-        coalesce: Optional[CoalescePlan],
-        run_state=None,
-        vectorize: bool = False,
+        run_state,
+        kernel,
     ) -> Optional[Dict[str, np.ndarray]]:
         """Extract + filter one AFC; returns owned columns or None if empty.
 
+        The per-AFC path: intra-node workers, aggregate folds, the
+        interpreted ``vectorize="off"`` oracle and WHERE-less scans.
         ``run_state`` is the scheduler's cooperative cancel/quota state
         (``ExecOptions.run_state``): checked before the read and charged
         with this AFC's row/byte deltas after the filter, so each AFC is
@@ -281,30 +197,24 @@ class DataSourceService:
         overshoots its quota by at most one AFC.  The deltas are safe
         because ``stats`` is always owned by a single thread (a per-job
         local under ``intra_node_workers``, the per-attempt stats
-        otherwise).  ``vectorize`` applies the WHERE through the
-        filtering service's compiled kernel (still one evaluation per
-        AFC on this path — the per-AFC quota/parallelism boundaries stay
-        exactly where they were).
+        otherwise).  ``kernel`` is the call's pre-resolved compiled
+        WHERE (None: interpreted, or no WHERE at all).
         """
         if run_state is not None:
             run_state.checkpoint()
         before_rows = stats.rows_output
         before_bytes = stats.bytes_read
-        columns = self._extract_columns(
-            plan, afc, needed_set, stats, tracer, coalesce
-        )
+        columns = reader.extract(afc, stats)
         selected = self.filtering.apply(
-            plan.where, columns, plan.output, afc.num_rows, stats, tracer,
-            vectorize=vectorize,
+            plan.where, columns, plan.output, afc.num_rows, stats,
+            reader.tracer, vectorize=kernel is not None, kernel=kernel,
         )
         if run_state is not None:
             run_state.charge(
                 rows=stats.rows_output - before_rows,
                 nbytes=stats.bytes_read - before_bytes,
             )
-        if selected is None:
-            return None
-        return {name: own_column(selected[name]) for name in plan.output}
+        return selected
 
     def close(self) -> None:
         self.extractor.close()

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.kernels import KernelCache
+from ..core.kernels import CompiledPredicate, KernelCache
 from ..core.stats import IOStats
 from ..core.table import VirtualTable, own_column
 from ..obs.tracer import NULL_TRACER
@@ -50,18 +50,23 @@ class FilteringService:
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
         vectorize: bool = False,
+        kernel: Optional[CompiledPredicate] = None,
     ) -> Optional[Dict[str, np.ndarray]]:
         """Filter one block; returns projected columns or None if empty.
 
         ``columns`` may contain WHERE-only attributes beyond ``output``;
-        the result contains exactly ``output``.
+        the result contains exactly ``output``, as owned arrays.
+        ``kernel`` is a pre-resolved :meth:`kernel_for` ``where`` —
+        callers filtering many blocks with one predicate pass it to skip
+        the per-block cache lookup (a hash of the whole WHERE tree).
         """
         if tracer.enabled and where is not None:
             with tracer.span(
                 "filter", rows=num_rows, vectorized=vectorize
             ) as span:
                 selected = self._apply(
-                    where, columns, output, num_rows, stats, tracer, vectorize
+                    where, columns, output, num_rows, stats, tracer,
+                    vectorize, kernel,
                 )
                 if selected is None:
                     span.tag(out=0)
@@ -69,7 +74,7 @@ class FilteringService:
                     span.tag(out=int(len(selected[output[0]])))
             return selected
         return self._apply(
-            where, columns, output, num_rows, stats, tracer, vectorize
+            where, columns, output, num_rows, stats, tracer, vectorize, kernel
         )
 
     def refilter(
@@ -113,6 +118,7 @@ class FilteringService:
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
         vectorize: bool = False,
+        kernel: Optional[CompiledPredicate] = None,
     ) -> Optional[Dict[str, np.ndarray]]:
         # own_column: extracted columns can be read-only zero-copy views
         # over segment-cache payloads; never emit those to callers.
@@ -121,7 +127,8 @@ class FilteringService:
             count = num_rows
         else:
             if vectorize:
-                kernel = self._kernels.get(where, tracer)
+                if kernel is None:
+                    kernel = self._kernels.get(where, tracer)
                 mask = np.asarray(
                     kernel.evaluate(columns, num_rows, tracer=tracer)
                 )

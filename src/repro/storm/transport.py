@@ -37,9 +37,10 @@ class Transport:
     scheme = "abstract"
 
     #: True when ``execute_node`` enforces ``ExecOptions.run_state``
-    #: quota/cancel boundaries itself (per AFC); False makes the query
-    #: service charge quotas at the coordinator, per node partial —
-    #: the run state never crosses a process boundary.
+    #: quota/cancel boundaries itself (per AFC; rows per kernel block on
+    #: the fused path); False makes the query service charge quotas at
+    #: the coordinator, per node partial — the run state never crosses
+    #: a process boundary.
     cooperative_quotas = False
 
     def execute_node(

@@ -87,6 +87,21 @@ class TestAlignedFileChunkSet:
         np.testing.assert_array_equal(cols["REL"], [2] * 6)
         np.testing.assert_array_equal(cols["T"], [1, 1, 1, 2, 2, 2])
 
+    def test_implicit_columns_take_declared_dtypes(self, afc):
+        i1, i2 = np.dtype("i1"), np.dtype("<i2")
+        cols = afc.implicit_columns(["REL", "T"], {"REL": i2, "T": i1})
+        assert (cols["REL"].dtype, cols["T"].dtype) == (i2, i1)
+        np.testing.assert_array_equal(cols["T"], [1, 1, 1, 2, 2, 2])
+        # A declared type too narrow for the value (lint RV124) wraps,
+        # constants and loop variables alike; it never raises.
+        wide = AlignedFileChunkSet(
+            num_rows=2, chunks=(), constants=(("REL", 300),),
+            inner_vars=(InnerVar("T", 299, 1, 2, 1),),
+        )
+        cols = wide.implicit_columns(["REL", "T"], {"REL": i1, "T": i1})
+        np.testing.assert_array_equal(cols["REL"], [44, 44])
+        np.testing.assert_array_equal(cols["T"], [43, 44])
+
     def test_implicit_bounds(self, afc):
         bounds = afc.implicit_bounds()
         assert bounds["REL"] == (2, 2)

@@ -352,3 +352,80 @@ class TestCoalescing:
         counters = tracer.metrics.as_dict()["counters"]
         assert counters["reads.coalesced"] == 1
         assert counters["bytes.readahead_waste"] == 30
+
+
+#: PAPER_DESCRIPTOR's rows in another physical layout: the same attribute
+#: names at other offsets ({ SGAS SOIL }) and in records of another size
+#: (Z moved out of COORDS into a file of its own), under osuN/alt.
+ALT_DESCRIPTOR = (
+    PAPER_DESCRIPTOR.replace("/ipars\n", "/alt\n")
+    .replace("{ SOIL SGAS }", "{ SGAS SOIL }")
+    .replace("{ X Y Z }", "{ X Y }")
+    .replace(
+        "DATA { DATASET ipars1 DATASET ipars2 }",
+        "DATA { DATASET ipars1 DATASET ipars2 DATASET ipars3 }",
+    )
+    .replace(
+        '  DATASET "ipars2" {',
+        '  DATASET "ipars3" {\n'
+        "    DATASPACE {\n"
+        "      LOOP GRID ($DIRID*10+1):(($DIRID+1)*10):1 { Z }\n"
+        "    }\n"
+        "    DATA { DIR[$DIRID]/ZCOORD DIRID = 0:3:1 }\n"
+        "  }\n\n"
+        '  DATASET "ipars2" {',
+    )
+)
+
+
+class TestDecodeStateIsPerCall:
+    """The per-strip decode layouts hoisted out of the AFC loop are
+    scoped to one execute call: plans whose strips look alike (same
+    attribute names, other offsets / record sizes) and different
+    projections of one strip decode correctly back to back."""
+
+    QUERIES = [
+        "SELECT REL, TIME, X, Y, Z, SOIL, SGAS FROM IparsData WHERE TIME <= 3",
+        "SELECT SGAS FROM IparsData WHERE TIME <= 3 AND SGAS > 0.2",
+        "SELECT SOIL FROM IparsData WHERE TIME <= 3 AND SOIL > 0.2",
+        "SELECT X, SOIL FROM IparsData WHERE TIME = 2",
+    ]
+
+    def test_lookalike_strips_and_projections_back_to_back(self, env):
+        from repro.datasets.writers import write_dataset
+
+        dataset, mount, _ = env
+        alt = CompiledDataset(ALT_DESCRIPTOR)
+        write_dataset(alt, mount, paper_value_fn)
+        sizes = {
+            c.strip.record_size
+            for ds in (dataset, alt)
+            for afc in ds.plan(self.QUERIES[0]).afcs
+            for c in afc.chunks
+            if "X" in c.strip.attrs
+        }
+        assert sizes == {8, 12}
+
+        def fresh(ds, sql, vectorize):
+            with Extractor(mount) as one_shot:
+                return one_shot.execute(ds.plan(sql), vectorize=vectorize)
+
+        with Extractor(mount) as shared:
+            for vectorize in (True, False):
+                for sql in self.QUERIES + self.QUERIES[::-1]:
+                    tables = [
+                        shared.execute(ds.plan(sql), vectorize=vectorize)
+                        for ds in (dataset, alt, dataset)
+                    ]
+                    assert tables[0].num_rows > 0
+                    for table, ds in zip(tables, (dataset, alt, dataset)):
+                        reference = fresh(ds, sql, vectorize)
+                        assert table.column_names == reference.column_names
+                        for name in table.column_names:
+                            np.testing.assert_array_equal(
+                                table[name], reference[name]
+                            )
+                    # Same rows whatever the physical layout.
+                    a, b = tables[0].canonical(), tables[1].canonical()
+                    for name in a.column_names:
+                        np.testing.assert_array_equal(a[name], b[name])

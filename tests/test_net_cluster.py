@@ -273,3 +273,69 @@ class TestClusterCli:
         out = capsys.readouterr().out
         assert rc == 3
         assert "DEGRADED" in out
+
+
+class TestNodeServerHoldsNoDecodedPlans:
+    """Every EXECUTE frame decodes fresh ``Strip`` objects; per-call
+    decode state that outlived its call would pin them (and their plans)
+    for the life of the server."""
+
+    def test_200_distinct_executes_leave_no_strip_behind(
+        self, cluster_dataset, monkeypatch
+    ):
+        import gc
+        import threading
+        import time
+        import weakref
+
+        from repro.core import CompiledDataset, IOStats
+        from repro.net import wire
+        from repro.net.client import TcpTransport
+        from repro.net.server import NodeServer
+
+        text, root = cluster_dataset
+        decoded = []
+        decode_plan = wire.decode_plan
+
+        def recording_decode(payload):
+            plan = decode_plan(payload)
+            decoded.extend(
+                weakref.ref(chunk.strip)
+                for afc in plan.afcs
+                for chunk in afc.chunks
+            )
+            return plan
+
+        monkeypatch.setattr(wire, "decode_plan", recording_decode)
+        dataset = CompiledDataset(text)
+        server = NodeServer("osu0", root, dataset=dataset.descriptor.name)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+        thread.start()
+        transport = None
+        try:
+            transport = TcpTransport([server.address])
+            for i in range(200):
+                plan = dataset.plan(
+                    "SELECT X, SOIL FROM IparsData "
+                    f"WHERE TIME = {1 + i % 8} AND SOIL > {i / 400:.4f}"
+                )
+                afcs = [a for a in plan.afcs if a.chunks[0].node == "osu0"]
+                table = transport.execute_node("osu0", plan, afcs, IOStats())
+                assert table.num_rows > 0
+                assert decoded, "the server never decoded a plan"
+                # The reply is written inside the server's frame handler;
+                # give it a moment to return and drop its locals.
+                deadline = time.monotonic() + 5
+                while any(ref() is not None for ref in decoded):
+                    assert time.monotonic() < deadline, (
+                        f"decoded strips still alive after reply {i}"
+                    )
+                    time.sleep(0.001)
+                    gc.collect()
+                decoded.clear()
+        finally:
+            if transport is not None:
+                transport.close()
+            server.shutdown()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

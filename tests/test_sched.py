@@ -13,7 +13,9 @@ import time
 import pytest
 
 import repro
-from repro.core import ExecOptions, GeneratedDataset
+from repro.core import CompiledDataset, ExecOptions, GeneratedDataset, IOStats
+from repro.core.extractor import AfcReader
+from repro.core.kernels import block_rows_for
 from repro.core.options import resolve_workers
 from repro.datasets import IparsConfig, ipars
 from repro.errors import (
@@ -22,8 +24,10 @@ from repro.errors import (
     QuotaExceededError,
     SchedulerError,
 )
-from repro.sched import Scheduler, threads_abandoned
+from repro.sched import RunState, Scheduler, threads_abandoned
 from repro.storm import QueryService, VirtualCluster
+from repro.storm.data_source import DataSourceService
+from repro.storm.filtering import FilteringService
 from tests.conftest import assert_tables_equal
 
 CONFIG = IparsConfig(num_rels=2, num_times=6, cells_per_node=16, num_nodes=2)
@@ -261,6 +265,79 @@ class TestQuotas:
             assert result.num_rows == TOTAL_ROWS
 
 
+#: One node, 17 stored variables: ``SELECT *`` rows are wide enough that
+#: a kernel block (``block_rows_for``) is a fraction of the node's rows.
+WIDE = IparsConfig(num_rels=2, num_times=6, cells_per_node=800, num_nodes=1)
+WIDE_SQL = "SELECT * FROM IparsData WHERE SOIL >= 0"  # every row passes
+WIDE_ROWS = 2 * 6 * 800
+AFC_ROWS = 32
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """(source, plan) for the serial block driver: several kernel blocks
+    of many 32-row AFCs each, and a last block that is partial."""
+    root = tmp_path_factory.mktemp("sched_wide")
+    cluster = VirtualCluster.create(str(root), WIDE.num_nodes)
+    text, _ = ipars.generate(WIDE, "L0", cluster.mount())
+    plan = CompiledDataset(text, None, AFC_ROWS).plan(WIDE_SQL)
+    source = DataSourceService("osu0", cluster.mount(), FilteringService())
+    yield source, plan
+    source.close()
+
+
+class TestBlockDriverMetering:
+    """Quota bounds of scheduled queries on the fused serial path."""
+
+    def run(self, wide, **quotas):
+        source, plan = wide
+        source.drop_caches()
+        state, stats = RunState(**quotas), IOStats()
+        opts = LOCAL.replace(run_state=state)
+        return state, stats, lambda: source.execute(
+            plan, plan.afcs, stats, options=opts
+        )
+
+    def test_shape_of_the_fixture(self, wide):
+        _, plan = wide
+        block = block_rows_for(plan.needed, plan.dtypes)
+        assert AFC_ROWS < block < WIDE_ROWS and WIDE_ROWS % block
+        state, stats, execute = self.run(wide)
+        assert execute().num_rows == state.rows == WIDE_ROWS
+        assert stats.rows_vectorized == WIDE_ROWS
+
+    def test_row_quota_trips_within_one_block(self, wide):
+        _, plan = wide
+        block = block_rows_for(plan.needed, plan.dtypes)
+        state, stats, execute = self.run(wide, row_quota=100)
+        with pytest.raises(QuotaExceededError, match="row quota") as info:
+            execute()
+        # The first block closes on the AFC that reaches ``block`` rows.
+        assert 100 < info.value.used < 100 + block + AFC_ROWS
+        assert stats.rows_extracted < block + AFC_ROWS
+
+    def test_row_quota_first_exceeded_by_last_partial_block(self, wide):
+        # Only the final flush pushes the count over: the data source
+        # itself must raise, nothing downstream charges rows locally.
+        state, stats, execute = self.run(wide, row_quota=WIDE_ROWS - 1)
+        with pytest.raises(QuotaExceededError, match="row quota") as info:
+            execute()
+        assert info.value.used == WIDE_ROWS
+        assert stats.rows_extracted == WIDE_ROWS
+
+    def test_row_quota_equal_to_the_result_passes(self, wide):
+        state, _, execute = self.run(wide, row_quota=WIDE_ROWS)
+        assert execute().num_rows == WIDE_ROWS
+
+    def test_byte_quota_trips_at_first_afc_on_cold_cache(self, wide):
+        state, stats, execute = self.run(wide, byte_quota=64)
+        with pytest.raises(QuotaExceededError, match="byte quota") as info:
+            execute()
+        assert stats.afcs_processed == 1
+        assert info.value.used == state.nbytes == stats.bytes_read > 64
+        assert stats.rows_vectorized == 0  # tripped before any block ran
+
+
 class TestCancellation:
     def test_cancel_queued_tears_down_immediately(self):
         gate = threading.Event()
@@ -291,6 +368,31 @@ class TestCancellation:
             assert info.value.reason == "cancelled"
             assert handle.cancelled()
             assert sched.stats()["counters"]["sched.cancelled"] == 1
+
+    @pytest.mark.parametrize("sql", [SCAN, SCAN + " WHERE SOIL >= 0"])
+    def test_cancel_mid_query_stops_before_next_afc_read(
+        self, env, monkeypatch, sql
+    ):
+        # Cancel from inside the third AFC's extraction: neither the
+        # per-AFC path (no WHERE) nor the block driver reads a fourth.
+        service, _, _ = env
+        extract = AfcReader.extract
+        calls, submitted, box = [], threading.Event(), {}
+
+        def cancelling_extract(reader, afc, stats):
+            calls.append(afc)
+            if len(calls) == 3:
+                assert submitted.wait(10)
+                assert box["handle"].cancel() is True
+            return extract(reader, afc, stats)
+
+        monkeypatch.setattr(AfcReader, "extract", cancelling_extract)
+        with Scheduler(service, workers=1) as sched:
+            box["handle"] = sched.submit(sql, LOCAL.replace(parallel=False))
+            submitted.set()
+            with pytest.raises(QueryCancelledError):
+                box["handle"].result(timeout=30)
+        assert len(calls) == 3
 
     def test_cancel_finished_returns_false(self):
         stub = StubService()

@@ -4,12 +4,15 @@ Part 1 reuses the seeded random-tree generator from
 ``test_rewrite_equivalence`` to check that :class:`CompiledPredicate`
 produces *bit-identical* masks to the interpreted AST walk over 1000
 NaN-bearing predicate trees — each kernel evaluated twice so the
-selectivity-reordered second pass is exercised too.
+selectivity-reordered second pass is exercised too.  The same harness
+cut into uneven "AFCs" and fused at three block sizes shows block
+boundaries never reorder rows; byte-derived block sizes are clamped.
 
 Part 2 drives the ablation knob through the full engine: the paper's
 fig7/fig8 filter shapes return row-for-row identical tables with
 ``vectorize="on"`` and ``"off"``, on the eager, streaming, aggregate,
-and cache-subsumption paths.
+and cache-subsumption paths — and a scheduler ``RunState`` riding along
+changes neither the table nor the counters.
 
 Part 3 covers the satellite regressions: ``IN`` with 1000 values via
 one ``np.isin`` pass, empty AND/OR rejected at construction, the
@@ -24,16 +27,24 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import ExecOptions, Virtualizer
-from repro.core.kernels import BlockPipeline, CompiledPredicate, KernelCache
+from repro.core import CompiledDataset, ExecOptions, Virtualizer
+from repro.core.kernels import (
+    BlockPipeline,
+    CompiledPredicate,
+    KernelCache,
+    block_rows_for,
+)
 from repro.core.stats import IOStats
 from repro.diag import analyze_query
 from repro.errors import QueryValidationError
 from repro.metadata import parse_descriptor
 from repro.net.wire import decode_options, encode_options
+from repro.sched import RunState
 from repro.sql.ast import And, Comparison, Column, FunctionCall, InList, Literal, Or, in_list_mask
 from repro.sql.functions import DEFAULT_REGISTRY, FunctionRegistry, FunctionSignature
 from repro.sql.parser import parse_where
+from repro.storm.data_source import DataSourceService
+from repro.storm.filtering import FilteringService
 from tests.conftest import assert_tables_equal
 from tests.test_rewrite_equivalence import (
     N_ROWS,
@@ -131,6 +142,47 @@ class TestRandomizedKernelEquivalence:
         np.testing.assert_array_equal(fused["A"], all_a[expected_mask])
         np.testing.assert_array_equal(fused["B"], all_b[expected_mask])
         assert pipeline.rows_selected == int(expected_mask.sum())
+
+    def test_block_boundaries_never_change_row_order(self):
+        # The 1000-tree harness again, each tree's rows cut into uneven
+        # "AFCs" and fused at three block sizes: one row per block, a
+        # size that straddles AFC boundaries, and one block for all.
+        rng = random.Random(13579)
+        for i in range(N_TREES):
+            tree = rand_tree(rng, rng.randrange(1, 5))
+            kernel = CompiledPredicate(tree, DEFAULT_REGISTRY)
+            columns = make_columns(rng)
+            expected = mask_of(tree, columns)
+            cuts = sorted(rng.sample(range(N_ROWS + 1), 5))
+            bounds = list(zip([0] + cuts, cuts + [N_ROWS]))
+            for block_rows in (1, 7, 2 * N_ROWS):
+                pipeline = BlockPipeline(
+                    kernel, list(columns), list(columns), block_rows
+                )
+                for lo, hi in bounds:
+                    pipeline.add(
+                        {n: c[lo:hi] for n, c in columns.items()}, hi - lo
+                    )
+                pipeline.finish()
+                for name, column in columns.items():
+                    got = np.concatenate(pipeline.pieces[name] or [column[:0]])
+                    np.testing.assert_array_equal(
+                        got, column[expected],
+                        err_msg=f"case {i} block_rows {block_rows}: {tree}",
+                    )
+
+    def test_block_rows_follow_row_width_and_are_clamped(self):
+        f4, f8, i1 = np.dtype("<f4"), np.dtype("<f8"), np.dtype("i1")
+        five = ["X", "Y", "Z", "S1", "S2"]
+        # 256 KiB of 20-byte rows.
+        assert block_rows_for(five, dict.fromkeys(five, f4)) == 13107
+        # Undeclared columns are priced as float64.
+        assert block_rows_for(five, {}) == 6553
+        # Tiny rows stop at the old fixed 64Ki; very wide ones at 1Ki.
+        assert block_rows_for(["B"], {"B": i1}) == 65536
+        wide = [f"C{i}" for i in range(400)]
+        assert block_rows_for(wide, dict.fromkeys(wide, f8)) == 1024
+        assert block_rows_for([], {}) == 65536
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +283,45 @@ class TestEngineOnOffIdentity:
                 if label == "on":
                     assert run.rows_vectorized == run.rows_refiltered > 0
         assert_identical_rows(results["on"], results["off"])
+
+    @pytest.mark.parametrize(
+        "fixture, sql",
+        [("ipars_l0", q) for q in IPARS_QUERIES]
+        + [("titan_small", q) for q in TITAN_QUERIES],
+    )
+    def test_run_state_changes_neither_rows_nor_counters(
+        self, request, fixture, sql
+    ):
+        # Scheduled queries (a RunState on the options) run the same
+        # block driver as unscheduled ones: chunk_row_cap=32 makes every
+        # block a fusion of many AFCs.
+        _, text, mount, *_ = request.getfixturevalue(fixture)
+        plan = CompiledDataset(text, None, 32).plan(sql)
+        for node in sorted({afc.chunks[0].node for afc in plan.afcs}):
+            afcs = [a for a in plan.afcs if a.chunks[0].node == node]
+            source = DataSourceService(node, mount, FilteringService())
+            try:
+                runs = []
+                for state in (None, RunState()):
+                    source.drop_caches()
+                    stats = IOStats()
+                    table = source.execute(
+                        plan, afcs, stats, options=ON.replace(run_state=state)
+                    )
+                    runs.append((table, stats))
+            finally:
+                source.close()
+            (plain, plain_stats), (metered, metered_stats) = runs
+            assert_identical_rows(plain.canonical(), metered.canonical())
+            assert_identical_rows(plain, metered)
+            assert plain_stats.rows_vectorized == plain_stats.rows_extracted > 0
+            for counter in ("rows_vectorized", "rows_output", "bytes_read"):
+                assert getattr(metered_stats, counter) == getattr(
+                    plain_stats, counter
+                ), counter
+            # ... and the meter saw exactly what the counters saw.
+            assert state.rows == metered_stats.rows_output
+            assert state.nbytes == metered_stats.bytes_read > 0
 
 
 # ---------------------------------------------------------------------------
