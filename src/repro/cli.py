@@ -39,7 +39,12 @@ from .core.extractor import local_mount
 from .core.planner import CompiledDataset
 from .core.virtualizer import Virtualizer
 from .errors import ReproError
-from .index.summaries import MinMaxSummaries, build_summaries, summaries_path
+from .index.summaries import (
+    MinMaxSummaries,
+    build_summaries,
+    load_sidecar_summaries,
+    summaries_path,
+)
 from .metadata import parse_descriptor
 from .metadata.xml_io import descriptor_to_xml, xml_to_descriptor
 
@@ -189,19 +194,19 @@ def cmd_index_build(args) -> int:
 
 def _make_virtualizer(args) -> Virtualizer:
     descriptor = _load_descriptor(args.descriptor, args.dataset)
-    summaries = None
-    if getattr(args, "summaries", None):
-        summaries = MinMaxSummaries.load(args.summaries)
-    else:
-        default = summaries_path(args.root, descriptor.name)
-        if os.path.exists(default):
-            summaries = MinMaxSummaries.load(default)
     return Virtualizer(
         descriptor,
         local_mount(args.root),
         use_codegen=not getattr(args, "interpreted", False),
-        summaries=summaries,
+        summaries=_load_summaries(args, descriptor),
     )
+
+
+def _load_summaries(args, descriptor):
+    """``--summaries FILE``, else the root's sidecar file, else None."""
+    if getattr(args, "summaries", None):
+        return MinMaxSummaries.load(args.summaries)
+    return load_sidecar_summaries(args.root, descriptor.name)
 
 
 def cmd_verify_data(args) -> int:
@@ -411,13 +416,7 @@ def cmd_trace(args) -> int:
     from .storm.query_service import QueryService
 
     descriptor = _load_descriptor(args.descriptor, args.dataset)
-    summaries = None
-    if args.summaries:
-        summaries = MinMaxSummaries.load(args.summaries)
-    else:
-        default = summaries_path(args.root, descriptor.name)
-        if os.path.exists(default):
-            summaries = MinMaxSummaries.load(default)
+    summaries = _load_summaries(args, descriptor)
     if args.interpreted:
         dataset: CompiledDataset = CompiledDataset(descriptor, summaries)
     else:
@@ -519,8 +518,11 @@ def cmd_serve(args) -> int:
 
     This is the out-of-process deployment of the paper's per-node data
     source service: the coordinator (``repro.connect("tcp://...")`` or
-    ``repro cluster``) ships extraction plans here over the wire
-    protocol and gets columnar row batches back.  ``--port 0`` binds an
+    ``repro cluster``) ships queries here over the wire protocol; the
+    server compiles the descriptor, plans its own node's share with the
+    generated index function (pruning by ``--summaries`` or the root's
+    sidecar file, like ``repro query``) and sends columnar row batches
+    back.  ``--port 0`` binds an
     ephemeral port; ``--port-file`` publishes the bound address for
     whoever spawned us.  Fault rules (``--profile`` / ``--rule``) are
     injected server-side — disk chaos and ``conn-reset`` live with the
@@ -542,7 +544,9 @@ def cmd_serve(args) -> int:
     server = NodeServer(
         args.node,
         args.root,
-        dataset=descriptor.name,
+        dataset=GeneratedDataset(
+            descriptor, _load_summaries(args, descriptor)
+        ),
         fault_injector=injector,
         host=args.host,
         port=args.port,
@@ -840,6 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks an ephemeral port (default)")
     p.add_argument("--port-file",
                    help="write the bound 'host port' here for discovery")
+    p.add_argument("--summaries",
+                   help="chunk summary file to prune with (default: the "
+                        "root's sidecar file, if present)")
     p.add_argument("--profile",
                    help="server-side fault profile (node-down, flaky-open, "
                         "flaky-reads, slow-node, tail-failure)")

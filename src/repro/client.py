@@ -32,11 +32,14 @@ import os
 import threading
 from typing import List, Optional, Tuple, Union
 
-from .core.codegen import GeneratedDataset
+from .core.analysis import ChunkSummaries
+from .core.codegen import GeneratedDataset, plan_identity
 from .core.options import ExecOptions
 from .core.table import VirtualTable
 from .core.virtualizer import _batched
 from .errors import StormError
+from .index.summaries import load_sidecar_summaries
+from .metadata.descriptor import parse_descriptor
 from .sql.functions import FunctionRegistry
 from .storm.cluster import VirtualCluster
 from .storm.query_service import QueryResult, QueryService
@@ -200,6 +203,7 @@ def connect(
     options: Optional[ExecOptions] = None,
     functions: Optional[FunctionRegistry] = None,
     fault_injector=None,
+    summaries: Optional[ChunkSummaries] = None,
     **exec_options,
 ) -> Client:
     """Open a :class:`Client` for a ``local://`` or ``tcp://`` endpoint.
@@ -213,6 +217,13 @@ def connect(
     client-wide defaults, e.g. ``connect(url, desc, retries=2,
     allow_partial=True)``; pass ``options=`` to supply a prebuilt
     ExecOptions instead (the two are mutually exclusive).
+
+    ``summaries`` are the chunk summaries the coordinator prunes by
+    (``MinMaxSummaries.load(path)``).  Over ``tcp://`` every node server
+    plans its own share of each query, so both sides must prune alike:
+    pass the summaries the servers load (``repro serve`` picks up the
+    root's sidecar file) or connect is refused.  A ProcessCluster
+    target defaults to its root's sidecar file, as its servers do.
 
     ``fault_injector`` applies coordinator-side on both transports
     (mounts and mover locally; connection dialing over tcp).  Node
@@ -239,8 +250,10 @@ def connect(
         raise StormError(
             "connect() needs the dataset descriptor (text or path) to plan"
         )
-    text = _load_descriptor(descriptor)
-    dataset = GeneratedDataset(text)
+    parsed = parse_descriptor(_load_descriptor(descriptor))
+    if summaries is None and cluster_descriptor is not None:
+        summaries = load_sidecar_summaries(target.root, parsed.name)
+    dataset = GeneratedDataset(parsed, summaries)
 
     scheme, rest = parse_url(url)
     if scheme == "local":
@@ -263,7 +276,7 @@ def connect(
         _parse_addresses(rest),
         options=opts,
         fault_injector=fault_injector,
-        expected_dataset=dataset.descriptor.name,
+        expected=plan_identity(dataset),
     )
     missing = set(dataset.descriptor.storage.nodes) - set(
         transport.node_names

@@ -28,6 +28,7 @@ import numpy as np
 from .strips import Strip
 
 if TYPE_CHECKING:  # pragma: no cover - avoid import at module load
+    from ..sql.ast import Query
     from .aggregate import AggregateSpec
 
 
@@ -215,6 +216,38 @@ def split_afc(
     return out
 
 
+def home_node(afc: AlignedFileChunkSet) -> str:
+    """The node that processes ``afc``: the one hosting its first chunk.
+
+    STORM processes data where it lives; chunks of the same AFC on other
+    nodes are remote reads (rare — groups normally live on one node).
+    The coordinator's fan-out and a node server's own index function
+    must agree on this rule, so it has exactly one definition.
+    """
+    return afc.chunks[0].node if afc.chunks else "local"
+
+
+def group_by_home_node(
+    afcs: Sequence[AlignedFileChunkSet],
+) -> Dict[str, List[AlignedFileChunkSet]]:
+    """``afcs`` grouped by :func:`home_node`, plan order kept per node."""
+    by_node: Dict[str, List[AlignedFileChunkSet]] = {}
+    for afc in afcs:
+        by_node.setdefault(home_node(afc), []).append(afc)
+    return by_node
+
+
+def split_afcs(
+    afcs: List[AlignedFileChunkSet], chunk_row_cap: Optional[int]
+) -> List[AlignedFileChunkSet]:
+    """Every AFC split to at most ``chunk_row_cap`` rows (None: as is)."""
+    if chunk_row_cap is None:
+        return afcs
+    return [
+        piece for afc in afcs for piece in split_afc(afc, chunk_row_cap)
+    ]
+
+
 @dataclass
 class ExtractionPlan:
     """Everything the extractor needs to answer one query.
@@ -223,6 +256,12 @@ class ExtractionPlan:
     keys plus aggregate arguments) and ``aggregate`` carries the
     reduction to fold them through; data-source services then return
     partial state frames instead of rows (see :mod:`repro.core.aggregate`).
+
+    ``query`` and ``chunk_row_cap`` are the plan's provenance: what
+    ``dataset.plan()`` enumerated ``afcs`` from.  A node server holding
+    the same descriptor re-derives its share of ``afcs`` from them, so
+    the ``tcp://`` transport ships these instead of the AFC list;
+    ``dataclasses.replace`` variants of a plan keep them.
     """
 
     afcs: List[AlignedFileChunkSet]
@@ -231,6 +270,8 @@ class ExtractionPlan:
     where: Optional[object] = None  # residual predicate AST (applied to all rows)
     dtypes: Dict[str, np.dtype] = field(default_factory=dict)
     aggregate: Optional["AggregateSpec"] = None
+    query: Optional["Query"] = None  # the rewritten query ``afcs`` came from
+    chunk_row_cap: Optional[int] = None
 
     @property
     def planned_rows(self) -> int:

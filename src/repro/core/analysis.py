@@ -231,6 +231,15 @@ class ChunkSummaries:
     def bounds(self, key) -> Optional[Dict[str, Tuple[float, float]]]:
         raise NotImplementedError
 
+    def digest(self) -> str:
+        """Content hash: equal digests prune every query identically.
+
+        Only the ``tcp://`` path needs it — a coordinator and its node
+        servers compare digests at connect time, because each plans its
+        own share of a query and must prune alike.
+        """
+        raise NotImplementedError
+
 
 def enumerate_afcs(
     group: Sequence[PhysicalFile],

@@ -548,15 +548,19 @@ class BlockPipeline:
     def _filter_block(self, block: Dict[str, np.ndarray], num_rows: int) -> int:
         mask = self.kernel.evaluate(block, num_rows, tracer=self.tracer)
         if isinstance(mask, (bool, np.bool_)):
-            if not mask:
-                return 0
-            for name in self.output:
-                self.pieces[name].append(own_column(block[name]))
-            return num_rows
-        count = int(np.count_nonzero(mask))
-        if count:
-            for name in self.output:
-                # Fancy indexing copies, so the piece is owned and the
-                # kernel's mask buffer is free for the next block.
-                self.pieces[name].append(own_column(block[name][mask]))
+            count = num_rows if mask else 0
+        else:
+            count = int(np.count_nonzero(mask))
+        if not count:
+            return 0
+        # Every row kept (a constant-true WHERE, or one the index already
+        # decided, e.g. a TIME window): the columns are the result.
+        # Otherwise fancy indexing copies, so the piece is owned and the
+        # kernel's mask buffer is free for the next block.
+        keep_all = count == num_rows
+        for name in self.output:
+            column = block[name]
+            self.pieces[name].append(
+                own_column(column if keep_all else column[mask])
+            )
         return count

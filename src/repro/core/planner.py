@@ -28,7 +28,7 @@ from ..sql.ast import Query
 from ..sql.parser import parse_query
 from ..sql.ranges import RangeMap, extract_ranges, query_is_unsatisfiable
 from ..sql.rewrite import rewrite_query
-from .afc import AlignedFileChunkSet, ExtractionPlan
+from .afc import AlignedFileChunkSet, ExtractionPlan, split_afcs
 from .analysis import (
     Alignment,
     ChunkSummaries,
@@ -46,6 +46,16 @@ class StaticGroup:
     files: Tuple[PhysicalFile, ...]
     env: Dict[str, int]
     alignment: Alignment
+
+    @property
+    def home_node(self) -> str:
+        """Where this group's AFCs are processed: the node of the file
+        contributing their first chunk, i.e.
+        :func:`~repro.core.afc.home_node` of every AFC the group emits."""
+        for file in self.files:
+            if file.strips:
+                return file.node
+        return "local"
 
 
 class CompiledDataset:
@@ -268,10 +278,19 @@ class CompiledDataset:
                 needed.append(name)
         return needed, output
 
-    def index(self, ranges: RangeMap) -> List[AlignedFileChunkSet]:
-        """The paper's *index function*: query ranges -> matching AFCs."""
+    def index(
+        self, ranges: RangeMap, *, node: Optional[str] = None
+    ) -> List[AlignedFileChunkSet]:
+        """The paper's *index function*: query ranges -> matching AFCs.
+
+        ``node`` restricts the lookup to file groups homed on that node
+        (what a node server runs): exactly the unrestricted list's AFCs
+        whose :func:`~repro.core.afc.home_node` is ``node``, same order.
+        """
         afcs: List[AlignedFileChunkSet] = []
         for group in self.groups:
+            if node is not None and group.home_node != node:
+                continue
             if not all(match_file(f, ranges) for f in group.files):
                 continue
             afcs.extend(
@@ -287,8 +306,17 @@ class CompiledDataset:
             )
         return afcs
 
-    def plan(self, query: Union[Query, str], tracer=NULL_TRACER) -> ExtractionPlan:
-        """Full planning: parse/validate, derive ranges, emit the plan."""
+    def plan(
+        self,
+        query: Union[Query, str],
+        tracer=NULL_TRACER,
+        *,
+        node: Optional[str] = None,
+    ) -> ExtractionPlan:
+        """Full planning: parse/validate, derive ranges, emit the plan.
+
+        ``node`` plans only that node's share (see :meth:`index`).
+        """
         with tracer.span("plan", dataset=self.descriptor.name) as span:
             query = self.resolve_query(query)
             with tracer.span("rewrite") as rewrite_span:
@@ -310,24 +338,19 @@ class CompiledDataset:
             if query_is_unsatisfiable(ranges):
                 span.tag(unsatisfiable=True, afcs=0)
                 return ExtractionPlan(
-                    [], needed, output, query.where, dtypes, aggregate=spec
+                    [], needed, output, query.where, dtypes, aggregate=spec,
+                    query=query, chunk_row_cap=self.chunk_row_cap,
                 )
             # Note: no ``len(self.groups)`` tag here — touching ``groups``
             # would defeat the lazy analysis on the cached-codegen path.
             with tracer.span("index") as index_span:
-                afcs = self.index(ranges)
+                afcs = self.index(ranges, node=node)
                 index_span.tag(afcs=len(afcs))
-            if self.chunk_row_cap is not None:
-                from .afc import split_afc
-
-                afcs = [
-                    piece
-                    for afc in afcs
-                    for piece in split_afc(afc, self.chunk_row_cap)
-                ]
+            afcs = split_afcs(afcs, self.chunk_row_cap)
             span.tag(afcs=len(afcs))
             return ExtractionPlan(
-                afcs, needed, output, query.where, dtypes, aggregate=spec
+                afcs, needed, output, query.where, dtypes, aggregate=spec,
+                query=query, chunk_row_cap=self.chunk_row_cap,
             )
 
     # -- introspection ------------------------------------------------------------

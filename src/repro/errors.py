@@ -167,6 +167,18 @@ class TransportError(StormError):
     """
 
 
+class PlanMismatchError(TransportError):
+    """A node server planned a different share of a query than the
+    coordinator expected from it.
+
+    With query shipping both sides enumerate AFCs from the same query
+    text; a different count means they disagree on the data's layout or
+    index, and the node's rows could be silently short or long.  NOT
+    retryable, and never degraded away: the result would be wrong, not
+    partial.
+    """
+
+
 class NodeConnectionError(ExtractionError):
     """A network operation against a data-source node failed.
 

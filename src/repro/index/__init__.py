@@ -6,6 +6,7 @@ from .summaries import (
     MinMaxSummaries,
     build_summaries,
     load_or_build_summaries,
+    load_sidecar_summaries,
     summaries_path,
 )
 
@@ -18,5 +19,6 @@ __all__ = [
     "boxes_intersect",
     "build_summaries",
     "load_or_build_summaries",
+    "load_sidecar_summaries",
     "summaries_path",
 ]

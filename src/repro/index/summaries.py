@@ -15,6 +15,7 @@ exposes an R-tree over chunk bounding boxes for direct spatial lookups.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -42,6 +43,15 @@ class MinMaxSummaries(ChunkSummaries):
 
     def bounds(self, key: ChunkKey) -> Optional[Dict[str, Tuple[float, float]]]:
         return self._bounds.get(tuple(key))
+
+    def digest(self) -> str:
+        payload = json.dumps(
+            sorted(
+                (list(key), sorted(entry.items()))
+                for key, entry in self._bounds.items()
+            )
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
     def __len__(self) -> int:
         return len(self._bounds)
@@ -189,13 +199,25 @@ def summaries_path(root: str, dataset_name: str) -> str:
     return os.path.join(root, f"{dataset_name}.chunk-summaries.json")
 
 
+def load_sidecar_summaries(
+    root: str, dataset_name: str
+) -> Optional[MinMaxSummaries]:
+    """The dataset's persisted summaries, or None when never built.
+
+    Every process that plans over ``root`` — ``repro query``, a node
+    server, the coordinator of a process cluster — loads them this way,
+    so they all prune alike.
+    """
+    path = summaries_path(root, dataset_name)
+    return MinMaxSummaries.load(path) if os.path.exists(path) else None
+
+
 def load_or_build_summaries(
     dataset: CompiledDataset, mount: Mount, root: str
 ) -> MinMaxSummaries:
     """Load persisted summaries, or build and persist them on first use."""
-    path = summaries_path(root, dataset.descriptor.name)
-    if os.path.exists(path):
-        return MinMaxSummaries.load(path)
-    summaries = build_summaries(dataset, mount)
-    summaries.save(path)
+    summaries = load_sidecar_summaries(root, dataset.descriptor.name)
+    if summaries is None:
+        summaries = build_summaries(dataset, mount)
+        summaries.save(summaries_path(root, dataset.descriptor.name))
     return summaries

@@ -6,7 +6,8 @@ view of a dataset" (Section 2.3) — with the services on different
 machines.  This package makes that split real: data-source nodes run as
 separate OS processes (:class:`NodeServer`, the ``repro serve`` CLI)
 speaking a small length-prefixed protocol (:mod:`~repro.net.framing`),
-extraction plans travel out as JSON and result batches come back as raw
+queries travel out as text — each node server plans its own share with
+the generated index function — and result batches come back as raw
 columnar buffers (:mod:`~repro.net.wire`), and the coordinator fans out
 over pooled asyncio connections (:class:`TcpTransport`).
 

@@ -18,6 +18,15 @@ ERROR frames are re-raised via :func:`repro.net.wire.decode_error`; a
 coordinator-side :class:`~repro.faults.FaultInjector` is consulted
 before every request (``node-down`` over sockets).  Each request is
 traced as an ``rpc`` span tagged with round-trip time and payload sizes.
+
+Requests ship the query, not the plan (:mod:`repro.net.wire`): the
+``afcs`` handed to :meth:`TcpTransport.execute_node` only tell the node
+how many AFCs to expect from its own index function.  The transport
+therefore refuses, at connect time, a server that plans from a different
+descriptor or different chunk summaries than the coordinator
+(``expected`` vs the WELCOME identity), and raises
+:class:`~repro.errors.PlanMismatchError` when a reply covers a different
+number of AFCs than were planned for that node.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from ..core.afc import AlignedFileChunkSet, ExtractionPlan
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
 from ..core.table import VirtualTable, concat_tables
-from ..errors import NodeConnectionError, TransportError
+from ..errors import NodeConnectionError, PlanMismatchError, TransportError
 from ..obs.tracer import NULL_TRACER
 from ..storm.transport import Transport
 from . import framing, wire
@@ -156,13 +165,16 @@ class TcpTransport(Transport):
         addresses: Sequence[Tuple[str, int]],
         options: ExecOptions = DEFAULT_OPTIONS,
         fault_injector=None,
-        expected_dataset: Optional[str] = None,
+        expected: Optional[Dict[str, Optional[str]]] = None,
     ):
         """Connect to node servers and learn which node each serves.
 
         Pool shape (``max_connections_per_node``, ``inflight_limit``)
         is fixed from ``options`` here, at connect time; per-call
         options still govern dial timeouts, batching, and I/O shape.
+        ``expected`` is the coordinator dataset's
+        :func:`~repro.core.codegen.plan_identity`; a server whose
+        WELCOME differs on any of its keys is refused.
         """
         self.fault_injector = fault_injector
         self._options = options
@@ -174,9 +186,8 @@ class TcpTransport(Transport):
         self._inflight = self._call(self._make_semaphore(options))
         self._pools: Dict[str, _NodePool] = {}
         self.addresses: Dict[str, Tuple[str, int]] = {}
-        self.dataset = expected_dataset
         try:
-            self._discover(list(addresses), options, expected_dataset)
+            self._discover(list(addresses), options, expected or {})
         except BaseException:
             self.close()
             raise
@@ -196,9 +207,10 @@ class TcpTransport(Transport):
         self,
         addresses: List[Tuple[str, int]],
         options: ExecOptions,
-        expected_dataset: Optional[str],
+        expected: Dict[str, Optional[str]],
     ) -> None:
-        """One HELLO per address: which node, which dataset, which rev."""
+        """One HELLO per address: which node, which rev, planning from
+        what (dataset, descriptor, chunk summaries)."""
 
         async def probe(host: str, port: int) -> dict:
             try:
@@ -232,17 +244,14 @@ class TcpTransport(Transport):
                     f"two servers ({self.addresses[node]} and "
                     f"{(host, port)}) both claim node {node!r}"
                 )
-            remote_dataset = welcome.get("dataset") or None
-            if (
-                expected_dataset
-                and remote_dataset
-                and remote_dataset != expected_dataset
-            ):
-                raise TransportError(
-                    f"node {node!r} at {host}:{port} serves dataset "
-                    f"{remote_dataset!r}, coordinator wants "
-                    f"{expected_dataset!r}"
-                )
+            for key, want in expected.items():
+                if welcome.get(key) != want:
+                    raise TransportError(
+                        f"node {node!r} at {host}:{port} plans from "
+                        f"{key} {welcome.get(key)!r}, the coordinator "
+                        f"from {want!r}; both must load the same "
+                        "descriptor and chunk summaries"
+                    )
             self.addresses[node] = (host, port)
             self._pools[node] = _NodePool(
                 node, host, port, self._options.max_connections_per_node
@@ -276,7 +285,9 @@ class TcpTransport(Transport):
         if self.fault_injector is not None:
             # node-down over sockets: unreachable before any bytes move.
             self.fault_injector.on_connect(node)
-        payload = _encode_execute(plan, afcs, opts)
+        payload = json.dumps(
+            wire.encode_execute(plan, len(afcs), opts)
+        ).encode("utf-8")
         start = time.perf_counter()
         if tracer.enabled:
             with tracer.span(
@@ -296,6 +307,11 @@ class TcpTransport(Transport):
                 )
         else:
             batches, done = self._submit(node, payload, opts)
+        if done.get("afcs") != len(afcs):
+            raise PlanMismatchError(
+                f"node {node!r} answered for {done.get('afcs')} AFC(s), "
+                f"the coordinator planned {len(afcs)} for it"
+            )
         stats.merge(wire.decode_stats(done.get("stats", {})))
         if not batches:
             return wire.empty_table(plan)
@@ -395,14 +411,3 @@ class TcpTransport(Transport):
             for node, (host, port) in self.addresses.items()
         )
         return f"<TcpTransport {addrs}>"
-
-
-def _encode_execute(
-    plan: ExtractionPlan, afcs: List[AlignedFileChunkSet], opts: ExecOptions
-) -> bytes:
-    return json.dumps(
-        {
-            "plan": wire.encode_plan(plan, afcs),
-            "options": wire.encode_options(opts),
-        }
-    ).encode("utf-8")

@@ -9,7 +9,7 @@ Every message on a coordinator<->node connection is one frame::
 
 Frames are self-delimiting, so both ends can read exactly one message
 without lookahead or sentinels; the 1-byte kind dispatches it.  Payloads
-are either UTF-8 JSON (control messages, plans, stats) or the binary
+are either UTF-8 JSON (control messages, queries, stats) or the binary
 columnar encoding of :func:`repro.net.wire.encode_table` (BATCH frames).
 
 The same framing is exposed twice: blocking-socket helpers for the
@@ -28,15 +28,17 @@ from typing import Any, Tuple
 from ..errors import TransportError
 
 #: Protocol revision; bumped on any incompatible framing/payload change.
-PROTOCOL_VERSION = 1
+#: Rev 2: EXECUTE ships the query text (the node plans its own share),
+#: WELCOME carries descriptor/summaries digests, DONE an AFC count.
+PROTOCOL_VERSION = 2
 
 # -- frame kinds ------------------------------------------------------------
 
 HELLO = 1        #: client -> server: identify and negotiate the protocol
-WELCOME = 2      #: server -> client: node name, dataset, protocol, pid
-EXECUTE = 3      #: client -> server: one extraction plan (JSON)
+WELCOME = 2      #: server -> client: node, protocol, pid, plan identity
+EXECUTE = 3      #: client -> server: one query to plan and run (JSON)
 BATCH = 4        #: server -> client: one columnar result batch (binary)
-DONE = 5         #: server -> client: end of result stream + IOStats
+DONE = 5         #: server -> client: end of stream: AFC count + IOStats
 ERROR = 6        #: server -> client: typed failure for the last request
 PING = 7         #: liveness probe
 PONG = 8         #: liveness reply

@@ -2,11 +2,23 @@
 
 "Data source services provide a view of a dataset to other services"
 (paper Section 2.3) — here as a standalone TCP server wrapping one
-:class:`~repro.storm.data_source.DataSourceService`.  The server never
-plans: it executes the fully-resolved extraction plans the coordinator
-ships (:mod:`~repro.net.wire`), streams the filtered rows back as
-columnar BATCH frames sized by the request's ``batch_rows``, and closes
-each request with a DONE frame carrying the node's IOStats.
+:class:`~repro.storm.data_source.DataSourceService`.  The server holds
+the compiled descriptor and plans its own share of every query: an
+EXECUTE frame carries the query text (:mod:`~repro.net.wire`), the
+server runs the same ``resolve -> rewrite -> ranges -> index`` pipeline
+as the coordinator, restricted to the file groups homed on its node —
+the paper's generated index function running at the data source —
+executes the resulting AFCs, streams the filtered rows back as columnar
+BATCH frames sized by the request's ``batch_rows``, and closes the
+request with a DONE frame carrying the AFC count it planned and the
+node's IOStats.  Nothing planned for a request outlives its reply:
+there is no node-side plan cache.
+
+Coordinator and node must plan alike, so WELCOME announces what the
+server plans from (:func:`~repro.core.codegen.plan_identity`: dataset
+name, descriptor digest, chunk-summary digest) for the coordinator to
+refuse at connect time, and a request whose planned AFC count differs
+from the coordinator's is refused before any data is read.
 
 Concurrency is thread-per-connection over the one shared service; the
 extractor's handle/segment caches are internally locked, exactly as in
@@ -21,14 +33,19 @@ Entry point: ``repro serve DESC --root R --node osu0`` (see
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import socket
 import struct
 import threading
 from typing import Optional, Tuple
 
+from ..core.afc import ExtractionPlan, split_afcs
+from ..core.codegen import plan_identity
 from ..core.extractor import local_mount
+from ..core.planner import CompiledDataset
 from ..core.stats import IOStats
+from ..errors import PlanMismatchError, TransportError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import FunctionRegistry
 from ..storm.data_source import DataSourceService
@@ -43,7 +60,7 @@ class NodeServer:
         self,
         node: str,
         root: str,
-        dataset: str = "",
+        dataset: CompiledDataset,
         functions: Optional[FunctionRegistry] = None,
         fault_injector=None,
         segment_cache_bytes: int = 32 * 1024 * 1024,
@@ -51,8 +68,13 @@ class NodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        """``dataset`` is the compiled descriptor this node plans from
+        (with the chunk summaries the coordinator prunes by, if any);
+        its own ``chunk_row_cap`` must be unset — each request ships
+        the cap to split by."""
         self.node = node
         self.dataset = dataset
+        self._identity = plan_identity(dataset)
         self.fault_injector = fault_injector
         mount = local_mount(root)
         if fault_injector is not None:
@@ -148,9 +170,9 @@ class NodeServer:
                 framing.WELCOME,
                 {
                     "node": self.node,
-                    "dataset": self.dataset,
                     "protocol": framing.PROTOCOL_VERSION,
                     "pid": os.getpid(),
+                    **self._identity,
                 },
             )
             return True
@@ -178,15 +200,45 @@ class NodeServer:
         )
         return True
 
+    def _plan(self, request: wire.ExecuteRequest) -> ExtractionPlan:
+        """This node's share of the shipped query, planned here."""
+        plan = self.dataset.plan(request.query, node=self.node)
+        unknown = [
+            name
+            for name in (*request.needed, *request.output)
+            if name not in plan.dtypes
+        ]
+        if unknown:
+            raise TransportError(
+                f"malformed EXECUTE: unknown attribute(s) {unknown}"
+            )
+        afcs = split_afcs(plan.afcs, request.chunk_row_cap)
+        if len(afcs) != request.afcs:
+            raise PlanMismatchError(
+                f"planned {len(afcs)} AFC(s) for {request.query!r}, the "
+                f"coordinator expected {request.afcs}; the two sides "
+                "disagree on the dataset's layout or index"
+            )
+        # The coordinator may run a variant of the plan the text alone
+        # yields (widened for the result cache, aggregate stripped for
+        # the pushdown ablation): its column lists and spec win.
+        return dataclasses.replace(
+            plan,
+            afcs=afcs,
+            needed=request.needed,
+            output=request.output,
+            aggregate=request.aggregate,
+        )
+
     def _execute(self, conn, payload: bytes) -> bool:
-        """Run one extraction plan, streaming batches then DONE."""
+        """Plan and run one shipped query, streaming batches then DONE."""
         from ..core.virtualizer import _batched
         from ..errors import InjectedFault
 
-        request = framing.decode_json(payload)
         try:
-            plan = wire.decode_plan(request["plan"])
-            options = wire.decode_options(request.get("options", {}))
+            request = wire.decode_execute(framing.decode_json(payload))
+            plan = self._plan(request)
+            options = request.options
             stats = IOStats()
             table = self.source.execute(
                 plan, plan.afcs, stats, NULL_TRACER, options
@@ -216,6 +268,7 @@ class NodeServer:
                 {
                     "rows": int(table.num_rows),
                     "batches": batches,
+                    "afcs": len(plan.afcs),
                     "stats": wire.encode_stats(stats),
                 },
             )

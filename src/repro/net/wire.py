@@ -1,13 +1,20 @@
-"""Wire encoding: plans out as JSON, result batches back as raw columns.
+"""Wire encoding: queries out as JSON, result batches back as raw columns.
 
-The coordinator plans centrally (it holds the descriptor and the chunk
-summaries) and ships each node only what extraction needs: the node's
-AFCs, the needed/output column lists, the residual WHERE AST, and the
-output dtypes.  Everything in an
-:class:`~repro.core.afc.ExtractionPlan` is frozen dataclasses over ints,
-strings, and tuples, so the plan side is plain JSON; strips are heavily
-shared between chunk refs (one strip per attribute group per file) and
-are deduplicated into a side table referenced by index.
+The paper's compiler emits index and extractor functions *that run at
+the data source*, and node servers load the descriptor themselves — so
+an EXECUTE request ships the query, not the plan: the canonical text of
+the rewritten query (``str(Query)`` re-parses bit-identically), the
+needed/output column lists and aggregate spec of the plan variant being
+run (widened for the result cache, stripped for the pushdown ablation),
+the ``chunk_row_cap`` to split by, the node-side options, and the number
+of AFCs the coordinator expects the node to plan.  A few hundred bytes,
+whatever the AFC count; the node runs its own index function over its
+own file groups (:mod:`repro.net.server`).  The coordinator still plans
+every query in full — for the summary fast path, ``afc_count``, and to
+know which nodes a result must cover — and the expected count (checked
+by the node before it reads, and again by the coordinator against the
+DONE frame) turns any disagreement between the two plans into a typed
+:class:`~repro.errors.PlanMismatchError`, never a silently short table.
 
 Result batches go the other way as raw bytes: a small JSON header (names,
 dtypes, row count) followed by the concatenated C-contiguous column
@@ -15,13 +22,20 @@ buffers — ``np.frombuffer`` decodes them without parsing.  IOStats travel
 as their counter dict; errors as ``{etype, message, retryable}`` and are
 re-raised as the closest coordinator-side type so the retry machinery
 cannot tell a remote disk failure from a local one.
+
+``encode_plan``/``decode_plan`` (a whole AFC list as JSON, strips
+deduplicated into a side table) are what EXECUTE carried through
+protocol rev 1.  Nothing in ``src/`` calls them any more; they stay
+importable for the ledger's ``wire.plan_*`` probes until a benchmark PR
+retires both.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -34,6 +48,8 @@ from ..core.table import VirtualTable
 from ..errors import (
     ExtractionError,
     InjectedFault,
+    PlanMismatchError,
+    QueryValidationError,
     RemoteError,
     TransportError,
 )
@@ -212,14 +228,7 @@ def encode_plan(
     }
     spec = getattr(plan, "aggregate", None)
     if spec is not None:
-        # Aggregate pushdown rides the plan: the node folds its rows into
-        # a partial state frame and the result batches carry state
-        # columns, not base rows.
-        encoded["agg"] = {
-            "group_by": list(spec.group_by),
-            "items": [[item.func, item.column] for item in spec.items],
-            "output": list(spec.output),
-        }
+        encoded["agg"] = _encode_aggregate(spec)
     return encoded
 
 
@@ -252,23 +261,122 @@ def decode_plan(data: Dict[str, Any]) -> ExtractionPlan:
                 ),
             )
         )
-    agg = data.get("agg")
-    spec = None
-    if agg is not None:
-        spec = AggregateSpec(
-            group_by=tuple(agg["group_by"]),
-            items=tuple(
-                ast.Aggregate(func, column) for func, column in agg["items"]
-            ),
-            output=tuple(agg["output"]),
-        )
     return ExtractionPlan(
         afcs=afcs,
         needed=list(data["needed"]),
         output=list(data["output"]),
         where=decode_where(data["where"]),
         dtypes={name: np.dtype(s) for name, s in data["dtypes"].items()},
-        aggregate=spec,
+        aggregate=_decode_aggregate(data.get("agg")),
+    )
+
+
+# -- EXECUTE requests -------------------------------------------------------
+
+
+def _encode_aggregate(spec: Optional[AggregateSpec]) -> Optional[Dict[str, Any]]:
+    # Aggregate pushdown rides the request: the node folds its rows into
+    # a partial state frame and the result batches carry state columns,
+    # not base rows.
+    if spec is None:
+        return None
+    return {
+        "group_by": list(spec.group_by),
+        "items": [[item.func, item.column] for item in spec.items],
+        "output": list(spec.output),
+    }
+
+
+def _decode_aggregate(agg: Optional[Dict[str, Any]]) -> Optional[AggregateSpec]:
+    if agg is None:
+        return None
+    return AggregateSpec(
+        group_by=tuple(agg["group_by"]),
+        items=tuple(
+            ast.Aggregate(func, column) for func, column in agg["items"]
+        ),
+        output=tuple(agg["output"]),
+    )
+
+
+@dataclass(frozen=True)
+class ExecuteRequest:
+    """One decoded EXECUTE frame: a node's share of a query, unplanned."""
+
+    query: str  # canonical text of the rewritten query
+    needed: List[str]
+    output: List[str]
+    aggregate: Optional[AggregateSpec]
+    chunk_row_cap: Optional[int]
+    afcs: int  # how many AFCs the coordinator planned for this node
+    options: ExecOptions
+
+
+def encode_execute(
+    plan: ExtractionPlan, afc_count: int, options: ExecOptions
+) -> Dict[str, Any]:
+    """The EXECUTE payload for one node: the query, not its AFCs."""
+    query = getattr(plan, "query", None)
+    if query is None:
+        raise TransportError(
+            "this plan does not record the query it was planned from "
+            "(ExtractionPlan.query), so it cannot run over tcp://: node "
+            "servers re-plan their share from the query text.  Plans "
+            "from CompiledDataset/GeneratedDataset.plan() carry it; a "
+            "hand-written planner must set it or run over local://"
+        )
+    return {
+        "query": str(query),
+        "needed": list(plan.needed),
+        "output": list(plan.output),
+        "agg": _encode_aggregate(plan.aggregate),
+        "chunk_row_cap": plan.chunk_row_cap,
+        "afcs": afc_count,
+        "options": encode_options(options),
+    }
+
+
+def decode_execute(data: Any) -> ExecuteRequest:
+    """Validate an EXECUTE payload; anything off is a TransportError."""
+
+    def field(name: str, ok, what: str):
+        value = data.get(name)
+        if not ok(value):
+            raise TransportError(
+                f"malformed EXECUTE: {name!r} must be {what}, got {value!r}"
+            )
+        return value
+
+    def is_names(value) -> bool:
+        return isinstance(value, list) and all(
+            isinstance(name, str) for name in value
+        )
+
+    def is_count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    if not isinstance(data, dict):
+        raise TransportError("malformed EXECUTE: payload is not an object")
+    try:
+        aggregate = _decode_aggregate(data.get("agg"))
+    except (KeyError, TypeError, ValueError, QueryValidationError) as exc:
+        raise TransportError(
+            f"malformed EXECUTE: bad aggregate spec ({exc!r})"
+        ) from None
+    return ExecuteRequest(
+        query=field("query", lambda v: isinstance(v, str), "query text"),
+        needed=field("needed", is_names, "a list of attribute names"),
+        output=field("output", is_names, "a list of attribute names"),
+        aggregate=aggregate,
+        chunk_row_cap=field(
+            "chunk_row_cap",
+            lambda v: v is None or (is_count(v) and v > 0),
+            "null or a positive integer",
+        ),
+        afcs=field("afcs", is_count, "a non-negative integer"),
+        options=decode_options(
+            field("options", lambda v: isinstance(v, dict), "an object")
+        ),
     )
 
 
@@ -403,13 +511,17 @@ def decode_error(data: Dict[str, Any], node: str) -> Exception:
     message = data.get("message", "")
     if etype == "InjectedFault":
         return InjectedFault(f"node {node!r}: {message}")
+    if etype == "PlanMismatchError":
+        return PlanMismatchError(f"node {node!r}: {message}")
     if data.get("retryable"):
         return ExtractionError(f"node {node!r}: {etype}: {message}")
     return RemoteError(etype, message, node)
 
 
 __all__ = [
+    "ExecuteRequest",
     "decode_error",
+    "decode_execute",
     "decode_options",
     "decode_plan",
     "decode_stats",
@@ -417,6 +529,7 @@ __all__ = [
     "decode_where",
     "empty_table",
     "encode_error",
+    "encode_execute",
     "encode_options",
     "encode_plan",
     "encode_stats",

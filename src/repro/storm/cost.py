@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping
 
+from ..core.afc import home_node
 from ..core.stats import IOStats
 
 
@@ -115,7 +116,7 @@ class CostModel:
         per_node_io: Dict[str, float] = {}
         per_node_rows: Dict[str, int] = {}
         for afc in plan.afcs:
-            node = afc.chunks[0].node if afc.chunks else "local"
+            node = home_node(afc)
             files = set()
             nbytes = 0
             chunks = 0

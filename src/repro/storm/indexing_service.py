@@ -14,10 +14,9 @@ service adds two things on top of the raw function:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List
 
-from ..core.afc import AlignedFileChunkSet
+from ..core.afc import AlignedFileChunkSet, group_by_home_node
 from ..core.planner import CompiledDataset
 from ..core.strips import PhysicalFile
 from ..index.range_index import MultiAttrRangeIndex
@@ -63,7 +62,4 @@ class IndexingService:
         the same AFC on other nodes are counted as remote reads by the
         data source service (rare — groups normally live on one node).
         """
-        by_node: Dict[str, List[AlignedFileChunkSet]] = defaultdict(list)
-        for afc in self.lookup(ranges, tracer):
-            by_node[afc.chunks[0].node if afc.chunks else "local"].append(afc)
-        return dict(by_node)
+        return group_by_home_node(self.lookup(ranges, tracer))

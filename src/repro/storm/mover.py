@@ -68,10 +68,15 @@ class DataMoverService:
             for client, idx in enumerate(indices):
                 if self.injector is not None:
                     self.injector.on_transfer(client)
-                slice_table = VirtualTable(
-                    {n: table.column(n)[idx] for n in table.column_names},
-                    order=list(table.column_names),
-                )
+                if num_clients == 1:
+                    # The lone client gets every row in table order:
+                    # hand over the columns themselves, not a gather.
+                    slice_table = table
+                else:
+                    slice_table = VirtualTable(
+                        {n: table.column(n)[idx] for n in table.column_names},
+                        order=list(table.column_names),
+                    )
                 payload = slice_table.num_rows * row_size
                 messages = max(
                     1, -(-payload // self.message_bytes)

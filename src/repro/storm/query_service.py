@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Union
 
-from ..core.afc import AlignedFileChunkSet
+from ..core.afc import group_by_home_node
 from ..core.options import ExecOptions, resolve_workers
 from ..core.planner import CompiledDataset
 from ..core.stats import IOStats
@@ -545,10 +545,7 @@ class QueryService:
         :class:`~repro.errors.NodeFailureError` for the first exhausted
         node unless ``opts.allow_partial``.
         """
-        by_node: Dict[str, List[AlignedFileChunkSet]] = {}
-        for afc in plan.afcs:
-            node = afc.chunks[0].node if afc.chunks else "local"
-            by_node.setdefault(node, []).append(afc)
+        by_node = group_by_home_node(plan.afcs)
 
         per_node_stats: Dict[str, IOStats] = {
             node: IOStats() for node in by_node

@@ -7,7 +7,7 @@ plans, retries, times out, degrades, and caches exactly the same whether
 ``execute_node`` calls a :class:`~repro.storm.data_source.
 DataSourceService` in this process (:class:`LocalTransport`, the
 ``local://`` path — the original in-process simulation) or ships the
-plan over a socket to a node server process
+query over a socket to a node server process that plans its own share
 (:class:`repro.net.client.TcpTransport`, the ``tcp://`` path).
 
 ``LocalTransport`` owns what used to live directly on ``QueryService``:

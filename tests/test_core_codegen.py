@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import CompiledDataset, GeneratedDataset, generate_index_source
+from repro.core.afc import home_node
 from repro.core.codegen_runtime import allowed_values, ranges_match
+from repro.datasets import ALL_LAYOUTS, ipars, titan
 from repro.sql import parse_where
 from repro.sql.ranges import IntervalSet, extract_ranges
-from tests.conftest import PAPER_DESCRIPTOR
+from tests.conftest import PAPER_DESCRIPTOR, SMALL_IPARS, SMALL_TITAN
+from tests.test_cross_node_groups import SPLIT_TEXT as CROSS_NODE_DESCRIPTOR
 
 QUERIES = [
     "SELECT * FROM IparsData",
@@ -50,6 +53,80 @@ class TestEquivalence:
         assert sorted(map(afc_key, interpreted.index({}))) == sorted(
             map(afc_key, generated.index({}))
         )
+
+
+NODE_INDEX_CASES = [
+    *(
+        (f"ipars-{layout}", ipars.descriptor_text(SMALL_IPARS, layout),
+         "TIME > 3 AND TIME <= 9 AND REL = 1")
+        for layout in ALL_LAYOUTS
+    ),
+    ("titan", titan.descriptor_text(SMALL_TITAN), "X >= 0 AND X <= 10000"),
+    ("cross-node", CROSS_NODE_DESCRIPTOR, "T > 2"),  # groups span 2 nodes
+]
+
+
+class TestNodeRestrictedIndex:
+    """A node server's lookup (``index(ranges, node=...)``) is exactly the
+    coordinator's share for that node: same AFCs, same order, from both
+    the generated and the interpreted index function."""
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [case[1:] for case in NODE_INDEX_CASES],
+        ids=[case[0] for case in NODE_INDEX_CASES],
+    )
+    def test_per_node_lookup_is_the_home_node_share(self, text, where):
+        interpreted, generated = CompiledDataset(text), GeneratedDataset(text)
+        nodes = interpreted.descriptor.storage.nodes
+        for ranges in ({}, extract_ranges(parse_where(where))):
+            full = generated.index(ranges)
+            assert full, "the case must plan something"
+            assert list(map(afc_key, full)) == list(
+                map(afc_key, interpreted.index(ranges))
+            )
+            covered = 0
+            for node in nodes:
+                share = [
+                    afc_key(afc) for afc in full if home_node(afc) == node
+                ]
+                for dataset in (interpreted, generated):
+                    got = dataset.index(ranges, node=node)
+                    assert list(map(afc_key, got)) == share
+                covered += len(share)
+            assert covered == len(full)
+
+    def test_summary_pruning_agrees_per_node(self, titan_small):
+        _, text, _, summaries = titan_small
+        ranges = extract_ranges(parse_where("X >= 0 AND X <= 10000 AND Z <= 100"))
+        interpreted = CompiledDataset(text, summaries)
+        generated = GeneratedDataset(text, summaries)
+        full = generated.index(ranges)
+        assert 0 < len(full) < len(generated.index({})), "must prune"
+        for node in generated.descriptor.storage.nodes:
+            share = [afc_key(a) for a in full if home_node(a) == node]
+            for dataset in (interpreted, generated):
+                got = dataset.index(ranges, node=node)
+                assert list(map(afc_key, got)) == share
+
+    def test_plan_takes_the_node_and_records_provenance(self, both):
+        interpreted, generated = both
+        sql = "SELECT X, SOIL FROM IparsData WHERE TIME BETWEEN 3 AND 7"
+        for dataset in (interpreted, generated):
+            full = dataset.plan(sql)
+            assert str(full.query) == str(dataset.plan(str(full.query)).query)
+            assert full.chunk_row_cap is None
+            shares = [
+                dataset.plan(sql, node=node).afcs
+                for node in dataset.descriptor.storage.nodes
+            ]
+            assert sum(map(len, shares)) == len(full.afcs)
+            for node, share in zip(dataset.descriptor.storage.nodes, shares):
+                assert all(home_node(afc) == node for afc in share)
+
+    def test_unknown_node_plans_nothing(self, both):
+        for dataset in both:
+            assert dataset.index({}, node="nowhere") == []
 
 
 class TestGeneratedSource:

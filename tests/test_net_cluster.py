@@ -5,15 +5,30 @@ drive them through ``repro.connect("tcp://...")`` — the full out-of-process
 STORM path, asserted bit-identical against the in-process reference.
 """
 
+import contextlib
+import json
+import socket
+import threading
+
 import numpy as np
 import pytest
 
 import repro
-from repro.core import ExecOptions, local_mount
-from repro.datasets import IparsConfig, ipars
-from repro.errors import NodeFailureError, StormError
-from repro.net import ProcessCluster
+from repro.core import ExecOptions, GeneratedDataset, IOStats, local_mount
+from repro.datasets import IparsConfig, TitanConfig, ipars, titan
+from repro.errors import (
+    NodeFailureError,
+    PlanMismatchError,
+    RemoteError,
+    StormError,
+    TransportError,
+)
+from repro.index import build_summaries, summaries_path
+from repro.net import ProcessCluster, framing
+from repro.net.client import TcpTransport
+from repro.net.server import NodeServer
 from tests.conftest import assert_tables_equal
+from tests.test_cross_node_groups import SPLIT_TEXT as CROSS_NODE_TEXT
 
 CLUSTER_IPARS = IparsConfig(
     num_rels=2, num_times=8, cells_per_node=24, num_nodes=3
@@ -275,67 +290,440 @@ class TestClusterCli:
         assert "DEGRADED" in out
 
 
-class TestNodeServerHoldsNoDecodedPlans:
-    """Every EXECUTE frame decodes fresh ``Strip`` objects; per-call
-    decode state that outlived its call would pin them (and their plans)
-    for the life of the server."""
+def assert_bit_identical(remote, local):
+    """Same columns, dtypes and exact bytes after canonical ordering."""
+    assert remote.column_names == local.column_names
+    assert remote.num_rows == local.num_rows
+    for name in remote.column_names:
+        a, b = remote.canonical()[name], local.canonical()[name]
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
-    def test_200_distinct_executes_leave_no_strip_behind(
-        self, cluster_dataset, monkeypatch
+
+SHIPPED_QUERIES = [
+    SQL,
+    "SELECT * FROM IparsData WHERE REL = 1 AND TIME = 3",
+    "SELECT X FROM IparsData WHERE TIME > 999",  # provably empty
+    "SELECT X, SOIL FROM IparsData WHERE SOIL > 2.0",  # empty after filter
+    "SELECT X, Y, SOIL FROM IparsData WHERE REL in (0, 1) AND TIME in (2, 5, 7)",
+    "SELECT SOIL, SGAS FROM IparsData WHERE TIME BETWEEN 3 AND 5 AND SOIL BETWEEN 0.2 AND 0.7",
+    "SELECT X, TIME FROM IparsData WHERE 6 >= TIME AND NOT (SOIL <= 0.5) OR REL = 0 AND TIME = 1",
+    "SELECT X, OILVX FROM IparsData WHERE SPEED(OILVX, OILVY, OILVZ) > 0.8 AND TIME <= 4",
+    AGG_SQL,
+    "SELECT COUNT(*), MAX(SOIL) FROM IparsData WHERE TIME in (1, 8)",
+    "SELECT COUNT(*) FROM IparsData WHERE TIME > 3",  # no base columns
+    "SELECT TIME, AVG(SGAS) FROM IparsData WHERE SOIL > 0.5 GROUP BY TIME",
+]
+
+
+class TestQueryShipping:
+    """The node plans its own share from the query text; whatever plan
+    variant the coordinator runs, the table is the in-process one."""
+
+    @pytest.fixture(scope="class")
+    def ref(self, cluster_dataset):
+        text, root = cluster_dataset
+        with repro.connect(f"local://{root}", descriptor=text) as db:
+            yield db
+
+    @pytest.mark.parametrize("sql", SHIPPED_QUERIES)
+    def test_cluster_equals_in_process(self, procs, ref, sql):
+        with procs.connect() as db:
+            assert_bit_identical(db.query(sql), ref.query(sql))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"agg_pushdown": False},
+            {"vectorize": "off"},
+            {"cache_mode": "subsume"},
+            {"cache_mode": "exact", "agg_pushdown": False},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_plan_variants_over_tcp(self, procs, ref, options):
+        with procs.connect(**options) as db:
+            for sql in SHIPPED_QUERIES:
+                assert_bit_identical(db.query(sql), ref.query(sql))
+
+    def test_widened_plan_serves_a_narrower_query_from_cache(self, procs, ref):
+        wide = "SELECT X FROM IparsData WHERE TIME > 1 AND TIME <= 6"
+        narrow = (
+            "SELECT X FROM IparsData WHERE TIME > 1 AND TIME <= 6 "
+            "AND SOIL > 0.5"
+        )
+        with procs.connect(cache_mode="subsume") as db:
+            # SOIL is not selected by `wide`, so `narrow` misses; but a
+            # query filtering on the WHERE-only TIME is answerable from
+            # the widened table the nodes were asked for.
+            db.query(wide)
+            served = db.submit(
+                "SELECT X FROM IparsData WHERE TIME > 2 AND TIME <= 5"
+            )
+            assert served.total_stats.subsumption_hits == 1
+            assert_bit_identical(
+                served.table,
+                ref.query("SELECT X FROM IparsData WHERE TIME > 2 AND TIME <= 5"),
+            )
+            assert_bit_identical(db.query(narrow), ref.query(narrow))
+
+    def test_coordinator_chunk_row_cap_is_shipped(self, procs, ref):
+        with procs.connect() as db:
+            natural = db.submit(SQL)
+            db.service.dataset.chunk_row_cap = 7
+            capped = db.submit(SQL)
+            agg = db.query(AGG_SQL)
+        assert capped.afc_count > natural.afc_count
+        assert_bit_identical(capped.table, natural.table)
+        assert_bit_identical(agg, ref.query(AGG_SQL))
+
+    def test_request_is_small_and_traced(self, procs):
+        from repro.obs import Tracer
+
+        tracer = Tracer("t")
+        with procs.connect(trace=tracer) as db:
+            result = db.submit(SQL)
+        spans = [s for s in tracer.spans if s.name == "rpc"]
+        assert len(spans) == 3
+        assert sum(s.tags["afcs"] for s in spans) == result.afc_count
+        assert all(s.tags["request_bytes"] < 1024 for s in spans)
+
+
+def test_cross_node_groups_over_tcp(tmp_path):
+    """Every group is homed on alpha (its first chunk) and reads beta's
+    file remotely: both sides must assign it to alpha, and beta's server
+    plans nothing."""
+    from repro.core import CompiledDataset
+    from repro.datasets.writers import write_dataset
+
+    def value_fn(attr, env, coords):
+        if attr == "POS":
+            return coords["G"] * 1.0
+        return coords["T"] * 100.0 + coords["G"]
+
+    root = str(tmp_path)
+    write_dataset(CompiledDataset(CROSS_NODE_TEXT), local_mount(root), value_fn)
+    queries = [
+        "SELECT T, POS, VAL FROM D WHERE T > 2 AND T <= 6",
+        "SELECT T, SUM(VAL) FROM D WHERE POS > 3 GROUP BY T",
+    ]
+    with repro.connect(f"local://{root}", descriptor=CROSS_NODE_TEXT) as ref:
+        with ProcessCluster(CROSS_NODE_TEXT, root) as cluster:
+            with cluster.connect() as db:
+                for sql in queries:
+                    result = db.submit(sql)
+                    assert_bit_identical(result.table, ref.query(sql))
+                    assert "beta" not in result.per_node_stats
+                    assert result.per_node_stats["alpha"].remote_bytes_read > 0
+
+
+BIG_TITAN = TitanConfig(
+    chunks_x=10, chunks_y=10, chunks_z=5, chunks_t=2,
+    elems_per_chunk=10, num_nodes=2,
+)
+
+
+class TestRequestSizeIndependentOfAfcCount:
+    @pytest.fixture(scope="class")
+    def titan_cluster(self, tmp_path_factory):
+        """2-process Titan cluster, 1000 chunks, pruned by sidecar
+        summaries that servers and coordinator both pick up."""
+        root = str(tmp_path_factory.mktemp("net_titan"))
+        text, _ = titan.generate(BIG_TITAN, local_mount(root))
+        dataset = GeneratedDataset(text)
+        build_summaries(dataset, local_mount(root)).save(
+            summaries_path(root, dataset.descriptor.name)
+        )
+        with ProcessCluster(text, root) as cluster:
+            yield text, root, cluster
+
+    def test_two_afcs_and_a_thousand_cost_the_same_request(self, titan_cluster):
+        from repro.obs import Tracer
+
+        text, root, cluster = titan_cluster
+        box = (
+            "SELECT X, S1 FROM TitanData WHERE X >= {} AND X <= {} "
+            "AND Y >= {} AND Y <= {} AND Z >= {} AND Z <= {}"
+        )
+        # One lattice cell (two time slabs, one per node) vs everything.
+        small = box.format(4100.5, 7900.25, 4100.5, 7900.25, 81.5, 158.5)
+        big = box.format(-999.5, 99999.5, -999.5, 99999.5, -9.5, 900.5)
+        sizes, counts = {}, {}
+        with cluster.connect() as db, repro.connect(
+            f"local://{root}", descriptor=text,
+            summaries=db.service.dataset.summaries,
+        ) as ref:
+            assert db.service.dataset.summaries is not None
+            for name, sql in (("small", small), ("big", big)):
+                tracer = Tracer(name)
+                result = db.submit(sql, db.options.replace(trace=tracer))
+                assert_bit_identical(result.table, ref.query(sql))
+                rpcs = [s for s in tracer.spans if s.name == "rpc"]
+                assert len(rpcs) == 2
+                assert len({s.tags["request_bytes"] for s in rpcs}) == 1
+                sizes[name] = rpcs[0].tags["request_bytes"]
+                counts[name] = result.afc_count
+                per_node = {s.tags["afcs"] for s in rpcs}
+                assert per_node == {result.afc_count // 2}
+            texts = [
+                str(db.service.dataset.plan(sql).query) for sql in (small, big)
+            ]
+        assert len(texts[0]) == len(texts[1])
+        assert counts == {"small": 2, "big": 1000}
+        assert sizes["big"] < 2048
+        # Same text length, so the only bytes that differ are the digits
+        # of the expected per-node AFC count ("1" vs "500").
+        assert sizes["big"] - sizes["small"] == len("500") - len("1")
+
+
+@contextlib.contextmanager
+def serving(node, root, dataset, **kwargs):
+    """A NodeServer on a thread of this process (so tests can reach in)."""
+    server = NodeServer(node, root, dataset, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+ONE_NODE = IparsConfig(num_rels=2, num_times=8, cells_per_node=24, num_nodes=1)
+
+
+@pytest.fixture(scope="module")
+def one_node(tmp_path_factory):
+    """(descriptor text, root) of a single-node IPARS dataset."""
+    root = tmp_path_factory.mktemp("net_one_node")
+    text, _ = ipars.generate(ONE_NODE, "L0", local_mount(str(root)))
+    return text, str(root)
+
+
+class TestPlanAgreementGuard:
+    def test_other_descriptor_is_refused_at_connect(self, one_node):
+        text, root = one_node
+        # Same dataset name, same node, one more time step: every query
+        # would plan, and silently miss or over-read rows.
+        other = ipars.descriptor_text(
+            IparsConfig(num_rels=2, num_times=9, cells_per_node=24, num_nodes=1),
+            "L0",
+        )
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            host, port = server.address
+            with pytest.raises(TransportError, match="descriptor"):
+                repro.connect(f"tcp://{host}:{port}", descriptor=other)
+            with repro.connect(f"tcp://{host}:{port}", descriptor=text) as db:
+                assert db.query(SQL).num_rows > 0
+
+    def test_other_summaries_are_refused_at_connect(self, tmp_path):
+        root = str(tmp_path)
+        config = TitanConfig(
+            chunks_x=2, chunks_y=2, chunks_z=1, chunks_t=2,
+            elems_per_chunk=10, num_nodes=1,
+        )
+        text, _ = titan.generate(config, local_mount(root))
+        summaries = build_summaries(GeneratedDataset(text), local_mount(root))
+        with serving("osu0", root, GeneratedDataset(text, summaries)) as server:
+            url = "tcp://{}:{}".format(*server.address)
+            with pytest.raises(TransportError, match="summaries"):
+                repro.connect(url, descriptor=text)
+            with repro.connect(url, descriptor=text, summaries=summaries) as db:
+                assert db.query("SELECT X FROM TitanData WHERE X < 100").num_rows
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            url = "tcp://{}:{}".format(*server.address)
+            with pytest.raises(TransportError, match="summaries"):
+                repro.connect(url, descriptor=text, summaries=summaries)
+
+    def test_node_refuses_an_unexpected_afc_count(self, one_node):
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        with serving("osu0", root, dataset) as server:
+            with TcpTransport([server.address]) as transport:
+                with pytest.raises(PlanMismatchError, match="osu0"):
+                    transport.execute_node(
+                        "osu0", plan, plan.afcs[:-1], IOStats()
+                    )
+                # Not retried, not degraded away: it fails the query.
+                short = GeneratedDataset(text)
+                short.index = lambda ranges, node=None: dataset.index(
+                    ranges, node=node
+                )[:-1]
+                service = repro.storm.QueryService(short, transport=transport)
+                with pytest.raises(PlanMismatchError):
+                    service.submit(
+                        SQL, ExecOptions(retries=3, allow_partial=True)
+                    )
+                # The connection survives a refusal.
+                table = transport.execute_node(
+                    "osu0", plan, plan.afcs, IOStats()
+                )
+                assert table.num_rows > 0
+
+    def test_coordinator_checks_the_count_the_node_reports(
+        self, one_node, monkeypatch
+    ):
+        """Even a server that skipped its own check cannot hand back a
+        share of a different size unnoticed."""
+        import dataclasses
+
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        honest = NodeServer._plan
+
+        def short_plan(self, request):
+            plan = honest(self, request)
+            return dataclasses.replace(plan, afcs=plan.afcs[:-1])
+
+        monkeypatch.setattr(NodeServer, "_plan", short_plan)
+        with serving("osu0", root, dataset) as server:
+            with TcpTransport([server.address]) as transport:
+                with pytest.raises(PlanMismatchError, match="answered for"):
+                    transport.execute_node("osu0", plan, plan.afcs, IOStats())
+
+    def test_hand_written_plan_cannot_cross_the_wire(self, one_node):
+        import dataclasses
+
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataclasses.replace(dataset.plan(SQL), query=None)
+        with serving("osu0", root, dataset) as server:
+            with TcpTransport([server.address]) as transport:
+                with pytest.raises(TransportError, match="local://"):
+                    transport.execute_node("osu0", plan, plan.afcs, IOStats())
+
+
+def _raw_request(sock, kind, payload=b""):
+    framing.write_frame(sock, kind, payload)
+    return framing.read_frame(sock)
+
+
+class TestHostileExecuteFrames:
+    GOOD = {
+        "query": "SELECT X, SOIL FROM IparsData WHERE TIME = 3",
+        "needed": ["X", "SOIL", "TIME"],
+        "output": ["X", "SOIL"],
+        "agg": None,
+        "chunk_row_cap": None,
+        "afcs": 2,
+        "options": {},
+    }
+
+    HOSTILE = {
+        "not-json": (b"{nope", "TransportError"),
+        "not-an-object": (b"[1, 2]", "TransportError"),
+        "null-query": ({"query": None}, "TransportError"),
+        "missing-query": ({"query": ...}, "TransportError"),
+        "unknown-table": (
+            {"query": "SELECT X FROM Elsewhere"}, "QueryValidationError"
+        ),
+        "unparsable-sql": ({"query": "SELEKT X FRUM"}, "QuerySyntaxError"),
+        "unknown-where-attribute": (
+            {"query": "SELECT X FROM IparsData WHERE NOPE > 1"},
+            "QueryValidationError",
+        ),
+        "needed-not-a-list": ({"needed": "X"}, "TransportError"),
+        "unknown-output-attribute": ({"output": ["NOPE"]}, "TransportError"),
+        "count-as-string": ({"afcs": "2"}, "TransportError"),
+        "count-disagrees": ({"afcs": 99}, "PlanMismatchError"),
+        "negative-cap": ({"chunk_row_cap": -4}, "TransportError"),
+        "bad-option-value": (
+            {"options": {"vectorize": "maybe"}}, "ValueError"
+        ),
+        "bad-aggregate": ({"agg": {"items": 3}}, "TransportError"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_error_frame_then_keeps_serving(self, one_node, case):
+        payload, etype = self.HOSTILE[case]
+        if isinstance(payload, dict):
+            merged = {**self.GOOD, **payload}
+            payload = json.dumps(
+                {k: v for k, v in merged.items() if v is not ...}
+            ).encode()
+        text, root = one_node
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                kind, _ = _raw_request(
+                    sock, framing.HELLO,
+                    b'{"protocol": %d}' % framing.PROTOCOL_VERSION,
+                )
+                assert kind == framing.WELCOME
+                kind, data = _raw_request(sock, framing.EXECUTE, payload)
+                assert kind == framing.ERROR
+                error = framing.decode_json(data)
+                assert error["etype"] == etype
+                assert error["retryable"] is False
+                # Same connection, next request: a good one is answered.
+                framing.write_frame(
+                    sock, framing.EXECUTE, json.dumps(self.GOOD).encode()
+                )
+                kinds = []
+                while not kinds or kinds[-1] == framing.BATCH:
+                    kinds.append(framing.read_frame(sock)[0])
+                assert kinds == [framing.BATCH, framing.DONE]
+                assert _raw_request(sock, framing.PING)[0] == framing.PONG
+
+    def test_remote_error_type_at_the_coordinator(self, one_node):
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        with serving("osu0", root, dataset) as server:
+            with TcpTransport([server.address]) as transport:
+                import dataclasses
+
+                bad = dataclasses.replace(plan, output=["NOPE"])
+                with pytest.raises(RemoteError, match="unknown attribute"):
+                    transport.execute_node("osu0", bad, plan.afcs, IOStats())
+
+
+class TestNodeServerHoldsNoPlans:
+    """Every EXECUTE plans fresh AFCs on the node; anything that kept
+    them past the reply (a plan cache, per-call state that outlived its
+    call) would grow for the life of the server."""
+
+    def test_200_distinct_executes_leave_no_plan_behind(
+        self, one_node, monkeypatch
     ):
         import gc
-        import threading
         import time
         import weakref
 
-        from repro.core import CompiledDataset, IOStats
-        from repro.net import wire
-        from repro.net.client import TcpTransport
-        from repro.net.server import NodeServer
+        text, root = one_node
+        planned = []
+        honest = NodeServer._plan
 
-        text, root = cluster_dataset
-        decoded = []
-        decode_plan = wire.decode_plan
-
-        def recording_decode(payload):
-            plan = decode_plan(payload)
-            decoded.extend(
-                weakref.ref(chunk.strip)
-                for afc in plan.afcs
-                for chunk in afc.chunks
-            )
+        def recording_plan(self, request):
+            plan = honest(self, request)
+            planned.append(weakref.ref(plan))
+            planned.extend(weakref.ref(afc) for afc in plan.afcs)
             return plan
 
-        monkeypatch.setattr(wire, "decode_plan", recording_decode)
-        dataset = CompiledDataset(text)
-        server = NodeServer("osu0", root, dataset=dataset.descriptor.name)
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,))
-        thread.start()
-        transport = None
-        try:
-            transport = TcpTransport([server.address])
-            for i in range(200):
-                plan = dataset.plan(
-                    "SELECT X, SOIL FROM IparsData "
-                    f"WHERE TIME = {1 + i % 8} AND SOIL > {i / 400:.4f}"
-                )
-                afcs = [a for a in plan.afcs if a.chunks[0].node == "osu0"]
-                table = transport.execute_node("osu0", plan, afcs, IOStats())
-                assert table.num_rows > 0
-                assert decoded, "the server never decoded a plan"
-                # The reply is written inside the server's frame handler;
-                # give it a moment to return and drop its locals.
-                deadline = time.monotonic() + 5
-                while any(ref() is not None for ref in decoded):
-                    assert time.monotonic() < deadline, (
-                        f"decoded strips still alive after reply {i}"
+        monkeypatch.setattr(NodeServer, "_plan", recording_plan)
+        dataset = GeneratedDataset(text)
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            with TcpTransport([server.address]) as transport:
+                for i in range(200):
+                    plan = dataset.plan(
+                        "SELECT X, SOIL FROM IparsData "
+                        f"WHERE TIME = {1 + i % 8} AND SOIL > {i / 400:.4f}"
                     )
-                    time.sleep(0.001)
-                    gc.collect()
-                decoded.clear()
-        finally:
-            if transport is not None:
-                transport.close()
-            server.shutdown()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+                    table = transport.execute_node(
+                        "osu0", plan, plan.afcs, IOStats()
+                    )
+                    assert table.num_rows > 0
+                    assert len(planned) == 1 + len(plan.afcs)
+                    # The reply is written inside the server's frame
+                    # handler; give it a moment to return and drop its
+                    # locals.
+                    deadline = time.monotonic() + 5
+                    while any(ref() is not None for ref in planned):
+                        assert time.monotonic() < deadline, (
+                            f"node-side plan still alive after reply {i}"
+                        )
+                        time.sleep(0.001)
+                        gc.collect()
+                    planned.clear()

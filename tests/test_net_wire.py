@@ -10,6 +10,7 @@ from repro.core.stats import IOStats
 from repro.errors import (
     ExtractionError,
     InjectedFault,
+    PlanMismatchError,
     RemoteError,
     TransportError,
 )
@@ -173,6 +174,119 @@ class TestPlanRoundtrip:
         blob = json.dumps(wire.encode_plan(ipars_plan, ipars_plan.afcs))
         decoded = wire.decode_plan(json.loads(blob))
         assert decoded.afcs == list(ipars_plan.afcs)
+
+
+# ---------------------------------------------------------------------------
+# EXECUTE requests: the query travels, the plan does not
+# ---------------------------------------------------------------------------
+
+
+def _request(**overrides):
+    payload = {
+        "query": "SELECT X FROM IparsData WHERE TIME > 2",
+        "needed": ["X", "TIME"],
+        "output": ["X"],
+        "agg": None,
+        "chunk_row_cap": None,
+        "afcs": 4,
+        "options": {},
+    }
+    payload.update(overrides)
+    return payload
+
+
+class TestExecuteRequest:
+    def test_carries_query_text_not_afcs(self, ipars_plan):
+        import dataclasses
+        import json
+
+        payload = wire.encode_execute(ipars_plan, 7, ExecOptions())
+        assert payload["query"] == str(ipars_plan.query)
+        assert payload["afcs"] == 7
+        assert "strips" not in payload and "plan" not in payload
+        # Size depends on the text and column lists, never on AFC count.
+        doubled = dataclasses.replace(ipars_plan, afcs=ipars_plan.afcs * 2)
+        assert len(json.dumps(payload)) == len(
+            json.dumps(wire.encode_execute(doubled, 7, ExecOptions()))
+        )
+        assert len(json.dumps(payload)) < 1024
+
+    def test_roundtrip(self, ipars_l0):
+        import json
+
+        _, text, _ = ipars_l0
+        dataset = GeneratedDataset(text, chunk_row_cap=16)
+        plan = dataset.plan(
+            "SELECT REL, SUM(SOIL), COUNT(*) FROM IparsData "
+            "WHERE TIME in (3, 5) GROUP BY REL"
+        )
+        opts = ExecOptions(batch_rows=99, vectorize="off")
+        blob = json.dumps(wire.encode_execute(plan, len(plan.afcs), opts))
+        request = wire.decode_execute(json.loads(blob))
+        assert request.query == str(plan.query)
+        assert request.needed == list(plan.needed)
+        assert request.output == list(plan.output)
+        assert request.aggregate == plan.aggregate
+        assert request.chunk_row_cap == 16
+        assert request.afcs == len(plan.afcs)
+        assert request.options.batch_rows == 99
+        assert request.options.vectorize == "off"
+        # The shipped text re-plans to the same query on the node.
+        assert dataset.plan(request.query).query == plan.query
+
+    def test_replace_variants_keep_provenance(self, ipars_plan):
+        import dataclasses
+
+        from repro.cache import widen_plan
+
+        widened = widen_plan(ipars_plan)
+        assert widened.output == list(ipars_plan.needed)
+        assert widened.query is ipars_plan.query
+        stripped = dataclasses.replace(ipars_plan, aggregate=None)
+        assert wire.encode_execute(stripped, 1, ExecOptions())["query"] == str(
+            ipars_plan.query
+        )
+
+    def test_plan_without_provenance_is_refused(self, ipars_plan):
+        import dataclasses
+
+        bare = dataclasses.replace(ipars_plan, query=None)
+        with pytest.raises(TransportError, match="ExtractionPlan.query"):
+            wire.encode_execute(bare, 1, ExecOptions())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            "SELECT 1",
+            _request(query=None),
+            _request(query=17),
+            _request(needed="X"),
+            _request(output=[1, 2]),
+            _request(afcs=-1),
+            _request(afcs="4"),
+            _request(afcs=True),
+            _request(chunk_row_cap=0),
+            _request(chunk_row_cap="8"),
+            _request(options=[1]),
+            _request(agg={"group_by": []}),
+            _request(agg={"group_by": [], "items": [["median", "X"]],
+                          "output": []}),
+            _request(agg=7),
+        ],
+    )
+    def test_malformed_payloads_are_transport_errors(self, payload):
+        with pytest.raises(TransportError, match="malformed EXECUTE"):
+            wire.decode_execute(payload)
+
+    def test_plan_mismatch_keeps_its_type_across_the_wire(self):
+        err = wire.decode_error(
+            wire.encode_error(PlanMismatchError("planned 3, expected 4")),
+            "osu1",
+        )
+        assert isinstance(err, PlanMismatchError)
+        assert "osu1" in str(err)
+        assert not wire.encode_error(err)["retryable"]
 
 
 # ---------------------------------------------------------------------------

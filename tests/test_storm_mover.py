@@ -63,6 +63,45 @@ class TestDataMover:
         )
 
 
+    def test_one_client_gets_the_columns_themselves(self):
+        # No partitioning to do: the delivery shares the table's memory
+        # (it used to gather every column through arange(n)), and
+        # everything counted about it is what the gather produced.
+        table = make_table(1000)
+        stats = IOStats()
+        (delivery,) = DataMoverService(message_bytes=512).move(
+            table, RoundRobinPartitioner(), 1, stats
+        )
+        assert delivery.client == 0
+        assert delivery.table.column_names == table.column_names
+        for name in table.column_names:
+            assert np.shares_memory(delivery.table[name], table[name])
+            np.testing.assert_array_equal(
+                delivery.table[name], table[name][np.arange(1000)]
+            )
+        assert delivery.messages == 12  # ceil(6000 / 512)
+        assert delivery.bytes_sent == 6000 + 12 * MESSAGE_OVERHEAD
+        assert stats.bytes_sent == delivery.bytes_sent
+
+    def test_one_client_delivery_still_passes_the_injector(self):
+        class Gate:
+            seen = []
+
+            def on_transfer(self, client):
+                self.seen.append(client)
+
+        gate = Gate()
+        DataMoverService(injector=gate).move(
+            make_table(5), RoundRobinPartitioner(), 1
+        )
+        assert gate.seen == [0]
+
+    def test_many_clients_still_get_copies(self):
+        table = make_table(10)
+        for delivery in DataMoverService().move(table, BlockPartitioner(), 2):
+            assert not np.shares_memory(delivery.table["A"], table["A"])
+
+
 class TestFilteringService:
     @pytest.fixture
     def service(self):

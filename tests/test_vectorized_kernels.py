@@ -171,6 +171,37 @@ class TestRandomizedKernelEquivalence:
                         err_msg=f"case {i} block_rows {block_rows}: {tree}",
                     )
 
+    def test_all_true_mask_skips_the_gather_but_still_owns_its_rows(self):
+        # A WHERE the index already decided keeps every row of every
+        # block: rows, order and rows_output as with a gather, and the
+        # pieces own their memory even when a block is one AFC's
+        # read-only decode over a segment-cache buffer.
+        where = parse_where("T >= 3 AND T <= 5")
+        kernel = CompiledPredicate(where, DEFAULT_REGISTRY)
+        segment = np.arange(40, dtype="<f8").tobytes()
+        afcs = []
+        for i, n in enumerate((8, 1, 31)):
+            values = np.frombuffer(segment, dtype="<f8", count=n, offset=8 * i)
+            assert not values.flags.writeable
+            afcs.append(
+                {"T": np.full(n, 3 + i, dtype=np.int64), "V": values}
+            )
+        expected = np.concatenate([a["V"] for a in afcs])
+        for block_rows in (1, 9, 1000):  # single-AFC blocks and fused ones
+            stats = IOStats()
+            pipeline = BlockPipeline(
+                kernel, ["T", "V"], ["V"], block_rows, stats=stats
+            )
+            for afc in afcs:
+                pipeline.add(afc, len(afc["T"]))
+            pipeline.finish()
+            pieces = pipeline.pieces["V"]
+            np.testing.assert_array_equal(np.concatenate(pieces), expected)
+            assert pipeline.rows_selected == stats.rows_output == 40
+            for piece in pieces:
+                assert piece.flags.writeable and piece.flags.c_contiguous
+                assert not any(np.shares_memory(piece, a["V"]) for a in afcs)
+
     def test_block_rows_follow_row_width_and_are_clamped(self):
         f4, f8, i1 = np.dtype("<f4"), np.dtype("<f8"), np.dtype("i1")
         five = ["X", "Y", "Z", "S1", "S2"]
