@@ -22,8 +22,13 @@ A :class:`Client` answers ``query`` (a table), ``submit`` (the full
 (batches), all through the same failure-aware
 :class:`~repro.storm.query_service.QueryService` — retries, timeouts,
 degraded results, tracing, and the result cache apply unchanged on both
-transports.  ``Virtualizer.query`` and ``QueryService.submit`` remain
-supported entry points; ``connect`` is the preferred front door.
+transports.  ``connect`` is the preferred front door.  The two others
+run the same staged pipeline (:mod:`repro.core.pipeline`) and differ
+only in how a plan is executed: ``QueryService.submit`` is what a
+``Client`` calls (node fan-out over a transport, node-grouped rows, the
+full ``QueryResult``), ``Virtualizer.query`` is the embedded
+single-process form (one extractor over a mount, plan-order rows,
+``query_iter`` that truly streams).
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from typing import List, Optional, Tuple, Union
 from .core.analysis import ChunkSummaries
 from .core.codegen import GeneratedDataset, plan_identity
 from .core.options import ExecOptions
-from .core.table import VirtualTable
-from .core.virtualizer import _batched
+from .core.table import VirtualTable, batched
 from .errors import StormError
 from .index.summaries import load_sidecar_summaries
 from .metadata.descriptor import parse_descriptor
@@ -149,7 +153,7 @@ class Client:
     def query_iter(self, sql, options: Optional[ExecOptions] = None):
         """Run a query; yield the result as batch-sized tables."""
         opts = self._opts(options)
-        return _batched(self.submit(sql, opts).table, opts.batch_rows)
+        return batched(self.submit(sql, opts).table, opts.batch_rows)
 
     # -- management ----------------------------------------------------------
 

@@ -6,6 +6,14 @@ AFC, decode the packed records with precomputed numpy dtypes (zero-copy
 views over the read buffer), materialise implicit attributes, apply the
 residual WHERE predicate vectorised, and emit the projected columns.
 
+There is one loop over a plan's AFCs: :meth:`Extractor.execute_blocks`
+extracts per AFC and hands each finished
+:class:`~repro.core.kernels.BlockPipeline` block to its consumer.
+``execute`` assembles the blocks into a table, ``execute_iter`` batches
+them for streaming, an aggregate plan folds each into a partial state
+frame (:meth:`Extractor.execute_parts`), and a data-source service's
+``intra_node_workers`` run the same driver one AFC per job.
+
 Two small caches make repeated-chunk workloads efficient without changing
 semantics:
 
@@ -33,7 +41,9 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -41,9 +51,17 @@ from ..errors import ExtractionError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from .afc import AlignedFileChunkSet, ExtractionPlan
-from .kernels import BlockPipeline, CompiledPredicate, KernelCache, block_rows_for
+from .aggregate import merge_partials, partial_aggregate
+from .kernels import (
+    Block,
+    BlockPipeline,
+    Evaluator,
+    KernelCache,
+    assemble_table,
+    block_rows_for,
+)
 from .stats import IOStats
-from .table import VirtualTable, own_column
+from .table import VirtualTable
 
 #: Resolves (node, dataset-relative path) to an absolute filesystem path.
 Mount = Callable[[str, str], str]
@@ -370,17 +388,17 @@ class AfcReader:
         return columns
 
 
-def assemble_table(
-    pieces: Dict[str, List[np.ndarray]], plan: ExtractionPlan
+def combine_parts(
+    plan: ExtractionPlan, parts: Iterable, stats: IOStats
 ) -> VirtualTable:
-    """Concatenate per-block output pieces into the plan's result table."""
-    final: Dict[str, np.ndarray] = {}
-    for name in plan.output:
-        if pieces[name]:
-            final[name] = np.concatenate(pieces[name])
-        else:
-            final[name] = np.empty(0, dtype=plan.dtypes.get(name, np.float64))
-    return VirtualTable(final, order=plan.output)
+    """What :meth:`Extractor.execute_parts` produced, as one table: the
+    blocks of a row plan concatenated, or the partial state frames of an
+    aggregate plan merged into this executor's single state frame."""
+    if plan.aggregate is None:
+        return assemble_table(plan.output, plan.dtypes, parts)
+    merged = merge_partials(plan.aggregate, list(parts), plan.dtypes)
+    stats.groups_emitted += merged.num_rows
+    return merged
 
 
 class Extractor:
@@ -649,6 +667,21 @@ class Extractor:
 
     # -- plan execution ---------------------------------------------------------
 
+    def reader_for(
+        self,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        tracer=NULL_TRACER,
+        coalesce_gap_bytes: int = 0,
+        node: Optional[str] = None,
+    ) -> AfcReader:
+        """One call's decoder for ``afcs``, their nearby chunk reads
+        merged into wide reads when ``coalesce_gap_bytes > 0``."""
+        return AfcReader(
+            self, plan.needed, plan.dtypes, tracer,
+            self.coalesce_for(afcs, plan.needed, coalesce_gap_bytes), node,
+        )
+
     def execute(
         self,
         plan: ExtractionPlan,
@@ -657,7 +690,8 @@ class Extractor:
         coalesce_gap_bytes: int = 0,
         vectorize: bool = False,
     ) -> VirtualTable:
-        """Run a full extraction plan and return the projected table.
+        """Run a full extraction plan: the projected table of a row
+        plan, the folded partial state frame of an aggregate plan.
 
         ``coalesce_gap_bytes > 0`` merges nearby chunk reads across the
         whole plan into wide reads (see :meth:`plan_coalesce`); the
@@ -668,104 +702,99 @@ class Extractor:
         """
         stats = stats if stats is not None else IOStats()
         with tracer.span("extract", afcs=len(plan.afcs)) as span:
-            table = self._execute(
-                plan, stats, tracer, coalesce_gap_bytes, vectorize
+            parts = self.execute_parts(
+                plan, plan.afcs,
+                self._kernels.evaluator(plan.where, vectorize, tracer),
+                self.reader_for(plan, plan.afcs, tracer, coalesce_gap_bytes),
+                stats,
             )
+            table = combine_parts(plan, parts, stats)
             span.tag(rows=table.num_rows, bytes_read=stats.bytes_read)
         return table
-
-    def _execute(
-        self,
-        plan: ExtractionPlan,
-        stats: IOStats,
-        tracer,
-        coalesce_gap_bytes: int = 0,
-        vectorize: bool = False,
-    ) -> VirtualTable:
-        coalesce = self.coalesce_for(plan.afcs, plan.needed, coalesce_gap_bytes)
-        reader = AfcReader(self, plan.needed, plan.dtypes, tracer, coalesce)
-        if vectorize and plan.where is not None:
-            kernel = self._kernels.get(plan.where, tracer)
-            return self.execute_blocks(plan, plan.afcs, kernel, reader, stats)
-        pieces: Dict[str, List[np.ndarray]] = {name: [] for name in plan.output}
-        for afc in plan.afcs:
-            columns = reader.extract(afc, stats)
-            if plan.where is not None:
-                if tracer.enabled:
-                    with tracer.span("filter", rows=afc.num_rows):
-                        mask = np.asarray(
-                            plan.where.evaluate(columns, self.functions)
-                        )
-                else:
-                    mask = np.asarray(plan.where.evaluate(columns, self.functions))
-                if mask.ndim == 0:
-                    if not mask:
-                        continue
-                    selected = columns
-                    count = afc.num_rows
-                else:
-                    count = int(mask.sum())
-                    if count == 0:
-                        continue
-                    selected = {
-                        name: columns[name][mask] for name in plan.output
-                    }
-            else:
-                selected = columns
-                count = afc.num_rows
-            stats.rows_output += count
-            for name in plan.output:
-                pieces[name].append(own_column(selected[name]))
-        return assemble_table(pieces, plan)
 
     def execute_blocks(
         self,
         plan: ExtractionPlan,
         afcs: Sequence[AlignedFileChunkSet],
-        kernel: CompiledPredicate,
+        evaluator: Evaluator,
         reader: AfcReader,
         stats: IOStats,
+        fuse: bool = True,
         meter=None,
-    ) -> VirtualTable:
-        """The serial AFC -> block driver: extract per AFC, filter per
-        fused block; returns the output rows in serial AFC order.
+    ) -> Iterator[Block]:
+        """The AFC -> block driver: extract per AFC, hand every finished
+        :class:`~repro.core.kernels.BlockPipeline` block to the consumer,
+        in serial AFC order.
 
-        AFC columns accumulate until :func:`block_rows_for` rows (a
-        cache-sized block of the plan's needed columns) are pending,
-        then one kernel evaluation and one gather per output column emit
-        the block's surviving rows — same rows, same order as per-AFC
-        filtering, one interpreter-free pass.
+        With ``fuse`` and a compiled kernel, AFC columns accumulate
+        until :func:`block_rows_for` rows (a cache-sized block of the
+        plan's needed columns) are pending — same rows, same order as
+        per-AFC filtering, one interpreter-free pass per block.
+        ``fuse=False`` closes a block per AFC: consumers whose output
+        depends on AFC boundaries (streamed batches, the aggregate fold).
 
         ``meter`` is the scheduler's cooperative cancel/quota state
         (``ExecOptions.run_state``; anything with ``checkpoint()`` and
         ``charge(rows, nbytes)``).  It is checked before every AFC read
         and charged each AFC's bytes as they are read, so a byte quota
         trips at the first AFC boundary past it; rows are charged when
-        their block is filtered and once more after the final flush, so
-        a row quota is overshot by at most one block or one AFC,
-        whichever is larger.
+        their block is filtered, so a row quota is overshot by at most
+        one block or one AFC, whichever is larger.
         """
         pipeline = BlockPipeline(
-            kernel, plan.needed, plan.output,
-            block_rows_for(plan.needed, plan.dtypes), stats, reader.tracer,
+            evaluator, plan.needed, plan.output,
+            block_rows_for(plan.needed, plan.dtypes) if fuse else 1,
+            stats, reader.tracer,
         )
-        charged = 0
         if meter is not None:
             meter.checkpoint()
         for afc in afcs:
             before = stats.bytes_read
-            pipeline.add(reader.extract(afc, stats), afc.num_rows)
+            block = pipeline.add(reader.extract(afc, stats), afc.num_rows)
             if meter is not None:
                 # charge() ends in a checkpoint: the one before the next read.
                 meter.charge(
-                    rows=pipeline.rows_selected - charged,
+                    rows=block[1] if block else 0,
                     nbytes=stats.bytes_read - before,
                 )
-                charged = pipeline.rows_selected
-        pipeline.finish()
-        if meter is not None:
-            meter.charge(rows=pipeline.rows_selected - charged)
-        return assemble_table(pipeline.pieces, plan)
+            if block is not None:
+                yield block
+        block = pipeline.finish()
+        if block is not None:
+            if meter is not None:
+                meter.charge(rows=block[1])
+            yield block
+
+    def execute_parts(
+        self,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        evaluator: Evaluator,
+        reader: AfcReader,
+        stats: IOStats,
+        meter=None,
+    ) -> Iterator:
+        """:meth:`execute_blocks`, consumed the way the plan asks: a row
+        plan's fused blocks as they are, an aggregate plan's per-AFC
+        blocks each folded into a partial state frame — extracted rows
+        die here.  The fold stays per AFC: folding per fused block would
+        re-associate float ``SUM``/``AVG`` and break bit-identity with
+        ``vectorize="off"``.  :func:`combine_parts` finishes either.
+        """
+        spec = plan.aggregate
+        blocks = self.execute_blocks(
+            plan, afcs, evaluator, reader, stats,
+            fuse=spec is None, meter=meter,
+        )
+        if spec is None:
+            return blocks
+        return self._fold(plan, blocks, stats)
+
+    @staticmethod
+    def _fold(plan: ExtractionPlan, blocks: Iterable[Block], stats: IOStats):
+        for columns, count in blocks:
+            stats.rows_aggregated += count
+            yield partial_aggregate(plan.aggregate, columns, count, plan.dtypes)
 
     def execute_iter(
         self,
@@ -775,8 +804,8 @@ class Extractor:
         tracer=NULL_TRACER,
         coalesce_gap_bytes: int = 0,
         vectorize: bool = False,
-    ):
-        """Stream a plan's results as a sequence of VirtualTable batches.
+    ) -> Iterator[VirtualTable]:
+        """Stream a row plan's results as a sequence of VirtualTable batches.
 
         Batches contain whole aligned chunk sets, so a batch can exceed
         ``batch_rows`` by at most one AFC's rows; plan with a
@@ -794,64 +823,22 @@ class Extractor:
         if batch_rows < 1:
             raise ExtractionError("batch_rows must be positive")
         stats = stats if stats is not None else IOStats()
-        coalesce = self.coalesce_for(plan.afcs, plan.needed, coalesce_gap_bytes)
-        reader = AfcReader(self, plan.needed, plan.dtypes, tracer, coalesce)
-        kernel = None
-        if vectorize and plan.where is not None:
-            kernel = self._kernels.get(plan.where, tracer)
-        pieces: Dict[str, List[np.ndarray]] = {n: [] for n in plan.output}
+        blocks = self.execute_blocks(
+            plan, plan.afcs,
+            self._kernels.evaluator(plan.where, vectorize, tracer),
+            self.reader_for(plan, plan.afcs, tracer, coalesce_gap_bytes),
+            stats, fuse=False,
+        )
+        batch: List[Block] = []
         buffered = 0
-
-        def flush() -> VirtualTable:
-            nonlocal pieces, buffered
-            table = VirtualTable(
-                {n: np.concatenate(pieces[n]) for n in plan.output},
-                order=plan.output,
-            )
-            pieces = {n: [] for n in plan.output}
-            buffered = 0
-            return table
-
-        def mask_of(columns, num_rows):
-            if kernel is not None:
-                stats.rows_vectorized += num_rows
-                return np.asarray(
-                    kernel.evaluate(columns, num_rows, tracer=tracer)
-                )
-            return np.asarray(plan.where.evaluate(columns, self.functions))
-
-        for afc in plan.afcs:
-            columns = reader.extract(afc, stats)
-            if plan.where is not None:
-                if tracer.enabled:
-                    with tracer.span(
-                        "filter", rows=afc.num_rows,
-                        vectorized=kernel is not None,
-                    ):
-                        mask = mask_of(columns, afc.num_rows)
-                else:
-                    mask = mask_of(columns, afc.num_rows)
-                if mask.ndim == 0:
-                    if not bool(mask):
-                        continue
-                    count = afc.num_rows
-                    selected = columns
-                else:
-                    count = int(mask.sum())
-                    if count == 0:
-                        continue
-                    selected = {n: columns[n][mask] for n in plan.output}
-            else:
-                count = afc.num_rows
-                selected = columns
-            stats.rows_output += count
-            for name in plan.output:
-                pieces[name].append(own_column(selected[name]))
-            buffered += count
+        for block in blocks:
+            batch.append(block)
+            buffered += block[1]
             if buffered >= batch_rows:
-                yield flush()
-        if buffered:
-            yield flush()
+                yield assemble_table(plan.output, plan.dtypes, batch)
+                batch, buffered = [], 0
+        if batch:
+            yield assemble_table(plan.output, plan.dtypes, batch)
 
 
 def local_mount(root: Union[str, "os.PathLike"]) -> Mount:

@@ -38,18 +38,21 @@ parser-produced predicate does) makes the kernel defer the whole block
 to the interpreted evaluator, so even degenerate hand-built trees agree
 exactly.
 
-:class:`BlockPipeline` is the batching half: small AFCs are accumulated
-into fused evaluation blocks (one ``np.concatenate`` per needed column,
-one kernel evaluation, one fancy-index gather per output column), which
-amortizes the per-chunk Python overhead while preserving serial row
-order exactly.
+:class:`BlockPipeline` is where any predicate — this kernel, the
+interpreted oracle, or none — meets extracted columns.  With a kernel,
+small AFCs are accumulated into fused evaluation blocks (one
+``np.concatenate`` per needed column, one kernel evaluation, one
+fancy-index gather per output column), which amortizes the per-chunk
+Python overhead while preserving serial row order exactly.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -70,7 +73,7 @@ from ..sql.ast import (
 )
 from ..sql.functions import FunctionRegistry
 from .stats import IOStats
-from .table import own_column
+from .table import VirtualTable, own_column
 
 #: Target bytes of needed-column data per fused evaluation block.  Small
 #: AFCs are concatenated up to this much before one kernel pass; large
@@ -470,57 +473,102 @@ class KernelCache:
                 self._kernels.popitem(last=False)
         return kernel
 
+    def evaluator(
+        self, where: Optional[Node], vectorize: bool, tracer=NULL_TRACER
+    ) -> "Evaluator":
+        """What a :class:`BlockPipeline` filters ``where`` with: the
+        cached compiled kernel, the interpreted oracle
+        (``vectorize=False``), or None for no WHERE at all."""
+        if where is None:
+            return None
+        if vectorize:
+            return self.get(where, tracer)
+        return InterpretedPredicate(where, self.functions)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._kernels)
 
 
-class BlockPipeline:
-    """Fuses small per-AFC column blocks into large kernel evaluations.
+class InterpretedPredicate:
+    """The ``vectorize="off"`` oracle behind a kernel's ``evaluate``
+    signature: the interpreted AST walk over one block."""
 
-    ``add`` buffers one AFC's needed columns; once ``block_rows`` rows
-    are pending, the pipeline concatenates each needed column once,
-    evaluates the kernel once, and gathers each output column with one
-    fancy index — appending owned, serially-ordered pieces to
-    :attr:`pieces`.  ``finish`` flushes the remainder.  Row order is the
-    ``add`` order throughout, identical to per-AFC filtering.
+    def __init__(self, where: Node, functions: FunctionRegistry):
+        self._where = where
+        self._functions = functions
+
+    def evaluate(
+        self,
+        columns: Mapping[str, np.ndarray],
+        num_rows: int,
+        tracer=NULL_TRACER,
+    ) -> MaskLike:
+        return self._where.evaluate(columns, self._functions)
+
+
+#: What a :class:`BlockPipeline` filters with; ``None`` keeps every row.
+Evaluator = Union[CompiledPredicate, InterpretedPredicate, None]
+
+#: One finished block: the owned output columns of its surviving rows,
+#: and how many survived (pure ``COUNT(*)`` plans have no columns).
+Block = Tuple[Dict[str, np.ndarray], int]
+
+
+class BlockPipeline:
+    """The one place a predicate meets extracted columns.
+
+    ``add`` takes one AFC's needed columns and returns a finished
+    :data:`Block` when one closes (``None`` otherwise, and for blocks no
+    row survives); ``finish`` closes the remainder.  Row order is the
+    ``add`` order throughout.  What closes a block depends on the
+    evaluator:
+
+    * a :class:`CompiledPredicate` fuses AFCs until ``block_rows`` rows
+      are pending, then concatenates each needed column once, evaluates
+      the kernel once and gathers each output column with one fancy
+      index (``block_rows=1`` closes a block per AFC);
+    * an :class:`InterpretedPredicate` closes a block per AFC whatever
+      ``block_rows`` says — the oracle evaluates exactly as before
+      kernels existed;
+    * ``None`` (no WHERE) keeps every row of every AFC: no mask, no
+      concatenation.
     """
 
     def __init__(
         self,
-        kernel: CompiledPredicate,
+        evaluator: Evaluator,
         needed: Sequence[str],
         output: Sequence[str],
         block_rows: int,
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
     ):
-        self.kernel = kernel
+        self.evaluator = evaluator
+        self.compiled = isinstance(evaluator, CompiledPredicate)
         self.needed = list(needed)
         self.output = list(output)
-        self.block_rows = max(1, block_rows)
+        self.block_rows = max(1, block_rows) if self.compiled else 1
         self.stats = stats
         self.tracer = tracer
-        self.pieces: Dict[str, List[np.ndarray]] = {n: [] for n in self.output}
-        self.rows_selected = 0
         self._pending: List[Tuple[Mapping[str, np.ndarray], int]] = []
         self._pending_rows = 0
 
-    def add(self, columns: Mapping[str, np.ndarray], num_rows: int) -> None:
+    def add(
+        self, columns: Mapping[str, np.ndarray], num_rows: int
+    ) -> Optional[Block]:
         self._pending.append((columns, num_rows))
         self._pending_rows += num_rows
         if self._pending_rows >= self.block_rows:
-            self._flush()
+            return self.finish()
+        return None
 
-    def finish(self) -> None:
-        self._flush()
-
-    def _flush(self) -> None:
+    def finish(self) -> Optional[Block]:
         if not self._pending:
-            return
+            return None
         num_rows = self._pending_rows
         if len(self._pending) == 1:
-            block = dict(self._pending[0][0])
+            block = self._pending[0][0]
         else:
             block = {
                 name: np.concatenate(
@@ -530,37 +578,65 @@ class BlockPipeline:
             }
         self._pending = []
         self._pending_rows = 0
-        if self.stats is not None:
+        if self.compiled and self.stats is not None:
             self.stats.rows_vectorized += num_rows
-        if self.tracer.enabled:
+        if self.evaluator is not None and self.tracer.enabled:
             with self.tracer.span(
-                "filter", rows=num_rows, vectorized=True
+                "filter", rows=num_rows, vectorized=self.compiled
             ) as span:
-                count = self._filter_block(block, num_rows)
-                span.tag(out=count)
-            self.tracer.metrics.record("kernel.blocks")
+                selected = self._select(block, num_rows)
+                span.tag(out=selected[1] if selected else 0)
+            if self.compiled:
+                self.tracer.metrics.record("kernel.blocks")
         else:
-            count = self._filter_block(block, num_rows)
-        if self.stats is not None:
-            self.stats.rows_output += count
-        self.rows_selected += count
+            selected = self._select(block, num_rows)
+        if selected is not None and self.stats is not None:
+            self.stats.rows_output += selected[1]
+        return selected
 
-    def _filter_block(self, block: Dict[str, np.ndarray], num_rows: int) -> int:
-        mask = self.kernel.evaluate(block, num_rows, tracer=self.tracer)
-        if isinstance(mask, (bool, np.bool_)):
-            count = num_rows if mask else 0
-        else:
-            count = int(np.count_nonzero(mask))
-        if not count:
-            return 0
-        # Every row kept (a constant-true WHERE, or one the index already
-        # decided, e.g. a TIME window): the columns are the result.
-        # Otherwise fancy indexing copies, so the piece is owned and the
-        # kernel's mask buffer is free for the next block.
-        keep_all = count == num_rows
-        for name in self.output:
-            column = block[name]
-            self.pieces[name].append(
-                own_column(column if keep_all else column[mask])
+    def _select(
+        self, block: Mapping[str, np.ndarray], num_rows: int
+    ) -> Optional[Block]:
+        count = num_rows
+        if self.evaluator is not None:
+            mask = np.asarray(
+                self.evaluator.evaluate(block, num_rows, tracer=self.tracer)
             )
-        return count
+            if mask.ndim:
+                count = int(np.count_nonzero(mask))
+            elif not mask:
+                count = 0
+        if not count:
+            return None
+        # Every row kept (no WHERE, a constant-true one, or one the index
+        # already decided, e.g. a TIME window): the columns are the
+        # result.  Otherwise fancy indexing copies, so the piece is owned
+        # and the kernel's mask buffer is free for the next block.
+        # own_column: extracted columns can be read-only views over
+        # segment-cache payloads; never emit those to callers.
+        if count == num_rows:
+            return {n: own_column(block[n]) for n in self.output}, count
+        return {n: own_column(block[n][mask]) for n in self.output}, count
+
+
+def assemble_table(
+    output: Sequence[str],
+    dtypes: Mapping[str, np.dtype],
+    blocks: Iterable[Optional[Block]],
+) -> VirtualTable:
+    """Finished blocks (``None`` entries skipped) as one table of
+    ``output``; blocks own their columns, so a lone one is the result."""
+    pieces: Dict[str, List[np.ndarray]] = {name: [] for name in output}
+    for block in blocks:
+        if block is not None:
+            for name in output:
+                pieces[name].append(block[0][name])
+    final: Dict[str, np.ndarray] = {}
+    for name, parts in pieces.items():
+        if len(parts) == 1:
+            final[name] = parts[0]
+        elif parts:
+            final[name] = np.concatenate(parts)
+        else:
+            final[name] = np.empty(0, dtype=dtypes.get(name, np.float64))
+    return VirtualTable(final, order=output)

@@ -1,12 +1,11 @@
 """Unified execution options for every query entry point.
 
-Before this module, execution knobs drifted apart per method:
-``QueryService.submit`` took ``num_clients/partitioner/remote/parallel``,
-``Virtualizer.query_iter`` took ``batch_rows``, and tracing had no surface
-at all.  :class:`ExecOptions` is the single carrier accepted by
-``Virtualizer.query`` / ``query_iter`` and ``QueryService.submit`` (and
-``Catalog.submit``); the old per-method keywords still work through a
-deprecation shim in each method.
+:class:`ExecOptions` is the single carrier of execution knobs, accepted
+by ``Virtualizer.query`` / ``query_iter``, ``QueryService.submit``,
+``Catalog.submit`` and every ``repro.connect`` client method.  The
+per-method keywords it replaced (``submit(num_clients=, partitioner=,
+remote=, parallel=)``, ``query_iter(batch_rows)``) are gone: passing one
+is a ``TypeError`` like any other unknown argument.
 
 The dataclass is frozen: derive variants with :meth:`replace`, e.g.
 ``LOCAL = ExecOptions(remote=False); LOCAL.replace(trace=True)``.

@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ReproError
+from ..errors import ExtractionError, ReproError
 
 
 class VirtualTable:
@@ -176,6 +176,25 @@ def concat_tables(tables: Sequence[VirtualTable]) -> VirtualTable:
         {n: np.concatenate([t.column(n) for t in tables]) for n in names},
         order=list(names),
     )
+
+
+def batched(table: VirtualTable, batch_rows: int) -> Iterator[VirtualTable]:
+    """Slice a materialised table into ``batch_rows``-sized tables.
+
+    The streaming contract for results that already exist (cache hits,
+    aggregates, shipped partials): the same typed error as
+    ``Extractor.execute_iter`` for ``batch_rows < 1``, nothing yielded
+    for an empty table.  The slices are zero-copy views of ``table``'s
+    arrays, hence read-only wherever it is (a frozen cached result).
+    """
+    if batch_rows < 1:
+        raise ExtractionError("batch_rows must be positive")
+    names = list(table.column_names)
+    for start in range(0, table.num_rows, batch_rows):
+        yield VirtualTable(
+            {n: table.column(n)[start:start + batch_rows] for n in names},
+            order=names,
+        )
 
 
 def empty_table(names: Sequence[str], dtypes: Mapping[str, np.dtype]) -> VirtualTable:

@@ -45,6 +45,7 @@ from ..core.codegen import plan_identity
 from ..core.extractor import local_mount
 from ..core.planner import CompiledDataset
 from ..core.stats import IOStats
+from ..core.table import batched
 from ..errors import PlanMismatchError, TransportError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import FunctionRegistry
@@ -232,7 +233,6 @@ class NodeServer:
 
     def _execute(self, conn, payload: bytes) -> bool:
         """Plan and run one shipped query, streaming batches then DONE."""
-        from ..core.virtualizer import _batched
         from ..errors import InjectedFault
 
         try:
@@ -249,7 +249,7 @@ class NodeServer:
         injector = self.fault_injector
         batches = 0
         try:
-            for batch in _batched(table, options.batch_rows):
+            for batch in batched(table, options.batch_rows):
                 if injector is not None:
                     injector.on_response(self.node)
                 payload_out = wire.encode_table(batch)

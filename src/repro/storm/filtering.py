@@ -6,8 +6,12 @@ filters" (paper Section 2.3).  Chunk- and file-level pruning uses only the
 full WHERE expression here, including user-defined filter functions, so
 pruning can never change results.
 
-Two evaluation paths produce bit-identical masks (see
-docs/architecture.md, "Vectorized execution"):
+The service owns the predicate *evaluators*; the loop that applies one
+to columns is :class:`repro.core.kernels.BlockPipeline`, the same for
+extracted chunks, for one hand-fed block (:meth:`FilteringService.apply`)
+and for a cached table re-filtered on a subsumption hit
+(:meth:`FilteringService.refilter`).  Two evaluators produce
+bit-identical masks (see docs/architecture.md, "Vectorized execution"):
 
 * ``vectorize=True`` compiles the WHERE once per distinct predicate into
   a fused numpy batch kernel (:mod:`repro.core.kernels`, cached per
@@ -22,9 +26,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.kernels import CompiledPredicate, KernelCache
+from ..core.kernels import (
+    BlockPipeline,
+    CompiledPredicate,
+    Evaluator,
+    KernelCache,
+    assemble_table,
+    block_rows_for,
+)
 from ..core.stats import IOStats
-from ..core.table import VirtualTable, own_column
+from ..core.table import VirtualTable
 from ..obs.tracer import NULL_TRACER
 from ..sql.ast import Node
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
@@ -40,6 +51,13 @@ class FilteringService:
     def kernel_for(self, where: Node, tracer=NULL_TRACER):
         """The compiled kernel for a WHERE node (cached per predicate)."""
         return self._kernels.get(where, tracer)
+
+    def evaluator(
+        self, where: Optional[Node], vectorize: bool, tracer=NULL_TRACER
+    ) -> Evaluator:
+        """What filters ``where``: its cached kernel, the interpreted
+        oracle (``vectorize=False``), or None for no WHERE at all."""
+        return self._kernels.evaluator(where, vectorize, tracer)
 
     def apply(
         self,
@@ -60,22 +78,11 @@ class FilteringService:
         callers filtering many blocks with one predicate pass it to skip
         the per-block cache lookup (a hash of the whole WHERE tree).
         """
-        if tracer.enabled and where is not None:
-            with tracer.span(
-                "filter", rows=num_rows, vectorized=vectorize
-            ) as span:
-                selected = self._apply(
-                    where, columns, output, num_rows, stats, tracer,
-                    vectorize, kernel,
-                )
-                if selected is None:
-                    span.tag(out=0)
-                elif output:
-                    span.tag(out=int(len(selected[output[0]])))
-            return selected
-        return self._apply(
-            where, columns, output, num_rows, stats, tracer, vectorize, kernel
-        )
+        evaluator = kernel or self.evaluator(where, vectorize, tracer)
+        block = BlockPipeline(
+            evaluator, list(columns), output, 1, stats, tracer
+        ).add(columns, num_rows)
+        return block[0] if block else None
 
     def refilter(
         self,
@@ -90,65 +97,27 @@ class FilteringService:
 
         The cached table stores every column the original query needed,
         so the predicate has all its inputs; the result carries exactly
-        ``output`` in order.  ``own_column`` inside :meth:`apply` copies
-        the frozen cached arrays, so callers get writable columns and
-        can never mutate the cache through the result.
+        ``output`` in order.  The table goes through the same
+        :class:`BlockPipeline` as extracted chunks, in
+        :func:`block_rows_for`-sized slices — never one table-sized
+        kernel evaluation — and every piece the pipeline emits is owned,
+        so callers get writable columns (the empty result included) and
+        can never mutate the frozen cached arrays through the result.
         """
         columns = {name: table.column(name) for name in table.column_names}
-        selected = self.apply(
-            where, columns, output, table.num_rows, stats, tracer, vectorize
+        names = list(columns)
+        dtypes = {name: column.dtype for name, column in columns.items()}
+        step = block_rows_for(names, dtypes)
+        pipeline = BlockPipeline(
+            self.evaluator(where, vectorize, tracer),
+            names, output, step, stats, tracer,
         )
-        if selected is None:
-            # Even the empty projection must go through own_column: a bare
-            # ``columns[name][:0]`` is a zero-length *view* of the frozen
-            # cached array, and callers are promised writable columns that
-            # never alias the cache.
-            return VirtualTable(
-                {name: own_column(columns[name][:0]) for name in output},
-                order=output,
+        blocks = [
+            pipeline.add(
+                {name: columns[name][lo:lo + step] for name in names},
+                min(step, table.num_rows - lo),
             )
-        return VirtualTable(selected, order=output)
-
-    def _apply(
-        self,
-        where: Optional[Node],
-        columns: Dict[str, np.ndarray],
-        output: List[str],
-        num_rows: int,
-        stats: Optional[IOStats] = None,
-        tracer=NULL_TRACER,
-        vectorize: bool = False,
-        kernel: Optional[CompiledPredicate] = None,
-    ) -> Optional[Dict[str, np.ndarray]]:
-        # own_column: extracted columns can be read-only zero-copy views
-        # over segment-cache payloads; never emit those to callers.
-        if where is None:
-            selected = {name: own_column(columns[name]) for name in output}
-            count = num_rows
-        else:
-            if vectorize:
-                if kernel is None:
-                    kernel = self._kernels.get(where, tracer)
-                mask = np.asarray(
-                    kernel.evaluate(columns, num_rows, tracer=tracer)
-                )
-                if stats is not None:
-                    stats.rows_vectorized += num_rows
-            else:
-                mask = np.asarray(where.evaluate(columns, self.functions))
-            if mask.ndim == 0:
-                if not bool(mask):
-                    return None
-                selected = {name: own_column(columns[name]) for name in output}
-                count = num_rows
-            else:
-                count = int(mask.sum())
-                if count == 0:
-                    return None
-                selected = {
-                    name: own_column(columns[name][mask])
-                    for name in output
-                }
-        if stats is not None:
-            stats.rows_output += count
-        return selected
+            for lo in range(0, table.num_rows, step)
+        ]
+        blocks.append(pipeline.finish())
+        return assemble_table(output, dtypes, blocks)

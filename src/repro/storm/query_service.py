@@ -1,11 +1,16 @@
 """Query service: the client entry point of the STORM runtime.
 
 "The query service is the entry point for clients to submit queries to the
-database middleware" (paper Section 2.3).  ``submit`` runs the full
-pipeline: plan (generated or interpreted index function) -> per-node
-parallel extraction (data source + filtering services) -> partition
-generation -> data mover -> merged result, with per-node operation counts
-and a deterministic simulated execution time from the cost model.
+database middleware" (paper Section 2.3).  ``submit`` is the cluster
+front door of the shared query pipeline (:mod:`repro.core.pipeline`:
+resolve -> diagnostics -> cache lookup -> plan -> aggregate strategy ->
+cache fill -> project).  What this module adds is what is
+service-specific: *how a plan is executed* — ``_extract_nodes``, the
+per-node parallel fan-out over a transport (data source + filtering
+services) — and what surrounds the pipeline call: the scheduler's
+run-state checkpoint, partition generation -> data mover, per-node
+operation counts and a deterministic simulated execution time from the
+cost model, all returned as a :class:`QueryResult`.
 
 Extraction is failure-aware: each node's work is retried with exponential
 backoff (``ExecOptions.retries`` / ``retry_backoff``), an attempt that
@@ -23,14 +28,20 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Union
 
 from ..core.afc import group_by_home_node
-from ..core.options import ExecOptions, resolve_workers
+from ..core.options import DEFAULT_OPTIONS, ExecOptions, resolve_workers
+from ..core.pipeline import (  # noqa: F401 - pseudo-node names re-exported
+    CACHE_NODE,
+    COORDINATOR_NODE,
+    SUMMARY_NODE,
+    QueryPipeline,
+    sql_tag,
+)
 from ..core.planner import CompiledDataset
 from ..core.stats import IOStats
 from ..core.table import VirtualTable, concat_tables
@@ -51,7 +62,7 @@ from .data_source import DataSourceService
 from .filtering import FilteringService
 from .indexing_service import IndexingService
 from .mover import DataMoverService, Delivery
-from .partition import Partitioner, RoundRobinPartitioner
+from .partition import RoundRobinPartitioner
 from .transport import LocalTransport, Transport
 
 #: Failures worth retrying: real or injected I/O errors and per-attempt
@@ -60,20 +71,6 @@ _RETRYABLE = (ExtractionError, NodeTimeoutError, OSError)
 
 #: Pseudo-node name under which result-transfer failures are reported.
 TRANSFER_NODE = "_transfer"
-
-#: Pseudo-node name under which cache-served work is accounted: a hit
-#: produces no per-node extraction stats, but its bookkeeping
-#: (``result_cache_hits`` / ``subsumption_hits`` / ``rows_refiltered`` /
-#: ``cache_saved_bytes``) still needs a home in ``per_node_stats``.
-CACHE_NODE = "_cache"
-
-#: Pseudo-node name for aggregate queries answered entirely from chunk
-#: summaries / plan metadata (zero data-chunk reads).
-SUMMARY_NODE = "_summary"
-
-#: Pseudo-node name for coordinator-side aggregation work (the
-#: ``agg_pushdown=False`` ablation folds all shipped rows here).
-COORDINATOR_NODE = "_coordinator"
 
 
 @dataclass
@@ -126,29 +123,6 @@ class QueryResult:
         return text
 
 
-def _merge_legacy_kwargs(
-    options: Optional[ExecOptions],
-    **legacy,
-) -> ExecOptions:
-    """Fold deprecated per-call keywords into an :class:`ExecOptions`.
-
-    Each keyword that is not None overrides the matching options field and
-    emits a DeprecationWarning naming the replacement.
-    """
-    opts = options if options is not None else ExecOptions()
-    overrides = {k: v for k, v in legacy.items() if v is not None}
-    if overrides:
-        names = ", ".join(f"{name}=..." for name in sorted(overrides))
-        warnings.warn(
-            f"passing {names} to QueryService.submit is deprecated; "
-            f"use submit(sql, ExecOptions({names})) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        opts = opts.replace(**overrides)
-    return opts
-
-
 class QueryService:
     """Front door of the STORM middleware for one dataset on one cluster."""
 
@@ -195,11 +169,11 @@ class QueryService:
         self.max_workers = max_workers
         self.segment_cache_bytes = segment_cache_bytes
         self.handle_cache = handle_cache
-        #: Result/plan caches shared by every node and submitting thread,
-        #: created lazily by the first submit whose options enable them.
-        self._query_cache = None
-        self._cache_unsupported = False
-        self._cache_lock = threading.Lock()
+        #: The stages both front doors run (and the result/plan caches
+        #: they share); this service supplies ``_extract_nodes``.
+        self._pipeline = QueryPipeline(
+            dataset, self.filtering.functions, self.filtering
+        )
         #: Long-lived node fan-out pool shared by every submit (built
         #: lazily by the first parallel extraction; threads spawn on
         #: demand, so an idle service costs nothing).  Replaces the old
@@ -234,29 +208,6 @@ class QueryService:
         """Deprecated internal accessor; kept for existing callers."""
         return self.transport.source(node)
 
-    def _cache_for(self, opts: ExecOptions):
-        """The shared QueryCache, or None when this query runs uncached."""
-        if opts.cache_mode == "off" or self._cache_unsupported:
-            return None
-        with self._cache_lock:
-            if self._query_cache is None:
-                from ..cache import QueryCache
-
-                self._query_cache = QueryCache.for_dataset(
-                    self.dataset,
-                    opts.result_cache_bytes,
-                    opts.plan_cache_entries,
-                )
-                if self._query_cache is None:
-                    # Duck-typed dataset without descriptor/needed_columns:
-                    # caching cannot key its queries; stay off silently.
-                    self._cache_unsupported = True
-            else:
-                self._query_cache.configure(
-                    opts.result_cache_bytes, opts.plan_cache_entries
-                )
-            return self._query_cache
-
     def _pool(self, opts: ExecOptions) -> ThreadPoolExecutor:
         """The shared node fan-out pool, built on first parallel use.
 
@@ -282,16 +233,11 @@ class QueryService:
         query's I/O starts from a cold disk and a cold cache.
         """
         self.transport.drop_caches()
-        with self._cache_lock:
-            cache = self._query_cache
-        if cache is not None:
-            cache.drop()
+        self._pipeline.drop_cache()
 
     def cache_stats(self):
         """Result/plan cache counters, or None before any cached submit."""
-        with self._cache_lock:
-            cache = self._query_cache
-        return cache.stats() if cache is not None else None
+        return self._pipeline.cache_stats()
 
     # -- execution ------------------------------------------------------------
 
@@ -299,11 +245,6 @@ class QueryService:
         self,
         sql: Union[Query, str],
         options: Optional[ExecOptions] = None,
-        *,
-        num_clients: Optional[int] = None,
-        partitioner: Optional[Partitioner] = None,
-        remote: Optional[bool] = None,
-        parallel: Optional[bool] = None,
     ) -> QueryResult:
         """Run a query end-to-end.
 
@@ -312,98 +253,36 @@ class QueryService:
         network transfer is charged); the paper's Query 5 uses
         ``remote=True``.  Failure handling is governed by the options'
         ``retries`` / ``retry_backoff`` / ``node_timeout`` /
-        ``allow_partial`` fields.  The per-method keywords
-        (``num_clients``, ``partitioner``, ``remote``, ``parallel``) are
-        deprecated shims that override the corresponding ``options``
-        fields.
+        ``allow_partial`` fields.
         """
-        opts = _merge_legacy_kwargs(
-            options,
-            num_clients=num_clients,
-            partitioner=partitioner,
-            remote=remote,
-            parallel=parallel,
-        )
+        opts = options if options is not None else DEFAULT_OPTIONS
         run_state = opts.run_state
         if run_state is not None:
             # A query cancelled while queued must not start executing.
             run_state.checkpoint()
         tracer = opts.tracer()
-        cache = self._cache_for(opts)
-        resolved: Union[Query, str] = sql
-        if cache is not None:
-            # Resolve once: the same Query object feeds diagnostics,
-            # keying, and planning (no repeated parse/validate).
-            resolved = self.dataset.resolve_query(sql)
-        self._run_diagnostics(resolved, opts, tracer)
+        query = self._pipeline.admit(sql, opts, tracer)
         injector = self.fault_injector
         faults_before = injector.injected if injector is not None else 0
         attempts_allowed = max(0, opts.retries) + 1
         start = time.perf_counter()
 
-        with tracer.span("query", sql=str(resolved)[:200]) as query_span:
+        with tracer.span("query", sql=sql_tag(query, tracer)) as query_span:
             ctx = TraceContext(tracer, query_span)
-            served = key = None
-            if cache is not None:
-                key, needed = cache.key_and_needed(resolved)
-                cache_io = IOStats()
-                served = cache.serve(
-                    key, resolved, needed, self.filtering, cache_io,
-                    tracer, opts.cache_mode,
-                    vectorize=opts.vectorize == "on",
-                )
-            if served is not None:
-                # Cache hit: no planning, no extraction, no node I/O.
-                table = served.table
-                per_node_stats: Dict[str, IOStats] = {CACHE_NODE: cache_io}
-                failed_nodes: List[str] = []
-                afc_count = served.afc_count
-            else:
-                if cache is not None:
-                    from ..cache import project, widen_plan
-
-                    plan = cache.plan_for(resolved, key, tracer)
-                    # Emit every needed column (same reads, same filter)
-                    # so the cached table can answer narrower queries
-                    # filtering on WHERE-only attributes; callers get
-                    # the projected SELECT list as always.  Aggregate
-                    # plans are never widened: their cached value is the
-                    # final labelled table, not a base-row superset.
-                    exec_plan = (
-                        plan if plan.aggregate is not None else widen_plan(plan)
-                    )
-                elif tracer.enabled and getattr(
-                    self.dataset, "supports_tracing", False
-                ):
-                    plan = exec_plan = self.dataset.plan(resolved, tracer=tracer)
-                else:
-                    plan = exec_plan = self.dataset.plan(resolved)
-                if getattr(exec_plan, "aggregate", None) is not None:
-                    table, per_node_stats, failed_nodes = self._run_aggregate(
-                        exec_plan, opts, tracer, ctx, attempts_allowed
-                    )
-                else:
-                    table, per_node_stats, failed_nodes = self._extract_nodes(
-                        exec_plan, opts, tracer, ctx, attempts_allowed
-                    )
-                afc_count = len(plan.afcs)
-                if cache is not None:
-                    if not failed_nodes and (
-                        injector is None or injector.injected == faults_before
-                    ):
-                        # Only complete, healthy results enter the cache:
-                        # degraded/partial tables and anything produced
-                        # while faults fired would replay the damage
-                        # forever.
-                        cache.store(
-                            key,
-                            table,
-                            sum(s.bytes_read for s in per_node_stats.values()),
-                            afc_count,
-                            tracer,
-                        )
-                    if plan.aggregate is None:
-                        table = project(table, plan.output)
+            answer = self._pipeline.run(
+                query,
+                opts,
+                tracer,
+                lambda plan: self._extract_nodes(
+                    plan, opts, tracer, ctx, attempts_allowed
+                ),
+                healthy=None if injector is None else (
+                    lambda: injector.injected == faults_before
+                ),
+            )
+            table = answer.table
+            per_node_stats = answer.per_node_stats
+            failed_nodes = answer.failed_nodes
 
             transfer_stats = IOStats()
             deliveries: List[Delivery] = []
@@ -430,7 +309,7 @@ class QueryService:
                 )
             query_span.tag(
                 rows=table.num_rows,
-                afcs=afc_count,
+                afcs=answer.afc_count,
                 simulated_seconds=round(simulated, 6),
             )
             if failed_nodes:
@@ -450,86 +329,11 @@ class QueryService:
             per_node_stats=per_node_stats,
             simulated_seconds=simulated,
             wall_seconds=wall,
-            afc_count=afc_count,
+            afc_count=answer.afc_count,
             trace=tracer if tracer.enabled else None,
             degraded=bool(failed_nodes),
             failed_nodes=failed_nodes,
         )
-
-    def _run_aggregate(
-        self,
-        exec_plan,
-        opts: ExecOptions,
-        tracer,
-        ctx: TraceContext,
-        attempts_allowed: int,
-    ):
-        """Execute an aggregate plan; returns ``(table, stats, failed)``.
-
-        Three strategies, cheapest first:
-
-        1. **Summary fast path** — a predicate-free ungrouped
-           COUNT/MIN/MAX whose bounds are fully covered by plan metadata
-           and chunk summaries is answered with zero data-chunk reads.
-        2. **Pushdown** (``opts.agg_pushdown``, the default) — nodes
-           return partial state frames; the coordinator merges and
-           finalises them.  A node dropped under ``allow_partial`` drops
-           its partial sums with it, so the result is marked degraded
-           exactly like a row query — never a silent under-count.
-        3. **Ablation** (``agg_pushdown=False``) — nodes ship full
-           filtered rows and the coordinator aggregates them; the
-           measurable difference is bytes moved, never the result.
-        """
-        from ..core import aggregate as agg
-
-        spec = exec_plan.aggregate
-        if opts.agg_pushdown:
-            answer = agg.summary_answer(
-                exec_plan, getattr(self.dataset, "summaries", None)
-            )
-            if answer is not None:
-                stats = IOStats()
-                stats.afcs_pruned += len(exec_plan.afcs)
-                stats.groups_emitted += answer.num_rows
-                if tracer.enabled:
-                    tracer.metrics.record("agg.summary_answers")
-                    tracer.event(
-                        "summary_answer", afcs=len(exec_plan.afcs)
-                    )
-                return answer, {SUMMARY_NODE: stats}, []
-            state, per_node_stats, failed_nodes = self._extract_nodes(
-                exec_plan, opts, tracer, ctx, attempts_allowed
-            )
-            merged = agg.merge_partials(spec, [state], exec_plan.dtypes)
-            table = agg.finalize(spec, merged, exec_plan.dtypes)
-            return table, per_node_stats, failed_nodes
-        # Ablation: strip the aggregate so nodes run the plain row path,
-        # then fold everything at the coordinator (priced under its own
-        # pseudo-node so the CPU shows up in the makespan).  A pure
-        # COUNT(*) plan has no base output columns; client-side counting
-        # has to ship *something* per row, so fall back to the WHERE
-        # inputs or the first schema attribute — that honesty is exactly
-        # what the pushdown ablation measures.
-        from dataclasses import replace as dc_replace
-
-        needed = list(exec_plan.needed)
-        output = list(exec_plan.output)
-        if not output:
-            output = needed or (
-                [next(iter(exec_plan.dtypes))] if exec_plan.dtypes else []
-            )
-            needed = list(dict.fromkeys(needed + output))
-        row_plan = dc_replace(
-            exec_plan, aggregate=None, needed=needed, output=output
-        )
-        rows, per_node_stats, failed_nodes = self._extract_nodes(
-            row_plan, opts, tracer, ctx, attempts_allowed
-        )
-        coord = per_node_stats.setdefault(COORDINATOR_NODE, IOStats())
-        coord.rows_aggregated += rows.num_rows
-        table = agg.aggregate_rows(spec, rows, exec_plan.dtypes)
-        coord.groups_emitted += table.num_rows
-        return table, per_node_stats, failed_nodes
 
     def _extract_nodes(
         self,
@@ -719,61 +523,6 @@ class QueryService:
                 order=plan.output,
             )
         return table, per_node_stats, failed_nodes
-
-    def _run_diagnostics(
-        self,
-        sql: Union[Query, str],
-        opts: ExecOptions,
-        tracer,
-    ) -> None:
-        """Static analysis at submit time.
-
-        With tracing on, descriptor and query findings become ``diag``
-        events plus a ``diag.warnings`` counter.  Under
-        ``ExecOptions(strict=True)`` any error *or warning* refuses the
-        query with a :class:`~repro.errors.QueryValidationError` — the
-        strict mode escalation.  Datasets without a descriptor
-        (hand-written planners) only get query analysis, and only when a
-        descriptor is reachable.
-        """
-        if not (opts.strict or tracer.enabled):
-            return
-        from ..diag.options import analyze_options
-
-        findings = []
-        collector = getattr(self.dataset, "diagnostics", None)
-        if collector is not None:
-            findings.extend(collector)
-        descriptor = getattr(self.dataset, "descriptor", None)
-        if descriptor is not None:
-            from ..diag.query import analyze_query
-
-            findings.extend(
-                analyze_query(descriptor, sql, self.filtering.functions)
-            )
-        findings.extend(analyze_options(opts))
-        if tracer.enabled:
-            for diag in findings:
-                tracer.event(
-                    "diag",
-                    code=diag.code,
-                    severity=str(diag.severity),
-                    message=diag.message,
-                )
-                if str(diag.severity) == "warning":
-                    tracer.metrics.record("diag.warnings")
-        if opts.strict:
-            blocking = [
-                d for d in findings if str(d.severity) in ("error", "warning")
-            ]
-            if blocking:
-                from ..errors import QueryValidationError
-
-                details = "; ".join(d.format(show_source=False) for d in blocking)
-                raise QueryValidationError(
-                    f"strict mode: {len(blocking)} static-analysis finding(s) "
-                    f"block execution: {details}"
-                )
 
     def _move_resilient(
         self,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.table import VirtualTable, concat_tables, empty_table
+from repro.core.table import VirtualTable, batched, concat_tables, empty_table
 from repro.errors import ReproError
 
 
@@ -99,3 +99,26 @@ class TestConcat:
         t = empty_table(["X"], {"X": np.dtype("<f4")})
         assert t.num_rows == 0
         assert t["X"].dtype == np.dtype("<f4")
+
+
+class TestBatched:
+    def test_slices_in_order_without_copying(self, table):
+        frozen = table["A"]
+        frozen.setflags(write=False)
+        batches = list(batched(table, 2))
+        assert [b.num_rows for b in batches] == [2, 1]
+        assert all(b.column_names == table.column_names for b in batches)
+        assert concat_tables(batches)["A"].tolist() == frozen.tolist()
+        for batch in batches:
+            assert np.shares_memory(batch["A"], frozen)
+            assert not batch["A"].flags.writeable
+
+    def test_empty_table_yields_nothing(self):
+        empty = empty_table(["X"], {"X": np.dtype("<f4")})
+        assert list(batched(empty, 10)) == []
+
+    def test_nonpositive_batch_rows_is_a_typed_error(self, table):
+        from repro.errors import ExtractionError
+
+        with pytest.raises(ExtractionError, match="batch_rows"):
+            list(batched(table, 0))

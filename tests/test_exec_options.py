@@ -73,25 +73,25 @@ class TestSubmitOptions:
         )
         assert len(result.deliveries) == 2
 
-    def test_legacy_kwargs_warn_and_still_work(self, small_service):
+    def test_pre_options_spellings_are_gone(self, small_service, ipars_l0):
+        """The PR-1 per-method keywords were deprecation shims; they now
+        fail like any other unknown argument instead of being folded
+        into the options."""
         _, _, service = small_service
-        with pytest.warns(DeprecationWarning, match="ExecOptions"):
-            legacy = service.submit("SELECT X FROM IparsData", remote=False)
-        modern = service.submit(
-            "SELECT X FROM IparsData", ExecOptions(remote=False)
-        )
-        assert_tables_equal(legacy.table, modern.table)
-        assert legacy.deliveries == [] and modern.deliveries == []
-
-    def test_legacy_kwargs_override_options(self, small_service):
-        _, _, service = small_service
-        with pytest.warns(DeprecationWarning):
-            result = service.submit(
-                "SELECT X FROM IparsData",
-                ExecOptions(remote=True),
-                remote=False,
-            )
-        assert result.deliveries == []
+        for legacy in (
+            {"num_clients": 2},
+            {"partitioner": RoundRobinPartitioner()},
+            {"remote": False},
+            {"parallel": False},
+        ):
+            with pytest.raises(TypeError):
+                service.submit("SELECT X FROM IparsData", **legacy)
+        _, text, mount = ipars_l0
+        with Virtualizer(text, mount) as v:
+            with pytest.raises(TypeError):
+                v.query_iter("SELECT X FROM IparsData", batch_rows=100)
+            with pytest.raises(TypeError):
+                v.query_iter("SELECT X FROM IparsData", 100)
 
     def test_total_stats_computed_once(self, small_service):
         _, _, service = small_service
@@ -143,16 +143,6 @@ class TestTransportOptions:
 
 
 class TestVirtualizerOptions:
-    def test_query_iter_batch_rows_kwarg_warns(self, ipars_l0):
-        _, text, mount = ipars_l0
-        with Virtualizer(text, mount) as v:
-            with pytest.warns(DeprecationWarning, match="batch_rows"):
-                batches = list(
-                    v.query_iter("SELECT X FROM IparsData", batch_rows=100)
-                )
-            # Small batch size must actually take effect (multiple batches).
-            assert len(batches) > 1
-
     def test_query_iter_options_no_warning(self, ipars_l0, recwarn):
         _, text, mount = ipars_l0
         with Virtualizer(text, mount) as v:

@@ -178,6 +178,65 @@ class TestFilteringService:
         assert frozen[0] == 0.0
 
 
+    def test_refilter_runs_in_cache_sized_blocks(self, service):
+        """A cached table goes through the same BlockPipeline as
+        extracted chunks, ``block_rows_for`` rows at a time — never one
+        table-sized kernel evaluation — and the sliced result is
+        bit-identical to filtering the table as one block."""
+        from repro.core.kernels import block_rows_for
+        from repro.obs import Tracer
+
+        rng = np.random.default_rng(18)
+        n = 50_000
+        frozen = {
+            name: rng.uniform(-30, 30, n) for name in ("VX", "VY", "VZ")
+        }
+        frozen["VX"][rng.integers(0, n, 500)] = np.nan
+        frozen["TAG"] = np.arange(n, dtype=np.int64)
+        for column in frozen.values():
+            column.setflags(write=False)
+        cached = VirtualTable(frozen, order=list(frozen))
+        step = block_rows_for(list(frozen), {k: v.dtype for k, v in frozen.items()})
+        assert step < n
+        where = parse_where("SPEED(VX, VY, VZ) < 25 AND VY > -20")
+        output = ["TAG", "VX"]
+
+        for vectorize in (True, False):
+            one_block = service.apply(
+                where, dict(frozen), output, n, vectorize=vectorize
+            )
+            stats, tracer = IOStats(), Tracer()
+            out = service.refilter(
+                where, cached, output, stats, tracer, vectorize=vectorize
+            )
+            assert len(tracer.find("filter")) == -(-n // step)
+            assert np.isnan(out["VX"]).sum() == 0 < out.num_rows < n
+            assert stats.rows_output == out.num_rows
+            assert stats.rows_vectorized == (n if vectorize else 0)
+            for name in output:
+                assert out[name].tobytes() == one_block[name].tobytes()
+                assert out[name].flags.writeable
+                assert not np.shares_memory(out[name], frozen[name])
+
+        # Every row kept skips the gather, block by block; the result
+        # still never aliases the frozen cache.
+        kept = service.refilter(
+            parse_where("TAG >= 0"), cached, output, vectorize=True
+        )
+        assert kept.num_rows == n
+        # Nothing kept: the empty result owns (writable) memory too.
+        none = service.refilter(
+            parse_where("TAG < 0"), cached, output, vectorize=True
+        )
+        assert none.num_rows == 0
+        for table in (kept, none):
+            for name in output:
+                assert table[name].dtype == frozen[name].dtype
+                assert table[name].flags.writeable
+                assert table[name].flags.owndata
+                assert not np.shares_memory(table[name], frozen[name])
+
+
 class TestConcurrentQueries:
     def test_parallel_submits_are_safe(self, ipars_l0):
         """Concurrent submit() calls from multiple threads agree with

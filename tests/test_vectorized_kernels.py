@@ -67,6 +67,17 @@ def kernel_mask(kernel, columns):
     return np.broadcast_to(raw, (N_ROWS,)).copy()
 
 
+def run_pipeline(pipeline, blocks):
+    """Feed ``(columns, num_rows)`` blocks through a BlockPipeline; the
+    finished pieces per output column, in order."""
+    done = [pipeline.add(columns, n) for columns, n in blocks]
+    done.append(pipeline.finish())
+    return {
+        name: [block[0][name] for block in done if block is not None]
+        for name in pipeline.output
+    }
+
+
 class TestRandomizedKernelEquivalence:
     def test_1000_random_trees_match_interpreter_bit_identically(self):
         rng = random.Random(24680)
@@ -123,13 +134,8 @@ class TestRandomizedKernelEquivalence:
             for n in (3, 17, 64, 1, 0, 29)
         ]
         pipeline = BlockPipeline(kernel, ["A", "B"], ["A", "B"], block_rows=32)
-        for block in blocks:
-            pipeline.add(block, len(block["A"]))
-        pipeline.finish()
-        fused = {
-            name: np.concatenate(pipeline.pieces[name])
-            for name in ("A", "B")
-        }
+        pieces = run_pipeline(pipeline, [(b, len(b["A"])) for b in blocks])
+        fused = {name: np.concatenate(pieces[name]) for name in ("A", "B")}
         expected_mask = np.concatenate(
             [
                 np.asarray(where.evaluate(b, DEFAULT_REGISTRY))
@@ -141,7 +147,7 @@ class TestRandomizedKernelEquivalence:
         all_b = np.concatenate([b["B"] for b in blocks])
         np.testing.assert_array_equal(fused["A"], all_a[expected_mask])
         np.testing.assert_array_equal(fused["B"], all_b[expected_mask])
-        assert pipeline.rows_selected == int(expected_mask.sum())
+        assert len(fused["A"]) == int(expected_mask.sum())
 
     def test_block_boundaries_never_change_row_order(self):
         # The 1000-tree harness again, each tree's rows cut into uneven
@@ -159,13 +165,15 @@ class TestRandomizedKernelEquivalence:
                 pipeline = BlockPipeline(
                     kernel, list(columns), list(columns), block_rows
                 )
-                for lo, hi in bounds:
-                    pipeline.add(
-                        {n: c[lo:hi] for n, c in columns.items()}, hi - lo
-                    )
-                pipeline.finish()
+                pieces = run_pipeline(
+                    pipeline,
+                    [
+                        ({n: c[lo:hi] for n, c in columns.items()}, hi - lo)
+                        for lo, hi in bounds
+                    ],
+                )
                 for name, column in columns.items():
-                    got = np.concatenate(pipeline.pieces[name] or [column[:0]])
+                    got = np.concatenate(pieces[name] or [column[:0]])
                     np.testing.assert_array_equal(
                         got, column[expected],
                         err_msg=f"case {i} block_rows {block_rows}: {tree}",
@@ -192,12 +200,11 @@ class TestRandomizedKernelEquivalence:
             pipeline = BlockPipeline(
                 kernel, ["T", "V"], ["V"], block_rows, stats=stats
             )
-            for afc in afcs:
-                pipeline.add(afc, len(afc["T"]))
-            pipeline.finish()
-            pieces = pipeline.pieces["V"]
+            pieces = run_pipeline(
+                pipeline, [(afc, len(afc["T"])) for afc in afcs]
+            )["V"]
             np.testing.assert_array_equal(np.concatenate(pieces), expected)
-            assert pipeline.rows_selected == stats.rows_output == 40
+            assert stats.rows_output == 40
             for piece in pieces:
                 assert piece.flags.writeable and piece.flags.c_contiguous
                 assert not any(np.shares_memory(piece, a["V"]) for a in afcs)
