@@ -401,6 +401,13 @@ def combine_parts(
     return merged
 
 
+def empty_result(plan: ExtractionPlan) -> VirtualTable:
+    """The zero-row result of ``plan``: every output column of a row
+    plan, the zero-row state frame of an aggregate plan.  What a node
+    that answered nothing, or a query that lost every node, yields."""
+    return combine_parts(plan, (), IOStats())
+
+
 class Extractor:
     """Executes extraction plans against a filesystem mount.
 

@@ -79,9 +79,10 @@ class ExecOptions:
     when the query service reaches real node-server processes over
     ``tcp://``, ignored by the in-process ``local://`` path):
 
-    ``connect_timeout``  seconds one TCP dial (plus handshake) to a node
-                      server may take before the attempt fails with a
-                      retryable connection error.
+    ``connect_timeout``  seconds the TCP dial, and each step of the
+                      HELLO/WELCOME handshake after it, may take before
+                      the attempt fails with a retryable connection
+                      error (at ``connect()``: a ``TransportError``).
     ``max_connections_per_node``  size of the coordinator's connection
                       pool per node server; concurrent requests beyond
                       it queue for a pooled connection.

@@ -6,8 +6,8 @@ offending source region.  A :class:`Diagnostic` is one finding — a stable
 code (``RV1xx`` for descriptor lints, ``RQ2xx`` for query analyses), a
 severity, a message, an optional :class:`~repro.metadata.spans.Span`, and
 an optional suggested fix.  A :class:`Collector` gathers many of them;
-:func:`~repro.metadata.validate.validate_descriptor` is now a thin
-raising shim over it.
+:meth:`Descriptor.validate <repro.metadata.descriptor.Descriptor.validate>`
+raises its first error.
 
 Every code must be registered in :data:`CODES`; ``docs/diagnostics.md``
 catalogues them and ``tests/test_diag.py`` checks both stay in sync.

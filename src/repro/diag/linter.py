@@ -3,9 +3,10 @@
 :func:`lint_descriptor` runs every analyzer and returns a
 :class:`~repro.diag.core.Collector`.  The first block of analyzers mirrors
 the historical fail-fast validator check-for-check **in the same order and
-with the same message text** — :func:`repro.metadata.validate.validate_descriptor`
-is now a shim that raises the collector's first error, so the mirrored
-ordering is what keeps its observable behaviour unchanged.  The analyzers
+with the same message text** — :meth:`Descriptor.validate
+<repro.metadata.descriptor.Descriptor.validate>` raises the collector's
+first error, so the mirrored ordering is what keeps descriptor loading's
+observable behaviour unchanged.  The analyzers
 after that are new: they only ever *append* findings, so they cannot
 perturb the first error.
 

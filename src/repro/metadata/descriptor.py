@@ -16,7 +16,6 @@ from ..errors import MetadataValidationError
 from .layout import DatasetNode, parse_layout, root_datasets
 from .schema import Schema, parse_schemas
 from .storage import StorageDescriptor, parse_storage
-from .validate import validate_descriptor
 
 
 @dataclass
@@ -57,8 +56,19 @@ class Descriptor:
         return self.layout.leaves()
 
     def validate(self) -> None:
-        """Run all semantic checks; raises MetadataValidationError."""
-        validate_descriptor(self)
+        """Run all semantic checks; raises MetadataValidationError.
+
+        The checks live in :mod:`repro.diag.linter`, which collects
+        *every* finding (``repro check`` lists them).  Loading keeps the
+        fail-fast contract: the first error's message is raised — the
+        linter runs its checks in the original order, so which error
+        surfaces first, and its text, never changed.
+        """
+        from ..diag.linter import lint_descriptor
+
+        first = lint_descriptor(self).first_error()
+        if first is not None:
+            raise MetadataValidationError(first.message)
 
 
 def parse_descriptor(

@@ -8,8 +8,9 @@ separate OS processes (:class:`NodeServer`, the ``repro serve`` CLI)
 speaking a small length-prefixed protocol (:mod:`~repro.net.framing`),
 queries travel out as text — each node server plans its own share with
 the generated index function — and result batches come back as raw
-columnar buffers (:mod:`~repro.net.wire`), and the coordinator fans out
-over pooled asyncio connections (:class:`TcpTransport`).
+columnar buffers (:mod:`~repro.net.wire`), and the coordinator's worker
+threads speak the same protocol over pooled blocking sockets
+(:class:`TcpTransport`).
 
 :class:`ProcessCluster` spawns and tears down an N-process cluster for
 tests, benchmarks, and the ``repro cluster`` CLI.  The unified client

@@ -1,15 +1,21 @@
-"""Coordinator-side network transport: pooled asyncio node clients.
+"""Coordinator-side network transport: pooled blocking node clients.
 
-One :class:`TcpTransport` serves a whole cluster: it runs a private
-asyncio event loop on a background thread and keeps a small connection
-pool per node (``ExecOptions.max_connections_per_node``), with a global
-in-flight semaphore (``ExecOptions.inflight_limit``) as admission
-control — per-node backpressure comes from the pool, cluster-wide
-backpressure from the semaphore.  The query service's worker threads
-call the blocking :meth:`TcpTransport.execute_node`, which bridges onto
-the loop with ``run_coroutine_threadsafe``; retries, timeouts, and
+One :class:`TcpTransport` serves a whole cluster.  It starts no thread
+and runs no event loop: the query service already dedicates a worker
+thread to every node of a query, and that thread speaks the node
+protocol itself — :meth:`TcpTransport.execute_node` takes a pooled
+socket, writes EXECUTE and reads BATCH.../DONE with the blocking
+helpers of :mod:`~repro.net.framing` (the same ones the node server
+uses), releasing the GIL in ``recv`` so several nodes' replies arrive
+in parallel.  Each node has a small connection pool
+(``ExecOptions.max_connections_per_node``: a semaphore plus an idle
+list) and a cluster-wide semaphore (``ExecOptions.inflight_limit``) is
+admission control — per-node backpressure comes from the pool,
+cluster-wide backpressure from the semaphore.  Retries, timeouts, and
 degraded results stay coordinator business, in
-``QueryService._extract_nodes``, untouched.
+``QueryService._extract_nodes``, untouched: an attempt abandoned by
+``node_timeout`` keeps its pool and in-flight slot until the node
+answers or the socket dies.
 
 Failure mapping keeps the chaos/retry semantics of the in-process path:
 dials and resets surface as :class:`~repro.errors.NodeConnectionError`
@@ -31,14 +37,16 @@ number of AFCs than were planned for that node.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import select
+import socket
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.afc import AlignedFileChunkSet, ExtractionPlan
+from ..core.extractor import empty_result
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
 from ..core.table import VirtualTable, concat_tables
@@ -48,111 +56,177 @@ from ..storm.transport import Transport
 from . import framing, wire
 
 
-class _Connection:
-    """One open coordinator->node stream with its HELLO identity."""
+def _dial(
+    address: Tuple[str, int], expected: Dict[str, object],
+    timeout: Optional[float],
+) -> Tuple[socket.socket, dict]:
+    """The one way a connection is made: TCP dial, HELLO/WELCOME, checks.
 
-    __slots__ = ("reader", "writer", "node", "broken")
-
-    def __init__(self, reader, writer, node: str):
-        self.reader = reader
-        self.writer = writer
-        self.node = node
-        self.broken = False
-
-    def close(self) -> None:
+    ``timeout`` bounds the dial and each send/receive of the handshake,
+    then is cleared (a request blocks for as long as the node works).
+    Raises ``OSError`` when the address does not answer in time or hangs
+    up, :class:`TransportError` when its WELCOME differs from
+    ``expected`` on any key (protocol revision, node name, what the
+    node plans from).
+    """
+    host, port = address
+    try:
+        sock = socket.create_connection(address, timeout=timeout)
         try:
-            self.writer.close()
-        except Exception:
-            pass
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            framing.write_frame(
+                sock, framing.HELLO,
+                b'{"protocol": %d}' % framing.PROTOCOL_VERSION,
+            )
+            kind, payload = framing.read_frame(sock)
+            if kind != framing.WELCOME:
+                raise TransportError(
+                    f"expected WELCOME, got {framing.kind_name(kind)}"
+                )
+            welcome = framing.decode_json(payload)
+            for key, want in expected.items():
+                if welcome.get(key) != want:
+                    raise TransportError(
+                        f"node server at {host}:{port} announces {key} "
+                        f"{welcome.get(key)!r}, the coordinator expects "
+                        f"{want!r}; both must speak the same protocol "
+                        "revision and load the same descriptor and "
+                        "chunk summaries"
+                    )
+            sock.settimeout(None)
+        except BaseException:
+            sock.close()
+            raise
+    except socket.timeout:
+        raise OSError(
+            f"{host}:{port} did not finish dial + HELLO/WELCOME: "
+            f"timed out after {timeout}s"
+        ) from None
+    return sock, welcome
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Close, waking any thread blocked in ``recv`` on it with EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Would ``recv`` return at once?  Asked of idle connections, which
+    are owed nothing: readable means the node hung up (EOF) or the
+    stream is out of sync — dead either way, and told without I/O."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed, or past select's fd range
+        return True
 
 
 class _NodePool:
-    """Bounded connection pool for one node (lives on the loop thread)."""
+    """Bounded connection pool for one node, shared by caller threads."""
 
-    def __init__(self, node: str, host: str, port: int, limit: int):
+    def __init__(
+        self, node: str, address: Tuple[str, int], limit: int,
+        expected: Dict[str, object], first: socket.socket,
+    ):
         self.node = node
-        self.host = host
-        self.port = port
-        self._sem = asyncio.Semaphore(max(1, limit))
-        self._idle: deque = deque()
-        self._all: List[_Connection] = []
-        self.dials = 0
+        self.address = address
+        #: What every later dial must hear in its WELCOME, too.
+        self._expected = {**expected, "node": node}
+        #: One slot per connection that may exist; a request holds its
+        #: slot throughout, so waiting here is per-node backpressure.
+        self._slots = threading.BoundedSemaphore(max(1, limit))
+        #: Guards everything below.
+        self._lock = threading.Lock()
+        self._idle: deque = deque([first])
+        #: Every live connection, idle or carrying a request, so that
+        #: ``close`` can hang up on the ones blocked in ``recv``.
+        self._open: Set[socket.socket] = {first}
+        self._closed = False
+        #: Connections ever made (the discovery probe's is the first).
+        self.dials = 1
 
-    async def acquire(self, connect_timeout: float) -> _Connection:
-        await self._sem.acquire()
+    def request(
+        self,
+        kind: int,
+        payload: bytes,
+        want: int,
+        connect_timeout: Optional[float],
+    ) -> Tuple[List[bytearray], bytearray]:
+        """One request/reply on a pooled connection, on this thread.
+
+        Returns the reply's BATCH payloads and the payload of the
+        ``want`` frame that closed it; an ERROR frame is raised as what
+        it encodes.  No timeout on the reply: a hung node is the query
+        service's business (``ExecOptions.node_timeout`` abandons the
+        attempt).
+        """
         try:
-            while self._idle:
-                conn = self._idle.popleft()
-                if not conn.broken and not conn.writer.is_closing():
-                    return conn
-                conn.close()
-            return await self._dial(connect_timeout)
-        except BaseException:
-            self._sem.release()
-            raise
-
-    def release(self, conn: _Connection) -> None:
-        if conn.broken or conn.writer.is_closing():
-            conn.close()
-        else:
-            self._idle.append(conn)
-        self._sem.release()
-
-    async def _dial(self, connect_timeout: float) -> _Connection:
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=connect_timeout,
-            )
-        except asyncio.TimeoutError:
-            raise NodeConnectionError(
-                self.node,
-                OSError(f"dial {self.host}:{self.port} timed out "
-                        f"after {connect_timeout:g}s"),
-            ) from None
+            with self._slots:
+                sock = self._checkout(connect_timeout)
+                # Reusable only once its whole reply has been read: a
+                # connection that failed mid-reply is out of sync.
+                reusable = False
+                try:
+                    framing.write_frame(sock, kind, payload)
+                    batches: List[bytearray] = []
+                    while True:
+                        got, data = framing.read_frame(sock)
+                        if got != framing.BATCH:
+                            break
+                        batches.append(data)
+                    reusable = True
+                finally:
+                    self._checkin(sock, reusable)
         except OSError as exc:
             raise NodeConnectionError(self.node, exc) from None
-        self.dials += 1
-        conn = _Connection(reader, writer, self.node)
-        try:
-            welcome = await _hello(reader, writer)
-        except (ConnectionError, OSError) as exc:
-            conn.close()
-            raise NodeConnectionError(self.node, exc) from None
-        if welcome.get("node") != self.node:
-            conn.close()
+        if got == framing.ERROR:
+            raise wire.decode_error(framing.decode_json(data), self.node)
+        if got != want:
             raise TransportError(
-                f"address {self.host}:{self.port} answered as node "
-                f"{welcome.get('node')!r}, expected {self.node!r}"
+                f"expected {framing.kind_name(want)}, got "
+                f"{framing.kind_name(got)}"
             )
-        self._all.append(conn)
-        return conn
+        return batches, data
 
-    def close_all(self) -> None:
-        for conn in self._all:
-            conn.close()
-        self._idle.clear()
+    def _checkout(self, connect_timeout: Optional[float]) -> socket.socket:
+        """A connection fit to carry a request: idle if any, else new."""
+        while True:
+            with self._lock:
+                if self._closed:
+                    raise OSError("transport is closed")
+                sock = self._idle.popleft() if self._idle else None
+            if sock is None:
+                sock, _ = _dial(
+                    self.address, self._expected, connect_timeout
+                )
+                with self._lock:
+                    self.dials += 1
+                    self._open.add(sock)
+                    if not self._closed:
+                        return sock
+            elif not _readable(sock):
+                return sock
+            self._checkin(sock, reusable=False)
 
+    def _checkin(self, sock: socket.socket, reusable: bool) -> None:
+        with self._lock:
+            if reusable and not self._closed:
+                self._idle.append(sock)
+                return
+            self._open.discard(sock)
+        _hang_up(sock)
 
-async def _hello(reader, writer) -> dict:
-    """HELLO/WELCOME handshake; validates the protocol revision."""
-    await framing.write_frame_async(
-        writer,
-        framing.HELLO,
-        b'{"protocol": %d}' % framing.PROTOCOL_VERSION,
-    )
-    kind, payload = await framing.read_frame_async(reader)
-    if kind != framing.WELCOME:
-        raise TransportError(
-            f"expected WELCOME, got {framing.kind_name(kind)}"
-        )
-    welcome = framing.decode_json(payload)
-    if welcome.get("protocol") != framing.PROTOCOL_VERSION:
-        raise TransportError(
-            f"protocol mismatch: node speaks rev {welcome.get('protocol')}, "
-            f"coordinator speaks rev {framing.PROTOCOL_VERSION}"
-        )
-    return welcome
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            socks = list(self._open)
+            self._open.clear()
+            self._idle.clear()
+        for sock in socks:
+            _hang_up(sock)
 
 
 class TcpTransport(Transport):
@@ -178,84 +252,49 @@ class TcpTransport(Transport):
         """
         self.fault_injector = fault_injector
         self._options = options
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="tcp-transport", daemon=True
+        self._inflight = threading.BoundedSemaphore(
+            max(1, options.inflight_limit)
         )
-        self._thread.start()
-        self._inflight = self._call(self._make_semaphore(options))
         self._pools: Dict[str, _NodePool] = {}
         self.addresses: Dict[str, Tuple[str, int]] = {}
+        wanted = {"protocol": framing.PROTOCOL_VERSION, **(expected or {})}
         try:
-            self._discover(list(addresses), options, expected or {})
+            for host, port in addresses:
+                self._discover((host, port), wanted)
         except BaseException:
             self.close()
             raise
 
-    @staticmethod
-    async def _make_semaphore(options: ExecOptions) -> asyncio.Semaphore:
-        # Created on the loop so it binds the right event loop on 3.9.
-        return asyncio.Semaphore(max(1, options.inflight_limit))
-
-    def _call(self, coro):
-        """Run a coroutine on the transport loop, blocking this thread."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
     # -- connect-time discovery ---------------------------------------------
 
     def _discover(
-        self,
-        addresses: List[Tuple[str, int]],
-        options: ExecOptions,
-        expected: Dict[str, Optional[str]],
+        self, address: Tuple[str, int], expected: Dict[str, object]
     ) -> None:
-        """One HELLO per address: which node, which rev, planning from
-        what (dataset, descriptor, chunk summaries)."""
-
-        async def probe(host: str, port: int) -> dict:
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port),
-                    timeout=options.connect_timeout,
-                )
-            except asyncio.TimeoutError:
-                raise TransportError(
-                    f"no node server at {host}:{port} "
-                    f"(dial timed out after {options.connect_timeout:g}s)"
-                ) from None
-            except OSError as exc:
-                raise TransportError(
-                    f"no node server at {host}:{port}: {exc}"
-                ) from None
-            try:
-                return await _hello(reader, writer)
-            finally:
-                writer.close()
-
-        for host, port in addresses:
-            welcome = self._call(probe(host, port))
-            node = welcome.get("node")
-            if not node:
-                raise TransportError(
-                    f"node server at {host}:{port} reported no node name"
-                )
-            if node in self.addresses:
-                raise TransportError(
-                    f"two servers ({self.addresses[node]} and "
-                    f"{(host, port)}) both claim node {node!r}"
-                )
-            for key, want in expected.items():
-                if welcome.get(key) != want:
-                    raise TransportError(
-                        f"node {node!r} at {host}:{port} plans from "
-                        f"{key} {welcome.get(key)!r}, the coordinator "
-                        f"from {want!r}; both must load the same "
-                        "descriptor and chunk summaries"
-                    )
-            self.addresses[node] = (host, port)
-            self._pools[node] = _NodePool(
-                node, host, port, self._options.max_connections_per_node
+        """One HELLO to an address: which node, which rev, planning from
+        what (dataset, descriptor, chunk summaries).  The probing
+        connection becomes the first of that node's pool."""
+        try:
+            sock, welcome = _dial(
+                address, expected, self._options.connect_timeout
             )
+        except OSError as exc:
+            raise TransportError(
+                "no node server at {}:{}: {}".format(*address, exc)
+            ) from None
+        node = welcome.get("node")
+        if not node or node in self.addresses:
+            sock.close()
+            raise TransportError(
+                f"node server at {address} reported no node name"
+                if not node else
+                f"two servers ({self.addresses[node]} and {address}) "
+                f"both claim node {node!r}"
+            )
+        self.addresses[node] = address
+        self._pools[node] = _NodePool(
+            node, address, self._options.max_connections_per_node,
+            expected, sock,
+        )
 
     @property
     def node_names(self) -> List[str]:
@@ -289,24 +328,24 @@ class TcpTransport(Transport):
             wire.encode_execute(plan, len(afcs), opts)
         ).encode("utf-8")
         start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(
-                "rpc", node=node, afcs=len(afcs),
-                request_bytes=len(payload),
-            ) as span:
-                batches, done = self._submit(node, payload, opts)
-                rtt = time.perf_counter() - start
+        with tracer.span(
+            "rpc", node=node, afcs=len(afcs), request_bytes=len(payload)
+        ) as span:
+            with self._inflight:
+                batches, data = self._pool(node).request(
+                    framing.EXECUTE, payload, framing.DONE,
+                    opts.connect_timeout,
+                )
+            done = framing.decode_json(data)
+            if tracer.enabled:
+                received = sum(len(b) for b in batches)
                 span.tag(
-                    rtt_seconds=round(rtt, 6),
-                    response_bytes=sum(len(b) for b in batches),
+                    rtt_seconds=round(time.perf_counter() - start, 6),
+                    response_bytes=received,
                     batches=len(batches),
                 )
                 tracer.metrics.record("net.requests")
-                tracer.metrics.record(
-                    "net.bytes_received", sum(len(b) for b in batches)
-                )
-        else:
-            batches, done = self._submit(node, payload, opts)
+                tracer.metrics.record("net.bytes_received", received)
         if done.get("afcs") != len(afcs):
             raise PlanMismatchError(
                 f"node {node!r} answered for {done.get('afcs')} AFC(s), "
@@ -314,96 +353,30 @@ class TcpTransport(Transport):
             )
         stats.merge(wire.decode_stats(done.get("stats", {})))
         if not batches:
-            return wire.empty_table(plan)
+            return empty_result(plan)
         tables = [wire.decode_table(b) for b in batches]
         return tables[0] if len(tables) == 1 else concat_tables(tables)
 
-    def _submit(self, node, payload, opts):
-        future = asyncio.run_coroutine_threadsafe(
-            self._execute(node, payload, opts), self._loop
-        )
-        # No timeout here: a hung node is the query service's business
-        # (ExecOptions.node_timeout abandons the whole attempt).
-        return future.result()
-
-    async def _execute(self, node: str, payload: bytes, opts: ExecOptions):
-        async with self._inflight:
-            pool = self._pool(node)
-            conn = await pool.acquire(opts.connect_timeout)
-            try:
-                try:
-                    await framing.write_frame_async(
-                        conn.writer, framing.EXECUTE, payload
-                    )
-                    batches: List[bytes] = []
-                    while True:
-                        kind, data = await framing.read_frame_async(
-                            conn.reader
-                        )
-                        if kind == framing.BATCH:
-                            batches.append(data)
-                        elif kind == framing.DONE:
-                            return batches, framing.decode_json(data)
-                        elif kind == framing.ERROR:
-                            raise wire.decode_error(
-                                framing.decode_json(data), node
-                            )
-                        else:
-                            raise TransportError(
-                                f"unexpected {framing.kind_name(kind)} "
-                                "frame in result stream"
-                            )
-                except (ConnectionError, OSError) as exc:
-                    conn.broken = True
-                    raise NodeConnectionError(node, exc) from None
-            finally:
-                pool.release(conn)
-
     # -- cluster-wide control ------------------------------------------------
 
-    async def _simple_request(self, node: str, kind: int, want: int) -> None:
-        pool = self._pool(node)
-        conn = await pool.acquire(self._options.connect_timeout)
-        try:
-            try:
-                await framing.write_frame_async(conn.writer, kind)
-                got, _ = await framing.read_frame_async(conn.reader)
-            except (ConnectionError, OSError) as exc:
-                conn.broken = True
-                raise NodeConnectionError(node, exc) from None
-            if got != want:
-                raise TransportError(
-                    f"expected {framing.kind_name(want)}, got "
-                    f"{framing.kind_name(got)}"
-                )
-        finally:
-            pool.release(conn)
+    def _control(self, node: str, kind: int, want: int) -> None:
+        self._pool(node).request(
+            kind, b"", want, self._options.connect_timeout
+        )
 
     def drop_caches(self) -> None:
         """Tell every node server to forget handles/segments (cold runs)."""
         for node in self.addresses:
-            self._call(
-                self._simple_request(node, framing.DROP_CACHES, framing.OK)
-            )
+            self._control(node, framing.DROP_CACHES, framing.OK)
 
     def ping(self, node: str) -> None:
-        self._call(self._simple_request(node, framing.PING, framing.PONG))
+        self._control(node, framing.PING, framing.PONG)
 
     def close(self) -> None:
-        if self._loop.is_closed():
-            return
-
-        async def _shutdown():
-            for pool in self._pools.values():
-                pool.close_all()
-
-        try:
-            self._call(_shutdown())
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        self._loop.close()
+        """Hang up on every node; requests still on the wire fail with a
+        :class:`~repro.errors.NodeConnectionError`."""
+        for pool in self._pools.values():
+            pool.close()
 
     def __repr__(self) -> str:
         addrs = ", ".join(

@@ -12,14 +12,14 @@ without lookahead or sentinels; the 1-byte kind dispatches it.  Payloads
 are either UTF-8 JSON (control messages, queries, stats) or the binary
 columnar encoding of :func:`repro.net.wire.encode_table` (BATCH frames).
 
-The same framing is exposed twice: blocking-socket helpers for the
-threaded :class:`~repro.net.server.NodeServer`, and asyncio helpers for
-the coordinator's pooled :class:`~repro.net.client.TcpTransport`.
+Both ends speak it through the same blocking-socket helpers: the
+threaded :class:`~repro.net.server.NodeServer` and the coordinator's
+pooled :class:`~repro.net.client.TcpTransport` call :func:`read_frame`
+and :func:`write_frame` from whichever thread owns the connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -72,31 +72,28 @@ def _check_length(kind: int, length: int) -> None:
         )
 
 
-# -- blocking-socket side (server) ------------------------------------------
-
-
-def recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes; raise ConnectionError on EOF."""
-    parts = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    """Receive exactly ``count`` bytes, straight into the one buffer
+    they need (a multi-megabyte BATCH is never held twice); raise
+    ConnectionError on EOF."""
+    buf = bytearray(count)
+    view = memoryview(buf)
+    read = 0
+    while read < count:
+        got = sock.recv_into(view[read:])
+        if not got:
             raise ConnectionError(
-                f"connection closed mid-frame ({count - remaining}/{count} "
-                "bytes read)"
+                f"connection closed mid-frame ({read}/{count} bytes read)"
             )
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+        read += got
+    return buf
 
 
-def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
+def read_frame(sock: socket.socket) -> Tuple[int, bytearray]:
     """Read one frame; raises ConnectionError when the peer hung up."""
-    kind, length = _HEADER.unpack(recv_exact(sock, _HEADER.size))
+    kind, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     _check_length(kind, length)
-    payload = recv_exact(sock, length) if length else b""
-    return kind, payload
+    return kind, _recv_exact(sock, length)
 
 
 def write_frame(sock: socket.socket, kind: int, payload: bytes = b"") -> None:
@@ -105,31 +102,6 @@ def write_frame(sock: socket.socket, kind: int, payload: bytes = b"") -> None:
 
 def write_json(sock: socket.socket, kind: int, obj: Any) -> None:
     write_frame(sock, kind, json.dumps(obj).encode("utf-8"))
-
-
-# -- asyncio side (coordinator) ---------------------------------------------
-
-
-async def read_frame_async(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
-    """Read one frame; raises ConnectionError on a truncated stream."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-        kind, length = _HEADER.unpack(header)
-        _check_length(kind, length)
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionError(
-            "connection closed mid-frame "
-            f"({len(exc.partial)}/{exc.expected} bytes read)"
-        ) from None
-    return kind, payload
-
-
-async def write_frame_async(
-    writer: asyncio.StreamWriter, kind: int, payload: bytes = b""
-) -> None:
-    writer.write(_HEADER.pack(kind, len(payload)) + payload)
-    await writer.drain()
 
 
 def decode_json(payload: bytes) -> Any:

@@ -89,7 +89,6 @@ class NodeServer:
         )
         self._sock = socket.create_server((host, port))
         self._shutdown = threading.Event()
-        self._conn_threads: list = []
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -118,14 +117,15 @@ class NodeServer:
                     continue
                 except OSError:
                     break
-                thread = threading.Thread(
+                # Daemon threads, deliberately untracked: each ends with
+                # its connection, and a list of them would grow with
+                # every probe and redial for the life of the server.
+                threading.Thread(
                     target=self._serve_connection,
                     args=(conn,),
                     name=f"node-{self.node}-conn",
                     daemon=True,
-                )
-                thread.start()
-                self._conn_threads.append(thread)
+                ).start()
         finally:
             self.close()
 

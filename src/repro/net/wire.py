@@ -41,6 +41,7 @@ import numpy as np
 
 from ..core.afc import AlignedFileChunkSet, ChunkRef, ExtractionPlan, InnerVar
 from ..core.aggregate import AggregateSpec
+from ..core.extractor import empty_result
 from ..core.options import ExecOptions
 from ..core.stats import IOStats
 from ..core.strips import LoopDim, Strip
@@ -458,22 +459,9 @@ def decode_table(payload: bytes) -> VirtualTable:
     return VirtualTable(columns, order=order)
 
 
-def empty_table(plan: ExtractionPlan) -> VirtualTable:
-    """The zero-batch result shape (all output columns, zero rows).
-
-    Aggregate plans return partial *state frames*, so their empty shape
-    is the zero-row state frame, not the base-row projection.
-    """
-    spec = getattr(plan, "aggregate", None)
-    if spec is not None:
-        return spec.empty_state(plan.dtypes)
-    return VirtualTable(
-        {
-            name: np.empty(0, dtype=plan.dtypes.get(name, np.float64))
-            for name in plan.output
-        },
-        order=plan.output,
-    )
+#: The zero-batch result shape, under the name this module has always
+#: exported it by.
+empty_table = empty_result
 
 
 # -- stats and errors -------------------------------------------------------

@@ -167,15 +167,13 @@ class Catalog:
         self,
         sql: Union[Query, str],
         options: Optional[ExecOptions] = None,
-        **submit_kwargs,
     ) -> QueryResult:
         """Route a query (possibly over a view) to its dataset's service.
 
-        ``options`` carries the execution knobs; extra keywords are the
-        deprecated per-call overrides that ``QueryService.submit`` shims.
+        ``options`` carries the execution knobs.
         """
         query = self._resolve(sql)
-        return self.service(query.table).submit(query, options, **submit_kwargs)
+        return self.service(query.table).submit(query, options)
 
     def explain(self, sql: Union[Query, str]) -> str:
         query = self._resolve(sql)

@@ -26,14 +26,16 @@ degradation is recorded through the tracer (spans ``retry`` and
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Type, TypeVar, Union
 
 from ..core.afc import group_by_home_node
+from ..core.extractor import empty_result
 from ..core.options import DEFAULT_OPTIONS, ExecOptions, resolve_workers
 from ..core.pipeline import (  # noqa: F401 - pseudo-node names re-exported
     CACHE_NODE,
@@ -60,7 +62,6 @@ from .cluster import VirtualCluster
 from .cost import CostModel, STORM_COST
 from .data_source import DataSourceService
 from .filtering import FilteringService
-from .indexing_service import IndexingService
 from .mover import DataMoverService, Delivery
 from .partition import RoundRobinPartitioner
 from .transport import LocalTransport, Transport
@@ -71,6 +72,8 @@ _RETRYABLE = (ExtractionError, NodeTimeoutError, OSError)
 
 #: Pseudo-node name under which result-transfer failures are reported.
 TRANSFER_NODE = "_transfer"
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -142,9 +145,6 @@ class QueryService:
         self.dataset = dataset
         self.cluster = cluster
         self.cost_model = cost_model
-        #: Built lazily: hand-written planners (duck-typed datasets with
-        #: only a .plan()) can run through the same service pipeline.
-        self._indexing: Optional[IndexingService] = None
         self.filtering = FilteringService(functions)
         #: Optional repro.faults.FaultInjector: wraps every node mount
         #: and gates mover deliveries (chaos testing).
@@ -190,12 +190,6 @@ class QueryService:
         )
 
     @property
-    def indexing(self) -> IndexingService:
-        if self._indexing is None:
-            self._indexing = IndexingService(self.dataset)
-        return self._indexing
-
-    @property
     def sources(self) -> Dict[str, DataSourceService]:
         """The local transport's per-node service map (same dict object).
 
@@ -203,10 +197,6 @@ class QueryService:
         Kept as a live view for tests and tooling that reach into it.
         """
         return getattr(self.transport, "sources", {})
-
-    def _source(self, node: str) -> DataSourceService:
-        """Deprecated internal accessor; kept for existing callers."""
-        return self.transport.source(node)
 
     def _pool(self, opts: ExecOptions) -> ThreadPoolExecutor:
         """The shared node fan-out pool, built on first parallel use.
@@ -286,16 +276,36 @@ class QueryService:
 
             transfer_stats = IOStats()
             deliveries: List[Delivery] = []
-            messages = 0
             if opts.remote:
-                deliveries, transfer_stats, transfer_exc = self._move_resilient(
-                    table, opts, ctx, tracer, attempts_allowed
-                )
-                if transfer_exc is not None:
+                # The data mover runs under the same retry policy as
+                # extraction, as the pseudo-node "_transfer".  It is
+                # given no stats to write: what a failed attempt sent
+                # must not count, so the transfer's bytes are read off
+                # the deliveries that did arrive.
+                try:
+                    deliveries = self._retried(
+                        TRANSFER_NODE,
+                        functools.partial(
+                            self.mover.move,
+                            table,
+                            opts.partitioner or RoundRobinPartitioner(),
+                            opts.num_clients,
+                            None,
+                            tracer,
+                        ),
+                        InjectedFault,
+                        opts,
+                        ctx,
+                        attempts_allowed,
+                    )
+                except NodeFailureError:
                     if not opts.allow_partial:
-                        raise transfer_exc
+                        raise
                     failed_nodes.append(TRANSFER_NODE)
-                messages = sum(d.messages for d in deliveries)
+                transfer_stats.bytes_sent = sum(
+                    d.bytes_sent for d in deliveries
+                )
+            messages = sum(d.messages for d in deliveries)
 
             simulated = self.cost_model.makespan(
                 per_node_stats, transfer_stats.bytes_sent, messages
@@ -359,12 +369,45 @@ class QueryService:
 
         run_state = opts.run_state
 
-        def attempt_node(node: str, attempt_stats: IOStats) -> VirtualTable:
-            """One extraction attempt, bounded by node_timeout."""
-            if opts.node_timeout is None:
-                return self.transport.execute_node(
-                    node, plan, by_node[node], attempt_stats, tracer, opts
+        #: Attempts made per node; each key is written by one thread.
+        attempts: Dict[str, int] = dict.fromkeys(by_node, 0)
+
+        def attempt_node(node: str) -> VirtualTable:
+            """One extraction attempt, bounded by node_timeout; its
+            counters join the node's unless it was abandoned as hung."""
+            if run_state is not None:
+                run_state.checkpoint()
+            attempts[node] += 1
+            attempt_stats = IOStats()
+            try:
+                if opts.node_timeout is None:
+                    partial = self.transport.execute_node(
+                        node, plan, by_node[node], attempt_stats, tracer, opts
+                    )
+                else:
+                    partial = attempt_bounded(node, attempt_stats)
+            except _RETRYABLE as exc:
+                # A timed-out attempt was abandoned, not finished: its
+                # sacrificial thread may still be mutating
+                # attempt_stats, so merging it here would both race and
+                # double-count the partial work on top of the retry's
+                # counts.
+                if not isinstance(exc, NodeTimeoutError):
+                    per_node_stats[node].merge(attempt_stats)
+                raise
+            per_node_stats[node].merge(attempt_stats)
+            if run_state is not None and not getattr(
+                self.transport, "cooperative_quotas", False
+            ):
+                # Remote nodes never see the run state (it does not
+                # cross the wire), so quotas are charged here, per node
+                # partial, at the coordinator.
+                run_state.charge(
+                    rows=partial.num_rows, nbytes=attempt_stats.bytes_read
                 )
+            return partial
+
+        def attempt_bounded(node: str, attempt_stats: IOStats) -> VirtualTable:
             # A hung attempt cannot be interrupted from outside, so it
             # runs on a sacrificial thread we abandon on timeout (it
             # ends when its blocking read does, still writing into an
@@ -418,82 +461,37 @@ class QueryService:
                 raise error  # type: ignore[misc]
             return box["result"]  # type: ignore[return-value]
 
-        def run_node(node: str) -> VirtualTable:
-            # Worker threads have an empty span stack; parent the
-            # per-node span under the query root via the context.
-            with ctx.span(
-                "extract", node=node, afcs=len(by_node[node])
-            ) as span:
-                node_ctx = ctx.child(span)
-                last_exc: Optional[Exception] = None
-                for attempt in range(attempts_allowed):
-                    if run_state is not None:
-                        run_state.checkpoint()
-                    attempt_stats = IOStats()
-                    try:
-                        if attempt == 0:
-                            partial = attempt_node(node, attempt_stats)
-                        else:
-                            backoff = opts.retry_backoff * (2 ** (attempt - 1))
-                            with node_ctx.span(
-                                "retry",
-                                node=node,
-                                attempt=attempt,
-                                backoff=round(backoff, 6),
-                                error=f"{type(last_exc).__name__}: {last_exc}",
-                            ):
-                                tracer.metrics.record("retries.attempted")
-                                if backoff > 0:
-                                    time.sleep(backoff)
-                                partial = attempt_node(node, attempt_stats)
-                    except _RETRYABLE as exc:
-                        # A timed-out attempt was abandoned, not
-                        # finished: its sacrificial thread may still
-                        # be mutating attempt_stats, so merging it
-                        # here would both race and double-count the
-                        # partial work on top of the retry's counts.
-                        if not isinstance(exc, NodeTimeoutError):
-                            per_node_stats[node].merge(attempt_stats)
-                        last_exc = exc
-                        continue
-                    per_node_stats[node].merge(attempt_stats)
-                    if run_state is not None and not getattr(
-                        self.transport, "cooperative_quotas", False
-                    ):
-                        # Remote nodes never see the run state (it does
-                        # not cross the wire), so quotas are charged
-                        # here, per node partial, at the coordinator.
-                        run_state.charge(
-                            rows=partial.num_rows,
-                            nbytes=attempt_stats.bytes_read,
-                        )
+        def run_node(node: str) -> Optional[VirtualTable]:
+            """The node's partial, or None once its failure is recorded."""
+            try:
+                # Worker threads have an empty span stack; parent the
+                # per-node span under the query root via the context.
+                with ctx.span(
+                    "extract", node=node, afcs=len(by_node[node])
+                ) as span:
+                    partial = self._retried(
+                        node,
+                        functools.partial(attempt_node, node),
+                        _RETRYABLE,
+                        opts,
+                        ctx.child(span),
+                        attempts_allowed,
+                    )
                     span.tag(
                         rows=partial.num_rows,
                         bytes_read=per_node_stats[node].bytes_read,
-                        attempts=attempt + 1,
+                        attempts=attempts[node],
                     )
                     return partial
-                tracer.metrics.record("nodes.failed")
-                node_ctx.event(
-                    "node_failure",
-                    node=node,
-                    attempts=attempts_allowed,
-                    error=f"{type(last_exc).__name__}: {last_exc}",
-                )
-                raise NodeFailureError(node, attempts_allowed, last_exc)
-
-        def guarded(node: str) -> Optional[VirtualTable]:
-            try:
-                return run_node(node)
             except NodeFailureError as exc:
                 failures[node] = exc
                 return None
 
         nodes = list(by_node)
         if opts.parallel and len(nodes) > 1:
-            maybe_partials = list(self._pool(opts).map(guarded, nodes))
+            maybe_partials = list(self._pool(opts).map(run_node, nodes))
         else:
-            maybe_partials = [guarded(node) for node in nodes]
+            maybe_partials = [run_node(node) for node in nodes]
 
         if run_state is not None:
             # A cancel or quota trip that raced the last node's
@@ -507,77 +505,55 @@ class QueryService:
             raise failures[failed_nodes[0]]
         partials = [p for p in maybe_partials if p is not None]
 
-        if partials:
-            table = concat_tables(partials)
-        elif getattr(plan, "aggregate", None) is not None:
-            # Aggregate plans return state frames, not base rows.
-            table = plan.aggregate.empty_state(plan.dtypes)
-        else:
-            import numpy as np
-
-            table = VirtualTable(
-                {
-                    n: np.empty(0, dtype=plan.dtypes.get(n, np.float64))
-                    for n in plan.output
-                },
-                order=plan.output,
-            )
+        table = concat_tables(partials) if partials else empty_result(plan)
         return table, per_node_stats, failed_nodes
 
-    def _move_resilient(
+    def _retried(
         self,
-        table: VirtualTable,
+        node: str,
+        attempt: Callable[[], _T],
+        retryable: Union[Type[Exception], Tuple[Type[Exception], ...]],
         opts: ExecOptions,
         ctx: TraceContext,
-        tracer,
         attempts_allowed: int,
-    ):
-        """Run the data mover with the same retry policy as extraction.
+    ) -> _T:
+        """The one retry loop: ``attempt()`` under the options' policy.
 
-        Returns ``(deliveries, transfer_stats, failure)``; on exhausted
-        retries the failure is a :class:`NodeFailureError` for the
-        pseudo-node ``"_transfer"`` and the deliveries are empty.
+        The first attempt runs plain; attempt *k* runs inside a ``retry``
+        span after sleeping ``retry_backoff * 2**(k-1)``.  Returns the
+        first result.  When every allowed attempt raised one of
+        ``retryable``, records the failure of ``node`` (a real node or a
+        pseudo-node such as ``"_transfer"``) and raises
+        :class:`~repro.errors.NodeFailureError`; anything else
+        propagates at once.
         """
-        partitioner = opts.partitioner or RoundRobinPartitioner()
         last_exc: Optional[Exception] = None
-        for attempt in range(attempts_allowed):
-            transfer_stats = IOStats()
+        for number in range(attempts_allowed):
             try:
-                if attempt == 0:
-                    deliveries = self.mover.move(
-                        table, partitioner, opts.num_clients,
-                        transfer_stats, tracer,
-                    )
-                else:
-                    backoff = opts.retry_backoff * (2 ** (attempt - 1))
-                    with ctx.span(
-                        "retry",
-                        node=TRANSFER_NODE,
-                        attempt=attempt,
-                        backoff=round(backoff, 6),
-                        error=f"{type(last_exc).__name__}: {last_exc}",
-                    ):
-                        tracer.metrics.record("retries.attempted")
-                        if backoff > 0:
-                            time.sleep(backoff)
-                        deliveries = self.mover.move(
-                            table, partitioner, opts.num_clients,
-                            transfer_stats, tracer,
-                        )
-            except InjectedFault as exc:
+                if number == 0:
+                    return attempt()
+                backoff = opts.retry_backoff * (2 ** (number - 1))
+                with ctx.span(
+                    "retry",
+                    node=node,
+                    attempt=number,
+                    backoff=round(backoff, 6),
+                    error=f"{type(last_exc).__name__}: {last_exc}",
+                ):
+                    ctx.tracer.metrics.record("retries.attempted")
+                    if backoff > 0:
+                        time.sleep(backoff)
+                    return attempt()
+            except retryable as exc:
                 last_exc = exc
-                continue
-            return deliveries, transfer_stats, None
-        tracer.metrics.record("nodes.failed")
+        ctx.tracer.metrics.record("nodes.failed")
         ctx.event(
             "node_failure",
-            node=TRANSFER_NODE,
+            node=node,
             attempts=attempts_allowed,
             error=f"{type(last_exc).__name__}: {last_exc}",
         )
-        return [], IOStats(), NodeFailureError(
-            TRANSFER_NODE, attempts_allowed, last_exc
-        )
+        raise NodeFailureError(node, attempts_allowed, last_exc)
 
     def _abandon_thread(self, tracer) -> None:
         """Account one sacrificial thread left to die on its own."""

@@ -12,8 +12,8 @@ query over a socket to a node server process that plans its own share
 
 ``LocalTransport`` owns what used to live directly on ``QueryService``:
 the lazily-built per-node service map and its construction lock.  The
-service keeps delegating ``sources`` / ``_source`` so existing callers
-and tests see the same objects.
+service keeps delegating ``sources`` so existing callers and tests see
+the same objects.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def assert_tables_identical(got, want):
 
 class TestSourceRace:
     def test_concurrent_source_builds_single_instance(self, service, monkeypatch):
-        # Widen the construction window: without the lock in _source two
+        # Widen the construction window: without the lock in source() two
         # threads both miss the dict and build duplicate services.
         created = []
         real_init = DataSourceService.__init__
@@ -67,7 +67,7 @@ class TestSourceRace:
 
         def build():
             barrier.wait()
-            return service._source("osu0")
+            return service.transport.source("osu0")
 
         with ThreadPoolExecutor(max_workers=num_threads) as pool:
             sources = list(pool.map(lambda _: build(), range(num_threads)))

@@ -8,7 +8,7 @@ import repro
 from repro.core import ExecOptions, GeneratedDataset, Virtualizer, local_mount, open_dataset
 from repro.core.options import DEFAULT_OPTIONS
 from repro.obs import NULL_TRACER, Tracer
-from repro.storm import QueryService, RoundRobinPartitioner, VirtualCluster
+from repro.storm import Catalog, QueryService, RoundRobinPartitioner, VirtualCluster
 from repro.datasets import IparsConfig, ipars
 from tests.conftest import assert_tables_equal
 
@@ -77,15 +77,19 @@ class TestSubmitOptions:
         """The PR-1 per-method keywords were deprecation shims; they now
         fail like any other unknown argument instead of being folded
         into the options."""
-        _, _, service = small_service
-        for legacy in (
-            {"num_clients": 2},
-            {"partitioner": RoundRobinPartitioner()},
-            {"remote": False},
-            {"parallel": False},
-        ):
-            with pytest.raises(TypeError):
-                service.submit("SELECT X FROM IparsData", **legacy)
+        text, cluster, service = small_service
+        with Catalog(cluster) as catalog:
+            catalog.register(text)
+            for legacy in (
+                {"num_clients": 2},
+                {"partitioner": RoundRobinPartitioner()},
+                {"remote": False},
+                {"parallel": False},
+            ):
+                with pytest.raises(TypeError):
+                    service.submit("SELECT X FROM IparsData", **legacy)
+                with pytest.raises(TypeError):
+                    catalog.query("SELECT X FROM IparsData", **legacy)
         _, text, mount = ipars_l0
         with Virtualizer(text, mount) as v:
             with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ STORM path, asserted bit-identical against the in-process reference.
 
 import contextlib
 import json
+import select
 import socket
 import threading
 
@@ -727,3 +728,375 @@ class TestNodeServerHoldsNoPlans:
                         time.sleep(0.001)
                         gc.collect()
                     planned.clear()
+
+    def test_200_connections_leave_no_connection_object_behind(
+        self, one_node, monkeypatch
+    ):
+        """Every connect() probe and every redial is a new connection; a
+        long-lived server must forget each one when it ends."""
+        import gc
+        import time
+        import weakref
+
+        text, root = one_node
+        seen = []
+        honest = NodeServer._serve_connection
+
+        def recording_serve(self, conn):
+            seen.append(weakref.ref(conn))
+            seen.append(weakref.ref(threading.current_thread()))
+            honest(self, conn)
+
+        monkeypatch.setattr(NodeServer, "_serve_connection", recording_serve)
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            for _ in range(200):
+                with socket.create_connection(server.address, timeout=10) as sock:
+                    kind, _ = _raw_request(
+                        sock, framing.HELLO,
+                        b'{"protocol": %d}' % framing.PROTOCOL_VERSION,
+                    )
+                    assert kind == framing.WELCOME
+        # The accept loop has returned (its frame held the last socket);
+        # what is left is what the server object itself keeps.
+        assert len(seen) == 400
+        deadline = time.monotonic() + 5
+        while any(ref() is not None for ref in seen):
+            assert time.monotonic() < deadline, (
+                f"{server!r} still holds "
+                f"{sum(ref() is not None for ref in seen)} "
+                "per-connection object(s) of closed connections"
+            )
+            time.sleep(0.01)
+            gc.collect()
+
+
+# ---------------------------------------------------------------------------
+# The coordinator's pool: blocking sockets, driven by the caller's thread
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def executes_observed(monkeypatch, hold=0.01):
+    """Count node-side executions in progress, process-wide; yields a
+    dict whose ``peak`` is the most that ever overlapped.
+
+    Observed around ``DataSourceService.execute``, which ends before the
+    first reply frame is written: two of them overlapping means two
+    requests were on the wire at once, whatever the thread timing."""
+    import time
+
+    from repro.storm.data_source import DataSourceService
+
+    seen = {"active": 0, "peak": 0, "calls": 0}
+    lock = threading.Lock()
+    honest = DataSourceService.execute
+
+    def observed(self, *args, **kwargs):
+        with lock:
+            seen["calls"] += 1
+            seen["active"] += 1
+            seen["peak"] = max(seen["peak"], seen["active"])
+        try:
+            time.sleep(hold)  # widen the window an overlap would show in
+            return honest(self, *args, **kwargs)
+        finally:
+            with lock:
+                seen["active"] -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DataSourceService, "execute", observed)
+        yield seen
+
+
+def _concurrently(calls):
+    """Run the thunks on one thread each, released together; returns
+    their results in order (exceptions re-raised)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    barrier = threading.Barrier(len(calls))
+
+    def run(call):
+        barrier.wait(timeout=10)
+        return call()
+
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        futures = [pool.submit(run, call) for call in calls]
+        return [f.result(timeout=30) for f in futures]
+
+
+class TestCoordinatorPool:
+    def test_one_connection_serialises_eight_callers(
+        self, one_node, monkeypatch
+    ):
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        with serving("osu0", root, dataset) as server:
+            with TcpTransport(
+                [server.address], ExecOptions(max_connections_per_node=1)
+            ) as transport:
+                expected = transport.execute_node(
+                    "osu0", plan, plan.afcs, IOStats()
+                )
+                with executes_observed(monkeypatch) as seen:
+                    tables = _concurrently([
+                        lambda: transport.execute_node(
+                            "osu0", plan, plan.afcs, IOStats()
+                        )
+                    ] * 8)
+                assert seen["calls"] == 8 and seen["peak"] == 1
+                # The discovery probe's connection carried all nine.
+                assert transport._pools["osu0"].dials == 1
+        for table in tables:
+            assert_bit_identical(table, expected)
+
+    def test_inflight_limit_is_cluster_wide(
+        self, cluster_dataset, monkeypatch
+    ):
+        text, root = cluster_dataset
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        shares = {
+            node: [a for a in plan.afcs if a.chunks[0].node == node]
+            for node in ("osu0", "osu1")
+        }
+        assert all(shares.values())
+
+        def peak_with(**options):
+            with TcpTransport(
+                [one.address, two.address], ExecOptions(**options)
+            ) as transport, executes_observed(monkeypatch) as seen:
+                _concurrently([
+                    lambda node=node: transport.execute_node(
+                        node, plan, shares[node], IOStats()
+                    )
+                    for node in ("osu0", "osu1") * 4
+                ])
+            assert seen["calls"] == 8
+            return seen["peak"]
+
+        with serving("osu0", root, dataset) as one, serving(
+            "osu1", root, dataset
+        ) as two:
+            assert peak_with(inflight_limit=1) == 1
+            # The harness can see overlap when the limit allows it.
+            assert peak_with(inflight_limit=8) > 1
+
+    def test_idle_connection_closed_by_the_node_is_redialled(
+        self, one_node, monkeypatch
+    ):
+        import time
+
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        accepted = []
+        honest = NodeServer._serve_connection
+
+        def recording_serve(self, conn):
+            accepted.append(conn)
+            honest(self, conn)
+
+        monkeypatch.setattr(NodeServer, "_serve_connection", recording_serve)
+        with serving("osu0", root, dataset) as server:
+            with TcpTransport([server.address]) as transport:
+                pool = transport._pools["osu0"]
+                (idle,) = pool._idle
+                accepted[0].shutdown(socket.SHUT_RDWR)
+                deadline = time.monotonic() + 5
+                while not select.select([idle], [], [], 0)[0]:  # EOF lands
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                # Handed to the request, the dead socket would fail it:
+                # the transport itself never retries.
+                table = transport.execute_node(
+                    "osu0", plan, plan.afcs, IOStats()
+                )
+                assert table.num_rows > 0
+                assert pool.dials == 2
+                assert idle not in pool._open and idle.fileno() == -1
+
+    def test_connection_that_failed_mid_reply_is_never_reused(self, one_node):
+        from repro.errors import NodeConnectionError
+        from repro.faults import FaultInjector, parse_rule
+
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        injector = FaultInjector(
+            [parse_rule("conn-reset:osu0:*:times=1")], seed=7
+        )
+        with serving("osu0", root, dataset, fault_injector=injector) as server:
+            with TcpTransport([server.address]) as transport:
+                pool = transport._pools["osu0"]
+                (first,) = pool._idle
+                with pytest.raises(NodeConnectionError, match="osu0"):
+                    transport.execute_node("osu0", plan, plan.afcs, IOStats())
+                assert not pool._idle and not pool._open
+                assert first.fileno() == -1
+                table = transport.execute_node(
+                    "osu0", plan, plan.afcs, IOStats()
+                )
+                assert table.num_rows > 0
+                assert pool.dials == 2
+
+    def test_close_wakes_a_request_blocked_on_a_stalled_node(
+        self, one_node, monkeypatch
+    ):
+        import time
+
+        from repro.errors import NodeConnectionError
+
+        text, root = one_node
+        dataset = GeneratedDataset(text)
+        plan = dataset.plan(SQL)
+        entered, unstall = threading.Event(), threading.Event()
+
+        def stalled(self, conn, payload):
+            entered.set()
+            unstall.wait(timeout=30)
+            return False
+
+        monkeypatch.setattr(NodeServer, "_execute", stalled)
+        outcome = {}
+
+        def request():
+            try:
+                transport.execute_node("osu0", plan, plan.afcs, IOStats())
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        with serving("osu0", root, dataset) as server:
+            transport = TcpTransport([server.address])
+            blocked = threading.Thread(target=request)
+            blocked.start()
+            try:
+                assert entered.wait(timeout=10)
+                start = time.monotonic()
+                transport.close()
+                blocked.join(timeout=5)
+                waited = time.monotonic() - start
+            finally:
+                unstall.set()
+            assert not blocked.is_alive()
+        assert isinstance(outcome.get("error"), NodeConnectionError)
+        assert waited < 2
+        # A closed transport dials nothing more.
+        with pytest.raises(NodeConnectionError, match="closed"):
+            transport.ping("osu0")
+
+    def test_transport_starts_no_thread(self, procs, cluster_dataset):
+        """Node servers in other processes, so every thread counted here
+        would be the coordinator's own."""
+        text, _ = cluster_dataset
+        dataset = GeneratedDataset(text)
+        before = threading.enumerate()
+        transport = TcpTransport(list(procs.addresses.values()))
+        try:
+            assert threading.enumerate() == before
+            with repro.storm.QueryService(
+                dataset, transport=transport
+            ) as service:
+                result = service.submit(SQL, ExecOptions(parallel=False))
+                assert result.num_rows > 0
+                assert threading.enumerate() == before
+        finally:
+            transport.close()
+        assert threading.enumerate() == before
+
+
+class TestConnectTimeoutCoversTheHandshake:
+    """``connect_timeout`` is "one TCP dial (plus handshake)": a listener
+    that accepts and never speaks must not hang the coordinator."""
+
+    def test_mute_listener_fails_connect(self, one_node):
+        import time
+
+        text, _ = one_node
+        # Never accept()ed: the kernel completes the dial, nobody reads
+        # the HELLO.
+        with socket.create_server(("127.0.0.1", 0)) as mute:
+            url = "tcp://127.0.0.1:{}".format(mute.getsockname()[1])
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="no node server"):
+                repro.connect(url, descriptor=text, connect_timeout=0.3)
+            assert time.monotonic() - start < 2
+
+    def test_mute_listener_fails_a_pooled_redial_retryably(self):
+        import time
+
+        from repro.errors import ExtractionError, NodeConnectionError
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def welcome_once_then_mute():
+                conn, _ = listener.accept()
+                with conn:
+                    framing.read_frame(conn)
+                    framing.write_json(
+                        conn, framing.WELCOME,
+                        {"node": "osu0", "protocol": framing.PROTOCOL_VERSION},
+                    )
+
+            server = threading.Thread(target=welcome_once_then_mute)
+            server.start()
+            with TcpTransport(
+                [listener.getsockname()[:2]], ExecOptions(connect_timeout=0.3)
+            ) as transport:
+                server.join(timeout=10)
+                assert not server.is_alive()
+                pool = transport._pools["osu0"]
+                deadline = time.monotonic() + 5
+                while not select.select([pool._idle[0]], [], [], 0)[0]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                start = time.monotonic()
+                with pytest.raises(NodeConnectionError, match="WELCOME") as info:
+                    transport.ping("osu0")
+                assert time.monotonic() - start < 2
+                assert isinstance(info.value, ExtractionError)  # retryable
+                # The failed dial gave its pool slot back.
+                with pytest.raises(NodeConnectionError):
+                    transport.ping("osu0")
+
+
+# ---------------------------------------------------------------------------
+# One zero-row result, however a query came to have no rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT REL, X, SOIL FROM IparsData WHERE SOIL > 2.0",
+        "SELECT REL, COUNT(*), AVG(SOIL), MIN(X) FROM IparsData "
+        "WHERE SOIL > 2.0 GROUP BY REL",
+    ],
+    ids=["rows", "aggregate"],
+)
+def test_zero_rows_look_the_same_over_tcp_and_after_losing_every_node(
+    one_node, sql
+):
+    from repro.faults import FaultInjector, parse_rule
+    from repro.obs import Tracer
+
+    text, root = one_node
+    tracer = Tracer("zero")
+    with serving("osu0", root, GeneratedDataset(text)) as server:
+        url = "tcp://{}:{}".format(*server.address)
+        with repro.connect(url, descriptor=text, trace=tracer) as db:
+            unanswered = db.submit(sql)
+    (rpc,) = [s for s in tracer.spans if s.name == "rpc"]
+    assert rpc.tags["batches"] == 0
+    assert not unanswered.degraded
+    with repro.connect(
+        f"local://{root}", descriptor=text, allow_partial=True,
+        fault_injector=FaultInjector([parse_rule("node-down:osu0")], seed=7),
+    ) as db:
+        lost = db.submit(sql)
+    assert lost.failed_nodes == ["osu0"]
+    for table in (unanswered.table, lost.table):
+        assert table.num_rows == 0
+    assert unanswered.table.column_names == lost.table.column_names
+    for name in lost.table.column_names:
+        assert unanswered.table[name].dtype == lost.table[name].dtype

@@ -1,6 +1,7 @@
 """Wire-protocol unit tests: framing and serialization, no processes."""
 
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -67,6 +68,36 @@ class TestFraming:
                 framing.read_frame(b)
         finally:
             b.close()
+
+    def test_cut_mid_payload_names_bytes_read_and_expected(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(framing._HEADER.pack(framing.BATCH, 1000) + b"x" * 400)
+            a.close()
+            with pytest.raises(ConnectionError, match=r"400/1000 bytes"):
+                framing.read_frame(b)
+        finally:
+            b.close()
+
+    def test_20_mib_batch_roundtrips_bit_identically(self):
+        """Far past any socket buffer: many partial receives into the
+        one buffer the header's length calls for."""
+        payload = np.random.default_rng(3).bytes(20 << 20)
+        a, b = socket.socketpair()
+        writer = threading.Thread(
+            target=framing.write_frame, args=(a, framing.BATCH, payload)
+        )
+        writer.start()
+        try:
+            kind, received = framing.read_frame(b)
+        finally:
+            writer.join(timeout=10)
+            a.close()
+            b.close()
+        assert not writer.is_alive()
+        assert kind == framing.BATCH
+        assert len(received) == len(payload)
+        assert received == payload
 
     def test_oversized_length_rejected(self):
         a, b = socket.socketpair()
