@@ -6,7 +6,7 @@ query planning, code generation of specialised index functions, and the
 chunk extractor.
 """
 
-from .afc import AlignedFileChunkSet, ChunkRef, ExtractionPlan, InnerVar
+from .afc import AfcTable, AlignedFileChunkSet, ChunkRef, ExtractionPlan, InnerVar
 from .aggregate import (
     AggregateSpec,
     aggregate_rows,
@@ -42,6 +42,7 @@ from .table import VirtualTable, concat_tables
 from .virtualizer import Virtualizer, open_dataset
 
 __all__ = [
+    "AfcTable",
     "AggregateSpec",
     "AlignedFileChunkSet",
     "Alignment",

@@ -393,24 +393,31 @@ def summary_answer(plan, summaries) -> Optional[VirtualTable]:
     def attr_bounds(attr: str) -> Optional[Tuple[float, float]]:
         """(min, max) of ``attr`` across every planned AFC, or None."""
         lo = hi = None
-        for afc in plan.afcs:
-            implicit = afc.implicit_bounds()
-            if attr in implicit:
-                a_lo, a_hi = implicit[attr]
+        for part in plan.afcs.parts:
+            implicit = part.implicit_bounds(attr)
+            per_afc: List[Tuple[float, float]] = []
+            if implicit is not None:
+                per_afc.append(implicit)
             else:
-                chunks = [c for c in afc.chunks if attr in c.strip.attrs]
-                if not chunks or summaries is None:
+                stored = [
+                    (j, m) for j, m in enumerate(part.layout.members)
+                    if attr in m.strip.attrs
+                ]
+                if not stored or summaries is None:
                     return None
-                a_lo = a_hi = None
-                for chunk in chunks:
-                    entry = summaries.bounds(chunk.key)
-                    if entry is None or attr not in entry:
-                        return None
-                    c_lo, c_hi = entry[attr]
-                    a_lo = c_lo if a_lo is None else min(a_lo, c_lo)
-                    a_hi = c_hi if a_hi is None else max(a_hi, c_hi)
-            lo = a_lo if lo is None else min(lo, a_lo)
-            hi = a_hi if hi is None else max(hi, a_hi)
+                for offsets in part.lists()[1]:
+                    a_lo = a_hi = None
+                    for j, m in stored:
+                        entry = summaries.bounds((m.node, m.path, offsets[j]))
+                        if entry is None or attr not in entry:
+                            return None
+                        c_lo, c_hi = entry[attr]
+                        a_lo = c_lo if a_lo is None else min(a_lo, c_lo)
+                        a_hi = c_hi if a_hi is None else max(a_hi, c_hi)
+                    per_afc.append((a_lo, a_hi))
+            for a_lo, a_hi in per_afc:
+                lo = a_lo if lo is None else min(lo, a_lo)
+                hi = a_hi if hi is None else max(hi, a_hi)
         if lo is None:
             return None
         return lo, hi

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import PlanningError
 from ..sql.ranges import Interval, IntervalSet, RangeMap
@@ -361,17 +361,27 @@ def _pruned_by_summaries(
 ) -> bool:
     """Prune via persisted per-chunk min/max of stored indexed attributes."""
     for chunk in afc.chunks:
-        stored = set(chunk.strip.attrs)
-        relevant = [a for a in summary_attrs if a in stored]
-        if not relevant:
+        relevant = [a for a in summary_attrs if a in chunk.strip.attrs]
+        if relevant and chunk_pruned(
+            summaries.bounds(chunk.key), relevant, ranges
+        ):
+            return True
+    return False
+
+
+def chunk_pruned(
+    bounds: Optional[Mapping[str, Tuple[float, float]]],
+    attrs: Sequence[str],
+    ranges: RangeMap,
+) -> bool:
+    """Whether one chunk's summary ``bounds`` (None: unknown) rule it out
+    on any of ``attrs`` — shared with the generated index's row mask."""
+    if bounds is None:
+        return False
+    for attr in attrs:
+        if attr not in bounds:
             continue
-        bounds = summaries.bounds(chunk.key)
-        if bounds is None:
-            continue
-        for attr in relevant:
-            if attr not in bounds:
-                continue
-            lo, hi = bounds[attr]
-            if not ranges[attr].overlaps_interval(Interval(lo, hi)):
-                return True
+        lo, hi = bounds[attr]
+        if not ranges[attr].overlaps_interval(Interval(lo, hi)):
+            return True
     return False

@@ -7,7 +7,8 @@ views over the read buffer), materialise implicit attributes, apply the
 residual WHERE predicate vectorised, and emit the projected columns.
 
 There is one loop over a plan's AFCs: :meth:`Extractor.execute_blocks`
-extracts per AFC and hands each finished
+walks the plan's :class:`~repro.core.afc.AfcTable` row by row, extracts
+per AFC and hands each finished
 :class:`~repro.core.kernels.BlockPipeline` block to its consumer.
 ``execute`` assembles the blocks into a table, ``execute_iter`` batches
 them for streaming, an aggregate plan folds each into a partial state
@@ -30,10 +31,12 @@ several intra-node worker threads of one query — concurrently.
 On top of the caches sits **I/O coalescing**: chunk reads against one
 file that are adjacent, or separated by at most a configurable gap, are
 merged into a single ``read()`` call whose payload is sliced back into
-per-chunk segments (:meth:`Extractor.plan_coalesce`).  Interleaved
-layouts like the paper's L0 otherwise pay a read call and a simulated
-seek per chunk; coalescing restores near-sequential I/O at the cost of
-reading the gap bytes (charged as ``readahead_waste_bytes``).
+per-chunk segments (:meth:`Extractor.plan_coalesce`, planned over the
+table's offset columns: one sort, then a greedy merge per file).
+Interleaved layouts like the paper's L0 otherwise pay a read
+call and a simulated seek per chunk; coalescing restores
+near-sequential I/O at the cost of reading the gap bytes (charged as
+``readahead_waste_bytes``).
 """
 
 from __future__ import annotations
@@ -50,7 +53,14 @@ import numpy as np
 from ..errors import ExtractionError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
-from .afc import AlignedFileChunkSet, ExtractionPlan
+from .afc import (
+    AfcTable,
+    AlignedFileChunkSet,
+    ExtractionPlan,
+    GroupLayout,
+    RowRef,
+    constant_column,
+)
 from .aggregate import merge_partials, partial_aggregate
 from .kernels import (
     Block,
@@ -214,10 +224,11 @@ class _SegmentCache:
                 self._segments.move_to_end(key)
             return data
 
-    def contains(self, key: tuple) -> bool:
-        """Presence check without LRU promotion (coalesce planning)."""
+    def missing(self, keys: Sequence[tuple]) -> List[bool]:
+        """Per key, whether it is absent — no LRU promotion, one lock
+        (coalesce planning)."""
         with self._lock:
-            return key in self._segments
+            return [key not in self._segments for key in keys]
 
     def put(self, key: tuple, data: bytes) -> None:
         if len(data) > self.capacity:
@@ -299,20 +310,68 @@ class CoalescePlan:
         return len(self._runs)
 
 
+class _Resolved:
+    """What one :class:`AfcReader` needs of a group layout, resolved
+    once per call: per needed member its read geometry and projected
+    record dtype, the needed implicit attributes, and what the layout
+    cannot supply."""
+
+    __slots__ = ("reads", "env", "consts", "inner", "missing",
+                 "remote_bytes_per_row")
+
+    def __init__(self, layout: GroupLayout, reader: "AfcReader"):
+        needed = reader.needed_set
+        dtypes = reader.dtypes or {}
+        #: (member index, node, path, bytes/row, projected dtype, names)
+        self.reads: List[tuple] = []
+        for j, member in enumerate(layout.members):
+            wanted = [a for a in member.strip.attrs if a in needed]
+            if wanted:
+                self.reads.append((
+                    j, member.node, member.path, member.bytes_per_row,
+                    member.strip.record_dtype(wanted), wanted,
+                ))
+        env = dict(layout.env)
+        consts = layout.const_names
+        self.env = [(n, env[n], dtypes.get(n)) for n in reader.needed if n in env]
+        self.consts = [
+            (consts.index(n), n, dtypes.get(n))
+            for n in reader.needed
+            if n in consts and n not in env
+        ]
+        self.inner = [
+            (iv, dtypes.get(iv.name))
+            for iv in layout.inner_vars
+            if iv.name in needed and iv.name not in env and iv.name not in consts
+        ]
+        supplied = set(env).union(consts, (iv.name for iv in layout.inner_vars))
+        for read in self.reads:
+            supplied.update(read[5])
+        self.missing = sorted(needed.difference(supplied))
+        self.remote_bytes_per_row = sum(
+            bpr for _, node, _, bpr, _, _ in self.reads
+            if reader.node is not None and node != reader.node
+        )
+
+
 class AfcReader:
     """One ``execute`` call's AFC -> columns decoder.
 
     Holds what is invariant across the call's AFCs — the needed set, the
-    implicit attributes' target dtypes and, per strip, the projected
-    attribute list with its record dtype — so the per-AFC loop rebuilds
-    none of it.  Deliberately scoped to one call, never cached on the
-    extractor: over ``tcp://`` every EXECUTE decodes fresh ``Strip``
-    objects, so a memo that outlives the call only pins dead plans.
+    implicit attributes' target dtypes and, per group layout, the needed
+    member chunks with their projected record dtypes — so the per-AFC
+    loop rebuilds none of it: one segment-cache read per needed member,
+    one ``frombuffer``, constants from the row's values, and the inner
+    variables' columns computed once per distinct row span and shared
+    (read-only, so emitting them copies — see ``own_column``).
+    Deliberately scoped to one call, never cached on the extractor or
+    the layout: layouts tabulated from AFC objects are per-query, so a
+    memo that outlives the call only pins dead plans.
 
     ``node`` is the executing node of a data-source service: chunks
     homed elsewhere are charged as ``remote_bytes_read`` and each AFC
     gets an ``extract_afc`` span.  One call's intra-node worker threads
-    may share a reader (the memo is idempotent, ``stats`` per call site).
+    may share a reader (the memos are idempotent, ``stats`` per call site).
     """
 
     def __init__(
@@ -331,60 +390,79 @@ class AfcReader:
         self.tracer = tracer
         self.coalesce = coalesce
         self.node = node
-        #: id(strip) -> (strip, wanted attrs, projected record dtype); the
-        #: strip reference keeps the id from being reused mid-call.
-        self._layouts: Dict[int, tuple] = {}
+        self._resolved: Dict[GroupLayout, _Resolved] = {}
+        #: (resolved layout, first, rows) -> the span's inner columns.
+        self._inner: Dict[Tuple[_Resolved, int, int], Columns] = {}
 
-    def _layout(self, strip) -> tuple:
-        layout = self._layouts.get(id(strip))
-        if layout is None:
-            wanted = [a for a in strip.attrs if a in self.needed_set]
-            dtype = strip.record_dtype(wanted) if wanted else None
-            layout = (strip, wanted, dtype)
-            self._layouts[id(strip)] = layout
-        return layout
+    def _resolve(self, layout: GroupLayout) -> _Resolved:
+        resolved = self._resolved.get(layout)
+        if resolved is None:
+            resolved = self._resolved[layout] = _Resolved(layout, self)
+        return resolved
 
-    def columns(self, afc: AlignedFileChunkSet, stats: IOStats) -> Columns:
-        """Materialise the needed columns of one aligned file chunk set."""
-        columns = afc.implicit_columns(self.needed, self.dtypes)
+    def _inner_columns(
+        self, resolved: _Resolved, first: int, num_rows: int
+    ) -> Columns:
+        key = (resolved, first, num_rows)
+        columns = self._inner.get(key)
+        if columns is None:
+            columns = {}
+            for iv, want in resolved.inner:
+                col = iv.materialise(num_rows, first)
+                if want is not None:
+                    col = col.astype(want, copy=False)
+                col.flags.writeable = False
+                columns[iv.name] = col
+            self._inner[key] = columns
+        return columns
+
+    def columns(self, row: RowRef, stats: IOStats) -> Columns:
+        """Materialise the needed columns of one table row (one AFC)."""
+        part, i, num_rows = row
+        resolved = self._resolve(part.layout)
+        if resolved.missing:
+            raise ExtractionError(
+                f"plan cannot supply columns {resolved.missing}; "
+                "they are neither stored in any chunk nor implicit"
+            )
+        values, offsets, first, _ = part.lists()
+        columns: Columns = {}
+        for name, value, want in resolved.env:
+            columns[name] = constant_column(num_rows, value, want)
+        if resolved.consts:
+            row_values = values[i]
+            for pos, name, want in resolved.consts:
+                columns[name] = constant_column(num_rows, row_values[pos], want)
+        if resolved.inner:
+            columns.update(self._inner_columns(resolved, first[i], num_rows))
         read_chunk = self.extractor.read_chunk
-        for chunk in afc.chunks:
-            _, wanted, dtype = self._layout(chunk.strip)
-            if not wanted:
-                continue
+        row_offsets = offsets[i]
+        for j, node, path, bpr, dtype, wanted in resolved.reads:
             data = read_chunk(
-                chunk.node, chunk.path, chunk.offset,
-                afc.num_rows * chunk.bytes_per_row, stats, self.tracer,
-                self.coalesce,
+                node, path, row_offsets[j], num_rows * bpr, stats,
+                self.tracer, self.coalesce,
             )
             stats.chunks_read += 1
             records = np.frombuffer(data, dtype=dtype)
             for name in wanted:
                 columns[name] = records[name]
-        if len(columns) != len(self.needed_set):
-            raise ExtractionError(
-                f"plan cannot supply columns "
-                f"{sorted(self.needed_set.difference(columns))}; "
-                "they are neither stored in any chunk nor implicit"
-            )
         return columns
 
-    def extract(self, afc: AlignedFileChunkSet, stats: IOStats) -> Columns:
+    def extract(self, row: RowRef, stats: IOStats) -> Columns:
         """:meth:`columns` plus the per-AFC accounting every execute
         path shares (AFC/row counts, remote bytes, extraction span)."""
+        num_rows = row[2]
         stats.afcs_processed += 1
         if self.node is not None:
-            for chunk in afc.chunks:
-                if chunk.node != self.node and self._layout(chunk.strip)[1]:
-                    stats.remote_bytes_read += chunk.total_bytes(afc.num_rows)
+            stats.remote_bytes_read += (
+                num_rows * self._resolve(row[0].layout).remote_bytes_per_row
+            )
         if self.node is not None and self.tracer.enabled:
-            with self.tracer.span(
-                "extract_afc", node=self.node, rows=afc.num_rows
-            ):
-                columns = self.columns(afc, stats)
+            with self.tracer.span("extract_afc", node=self.node, rows=num_rows):
+                columns = self.columns(row, stats)
         else:
-            columns = self.columns(afc, stats)
-        stats.rows_extracted += afc.num_rows
+            columns = self.columns(row, stats)
+        stats.rows_extracted += num_rows
         return columns
 
 
@@ -514,40 +592,20 @@ class Extractor:
         """
         if gap_bytes <= 0:
             return None
-        per_file: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        seen = set()
-        for key in reads:
-            if key in seen:
-                continue
-            seen.add(key)
-            if self._segments.contains(key):
-                continue
-            node, path, off, nb = key
-            per_file.setdefault((node, path), []).append((off, nb))
-        runs: Dict[ReadKey, _CoalesceRun] = {}
-
-        def register(node, path, group, g_end):
-            if len(group) < 2:
-                return
-            run = _CoalesceRun(node, path, group[0][0], g_end, tuple(group))
-            for off, nb in group:
-                runs[(node, path, off, nb)] = run
-
-        for (node, path), members in per_file.items():
-            members.sort()
-            group = [members[0]]
-            g_end = members[0][0] + members[0][1]
-            for off, nb in members[1:]:
-                new_end = max(g_end, off + nb)
-                if off <= g_end + gap_bytes and new_end - group[0][0] <= max_run_bytes:
-                    group.append((off, nb))
-                    g_end = new_end
-                else:
-                    register(node, path, group, g_end)
-                    group = [(off, nb)]
-                    g_end = off + nb
-            register(node, path, group, g_end)
-        return CoalescePlan(runs) if runs else None
+        files: Dict[Tuple[str, str], int] = {}
+        fids, offsets, sizes = [], [], []
+        for node, path, offset, nbytes in reads:
+            fids.append(files.setdefault((node, path), len(files)))
+            offsets.append(offset)
+            sizes.append(nbytes)
+        return self._coalesce(
+            list(files),
+            np.array(fids, dtype=np.int64),
+            np.array(offsets, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+            gap_bytes,
+            max_run_bytes,
+        )
 
     def coalesce_for(
         self,
@@ -555,23 +613,98 @@ class Extractor:
         needed: Sequence[str],
         gap_bytes: int,
     ) -> Optional[CoalescePlan]:
-        """Coalesce plan for every needed chunk read of a batch of AFCs."""
+        """Coalesce plan for every needed chunk read of a batch of AFCs,
+        read off the table's offset and row-count columns."""
         if gap_bytes <= 0:
             return None
-        needed_set = set(needed)
-        reads: List[ReadKey] = []
-        for afc in afcs:
-            for chunk in afc.chunks:
-                if needed_set.intersection(chunk.strip.attrs):
-                    reads.append(
-                        (
-                            chunk.node,
-                            chunk.path,
-                            chunk.offset,
-                            afc.num_rows * chunk.bytes_per_row,
-                        )
+        wanted = set(needed)
+        per_file: Dict[Tuple[str, str], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for part in AfcTable.of(afcs).parts:
+            for j, member in enumerate(part.layout.members):
+                if wanted.intersection(member.strip.attrs):
+                    per_file.setdefault((member.node, member.path), []).append(
+                        (part.offsets[:, j], part.rows * member.bytes_per_row)
                     )
-        return self.plan_coalesce(reads, gap_bytes)
+        # A file read once cannot coalesce: leave it out of the sort.
+        files = [
+            (file, reads) for file, reads in per_file.items()
+            if len(reads) > 1 or len(reads[0][0]) > 1
+        ]
+        if not files:
+            return None
+        return self._coalesce(
+            [file for file, _ in files],
+            np.repeat(
+                np.arange(len(files)),
+                [sum(len(o) for o, _ in reads) for _, reads in files],
+            ),
+            np.concatenate([o for _, reads in files for o, _ in reads]),
+            np.concatenate([n for _, reads in files for _, n in reads]),
+            gap_bytes,
+            MAX_COALESCED_BYTES,
+        )
+
+    def _coalesce(
+        self,
+        files: List[Tuple[str, str]],
+        fids: np.ndarray,
+        offsets: np.ndarray,
+        sizes: np.ndarray,
+        gap_bytes: int,
+        max_run_bytes: int,
+    ) -> Optional[CoalescePlan]:
+        """:meth:`plan_coalesce` over requests as columns (file index,
+        offset, bytes): one sort, distinct uncached requests, then runs
+        merged greedily in file-and-offset order."""
+        if len(offsets) < 2:
+            return None
+        order = np.lexsort((sizes, offsets, fids))
+        fids, offsets, sizes = fids[order], offsets[order], sizes[order]
+        distinct = np.ones(len(offsets), dtype=bool)
+        distinct[1:] = (
+            (fids[1:] != fids[:-1])
+            | (offsets[1:] != offsets[:-1])
+            | (sizes[1:] != sizes[:-1])
+        )
+        if not distinct.all():
+            fids, offsets, sizes = fids[distinct], offsets[distinct], sizes[distinct]
+        keys = [
+            (*files[f], o, n)
+            for f, o, n in zip(fids.tolist(), offsets.tolist(), sizes.tolist())
+        ]
+        keys = [
+            key for key, miss in zip(keys, self._segments.missing(keys)) if miss
+        ]
+        if len(keys) < 2:
+            return None
+        runs: Dict[ReadKey, _CoalesceRun] = {}
+
+        def register(group: List[ReadKey], end: int) -> None:
+            if len(group) < 2:
+                return
+            node, path, start, _ = group[0]
+            run = _CoalesceRun(
+                node, path, start, end, tuple((k[2], k[3]) for k in group)
+            )
+            for key in group:
+                runs[key] = run
+
+        group = [keys[0]]
+        end = keys[0][2] + keys[0][3]
+        for key in keys[1:]:
+            new_end = max(end, key[2] + key[3])
+            if (
+                key[:2] == group[0][:2]
+                and key[2] <= end + gap_bytes
+                and new_end - group[0][2] <= max_run_bytes
+            ):
+                group.append(key)
+                end = new_end
+            else:
+                register(group, end)
+                group, end = [key], key[2] + key[3]
+        register(group, end)
+        return CoalescePlan(runs) if runs else None
 
     def _read_coalesced(
         self, key: ReadKey, run: _CoalesceRun, stats: IOStats, tracer
@@ -670,7 +803,7 @@ class Extractor:
     ) -> Columns:
         """Materialise the needed columns of one aligned file chunk set."""
         reader = AfcReader(self, needed, dtypes, tracer, coalesce)
-        return reader.columns(afc, stats)
+        return reader.columns(next(AfcTable.of([afc]).cursor()), stats)
 
     # -- plan execution ---------------------------------------------------------
 
@@ -729,9 +862,9 @@ class Extractor:
         fuse: bool = True,
         meter=None,
     ) -> Iterator[Block]:
-        """The AFC -> block driver: extract per AFC, hand every finished
-        :class:`~repro.core.kernels.BlockPipeline` block to the consumer,
-        in serial AFC order.
+        """The AFC -> block driver: extract per table row (one AFC),
+        hand every finished :class:`~repro.core.kernels.BlockPipeline`
+        block to the consumer, in serial AFC order.
 
         With ``fuse`` and a compiled kernel, AFC columns accumulate
         until :func:`block_rows_for` rows (a cache-sized block of the
@@ -755,9 +888,9 @@ class Extractor:
         )
         if meter is not None:
             meter.checkpoint()
-        for afc in afcs:
+        for row in AfcTable.of(afcs).cursor():
             before = stats.bytes_read
-            block = pipeline.add(reader.extract(afc, stats), afc.num_rows)
+            block = pipeline.add(reader.extract(row, stats), row[2])
             if meter is not None:
                 # charge() ends in a checkpoint: the one before the next read.
                 meter.charge(

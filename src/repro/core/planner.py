@@ -28,7 +28,7 @@ from ..sql.ast import Query
 from ..sql.parser import parse_query
 from ..sql.ranges import RangeMap, extract_ranges, query_is_unsatisfiable
 from ..sql.rewrite import rewrite_query
-from .afc import AlignedFileChunkSet, ExtractionPlan, split_afcs
+from .afc import AfcTable, ExtractionPlan
 from .analysis import (
     Alignment,
     ChunkSummaries,
@@ -77,7 +77,8 @@ class CompiledDataset:
             descriptor = parse_descriptor(descriptor)
         self.descriptor = descriptor
         #: Optional cap on rows per aligned chunk; plans split larger AFCs
-        #: (see repro.core.afc.split_afc).  None keeps natural granularity.
+        #: (see repro.core.afc.AfcTable.split).  None keeps natural
+        #: granularity.
         self.chunk_row_cap = chunk_row_cap
         self.schema = descriptor.schema
         self.files = enumerate_files(descriptor)
@@ -280,31 +281,31 @@ class CompiledDataset:
 
     def index(
         self, ranges: RangeMap, *, node: Optional[str] = None
-    ) -> List[AlignedFileChunkSet]:
+    ) -> AfcTable:
         """The paper's *index function*: query ranges -> matching AFCs.
 
         ``node`` restricts the lookup to file groups homed on that node
-        (what a node server runs): exactly the unrestricted list's AFCs
+        (what a node server runs): exactly the unrestricted table's AFCs
         whose :func:`~repro.core.afc.home_node` is ``node``, same order.
+        This interpreted realisation enumerates AFC objects per group
+        (:func:`~repro.core.analysis.enumerate_afcs`, the semantics
+        reference) and tabulates them.
         """
-        afcs: List[AlignedFileChunkSet] = []
-        for group in self.groups:
-            if node is not None and group.home_node != node:
-                continue
-            if not all(match_file(f, ranges) for f in group.files):
-                continue
-            afcs.extend(
-                enumerate_afcs(
-                    group.files,
-                    group.env,
-                    group.alignment,
-                    self.row_var_order,
-                    ranges,
-                    summaries=self.summaries,
-                    summary_attrs=self.stored_index_attrs,
-                )
+        return AfcTable.of(
+            afc
+            for group in self.groups
+            if (node is None or group.home_node == node)
+            and all(match_file(f, ranges) for f in group.files)
+            for afc in enumerate_afcs(
+                group.files,
+                group.env,
+                group.alignment,
+                self.row_var_order,
+                ranges,
+                summaries=self.summaries,
+                summary_attrs=self.stored_index_attrs,
             )
-        return afcs
+        )
 
     def plan(
         self,
@@ -338,15 +339,16 @@ class CompiledDataset:
             if query_is_unsatisfiable(ranges):
                 span.tag(unsatisfiable=True, afcs=0)
                 return ExtractionPlan(
-                    [], needed, output, query.where, dtypes, aggregate=spec,
-                    query=query, chunk_row_cap=self.chunk_row_cap,
+                    AfcTable(), needed, output, query.where, dtypes,
+                    aggregate=spec, query=query,
+                    chunk_row_cap=self.chunk_row_cap,
                 )
             # Note: no ``len(self.groups)`` tag here — touching ``groups``
             # would defeat the lazy analysis on the cached-codegen path.
             with tracer.span("index") as index_span:
                 afcs = self.index(ranges, node=node)
                 index_span.tag(afcs=len(afcs))
-            afcs = split_afcs(afcs, self.chunk_row_cap)
+            afcs = afcs.split(self.chunk_row_cap)
             span.tag(afcs=len(afcs))
             return ExtractionPlan(
                 afcs, needed, output, query.where, dtypes, aggregate=spec,

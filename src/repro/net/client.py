@@ -315,7 +315,7 @@ class TcpTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: List[AlignedFileChunkSet],
+        afcs: Sequence[AlignedFileChunkSet],
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,

@@ -40,7 +40,7 @@ import struct
 import threading
 from typing import Optional, Tuple
 
-from ..core.afc import ExtractionPlan, split_afcs
+from ..core.afc import ExtractionPlan
 from ..core.codegen import plan_identity
 from ..core.extractor import local_mount
 from ..core.planner import CompiledDataset
@@ -213,7 +213,7 @@ class NodeServer:
             raise TransportError(
                 f"malformed EXECUTE: unknown attribute(s) {unknown}"
             )
-        afcs = split_afcs(plan.afcs, request.chunk_row_cap)
+        afcs = plan.afcs.split(request.chunk_row_cap)
         if len(afcs) != request.afcs:
             raise PlanMismatchError(
                 f"planned {len(afcs)} AFC(s) for {request.query!r}, the "

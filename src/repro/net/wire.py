@@ -39,7 +39,13 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core.afc import AlignedFileChunkSet, ChunkRef, ExtractionPlan, InnerVar
+from ..core.afc import (
+    AfcTable,
+    AlignedFileChunkSet,
+    ChunkRef,
+    ExtractionPlan,
+    InnerVar,
+)
 from ..core.aggregate import AggregateSpec
 from ..core.extractor import empty_result
 from ..core.options import ExecOptions
@@ -263,7 +269,7 @@ def decode_plan(data: Dict[str, Any]) -> ExtractionPlan:
             )
         )
     return ExtractionPlan(
-        afcs=afcs,
+        afcs=AfcTable.of(afcs),
         needed=list(data["needed"]),
         output=list(data["output"]),
         where=decode_where(data["where"]),

@@ -218,13 +218,24 @@ def filter_function(
     return wrap
 
 
+def _root_sum_of_squares(values) -> np.ndarray:
+    """``sqrt(v0*v0 + v1*v1 + ...)`` in float64, left to right, in one
+    accumulator of the arguments' broadcast shape: the same operations
+    in the same order as summing fresh temporaries (``0.0 + x == x``),
+    so bit-identical, minus one allocation per term.  All-scalar
+    arguments give a scalar."""
+    terms = [np.asarray(value, dtype=np.float64) for value in values]
+    acc = np.empty(np.broadcast_shapes(*(c.shape for c in terms)))
+    np.square(terms[0], out=acc)
+    for c in terms[1:]:
+        np.add(acc, c * c, out=acc)
+    return np.sqrt(acc, out=acc)[()]
+
+
 @filter_function("SPEED", signature=FunctionSignature(3, 3), vectorized=True)
 def speed(vx, vy, vz):
     """Magnitude of a velocity vector — the paper's IPARS Speed() filter."""
-    vx = np.asarray(vx, dtype=np.float64)
-    vy = np.asarray(vy, dtype=np.float64)
-    vz = np.asarray(vz, dtype=np.float64)
-    return np.sqrt(vx * vx + vy * vy + vz * vz)
+    return _root_sum_of_squares((vx, vy, vz))
 
 
 @filter_function(
@@ -234,8 +245,4 @@ def distance(*coords):
     """Euclidean distance from the origin — the paper's Titan filter."""
     if not coords:
         raise QueryValidationError("DISTANCE requires at least one argument")
-    acc = np.zeros_like(np.asarray(coords[0], dtype=np.float64))
-    for coord in coords:
-        c = np.asarray(coord, dtype=np.float64)
-        acc = acc + c * c
-    return np.sqrt(acc)
+    return _root_sum_of_squares(coords)

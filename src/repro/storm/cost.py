@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping
 
-from ..core.afc import home_node
+from ..core.afc import AfcTable
 from ..core.stats import IOStats
 
 
@@ -115,35 +115,33 @@ class CostModel:
         needed = set(plan.needed)
         per_node_io: Dict[str, float] = {}
         per_node_rows: Dict[str, int] = {}
-        for afc in plan.afcs:
-            node = home_node(afc)
-            files = set()
-            nbytes = 0
-            chunks = 0
-            for chunk in afc.chunks:
-                if not needed.intersection(chunk.strip.attrs):
-                    continue
-                files.add((chunk.node, chunk.path))
-                nbytes += chunk.total_bytes(afc.num_rows)
-                chunks += 1
+        afcs = AfcTable.of(plan.afcs)
+        for part in afcs.parts:
+            node = part.layout.home
+            members = [
+                m for m in part.layout.members
+                if needed.intersection(m.strip.attrs)
+            ]
+            rows = int(part.rows.sum())
             per_node_io[node] = per_node_io.get(node, 0.0) + (
-                len(files) * self.open_time
-                + chunks * self.seek_time
-                + nbytes / self.disk_bandwidth
+                len(part) * (
+                    len({(m.node, m.path) for m in members}) * self.open_time
+                    + len(members) * self.seek_time
+                )
+                + rows * sum(m.bytes_per_row for m in members)
+                / self.disk_bandwidth
             )
-            per_node_rows[node] = per_node_rows.get(node, 0) + afc.num_rows
+            per_node_rows[node] = per_node_rows.get(node, 0) + rows
         slowest = 0.0
         for node, io in per_node_io.items():
             cpu = per_node_rows[node] * (self.tuple_cpu + self.filter_cpu)
             slowest = max(slowest, io + cpu)
         transfer = 0.0
-        if remote and plan.afcs:
+        if remote and len(afcs):
             # Upper-bound the shipped bytes: every planned row survives
             # the filter and carries the full output row width.
             row_bytes = 8 * max(1, len(plan.output))
-            transfer = self.network_time(
-                sum(a.num_rows for a in plan.afcs) * row_bytes, 1
-            )
+            transfer = self.network_time(afcs.total_rows * row_bytes, 1)
         return self.query_overhead + slowest + transfer
 
     def network_time(self, bytes_sent: int, messages: int = 1) -> float:

@@ -21,9 +21,9 @@ deterministically in that same order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import Optional, Sequence
 
-from ..core.afc import AlignedFileChunkSet, ExtractionPlan
+from ..core.afc import AfcTable, AlignedFileChunkSet, ExtractionPlan
 from ..core.extractor import Extractor, Mount, combine_parts
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
@@ -64,7 +64,7 @@ class DataSourceService:
     def execute(
         self,
         plan: ExtractionPlan,
-        afcs: List[AlignedFileChunkSet],
+        afcs: Sequence[AlignedFileChunkSet],
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
         options: Optional[ExecOptions] = None,
@@ -78,8 +78,10 @@ class DataSourceService:
         interpreted oracle, ``run_state`` meters the run (quota bounds:
         ``Extractor.execute_blocks``), and ``intra_node_workers`` runs
         the extractor's block driver on that many threads, one AFC per
-        job.
+        job.  ``afcs`` is an :class:`~repro.core.afc.AfcTable` (any other
+        AFC sequence is tabulated first).
         """
+        afcs = AfcTable.of(afcs)
         stats = stats if stats is not None else self.stats
         opts = options if options is not None else DEFAULT_OPTIONS
         reader = self.extractor.reader_for(
@@ -102,26 +104,27 @@ class DataSourceService:
         return combine_parts(plan, parts, stats)
 
     def _per_afc(
-        self, plan, afcs, evaluator, reader, stats: IOStats, meter, workers
+        self, plan, afcs: Sequence[AlignedFileChunkSet], evaluator, reader,
+        stats: IOStats, meter, workers,
     ) -> list:
-        """The block driver over one AFC per job on ``workers`` threads;
-        every job's parts, in AFC order.  Workers count into per-job
-        stats merged in that same order, so row order and stats totals
-        are identical to a serial run whatever the thread interleaving
-        was.
+        """The block driver over one AFC (a one-row slice of the table)
+        per job on ``workers`` threads; every job's parts, in AFC order.
+        Workers count into per-job stats merged in that same order, so
+        row order and stats totals are identical to a serial run
+        whatever the thread interleaving was.
         """
 
-        def job(afc: AlignedFileChunkSet):
+        def job(i: int):
             local = IOStats()
             parts = self.extractor.execute_parts(
-                plan, [afc], evaluator, reader, local, meter
+                plan, afcs[i:i + 1], evaluator, reader, local, meter
             )
             return list(parts), local
 
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix=f"intra-{self.node}"
         ) as pool:
-            outcomes = list(pool.map(job, afcs))
+            outcomes = list(pool.map(job, range(len(afcs))))
         for _, local in outcomes:
             stats.merge(local)
         return [part for parts, _ in outcomes for part in parts]

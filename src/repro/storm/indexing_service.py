@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.afc import AlignedFileChunkSet, group_by_home_node
+from ..core.afc import AfcTable, group_by_home_node
 from ..core.planner import CompiledDataset
 from ..core.strips import PhysicalFile
 from ..index.range_index import MultiAttrRangeIndex
@@ -46,7 +46,7 @@ class IndexingService:
             span.tag(files=len(files))
         return files
 
-    def lookup(self, ranges: RangeMap, tracer=NULL_TRACER) -> List[AlignedFileChunkSet]:
+    def lookup(self, ranges: RangeMap, tracer=NULL_TRACER) -> AfcTable:
         """All matching AFCs (the generated/interpreted index function)."""
         with tracer.span("index") as span:
             afcs = self.dataset.index(ranges)
@@ -55,7 +55,7 @@ class IndexingService:
 
     def lookup_by_node(
         self, ranges: RangeMap, tracer=NULL_TRACER
-    ) -> Dict[str, List[AlignedFileChunkSet]]:
+    ) -> Dict[str, AfcTable]:
         """Matching AFCs grouped by the node that should process them.
 
         An AFC is processed on the node hosting its first chunk; chunks of

@@ -75,6 +75,25 @@ TRANSFER_NODE = "_transfer"
 
 _T = TypeVar("_T")
 
+#: Longest uninterrupted sleep of a retry backoff under a run state.
+_BACKOFF_SLICE = 0.05
+
+
+def _sleep(seconds: float, run_state) -> None:
+    """Sleep ``seconds``; with a run state, in slices that end at its
+    first stop condition (raised via ``checkpoint``)."""
+    if run_state is None:
+        if seconds > 0:
+            time.sleep(seconds)
+        return
+    deadline = time.monotonic() + seconds
+    while True:
+        run_state.checkpoint()
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return
+        time.sleep(min(remaining, _BACKOFF_SLICE))
+
 
 @dataclass
 class QueryResult:
@@ -525,7 +544,8 @@ class QueryService:
         ``retryable``, records the failure of ``node`` (a real node or a
         pseudo-node such as ``"_transfer"``) and raises
         :class:`~repro.errors.NodeFailureError`; anything else
-        propagates at once.
+        propagates at once.  A cancel, quota trip or passed deadline of
+        the options' run state ends a backoff within one 50 ms slice.
         """
         last_exc: Optional[Exception] = None
         for number in range(attempts_allowed):
@@ -541,8 +561,7 @@ class QueryService:
                     error=f"{type(last_exc).__name__}: {last_exc}",
                 ):
                     ctx.tracer.metrics.record("retries.attempted")
-                    if backoff > 0:
-                        time.sleep(backoff)
+                    _sleep(backoff, opts.run_state)
                     return attempt()
             except retryable as exc:
                 last_exc = exc

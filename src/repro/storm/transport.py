@@ -19,7 +19,7 @@ the same objects.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List
+from typing import Dict, Sequence
 
 from ..core.afc import AlignedFileChunkSet, ExtractionPlan
 from ..core.stats import IOStats
@@ -47,12 +47,14 @@ class Transport:
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: List[AlignedFileChunkSet],
+        afcs: Sequence[AlignedFileChunkSet],
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,
     ) -> VirtualTable:
-        """Run one node's share of a plan; returns its partial table.
+        """Run one node's share of a plan (``afcs``: its
+        :class:`~repro.core.afc.AfcTable`, or any AFC sequence); returns
+        its partial table.
 
         Must be thread-safe: the query service calls it concurrently
         from one worker thread per node (plus retry attempts).
@@ -120,7 +122,7 @@ class LocalTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: List[AlignedFileChunkSet],
+        afcs: Sequence[AlignedFileChunkSet],
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import CompiledDataset, GeneratedDataset, generate_index_source
 from repro.core.afc import home_node
-from repro.core.codegen_runtime import allowed_values, ranges_match
+from repro.core.codegen_runtime import allowed_ordinals, ranges_match
 from repro.datasets import ALL_LAYOUTS, ipars, titan
 from repro.sql import parse_where
 from repro.sql.ranges import IntervalSet, extract_ranges
@@ -134,18 +134,20 @@ class TestGeneratedSource:
         _, generated = both
         compile(generated.source, "<test>", "exec")
 
-    def test_source_has_one_function_per_group(self, both):
+    def test_source_has_one_layout_per_group(self, both):
         interpreted, generated = both
-        assert generated.source.count("def _group_") == len(interpreted.groups)
+        assert generated.source.count("= GroupLayout(") == len(interpreted.groups)
+        # ...and one runtime call, no per-group code.
+        assert generated.source.count("def ") == 1
 
-    def test_offsets_are_inlined_arithmetic(self, both):
+    def test_offsets_are_constant_folded(self, both):
         _, generated = both
-        # The TIME-dependent chunk offset appears as inlined arithmetic.
-        assert "(TIME - 1) * 80" in generated.source
+        # DATA0's chunk offset is base 0 plus 80 bytes per TIME step.
+        assert "Member('osu0', 'ipars/DATA0', _S1, 8, 0, (80,))" in generated.source
 
     def test_loop_bounds_are_constants(self, both):
         _, generated = both
-        assert "allowed_values(ranges.get('TIME'), 1, 20, 1)" in generated.source
+        assert "outer=(('TIME', 1, 20, 1, None),)" in generated.source
 
     def test_source_written_to_path(self, tmp_path):
         path = tmp_path / "generated.py"
@@ -160,17 +162,25 @@ class TestGeneratedSource:
 
 
 class TestRuntimeHelpers:
+    @staticmethod
+    def allowed_values(allowed, start, stop, step, pin=None):
+        ordinals = allowed_ordinals(allowed, start, stop, step, pin)
+        return (start + step * ordinals).tolist()
+
     def test_allowed_values_no_constraint(self):
-        assert allowed_values(None, 1, 10, 2) == [1, 3, 5, 7, 9]
+        assert self.allowed_values(None, 1, 10, 2) == [1, 3, 5, 7, 9]
 
     def test_allowed_values_filtered(self):
         allowed = IntervalSet.of(4, 8)
-        assert allowed_values(allowed, 1, 10, 1) == [4, 5, 6, 7, 8]
+        assert self.allowed_values(allowed, 1, 10, 1) == [4, 5, 6, 7, 8]
+        # Open ends and bounds off the lattice.
+        allowed = IntervalSet.of(2.5, 7, lo_open=True, hi_open=True)
+        assert self.allowed_values(allowed, 1, 10, 2) == [3, 5]
 
     def test_allowed_values_pinned(self):
-        assert allowed_values(None, 1, 10, 1, pin=7) == [7]
-        assert allowed_values(None, 1, 10, 2, pin=8) == []  # off-lattice
-        assert allowed_values(IntervalSet.of(0, 3), 1, 10, 1, pin=7) == []
+        assert self.allowed_values(None, 1, 10, 1, pin=7) == [7]
+        assert self.allowed_values(None, 1, 10, 2, pin=8) == []  # off-lattice
+        assert self.allowed_values(IntervalSet.of(0, 3), 1, 10, 1, pin=7) == []
 
     def test_ranges_match(self):
         ranges = extract_ranges(parse_where("T >= 5 AND T <= 6"))

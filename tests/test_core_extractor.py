@@ -310,6 +310,24 @@ class TestCoalescing:
             plan = ex.plan_coalesce(reads, gap_bytes=1, max_run_bytes=2000)
         assert plan.num_runs == 2  # two runs of two chunks, not one of four
 
+    def test_runs_stay_within_one_file_and_merge_duplicates(self, tmp_path):
+        write_node_file(tmp_path, "n", "f", bytes(1000))
+        write_node_file(tmp_path, "n", "g", bytes(1000))
+        reads = [
+            ("n", "g", 0, 100), ("n", "f", 300, 50), ("n", "f", 0, 100),
+            ("n", "g", 100, 100), ("n", "f", 0, 100), ("n", "f", 50, 300),
+            ("n", "g", 900, 100),
+        ]
+        with Extractor(local_mount(tmp_path)) as ex:
+            plan = ex.plan_coalesce(reads, gap_bytes=10)
+        assert plan.num_runs == 2 and plan.num_members == 5
+        f_run = plan.run_for(("n", "f", 300, 50))
+        assert (f_run.path, f_run.start, f_run.end) == ("f", 0, 350)
+        assert f_run.members == ((0, 100), (50, 300), (300, 50))
+        g_run = plan.run_for(("n", "g", 0, 100))
+        assert (g_run.path, g_run.start, g_run.end) == ("g", 0, 200)
+        assert plan.run_for(("n", "g", 900, 100)) is None
+
     def test_execute_with_coalescing_matches_plain(self, env):
         dataset, mount, _ = env
         plan = dataset.plan("SELECT REL, TIME, X, SOIL FROM IparsData")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CompiledDataset, Extractor, Virtualizer, local_mount
-from repro.core.afc import AlignedFileChunkSet, ChunkRef, InnerVar, split_afc
+from repro.core.afc import AfcTable, AlignedFileChunkSet, ChunkRef, InnerVar
 from repro.core.strips import LoopDim, Strip
 from tests.conftest import PAPER_DESCRIPTOR, assert_tables_equal
 
@@ -41,11 +41,11 @@ def make_afc(counts, record_size=4, base_offset=0):
 class TestSplitAfc:
     def test_no_split_needed(self):
         afc = make_afc([4])
-        assert split_afc(afc, 10) == [afc]
+        assert list(AfcTable.of([afc]).split(10)) == [afc]
 
     def test_split_outer_var(self):
         afc = make_afc([6, 2])  # 12 rows
-        pieces = split_afc(afc, 4)
+        pieces = list(AfcTable.of([afc]).split(4))
         assert [p.num_rows for p in pieces] == [4, 4, 4]
         # Offsets advance contiguously.
         assert [p.chunks[0].offset for p in pieces] == [0, 16, 32]
@@ -55,12 +55,12 @@ class TestSplitAfc:
 
     def test_uneven_tail(self):
         afc = make_afc([5])
-        pieces = split_afc(afc, 2)
+        pieces = list(AfcTable.of([afc]).split(2))
         assert [p.num_rows for p in pieces] == [2, 2, 1]
 
     def test_recursive_split_pins_outer(self):
         afc = make_afc([3, 10])  # each outer value = 10 rows > cap
-        pieces = split_afc(afc, 5)
+        pieces = list(AfcTable.of([afc]).split(5))
         assert all(p.num_rows == 5 for p in pieces)
         assert len(pieces) == 6
         # The outer var became a constant on each piece.
@@ -68,7 +68,7 @@ class TestSplitAfc:
 
     def test_implicit_values_preserved(self):
         afc = make_afc([4, 3])
-        pieces = split_afc(afc, 3)
+        pieces = list(AfcTable.of([afc]).split(3))
         original = set()
         for i in range(afc.num_rows):
             cols = afc.implicit_columns(["V0", "V1"])
@@ -82,7 +82,7 @@ class TestSplitAfc:
 
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
-            split_afc(make_afc([2]), 0)
+            AfcTable.of([make_afc([2])]).split(0)
 
 
 @given(
@@ -92,7 +92,7 @@ class TestSplitAfc:
 @settings(max_examples=150, deadline=None)
 def test_split_partitions_rows_exactly(counts, cap):
     afc = make_afc(counts)
-    pieces = split_afc(afc, cap)
+    pieces = list(AfcTable.of([afc]).split(cap))
     assert sum(p.num_rows for p in pieces) == afc.num_rows
     assert all(p.num_rows <= cap for p in pieces)
     # Bytes covered are exactly the original chunk, contiguously.

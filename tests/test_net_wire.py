@@ -236,7 +236,7 @@ class TestExecuteRequest:
         assert payload["afcs"] == 7
         assert "strips" not in payload and "plan" not in payload
         # Size depends on the text and column lists, never on AFC count.
-        doubled = dataclasses.replace(ipars_plan, afcs=ipars_plan.afcs * 2)
+        doubled = dataclasses.replace(ipars_plan, afcs=list(ipars_plan.afcs) * 2)
         assert len(json.dumps(payload)) == len(
             json.dumps(wire.encode_execute(doubled, 7, ExecOptions()))
         )

@@ -24,6 +24,7 @@ from repro.errors import (
     QuotaExceededError,
     SchedulerError,
 )
+from repro.faults import FaultInjector, FaultRule
 from repro.sched import RunState, Scheduler, threads_abandoned
 from repro.storm import QueryService, VirtualCluster
 from repro.storm.data_source import DataSourceService
@@ -393,6 +394,31 @@ class TestCancellation:
             with pytest.raises(QueryCancelledError):
                 box["handle"].result(timeout=30)
         assert len(calls) == 3
+
+    def test_cancel_during_retry_backoff_ends_the_sleep(self, env):
+        # osu0 always fails at once; the retry loop then sleeps 2 s
+        # before attempt 2.  A cancel 0.1 s into that sleep must not
+        # wait it out.
+        _, text, root = env
+        dataset = GeneratedDataset(text)
+        cluster = VirtualCluster.for_storage(root, dataset.descriptor.storage)
+        injector = FaultInjector([FaultRule("node-down", node="osu0")])
+        state = RunState()
+        opts = LOCAL.replace(
+            retries=3, retry_backoff=2.0, run_state=state, parallel=False
+        )
+        timer = threading.Timer(0.1, state.cancel)
+        with QueryService(dataset, cluster, fault_injector=injector) as svc:
+            start = time.monotonic()
+            timer.start()
+            try:
+                with pytest.raises(QueryCancelledError):
+                    svc.submit(SCAN, opts)
+            finally:
+                timer.cancel()
+            elapsed = time.monotonic() - start
+        assert injector.injected >= 1, "the first attempt must have failed"
+        assert elapsed < 0.1 + 0.3, f"cancel took {elapsed - 0.1:.3f}s to land"
 
     def test_cancel_finished_returns_false(self):
         stub = StubService()

@@ -79,6 +79,52 @@ class TestBuiltinFunctions:
         with pytest.raises(QueryValidationError):
             distance()
 
+    @staticmethod
+    def old_distance(*coords):
+        """The pre-accumulator formula: a fresh temporary per term."""
+        acc = np.zeros_like(np.asarray(coords[0], dtype=np.float64))
+        for coord in coords:
+            c = np.asarray(coord, dtype=np.float64)
+            acc = acc + c * c
+        return np.sqrt(acc)
+
+    @staticmethod
+    def old_speed(vx, vy, vz):
+        vx, vy, vz = (np.asarray(v, dtype=np.float64) for v in (vx, vy, vz))
+        return np.sqrt(vx * vx + vy * vy + vz * vz)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_accumulation_is_bit_identical(self, dtype):
+        info = np.finfo(dtype)
+        special = [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, info.smallest_subnormal,
+            -info.smallest_subnormal, info.tiny, info.max, -info.max, 1.0,
+        ]
+        rng = np.random.default_rng(21)
+        cols = [
+            np.concatenate(
+                [rng.permutation(special), rng.normal(0, 1e3, 200)]
+            ).astype(dtype)
+            for _ in range(3)
+        ]
+        scalars = [2.5, -0.0, np.nan, np.float32(3.0)]
+        cases = [
+            cols, cols[:1], cols[:2], [scalars[0], cols[1]],
+            [cols[0], scalars[1], cols[2]], [cols[2], scalars[2]],
+            scalars[:2], [scalars[3]],
+        ]
+        with np.errstate(all="ignore"):  # info.max squared overflows
+            for args in cases:
+                want = self.old_distance(*args)
+                got = distance(*args)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True), args
+            for args in (cols, [cols[0], scalars[0], cols[2]], scalars[:3]):
+                want = self.old_speed(*args)
+                assert np.array_equal(speed(*args), want, equal_nan=True), args
+            for col in cols:  # inputs are never written
+                assert not np.shares_memory(distance(col), col)
+
     def test_speed_in_predicate(self, ):
         cols = {
             "VX": np.array([3.0, 30.0]),
