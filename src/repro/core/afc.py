@@ -375,9 +375,21 @@ class GroupTable:
 
     def implicit_bounds(self, name: str) -> Optional[Tuple[int, int]]:
         """(min, max) of implicit attribute ``name`` over every row, or
-        None when it is not implicit here (same precedence as
-        :meth:`AlignedFileChunkSet.implicit_bounds`)."""
+        None when it is not implicit here.
+
+        The hull of exactly the values extraction materialises, with the
+        same precedence (binding constant, then chunk-loop column, then
+        inner variable), before any narrowing to the declared dtype.  The
+        planner decides WHERE conjuncts with it on every query, so
+        constants and chunk-loop columns stay plain Python.
+        """
         layout = self.layout
+        for env_name, value in layout.env:
+            if env_name == name:
+                return value, value
+        if name in layout.const_names:
+            column = self.values[:, layout.const_names.index(name)].tolist()
+            return min(column), max(column)
         for iv in layout.inner_vars:
             if iv.name == name:
                 last = self.first + self.rows - 1
@@ -388,16 +400,11 @@ class GroupTable:
                 hi = np.where(
                     whole, iv.count - 1, (last // iv.repeat) % iv.count
                 )
-                return (
+                ends = (
                     iv.start + iv.step * int(lo.min()),
                     iv.start + iv.step * int(hi.max()),
                 )
-        if name in layout.const_names:
-            column = self.values[:, layout.const_names.index(name)]
-            return int(column.min()), int(column.max())
-        for env_name, value in layout.env:
-            if env_name == name:
-                return value, value
+                return min(ends), max(ends)
         return None
 
 
@@ -662,19 +669,36 @@ class ExtractionPlan:
     the same descriptor re-derives its share of ``afcs`` from them, so
     the ``tcp://`` transport ships these instead of the AFC list;
     ``dataclasses.replace`` variants of a plan keep them.
+
+    ``where`` is the *residual*: the top-level conjuncts of
+    ``query.where`` the index function did not decide.  ``decided``
+    holds the ones it did — each true of every row of ``afcs`` (see
+    :meth:`~repro.core.planner.CompiledDataset.plan`) — so applying
+    ``query.where`` instead of ``where`` yields the same rows.
     """
 
     afcs: AfcTable
-    needed: List[str]  # columns to materialise (projection + WHERE refs)
+    needed: List[str]  # every column the query references (SELECT + WHERE)
     output: List[str]  # final projection, in SELECT order
     where: Optional[object] = None  # residual predicate AST (applied to all rows)
     dtypes: Dict[str, np.dtype] = field(default_factory=dict)
     aggregate: Optional["AggregateSpec"] = None
     query: Optional["Query"] = None  # the rewritten query ``afcs`` came from
     chunk_row_cap: Optional[int] = None
+    decided: Tuple[object, ...] = ()  # conjuncts settled by the index
 
     def __post_init__(self) -> None:
         self.afcs = AfcTable.of(self.afcs)
+
+    @property
+    def extracted(self) -> List[str]:
+        """The columns extraction materialises: ``output`` plus what the
+        residual ``where`` reads, in ``needed`` order.  An attribute only
+        a decided conjunct referenced is never built."""
+        wanted = set(self.output)
+        if self.where is not None:
+            wanted.update(self.where.referenced_columns())
+        return [name for name in self.needed if name in wanted]
 
     @property
     def planned_rows(self) -> int:

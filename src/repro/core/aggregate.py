@@ -355,18 +355,21 @@ def finalize(
 
 
 def summary_answer(plan, summaries) -> Optional[VirtualTable]:
-    """Answer a predicate-free ungrouped COUNT/MIN/MAX from metadata.
+    """Answer a residual-free ungrouped COUNT/MIN/MAX from metadata.
 
     When every AFC's bounds are known — implicit attributes carry theirs
     in the plan, stored attributes need a chunk-summary entry for every
     chunk storing them — the final result table is computable with zero
     data-chunk reads: COUNT is the planned row total, MIN/MAX fold the
     per-chunk bounds.  Returns ``None`` whenever anything falls outside
-    that envelope (a predicate, a GROUP BY, an AVG/SUM item, a chunk
-    without a summary), in which case the caller extracts normally.
+    that envelope (a residual predicate, a GROUP BY, an AVG/SUM item, a
+    chunk without a summary), in which case the caller extracts normally.
 
-    Sound only because the query is predicate-free: every planned row is
-    in the result, so chunk-level bounds are exact global bounds.
+    Sound only because the plan has no residual predicate: every planned
+    row is in the result, so chunk-level bounds are exact global bounds.
+    That includes a WHERE the index function decided entirely
+    (``plan.decided``): each decided conjunct holds for every planned
+    row, so ``... WHERE TIME BETWEEN a AND b`` is answered here too.
     """
     spec = plan.aggregate
     if spec is None or spec.group_by:

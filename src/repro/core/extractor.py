@@ -363,7 +363,7 @@ class AfcReader:
     loop rebuilds none of it: one segment-cache read per needed member,
     one ``frombuffer``, constants from the row's values, and the inner
     variables' columns computed once per distinct row span and shared
-    (read-only, so emitting them copies — see ``own_column``).
+    (read-only, so ``assemble_table`` copies what it emits of them).
     Deliberately scoped to one call, never cached on the extractor or
     the layout: layouts tabulated from AFC objects are per-query, so a
     memo that outlives the call only pins dead plans.
@@ -815,11 +815,13 @@ class Extractor:
         coalesce_gap_bytes: int = 0,
         node: Optional[str] = None,
     ) -> AfcReader:
-        """One call's decoder for ``afcs``, their nearby chunk reads
-        merged into wide reads when ``coalesce_gap_bytes > 0``."""
+        """One call's decoder of ``plan.extracted`` for ``afcs``, their
+        nearby chunk reads merged into wide reads when
+        ``coalesce_gap_bytes > 0``."""
+        columns = plan.extracted
         return AfcReader(
-            self, plan.needed, plan.dtypes, tracer,
-            self.coalesce_for(afcs, plan.needed, coalesce_gap_bytes), node,
+            self, columns, plan.dtypes, tracer,
+            self.coalesce_for(afcs, columns, coalesce_gap_bytes), node,
         )
 
     def execute(
@@ -844,7 +846,7 @@ class Extractor:
         with tracer.span("extract", afcs=len(plan.afcs)) as span:
             parts = self.execute_parts(
                 plan, plan.afcs,
-                self._kernels.evaluator(plan.where, vectorize, tracer),
+                self._kernels.evaluator(plan.where, vectorize, tracer, plan.decided),
                 self.reader_for(plan, plan.afcs, tracer, coalesce_gap_bytes),
                 stats,
             )
@@ -882,8 +884,8 @@ class Extractor:
         one block or one AFC, whichever is larger.
         """
         pipeline = BlockPipeline(
-            evaluator, plan.needed, plan.output,
-            block_rows_for(plan.needed, plan.dtypes) if fuse else 1,
+            evaluator, reader.needed, plan.output,
+            block_rows_for(reader.needed, plan.dtypes) if fuse else 1,
             stats, reader.tracer,
         )
         if meter is not None:
@@ -965,7 +967,7 @@ class Extractor:
         stats = stats if stats is not None else IOStats()
         blocks = self.execute_blocks(
             plan, plan.afcs,
-            self._kernels.evaluator(plan.where, vectorize, tracer),
+            self._kernels.evaluator(plan.where, vectorize, tracer, plan.decided),
             self.reader_for(plan, plan.afcs, tracer, coalesce_gap_bytes),
             stats, fuse=False,
         )

@@ -474,13 +474,20 @@ class KernelCache:
         return kernel
 
     def evaluator(
-        self, where: Optional[Node], vectorize: bool, tracer=NULL_TRACER
+        self,
+        where: Optional[Node],
+        vectorize: bool,
+        tracer=NULL_TRACER,
+        decided: Sequence[Node] = (),
     ) -> "Evaluator":
         """What a :class:`BlockPipeline` filters ``where`` with: the
         cached compiled kernel, the interpreted oracle
-        (``vectorize=False``), or None for no WHERE at all."""
+        (``vectorize=False``), or None for no WHERE at all.  ``decided``
+        are the plan's conjuncts the index settled; when they are all
+        there was (``where`` is None), vectorized, that is
+        :data:`INDEX_DECIDED`."""
         if where is None:
-            return None
+            return INDEX_DECIDED if decided and vectorize else None
         if vectorize:
             return self.get(where, tracer)
         return InterpretedPredicate(where, self.functions)
@@ -507,11 +514,24 @@ class InterpretedPredicate:
         return self._where.evaluate(columns, self._functions)
 
 
-#: What a :class:`BlockPipeline` filters with; ``None`` keeps every row.
-Evaluator = Union[CompiledPredicate, InterpretedPredicate, None]
+class IndexDecided:
+    """The evaluator of a WHERE the index function decided for every
+    planned row, under ``vectorize="on"``: nothing runs per row and
+    every row is kept, like ``None`` — but the rows still count as
+    ``rows_vectorized``, so the cost model prices them as it did when a
+    kernel passed them all."""
 
-#: One finished block: the owned output columns of its surviving rows,
-#: and how many survived (pure ``COUNT(*)`` plans have no columns).
+
+#: The one :class:`IndexDecided` instance.
+INDEX_DECIDED = IndexDecided()
+
+#: What a :class:`BlockPipeline` filters with; ``None`` keeps every row.
+Evaluator = Union[CompiledPredicate, InterpretedPredicate, IndexDecided, None]
+
+#: One finished block: the output columns of its surviving rows, and how
+#: many survived (pure ``COUNT(*)`` plans have no columns).  The columns
+#: may be views of extracted chunks, shared and read-only; whoever hands
+#: them out takes ownership (:func:`assemble_table`).
 Block = Tuple[Dict[str, np.ndarray], int]
 
 
@@ -531,8 +551,13 @@ class BlockPipeline:
     * an :class:`InterpretedPredicate` closes a block per AFC whatever
       ``block_rows`` says — the oracle evaluates exactly as before
       kernels existed;
-    * ``None`` (no WHERE) keeps every row of every AFC: no mask, no
-      concatenation.
+    * ``None`` (no WHERE) and :data:`INDEX_DECIDED` keep every row of
+      every AFC: no mask, no concatenation, no copy.
+
+    Blocks are emitted without copying: a kept column may be a view of
+    the chunk it was decoded from.  Ownership is taken once, where a
+    block leaves for a caller (:func:`assemble_table`,
+    ``FilteringService.apply``).
     """
 
     def __init__(
@@ -544,8 +569,11 @@ class BlockPipeline:
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
     ):
-        self.evaluator = evaluator
         self.compiled = isinstance(evaluator, CompiledPredicate)
+        #: Rows counted as ``rows_vectorized``: a kernel's, and those of
+        #: a WHERE the index decided.
+        self.vectorized = self.compiled or evaluator is INDEX_DECIDED
+        self.evaluator = None if evaluator is INDEX_DECIDED else evaluator
         self.needed = list(needed)
         self.output = list(output)
         self.block_rows = max(1, block_rows) if self.compiled else 1
@@ -578,7 +606,7 @@ class BlockPipeline:
             }
         self._pending = []
         self._pending_rows = 0
-        if self.compiled and self.stats is not None:
+        if self.vectorized and self.stats is not None:
             self.stats.rows_vectorized += num_rows
         if self.evaluator is not None and self.tracer.enabled:
             with self.tracer.span(
@@ -608,15 +636,12 @@ class BlockPipeline:
                 count = 0
         if not count:
             return None
-        # Every row kept (no WHERE, a constant-true one, or one the index
-        # already decided, e.g. a TIME window): the columns are the
-        # result.  Otherwise fancy indexing copies, so the piece is owned
-        # and the kernel's mask buffer is free for the next block.
-        # own_column: extracted columns can be read-only views over
-        # segment-cache payloads; never emit those to callers.
+        # Every row kept (no WHERE, or a constant-true one): the columns
+        # are the result, as they are.  Otherwise fancy indexing copies,
+        # which also frees the kernel's mask buffer for the next block.
         if count == num_rows:
-            return {n: own_column(block[n]) for n in self.output}, count
-        return {n: own_column(block[n][mask]) for n in self.output}, count
+            return {n: block[n] for n in self.output}, count
+        return {n: block[n][mask] for n in self.output}, count
 
 
 def assemble_table(
@@ -625,7 +650,10 @@ def assemble_table(
     blocks: Iterable[Optional[Block]],
 ) -> VirtualTable:
     """Finished blocks (``None`` entries skipped) as one table of
-    ``output``; blocks own their columns, so a lone one is the result."""
+    ``output``, taking ownership: the concatenation of several pieces is
+    the one copy; a lone piece is copied only when it is read-only (a
+    view of a segment-cache payload or of a shared inner column) or not
+    contiguous."""
     pieces: Dict[str, List[np.ndarray]] = {name: [] for name in output}
     for block in blocks:
         if block is not None:
@@ -634,7 +662,7 @@ def assemble_table(
     final: Dict[str, np.ndarray] = {}
     for name, parts in pieces.items():
         if len(parts) == 1:
-            final[name] = parts[0]
+            final[name] = own_column(parts[0])
         elif parts:
             final[name] = np.concatenate(parts)
         else:

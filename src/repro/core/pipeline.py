@@ -282,9 +282,10 @@ class QueryPipeline:
 
         Three strategies, cheapest first:
 
-        1. **Summary fast path** — a predicate-free ungrouped
-           COUNT/MIN/MAX whose bounds are fully covered by plan metadata
-           and chunk summaries is answered with zero data-chunk reads.
+        1. **Summary fast path** — an ungrouped COUNT/MIN/MAX with no
+           residual WHERE (none written, or all decided by the index)
+           whose bounds are fully covered by plan metadata and chunk
+           summaries is answered with zero data-chunk reads.
         2. **Pushdown** (``opts.agg_pushdown``, the default) — the
            executor returns partial state frames; they are merged and
            finalised here.  A node dropped under ``allow_partial`` drops

@@ -15,8 +15,13 @@ against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple, Union,
+)
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (diag imports sql)
     from ..diag.core import Collector
@@ -24,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle (diag imports sql)
 from ..errors import PlanningError, QueryValidationError
 from ..metadata.descriptor import Descriptor, parse_descriptor
 from ..obs.tracer import NULL_TRACER
-from ..sql.ast import Query
+from ..sql.ast import And, Column, Comparison, InList, Literal, Node, Query
 from ..sql.parser import parse_query
 from ..sql.ranges import RangeMap, extract_ranges, query_is_unsatisfiable
 from ..sql.rewrite import rewrite_query
@@ -94,6 +99,11 @@ class CompiledDataset:
             a for a in self.index_attrs if a in stored_attrs
         )
         self.stored_index_leaves = self._stored_index_leaves()
+        #: Attributes a WHERE conjunct may be decided on, with the range
+        #: their values compare exactly in (see :func:`decide_conjuncts`).
+        self.decidable = decidable_ranges(
+            {a.name: a.dtype for a in self.schema if a.name not in stored_attrs}
+        )
         self._groups: Optional[List[StaticGroup]] = None
         self._warnings: Optional[List[str]] = None
         self._diagnostics = None
@@ -316,7 +326,11 @@ class CompiledDataset:
     ) -> ExtractionPlan:
         """Full planning: parse/validate, derive ranges, emit the plan.
 
-        ``node`` plans only that node's share (see :meth:`index`).
+        ``node`` plans only that node's share (see :meth:`index`).  The
+        plan's residual WHERE leaves out the conjuncts the index decided
+        over the planned AFCs (:func:`decide_conjuncts`), whoever runs
+        it: the generated and interpreted index alike, and node servers
+        over their own share.
         """
         with tracer.span("plan", dataset=self.descriptor.name) as span:
             query = self.resolve_query(query)
@@ -349,10 +363,14 @@ class CompiledDataset:
                 afcs = self.index(ranges, node=node)
                 index_span.tag(afcs=len(afcs))
             afcs = afcs.split(self.chunk_row_cap)
-            span.tag(afcs=len(afcs))
+            residual, decided = decide_conjuncts(
+                query.where, afcs, self.decidable
+            )
+            span.tag(afcs=len(afcs), decided=len(decided))
             return ExtractionPlan(
-                afcs, needed, output, query.where, dtypes, aggregate=spec,
+                afcs, needed, output, residual, dtypes, aggregate=spec,
                 query=query, chunk_row_cap=self.chunk_row_cap,
+                decided=decided,
             )
 
     # -- introspection ------------------------------------------------------------
@@ -360,12 +378,15 @@ class CompiledDataset:
     def explain(self, query: Union[Query, str]) -> str:
         """Human-readable plan summary (for the examples and debugging)."""
         plan = self.plan(query)
+        decided = " AND ".join(str(term) for term in plan.decided)
         lines = [
             f"dataset: {self.descriptor.name}",
             f"groups: {len(self.groups)} static, AFCs planned: {len(plan.afcs)}",
             f"rows planned: {plan.planned_rows}, bytes planned: {plan.planned_bytes}",
             f"needed columns: {plan.needed}",
             f"output columns: {plan.output}",
+            f"residual WHERE: {plan.where if plan.where is not None else 'none'}",
+            f"decided by the index: {decided or 'none'}",
         ]
         if plan.aggregate is not None:
             spec = plan.aggregate
@@ -382,6 +403,124 @@ class CompiledDataset:
     @property
     def total_data_bytes(self) -> int:
         return sum(f.expected_size for f in self.files)
+
+
+#: Integers up to this magnitude are exact in float64, so comparing one
+#: with an int or a float literal gives the same answer in Python as in
+#: numpy, which compares an integer column with a float in float64.
+_EXACT = 2 ** 53
+
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def decidable_ranges(dtypes: Mapping[str, np.dtype]) -> Dict[str, Tuple[int, int]]:
+    """Per implicit attribute, the value range inside which a hull check
+    in Python answers exactly what numpy's comparison of the
+    materialised column would: the declared integer type's range (a
+    wider hull wraps in that type — lint RV124), capped at ±2**53, or
+    ±2**53 for ``double``.  Narrower float types are left out: numpy
+    rounds a literal to the column's type before comparing."""
+    out: Dict[str, Tuple[int, int]] = {}
+    for name, dtype in dtypes.items():
+        dtype = np.dtype(dtype)
+        if dtype.kind in "iu":
+            info = np.iinfo(dtype)
+            out[name] = (max(int(info.min), -_EXACT), min(int(info.max), _EXACT))
+        elif dtype.kind == "f" and dtype.itemsize == 8:
+            out[name] = (-_EXACT, _EXACT)
+    return out
+
+
+def decide_conjuncts(
+    where: Optional[Node],
+    afcs: AfcTable,
+    decidable: Mapping[str, Tuple[int, int]],
+) -> Tuple[Optional[Node], Tuple[Node, ...]]:
+    """``(residual, decided)``: the top-level conjuncts of a rewritten
+    WHERE split by whether they hold for every row of ``afcs``.
+
+    A conjunct is decided only in exact cases: ``attr op literal`` with
+    ``op`` one of ``< <= > >=`` whose comparison holds at both ends of
+    the attribute's hull over every part, ``attr = literal`` over a
+    one-value hull equal to it, and ``attr IN (...)`` over a one-value
+    hull in the list — where ``attr`` is implicit in every part (never
+    stored), the hull fits ``decidable[attr]`` and every literal is a
+    finite number inside ±2**53.  Stored attributes, functions, OR, NOT,
+    ``!=`` and NaN stay in the residual; so does everything when
+    ``afcs`` is empty.  Dropping a decided conjunct changes no row: each
+    one is true of every row extraction produces.
+    """
+    if where is None or not len(afcs):
+        return where, ()
+    terms = where.terms if isinstance(where, And) else (where,)
+    hulls: Dict[str, Optional[Tuple[int, int]]] = {}
+    residual: List[Node] = []
+    decided: List[Node] = []
+    for term in terms:
+        holds = _decides(term, afcs, decidable, hulls)
+        (decided if holds else residual).append(term)
+    if not decided:
+        return where, ()
+    if len(residual) > 1:
+        return And(tuple(residual)), tuple(decided)
+    return (residual[0] if residual else None), tuple(decided)
+
+
+def _exact_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -_EXACT <= value <= _EXACT  # False for NaN
+    )
+
+
+def _decides(
+    term: Node,
+    afcs: AfcTable,
+    decidable: Mapping[str, Tuple[int, int]],
+    hulls: Dict[str, Optional[Tuple[int, int]]],
+) -> bool:
+    if isinstance(term, Comparison) and isinstance(term.right, Literal):
+        column, values = term.left, (term.right.value,)
+    elif isinstance(term, InList):
+        column, values = term.operand, term.values
+    else:
+        return False
+    if not isinstance(column, Column) or column.name not in decidable:
+        return False
+    if not all(_exact_number(value) for value in values):
+        return False
+    name = column.name
+    if name not in hulls:
+        hulls[name] = _hull(afcs, name, decidable[name])
+    hull = hulls[name]
+    if hull is None:
+        return False
+    lo, hi = hull
+    if isinstance(term, InList):
+        return lo == hi and lo in values
+    holds = _ORDERED.get(term.op)
+    if holds is not None:
+        return holds(lo, values[0]) and holds(hi, values[0])
+    return term.op in ("=", "==") and lo == hi == values[0]
+
+
+def _hull(
+    afcs: AfcTable, name: str, fits: Tuple[int, int]
+) -> Optional[Tuple[int, int]]:
+    """(min, max) of implicit ``name`` over every row of ``afcs``; None
+    when some part does not supply it or a value falls outside
+    ``fits``."""
+    lo = hi = None
+    for part in afcs.parts:
+        bounds = part.implicit_bounds(name)
+        if bounds is None:
+            return None
+        lo = bounds[0] if lo is None else min(lo, bounds[0])
+        hi = bounds[1] if hi is None else max(hi, bounds[1])
+    if lo < fits[0] or hi > fits[1]:
+        return None
+    return lo, hi
 
 
 def _merge_env(a: Dict[str, int], b: Dict[str, int]) -> Optional[Dict[str, int]]:

@@ -68,9 +68,11 @@ class IOStats:
     #: service to serve subsumption hits; the cost model charges these
     #: at ``filter_cpu`` like any other filtered row.
     rows_refiltered: int = 0
-    #: Rows whose residual WHERE ran through a compiled vectorized
-    #: kernel (``repro.core.kernels``) instead of the interpreted
-    #: per-node AST walk.  A subset of ``rows_extracted`` +
+    #: Rows whose WHERE was settled without the per-row interpreter:
+    #: run through a compiled vectorized kernel
+    #: (``repro.core.kernels``), or — under ``vectorize="on"`` —
+    #: decided for the whole plan by the index function, so no kernel
+    #: had to run.  A subset of ``rows_extracted`` +
     #: ``rows_refiltered``; the cost model charges these at
     #: ``vector_filter_cpu`` instead of ``filter_cpu``.
     rows_vectorized: int = 0

@@ -161,10 +161,13 @@ def own_column(arr: np.ndarray) -> np.ndarray:
 
 
 def concat_tables(tables: Sequence[VirtualTable]) -> VirtualTable:
-    """Concatenate tables with identical column sets, preserving order."""
+    """Concatenate tables with identical column sets, preserving order;
+    a lone table is returned as it is."""
     tables = [t for t in tables if t is not None]
     if not tables:
         return VirtualTable({})
+    if len(tables) == 1:
+        return tables[0]
     names = tables[0].column_names
     for t in tables[1:]:
         if t.column_names != names:

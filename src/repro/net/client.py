@@ -354,8 +354,7 @@ class TcpTransport(Transport):
         stats.merge(wire.decode_stats(done.get("stats", {})))
         if not batches:
             return empty_result(plan)
-        tables = [wire.decode_table(b) for b in batches]
-        return tables[0] if len(tables) == 1 else concat_tables(tables)
+        return concat_tables([wire.decode_table(b) for b in batches])
 
     # -- cluster-wide control ------------------------------------------------
 

@@ -74,10 +74,12 @@ class CostModel:
             + stats.seeks * self.seek_time
             + stats.bytes_read / self.disk_bandwidth
         )
-        # Rows filtered through a compiled kernel pay the (much lower)
-        # vectorized rate; everything else pays the interpreted rate.
-        # ``rows_vectorized`` is a subset of extracted + refiltered rows,
-        # so with vectorize off the formula reduces to the old one.
+        # Rows whose WHERE was settled without the per-row interpreter
+        # (a compiled kernel, or a WHERE the index decided under
+        # vectorize="on") pay the (much lower) vectorized rate;
+        # everything else pays the interpreted rate.  ``rows_vectorized``
+        # is a subset of extracted + refiltered rows, so with vectorize
+        # off the formula reduces to the old one.
         interp_rows = max(
             0,
             stats.rows_extracted

@@ -90,7 +90,7 @@ class DataSourceService:
         # Resolved once per call: a per-AFC lookup re-hashes the whole
         # WHERE tree for every chunk set.
         evaluator = self.filtering.evaluator(
-            plan.where, opts.vectorize == "on", tracer
+            plan.where, opts.vectorize == "on", tracer, plan.decided
         )
         workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
         if workers == 1:

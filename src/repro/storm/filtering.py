@@ -3,8 +3,9 @@
 STORM's filtering service "is responsible for execution of user-defined
 filters" (paper Section 2.3).  Chunk- and file-level pruning uses only the
 *necessary* range conditions; every extracted row still passes through the
-full WHERE expression here, including user-defined filter functions, so
-pruning can never change results.
+residual WHERE here — every conjunct the index did not decide true for
+all planned rows, user-defined filter functions included — so pruning can
+never change results.
 
 The service owns the predicate *evaluators*; the loop that applies one
 to columns is :class:`repro.core.kernels.BlockPipeline`, the same for
@@ -22,7 +23,7 @@ bit-identical masks (see docs/architecture.md, "Vectorized execution"):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from ..core.kernels import (
     block_rows_for,
 )
 from ..core.stats import IOStats
-from ..core.table import VirtualTable
+from ..core.table import VirtualTable, own_column
 from ..obs.tracer import NULL_TRACER
 from ..sql.ast import Node
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
@@ -53,11 +54,17 @@ class FilteringService:
         return self._kernels.get(where, tracer)
 
     def evaluator(
-        self, where: Optional[Node], vectorize: bool, tracer=NULL_TRACER
+        self,
+        where: Optional[Node],
+        vectorize: bool,
+        tracer=NULL_TRACER,
+        decided: Sequence[Node] = (),
     ) -> Evaluator:
         """What filters ``where``: its cached kernel, the interpreted
-        oracle (``vectorize=False``), or None for no WHERE at all."""
-        return self._kernels.evaluator(where, vectorize, tracer)
+        oracle (``vectorize=False``), or None for no WHERE at all
+        (``KernelCache.evaluator``; ``decided``: the plan's conjuncts the
+        index settled)."""
+        return self._kernels.evaluator(where, vectorize, tracer, decided)
 
     def apply(
         self,
@@ -82,7 +89,9 @@ class FilteringService:
         block = BlockPipeline(
             evaluator, list(columns), output, 1, stats, tracer
         ).add(columns, num_rows)
-        return block[0] if block else None
+        if block is None:
+            return None
+        return {name: own_column(column) for name, column in block[0].items()}
 
     def refilter(
         self,
@@ -100,7 +109,7 @@ class FilteringService:
         ``output`` in order.  The table goes through the same
         :class:`BlockPipeline` as extracted chunks, in
         :func:`block_rows_for`-sized slices — never one table-sized
-        kernel evaluation — and every piece the pipeline emits is owned,
+        kernel evaluation — and :func:`assemble_table` owns the result,
         so callers get writable columns (the empty result included) and
         can never mutate the frozen cached arrays through the result.
         """

@@ -54,23 +54,29 @@ class DataMoverService:
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
     ) -> List[Delivery]:
-        """Partition ``table`` and deliver one slice per client."""
+        """Partition ``table`` and deliver one slice per client.
+
+        A lone client gets every row in table order — the table itself,
+        so no row index is built for it (``partition`` is not called;
+        its span still marks the step).
+        """
         with tracer.span(
             "partition",
             scheme=type(partitioner).__name__,
             rows=table.num_rows,
             clients=num_clients,
         ):
-            indices = partitioner.partition(table, num_clients, tracer)
+            if num_clients == 1:
+                indices = [None]
+            else:
+                indices = partitioner.partition(table, num_clients, tracer)
         with tracer.span("mover", clients=num_clients) as span:
             row_size = self.row_bytes(table)
             deliveries: List[Delivery] = []
             for client, idx in enumerate(indices):
                 if self.injector is not None:
                     self.injector.on_transfer(client)
-                if num_clients == 1:
-                    # The lone client gets every row in table order:
-                    # hand over the columns themselves, not a gather.
+                if idx is None:
                     slice_table = table
                 else:
                     slice_table = VirtualTable(

@@ -272,8 +272,12 @@ class TestEndToEnd:
         assert stats.groups_emitted >= table.num_rows
 
     def test_count_attr_equals_count_star(self, ipars_v):
-        a = ipars_v.query("SELECT COUNT(*) FROM IparsData WHERE TIME < 4")
-        b = ipars_v.query("SELECT COUNT(SOIL) FROM IparsData WHERE TIME < 4")
+        # SOIL > 0.1 keeps a residual: a WHERE of TIME < 4 alone is
+        # decided by the index, and both counts would come from plan
+        # metadata instead of the per-AFC fold this test is about.
+        where = "WHERE TIME < 4 AND SOIL > 0.1"
+        a = ipars_v.query(f"SELECT COUNT(*) FROM IparsData {where}")
+        b = ipars_v.query(f"SELECT COUNT(SOIL) FROM IparsData {where}")
         assert a["COUNT(*)"][0] == b["COUNT(SOIL)"][0] > 0
 
     def test_zero_matching_rows_gives_zero_row_table(self, ipars_v):
@@ -347,6 +351,45 @@ class TestSummaryFastPath:
             assert table["COUNT(*)"][0] == ref.num_rows
             assert table["MIN(X)"][0] == ref["X"].min()
             assert table["MAX(X)"][0] == ref["X"].max()
+
+    def test_decided_where_is_answered_from_metadata(self, ipars_v):
+        # TIME BETWEEN 2 AND 5 is decided by the index: every planned
+        # row satisfies it, so the plan has no residual and its bounds
+        # are the answer — zero reads, every AFC pruned.
+        sql = (
+            "SELECT COUNT(*), MIN(TIME), MAX(TIME) FROM IparsData "
+            "WHERE TIME BETWEEN 2 AND 5"
+        )
+        plan = ipars_v.plan(sql)
+        assert plan.where is None and plan.decided
+        stats = IOStats()
+        fast = ipars_v.query(sql, stats=stats)
+        assert stats.chunks_read == stats.bytes_read == 0
+        assert stats.afcs_pruned == len(plan.afcs) > 0
+        extracted = ipars_v.query(sql, options=ExecOptions(agg_pushdown=False))
+        for name in fast.column_names:
+            assert fast[name].dtype == extracted[name].dtype
+            np.testing.assert_array_equal(fast[name], extracted[name])
+
+    def test_decided_where_with_chunk_summaries(self, titan_small):
+        # Titan declaring its CHUNK loop as an attribute: the decided
+        # CHUNK window plus MAX(X) from the chunk summaries.
+        _, text, mount, summaries = titan_small
+        text = text.replace("[TITAN]\n", "[TITAN]\nCHUNK = short int\n")
+        sql = (
+            "SELECT COUNT(*), MIN(CHUNK), MAX(X) FROM TitanData "
+            "WHERE CHUNK BETWEEN 3 AND 20"
+        )
+        with Virtualizer(text, mount, summaries=summaries) as v:
+            plan = v.plan(sql)
+            stats = IOStats()
+            fast = v.query(sql, stats=stats)
+            assert stats.chunks_read == stats.bytes_read == 0
+            assert stats.afcs_pruned == len(plan.afcs) > 0
+            extracted = v.query(sql, options=ExecOptions(agg_pushdown=False))
+        for name in fast.column_names:
+            assert fast[name].dtype == extracted[name].dtype
+            np.testing.assert_array_equal(fast[name], extracted[name])
 
     def test_predicate_disables_fast_path(self, ipars_v):
         # chunks_read, not bytes_read: the virtualizer's segment cache

@@ -47,6 +47,32 @@ class TestDataMover:
         empty = [d for d in deliveries if d.table.num_rows == 0]
         assert all(d.bytes_sent == 0 and d.messages == 0 for d in empty)
 
+    def test_one_client_builds_no_row_index(self):
+        # The lone client gets the table itself: partition() (which would
+        # allocate an arange of every row) is never called, and what is
+        # delivered and counted is what a partitioned delivery was.
+        class Spy(RoundRobinPartitioner):
+            calls = 0
+
+            def partition(self, table, num_clients, tracer=None):
+                Spy.calls += 1
+                return super().partition(table, num_clients)
+
+        table = make_table(1000)
+        stats = IOStats()
+        (delivery,) = DataMoverService(message_bytes=100).move(
+            table, Spy(), 1, stats
+        )
+        assert Spy.calls == 0
+        assert delivery.table is table
+        assert (delivery.bytes_sent, delivery.messages) == (
+            6000 + 60 * MESSAGE_OVERHEAD, 60
+        )
+        assert stats.bytes_sent == delivery.bytes_sent
+        # More clients still partition, once.
+        DataMoverService().move(table, Spy(), 2)
+        assert Spy.calls == 1
+
     def test_message_chunking(self):
         mover = DataMoverService(message_bytes=100)
         (delivery,) = mover.move(make_table(1000), BlockPartitioner(), 1)

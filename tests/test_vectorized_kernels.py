@@ -29,9 +29,11 @@ import pytest
 
 from repro.core import CompiledDataset, ExecOptions, Virtualizer
 from repro.core.kernels import (
+    INDEX_DECIDED,
     BlockPipeline,
     CompiledPredicate,
     KernelCache,
+    assemble_table,
     block_rows_for,
 )
 from repro.core.stats import IOStats
@@ -180,10 +182,12 @@ class TestRandomizedKernelEquivalence:
                     )
 
     def test_all_true_mask_skips_the_gather_but_still_owns_its_rows(self):
-        # A WHERE the index already decided keeps every row of every
-        # block: rows, order and rows_output as with a gather, and the
-        # pieces own their memory even when a block is one AFC's
-        # read-only decode over a segment-cache buffer.
+        # A predicate every row passes keeps every row of every block:
+        # rows, order and rows_output as with a gather.  Blocks may be
+        # views — one AFC's read-only decode over a segment-cache buffer
+        # passes through untouched — so ownership is taken where the
+        # rows leave: assemble_table's result owns its memory, for one
+        # piece or many, fused or not.
         where = parse_where("T >= 3 AND T <= 5")
         kernel = CompiledPredicate(where, DEFAULT_REGISTRY)
         segment = np.arange(40, dtype="<f8").tobytes()
@@ -194,20 +198,46 @@ class TestRandomizedKernelEquivalence:
             afcs.append(
                 {"T": np.full(n, 3 + i, dtype=np.int64), "V": values}
             )
-        expected = np.concatenate([a["V"] for a in afcs])
-        for block_rows in (1, 9, 1000):  # single-AFC blocks and fused ones
+        for evaluator in (kernel, None, INDEX_DECIDED):
+            for count in (1, 3):  # a lone piece, and several
+                expected = np.concatenate([a["V"] for a in afcs[:count]])
+                for block_rows in (1, 9, 1000):  # per-AFC and fused blocks
+                    stats = IOStats()
+                    pipeline = BlockPipeline(
+                        evaluator, ["T", "V"], ["V"], block_rows, stats=stats
+                    )
+                    blocks = [
+                        pipeline.add(afc, len(afc["T"]))
+                        for afc in afcs[:count]
+                    ] + [pipeline.finish()]
+                    if evaluator is not kernel:
+                        # Every block is an AFC's own columns, no copy.
+                        emitted = [b[0]["V"] for b in blocks if b]
+                        assert len(emitted) == count and all(
+                            v is a["V"] for v, a in zip(emitted, afcs)
+                        )
+                    table = assemble_table(["V"], {}, blocks)
+                    column = table.column("V")
+                    np.testing.assert_array_equal(column, expected)
+                    assert stats.rows_output == len(expected)
+                    assert column.flags.writeable and column.flags.c_contiguous
+                    assert not any(
+                        np.shares_memory(column, a["V"]) for a in afcs
+                    )
+
+    def test_index_decided_counts_rows_as_vectorized(self):
+        cache = KernelCache(DEFAULT_REGISTRY)
+        decided = (parse_where("T >= 3"),)
+        assert cache.evaluator(None, True, decided=decided) is INDEX_DECIDED
+        assert cache.evaluator(None, False, decided=decided) is None
+        assert cache.evaluator(None, True) is None
+        for evaluator, vectorized in ((INDEX_DECIDED, 5), (None, 0)):
             stats = IOStats()
-            pipeline = BlockPipeline(
-                kernel, ["T", "V"], ["V"], block_rows, stats=stats
-            )
-            pieces = run_pipeline(
-                pipeline, [(afc, len(afc["T"])) for afc in afcs]
-            )["V"]
-            np.testing.assert_array_equal(np.concatenate(pieces), expected)
-            assert stats.rows_output == 40
-            for piece in pieces:
-                assert piece.flags.writeable and piece.flags.c_contiguous
-                assert not any(np.shares_memory(piece, a["V"]) for a in afcs)
+            pipeline = BlockPipeline(evaluator, ["A"], ["A"], 64, stats=stats)
+            pipeline.add({"A": np.arange(5)}, 5)
+            assert stats.rows_vectorized == vectorized
+            assert stats.rows_output == 5
+        assert len(cache) == 0
 
     def test_block_rows_follow_row_width_and_are_clamped(self):
         f4, f8, i1 = np.dtype("<f4"), np.dtype("<f8"), np.dtype("i1")
@@ -233,7 +263,10 @@ OFF = ExecOptions(remote=False, vectorize="off")
 #: The paper's fig8 (IPARS) archetypes at the small-fixture scale:
 #: range subset, range+filter, range+UDF, pure UDF.
 IPARS_QUERIES = [
-    "SELECT REL, TIME, X, SOIL FROM IparsData WHERE TIME>3 AND TIME<9",
+    # The index decides TIME>3 AND TIME<9; SOIL>0.05 keeps a residual
+    # (nearly every row passes) for the kernel to run.
+    "SELECT REL, TIME, X, SOIL FROM IparsData "
+    "WHERE TIME>3 AND TIME<9 AND SOIL>0.05",
     "SELECT X, SOIL FROM IparsData WHERE TIME>3 AND TIME<9 AND SOIL>0.5",
     "SELECT X, OILVX FROM IparsData "
     "WHERE TIME>3 AND TIME<9 AND SPEED(OILVX, OILVY, OILVZ)<30",
@@ -274,6 +307,21 @@ class TestEngineOnOffIdentity:
             assert on_stats.rows_output == off_stats.rows_output
             assert on_stats.rows_vectorized == on_stats.rows_extracted
             assert off_stats.rows_vectorized == 0
+
+    def test_decided_where_compiles_no_kernel(self, ipars_l0):
+        # TIME>3 AND TIME<9 is settled by the index: vectorized, no
+        # kernel is compiled or run, yet every row still counts as
+        # vectorized — and the table is the interpreted one.
+        _, text, mount = ipars_l0
+        sql = "SELECT REL, TIME, X, SOIL FROM IparsData WHERE TIME>3 AND TIME<9"
+        with Virtualizer(text, mount) as virt:
+            on_stats, off_stats = IOStats(), IOStats()
+            fast = virt.query(sql, stats=on_stats, options=ON)
+            assert len(virt.extractor._kernels) == 0
+            assert on_stats.rows_vectorized == on_stats.rows_extracted > 0
+            slow = virt.query(sql, stats=off_stats, options=OFF)
+            assert off_stats.rows_vectorized == 0
+        assert_identical_rows(fast, slow)
 
     @pytest.mark.parametrize("sql", TITAN_QUERIES)
     def test_titan_queries_identical(self, titan_small, sql):
