@@ -13,7 +13,6 @@ from .figures import (
 from .harness import (
     Measurement,
     Series,
-    measure_plan,
     measure_rowstore,
     measure_storm,
     print_figure,
@@ -32,7 +31,6 @@ __all__ = [
     "fig11_time_windows",
     "fig6_titan_config",
     "fig9_ipars_config",
-    "measure_plan",
     "measure_rowstore",
     "measure_storm",
     "print_figure",

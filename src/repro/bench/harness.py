@@ -19,15 +19,13 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..baselines.rowstore import MiniRowStore
-from ..core.afc import ExtractionPlan
-from ..core.extractor import Extractor
 from ..core.options import ExecOptions
 from ..core.stats import IOStats
 from ..obs import Tracer
-from ..storm.cost import CostModel, POSTGRES_COST, STORM_COST
+from ..storm.cost import CostModel, POSTGRES_COST
 from ..storm.query_service import QueryService
 
 
@@ -57,7 +55,6 @@ def measure_storm(
     service: QueryService,
     sql: str,
     label: str = "storm",
-    num_clients: int = 1,
     remote: bool = False,
     trace: bool = False,
     **submit_kwargs,
@@ -69,7 +66,6 @@ def measure_storm(
     """
     service.drop_caches()
     options = ExecOptions(
-        num_clients=num_clients,
         remote=remote,
         trace=Tracer() if trace else None,
         **submit_kwargs,
@@ -112,34 +108,6 @@ def measure_rowstore(
         bytes_read=stats.bytes_read,
         files_opened=stats.files_opened,
         seeks=stats.seeks,
-    )
-
-
-def measure_plan(
-    extractor: Extractor,
-    plan_fn: Callable[[], ExtractionPlan],
-    label: str,
-    query: str,
-    cost_model: CostModel = STORM_COST,
-) -> Measurement:
-    """Run a raw extraction plan (used for hand-written baselines)."""
-    extractor.drop_caches()
-    stats = IOStats()
-    start = time.perf_counter()
-    plan = plan_fn()
-    table = extractor.execute(plan, stats)
-    wall = time.perf_counter() - start
-    simulated = cost_model.query_overhead + cost_model.node_time(stats)
-    return Measurement(
-        label=label,
-        query=query,
-        rows=table.num_rows,
-        simulated_seconds=simulated,
-        wall_seconds=wall,
-        bytes_read=stats.bytes_read,
-        files_opened=stats.files_opened,
-        seeks=stats.seeks,
-        afcs=len(plan.afcs),
     )
 
 

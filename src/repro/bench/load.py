@@ -1,13 +1,12 @@
 """Closed-loop load generation: sustained concurrency, latency percentiles.
 
-The throughput benchmarks run one query at a time; a server's latency
-story only appears under *sustained concurrent* load.  This module grows
-``benchmarks/bench_mixed_workload.py`` into a closed-loop generator:
-each tenant runs ``clients`` closed-loop client threads (a client
-submits, waits for the result, submits again — classic closed-loop
-arrival), every query's wall latency is recorded, and the report carries
-p50/p99 latency, throughput, queue waits, and a starvation ratio per
-tenant.
+The figure benchmarks run one query at a time; a server's latency
+story only appears under *sustained concurrent* load.  This module
+generates it: each tenant runs ``clients`` closed-loop client threads
+(a client submits, waits for the result, submits again — classic
+closed-loop arrival), every query's wall latency is recorded, and the
+report carries p50/p99 latency, throughput, queue waits, and a
+starvation ratio per tenant.
 
 Workloads come from :mod:`repro.bench.workloads` (deterministic seeded
 IPARS/Titan/MRI mixes) or any explicit query list; scheduling choices

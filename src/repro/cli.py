@@ -241,11 +241,12 @@ def cmd_verify_data(args) -> int:
                 print(f"STALE  {key} {attr}: stored {old.get(attr)} "
                       f"!= actual ({lo}, {hi})")
                 mismatches += 1
-    extra = len(persisted) - sum(1 for k in fresh._bounds if k in persisted)
+    # Orphans are keys persisted but not recomputed; counting by length
+    # alone lets a missing chunk and a stale key cancel out.
+    orphans = sum(1 for key in persisted._bounds if key not in fresh)
     print(f"checked {checked} chunks: {mismatches} mismatch(es)"
-          + (f", {len(persisted) - checked} orphaned summaries"
-             if len(persisted) > checked else ""))
-    return 1 if mismatches or len(persisted) != checked else 0
+          + (f", {orphans} orphaned summaries" if orphans else ""))
+    return 1 if mismatches or orphans else 0
 
 
 def cmd_query(args) -> int:

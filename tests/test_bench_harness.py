@@ -1,7 +1,9 @@
 """Tests for the benchmark harness itself (measurement + reporting)."""
 
+import importlib.util
 import json
-import os
+import pathlib
+import sys
 
 import pytest
 
@@ -19,6 +21,9 @@ from repro.bench.figures import (
     fig9_ipars_config,
     fig10_ipars_config,
 )
+from repro.bench.workloads import ipars_workload
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestMeasurement:
@@ -99,6 +104,23 @@ class TestMeasureFunctions:
         assert m.rows == 10
         assert m.simulated_seconds > 0
 
+    def test_workload_seed_replays_the_same_rows(self, ipars_l0):
+        from repro.core import Virtualizer
+
+        config, text, mount = ipars_l0
+        with Virtualizer(text, mount) as v:
+            def rows(seed):
+                return [
+                    v.query(sql).num_rows
+                    for sql in ipars_workload(config, 10, seed=seed)
+                ]
+
+            assert sum(rows(42)) > 0
+            assert rows(42) == rows(42)
+        assert ipars_workload(config, 10, seed=7) != ipars_workload(
+            config, 10, seed=42
+        )
+
 
 class TestFigureConfigs:
     def test_expected_shapes_cover_all_figures(self):
@@ -119,3 +141,29 @@ class TestFigureConfigs:
         assert titan.total_rows * titan.row_bytes < 200e6
         ipars = fig9_ipars_config()
         assert ipars.total_rows * ipars.row_bytes < 200e6
+
+
+def _load_ablations():
+    """``benchmarks/bench_ablations.py``, imported without running it."""
+    path = REPO / "benchmarks" / "bench_ablations.py"
+    spec = importlib.util.spec_from_file_location("bench_ablations", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve it by name
+    spec.loader.exec_module(module)
+    return module
+
+
+ABLATIONS = _load_ablations()
+
+
+class TestAblationTable:
+    def test_reports_only_ledger_metric_names(self):
+        catalog = json.loads((REPO / "BENCHMARK.json").read_text())
+        names = {metric["name"] for metric in catalog["per_layer"]}
+        assert set(ABLATIONS.METRICS) <= names | {"client.query_p50_all_ms"}
+
+    @pytest.mark.parametrize("row", ABLATIONS.ROWS, ids=lambda row: row.name)
+    def test_sides_differ_only_in_the_named_knob(self, row):
+        base, variant = row.base.settings(), row.variant.settings()
+        assert base.keys() == variant.keys()
+        assert {k for k in base if base[k] != variant[k]} == {row.knob}

@@ -262,6 +262,22 @@ class TestVerifyData:
         assert code == 1
         assert "STALE" in out
 
+    def test_missing_and_orphaned_do_not_cancel(self, capsys, titan_files):
+        _, desc, root, summ_file, _ = titan_files
+        with open(summ_file) as handle:
+            payload = json.load(handle)
+        dropped = payload["chunks"].pop()
+        payload["chunks"].append(dict(dropped, path="bogus.bin"))
+        with open(summ_file, "w") as handle:
+            json.dump(payload, handle)
+        code, out, _ = run(
+            capsys, "verify-data", desc, "--root", root,
+            "--summaries", summ_file,
+        )
+        assert code == 1
+        assert "MISSING" in out
+        assert "1 orphaned summaries" in out
+
     def test_missing_summary_file(self, capsys, titan_files):
         _, desc, root, _, _ = titan_files
         code, _, err = run(

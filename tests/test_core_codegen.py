@@ -50,6 +50,7 @@ class TestEquivalence:
 
     def test_same_afcs_for_empty_ranges(self, both):
         interpreted, generated = both
+        assert len(generated.index({})) == 16 * 20
         assert sorted(map(afc_key, interpreted.index({}))) == sorted(
             map(afc_key, generated.index({}))
         )

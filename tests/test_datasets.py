@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import CompiledDataset, Virtualizer, local_mount
+from repro.core import CompiledDataset, IOStats, Virtualizer, local_mount
 from repro.datasets import (
     ALL_LAYOUTS,
     IparsConfig,
@@ -133,8 +133,12 @@ class TestTitanGenerator:
         config, text, mount, _ = titan_small
         dataset = CompiledDataset(text)
         assert dataset.total_data_bytes == config.total_rows * config.row_bytes
+        stats = IOStats()
         with Virtualizer(text, mount) as v:
+            # A cold full scan reads every stored byte exactly once.
+            v.query("SELECT * FROM TitanData", stats=stats)
             assert v.query("SELECT TIME FROM TitanData").num_rows == config.total_rows
+        assert stats.bytes_read == dataset.total_data_bytes
 
     def test_chunks_are_spatially_local(self, titan_small):
         config, text, mount, summaries = titan_small
