@@ -476,7 +476,7 @@ def _split_span(
     ]
 
 
-#: A row of an :class:`AfcTable` as the extractor walks it:
+#: One row of an :class:`AfcTable`, as ``AfcReader.extract`` decodes it:
 #: ``(group table, row index, row count)``.
 RowRef = Tuple[GroupTable, int, int]
 
@@ -487,9 +487,9 @@ class AfcTable(Sequence[AlignedFileChunkSet]):
 
     Indexing and iteration yield :class:`AlignedFileChunkSet` objects
     equal to the ones the paper's notation describes (built on demand);
-    slicing yields a table.  The execution path reads the columns:
-    :meth:`cursor` for the extractor's row loop, ``parts`` for the
-    fan-out (:func:`group_by_home_node`), coalescing and costing.
+    slicing yields a table.  The execution path reads the columns of
+    its ``parts``: the extractor's runs of rows, the fan-out
+    (:func:`group_by_home_node`), coalescing and costing.
     """
 
     __slots__ = ("parts", "_ends", "__weakref__")
@@ -585,12 +585,6 @@ class AfcTable(Sequence[AlignedFileChunkSet]):
 
     def __repr__(self) -> str:
         return f"<AfcTable {len(self)} AFC(s) in {len(self.parts)} part(s)>"
-
-    def cursor(self) -> Iterator[RowRef]:
-        """Every row as a :data:`RowRef`, in plan order."""
-        for part in self.parts:
-            for i, num_rows in enumerate(part.lists()[3]):
-                yield part, i, num_rows
 
     @property
     def total_rows(self) -> int:

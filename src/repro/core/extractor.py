@@ -2,14 +2,16 @@
 
 This is the runtime half of the paper's extraction function: given an
 :class:`~repro.core.afc.ExtractionPlan`, read every member chunk of every
-AFC, decode the packed records with precomputed numpy dtypes (zero-copy
-views over the read buffer), materialise implicit attributes, apply the
-residual WHERE predicate vectorised, and emit the projected columns.
+AFC, decode the packed records with precomputed numpy dtypes, materialise
+implicit attributes, apply the residual WHERE predicate vectorised, and
+emit the projected columns.
 
 There is one loop over a plan's AFCs: :meth:`Extractor.execute_blocks`
-walks the plan's :class:`~repro.core.afc.AfcTable` row by row, extracts
-per AFC and hands each finished
-:class:`~repro.core.kernels.BlockPipeline` block to its consumer.
+walks the plan's :class:`~repro.core.afc.AfcTable` in runs of adjacent
+rows (one AFC each), decodes each run with one :meth:`AfcReader.columns`
+call and hands each finished :class:`~repro.core.kernels.BlockPipeline`
+block to its consumer.  A run is the rows that fill one kernel block, or
+a single row wherever AFC boundaries matter or no kernel runs.
 ``execute`` assembles the blocks into a table, ``execute_iter`` batches
 them for streaming, an aggregate plan folds each into a partial state
 frame (:meth:`Extractor.execute_parts`), and a data-source service's
@@ -43,7 +45,9 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import accumulate
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -58,6 +62,7 @@ from .afc import (
     AlignedFileChunkSet,
     ExtractionPlan,
     GroupLayout,
+    GroupTable,
     RowRef,
     constant_column,
 )
@@ -355,21 +360,34 @@ class _Resolved:
 
 
 class AfcReader:
-    """One ``execute`` call's AFC -> columns decoder.
+    """One ``execute`` call's table rows -> columns decoder.
 
     Holds what is invariant across the call's AFCs — the needed set, the
     implicit attributes' target dtypes and, per group layout, the needed
-    member chunks with their projected record dtypes — so the per-AFC
-    loop rebuilds none of it: one segment-cache read per needed member,
-    one ``frombuffer``, constants from the row's values, and the inner
-    variables' columns computed once per distinct row span and shared
-    (read-only, so ``assemble_table`` copies what it emits of them).
-    Deliberately scoped to one call, never cached on the extractor or
-    the layout: layouts tabulated from AFC objects are per-query, so a
-    memo that outlives the call only pins dead plans.
+    member chunks with their projected record dtypes — so decoding
+    rebuilds none of it.  Deliberately scoped to one call, never cached
+    on the extractor or the layout: layouts tabulated from AFC objects
+    are per-query, so a memo that outlives the call only pins dead plans.
+
+    :meth:`columns` decodes a run of adjacent rows of one group table
+    (one AFC per row).  Reads are per AFC whatever the run: one
+    ``Extractor.read_chunk`` per needed member, in plan order, so the
+    segment cache, coalescing and every I/O counter see the same reads.
+    A one-row run (:meth:`extract`) decodes as before: one
+    ``frombuffer`` per member, its fields returned as views of the
+    payload, constants from the row's values and the inner variables'
+    columns computed once per distinct row span and shared (read-only,
+    so ``assemble_table`` copies what it emits of them).  A longer run
+    decodes as one table: each member's payloads are joined once into a
+    fresh writable buffer and decoded with one ``frombuffer``, each
+    wanted field copied once into a contiguous column (a single-field
+    record already is one), constants repeated from the ``values``
+    column and the inner variables' span columns concatenated — so a
+    kernel block gets contiguous columns it owns, with no per-AFC
+    concatenation.
 
     ``node`` is the executing node of a data-source service: chunks
-    homed elsewhere are charged as ``remote_bytes_read`` and each AFC
+    homed elsewhere are charged as ``remote_bytes_read`` and each run
     gets an ``extract_afc`` span.  One call's intra-node worker threads
     may share a reader (the memos are idempotent, ``stats`` per call site).
     """
@@ -416,16 +434,51 @@ class AfcReader:
             self._inner[key] = columns
         return columns
 
-    def columns(self, row: RowRef, stats: IOStats) -> Columns:
-        """Materialise the needed columns of one table row (one AFC)."""
-        part, i, num_rows = row
+    def columns(
+        self,
+        part: GroupTable,
+        lo: int,
+        hi: int,
+        stats: IOStats,
+        meter=None,
+    ) -> Columns:
+        """The needed columns of rows ``lo .. hi - 1`` of ``part``, in
+        row order, with the per-AFC accounting every execute path shares
+        (AFC, chunk and row counts, remote bytes) and one ``extract_afc``
+        span per run.  ``meter`` (see :meth:`Extractor.execute_blocks`)
+        is charged each AFC's bytes once that AFC is read, so its quota
+        and cancel bounds stay one AFC inside a run."""
         resolved = self._resolve(part.layout)
         if resolved.missing:
             raise ExtractionError(
                 f"plan cannot supply columns {resolved.missing}; "
                 "they are neither stored in any chunk nor implicit"
             )
-        values, offsets, first, _ = part.lists()
+        decode = self._row if hi - lo == 1 else self._run
+        if self.node is not None and self.tracer.enabled:
+            rows = sum(part.lists()[3][lo:hi])
+            with self.tracer.span(
+                "extract_afc", node=self.node, afcs=hi - lo, rows=rows
+            ):
+                return decode(resolved, part, lo, hi, stats, meter)
+        return decode(resolved, part, lo, hi, stats, meter)
+
+    def extract(self, row: RowRef, stats: IOStats) -> Columns:
+        """One table row (one AFC) decoded: :meth:`columns` of a
+        one-row run."""
+        return self.columns(row[0], row[1], row[1] + 1, stats)
+
+    def _row(
+        self, resolved: _Resolved, part: GroupTable, i: int, _: int,
+        stats: IOStats, meter,
+    ) -> Columns:
+        """Row ``i`` alone: its fields as views of its payloads."""
+        values, offsets, first, counts = part.lists()
+        num_rows = counts[i]
+        before = stats.bytes_read
+        stats.afcs_processed += 1
+        if self.node is not None:
+            stats.remote_bytes_read += num_rows * resolved.remote_bytes_per_row
         columns: Columns = {}
         for name, value, want in resolved.env:
             columns[name] = constant_column(num_rows, value, want)
@@ -446,24 +499,86 @@ class AfcReader:
             records = np.frombuffer(data, dtype=dtype)
             for name in wanted:
                 columns[name] = records[name]
+        stats.rows_extracted += num_rows
+        if meter is not None:
+            meter.charge(nbytes=stats.bytes_read - before)
         return columns
 
-    def extract(self, row: RowRef, stats: IOStats) -> Columns:
-        """:meth:`columns` plus the per-AFC accounting every execute
-        path shares (AFC/row counts, remote bytes, extraction span)."""
-        num_rows = row[2]
-        stats.afcs_processed += 1
-        if self.node is not None:
-            stats.remote_bytes_read += (
-                num_rows * self._resolve(row[0].layout).remote_bytes_per_row
+    def _run(
+        self, resolved: _Resolved, part: GroupTable, lo: int, hi: int,
+        stats: IOStats, meter,
+    ) -> Columns:
+        """Rows ``lo .. hi - 1`` read AFC by AFC, decoded as one table:
+        a contiguous column per attribute."""
+        values, offsets, first, counts = part.lists()
+        read_chunk = self.extractor.read_chunk
+        reads = resolved.reads
+        remote = resolved.remote_bytes_per_row if self.node is not None else 0
+        # Every needed member's payload, AFC by AFC: member m's payloads
+        # are payloads[m::len(reads)].
+        payloads: List[bytes] = []
+        for k in range(lo, hi):
+            num_rows = counts[k]
+            before = stats.bytes_read
+            stats.afcs_processed += 1
+            stats.remote_bytes_read += num_rows * remote
+            row_offsets = offsets[k]
+            for j, node, path, bpr, _, _ in reads:
+                payloads.append(read_chunk(
+                    node, path, row_offsets[j], num_rows * bpr, stats,
+                    self.tracer, self.coalesce,
+                ))
+                stats.chunks_read += 1
+            stats.rows_extracted += num_rows
+            if meter is not None:
+                meter.charge(nbytes=stats.bytes_read - before)
+        columns: Columns = {}
+        rows = part.rows[lo:hi]
+        for name, value, want in resolved.env:
+            columns[name] = constant_column(int(rows.sum()), value, want)
+        for pos, name, want in resolved.consts:
+            # One cast of the run's values, wrapping a too-narrow
+            # declared type (RV124) exactly like constant_column.
+            run_values = part.values[lo:hi, pos].astype(
+                np.int64 if want is None else want
             )
-        if self.node is not None and self.tracer.enabled:
-            with self.tracer.span("extract_afc", node=self.node, rows=num_rows):
-                columns = self.columns(row, stats)
-        else:
-            columns = self.columns(row, stats)
-        stats.rows_extracted += num_rows
+            columns[name] = np.repeat(run_values, rows)
+        if resolved.inner:
+            spans = [
+                self._inner_columns(resolved, first[k], counts[k])
+                for k in range(lo, hi)
+            ]
+            for iv, _ in resolved.inner:
+                columns[iv.name] = np.concatenate(
+                    [span[iv.name] for span in spans]
+                )
+        for m, (_, _, _, _, dtype, wanted) in enumerate(reads):
+            joined = bytearray().join(payloads[m::len(reads)])
+            records = np.frombuffer(joined, dtype=dtype)
+            for name in wanted:
+                columns[name] = np.ascontiguousarray(records[name])
         return columns
+
+
+def _runs(
+    part: GroupTable, pipeline: BlockPipeline
+) -> Iterator[Tuple[int, int, int]]:
+    """``(lo, hi, rows)`` runs covering ``part``: each the rows that fill
+    the pipeline's pending count up to its block size, read as the
+    caller adds each run (one row per run when every row closes its own
+    block)."""
+    counts = part.lists()[3]
+    if pipeline.block_rows == 1:
+        for i, num_rows in enumerate(counts):
+            yield i, i + 1, num_rows
+        return
+    ends = list(accumulate(counts))
+    lo = done = 0
+    while lo < len(ends):
+        want = done + pipeline.block_rows - pipeline.pending_rows
+        hi = min(bisect_left(ends, want, lo) + 1, len(ends))
+        yield lo, hi, ends[hi - 1] - done
+        lo, done = hi, ends[hi - 1]
 
 
 def combine_parts(
@@ -801,9 +916,12 @@ class Extractor:
         tracer=NULL_TRACER,
         coalesce: Optional[CoalescePlan] = None,
     ) -> Columns:
-        """Materialise the needed columns of one aligned file chunk set."""
+        """Materialise the needed columns of one aligned file chunk set,
+        counted into ``stats`` like an execute path's AFC."""
         reader = AfcReader(self, needed, dtypes, tracer, coalesce)
-        return reader.columns(next(AfcTable.of([afc]).cursor()), stats)
+        return reader.extract(
+            (AfcTable.of([afc]).parts[0], 0, afc.num_rows), stats
+        )
 
     # -- plan execution ---------------------------------------------------------
 
@@ -864,24 +982,32 @@ class Extractor:
         fuse: bool = True,
         meter=None,
     ) -> Iterator[Block]:
-        """The AFC -> block driver: extract per table row (one AFC),
-        hand every finished :class:`~repro.core.kernels.BlockPipeline`
-        block to the consumer, in serial AFC order.
+        """The table -> block driver: walk the table's parts in runs of
+        adjacent rows (one AFC each), decode each run with one
+        :meth:`AfcReader.columns` call and hand every finished
+        :class:`~repro.core.kernels.BlockPipeline` block to the
+        consumer, in serial AFC order.
 
-        With ``fuse`` and a compiled kernel, AFC columns accumulate
-        until :func:`block_rows_for` rows (a cache-sized block of the
-        plan's needed columns) are pending — same rows, same order as
-        per-AFC filtering, one interpreter-free pass per block.
-        ``fuse=False`` closes a block per AFC: consumers whose output
-        depends on AFC boundaries (streamed batches, the aggregate fold).
+        A run is the rows that fill the pipeline's pending count up to
+        its block size.  With ``fuse`` and a compiled kernel that is
+        :func:`block_rows_for` rows (a cache-sized block of the plan's
+        needed columns), decoded straight into contiguous block columns
+        — same rows, same order as per-AFC filtering, one
+        interpreter-free pass per block; only a run cut short by the end
+        of its part is concatenated with the next part's.  ``fuse=False``
+        and every other evaluator step one AFC at a time: consumers
+        whose output depends on AFC boundaries (streamed batches, the
+        aggregate fold), the interpreted oracle, and scans with no
+        residual WHERE, whose blocks stay views of the chunks read.
 
         ``meter`` is the scheduler's cooperative cancel/quota state
         (``ExecOptions.run_state``; anything with ``checkpoint()`` and
         ``charge(rows, nbytes)``).  It is checked before every AFC read
-        and charged each AFC's bytes as they are read, so a byte quota
-        trips at the first AFC boundary past it; rows are charged when
-        their block is filtered, so a row quota is overshot by at most
-        one block or one AFC, whichever is larger.
+        and charged each AFC's bytes as they are read — inside a run, by
+        the reader — so a byte quota trips at the first AFC boundary
+        past it; rows are charged when their block is filtered, so a row
+        quota is overshot by at most one block or one AFC, whichever is
+        larger.
         """
         pipeline = BlockPipeline(
             evaluator, reader.needed, plan.output,
@@ -890,17 +1016,23 @@ class Extractor:
         )
         if meter is not None:
             meter.checkpoint()
-        for row in AfcTable.of(afcs).cursor():
-            before = stats.bytes_read
-            block = pipeline.add(reader.extract(row, stats), row[2])
-            if meter is not None:
-                # charge() ends in a checkpoint: the one before the next read.
-                meter.charge(
-                    rows=block[1] if block else 0,
-                    nbytes=stats.bytes_read - before,
+        for part in AfcTable.of(afcs).parts:
+            for lo, hi, num_rows in _runs(part, pipeline):
+                # A lone AFC's bytes are charged with its block's rows.
+                run_meter = meter if hi - lo > 1 else None
+                before = stats.bytes_read
+                block = pipeline.add(
+                    reader.columns(part, lo, hi, stats, run_meter), num_rows
                 )
-            if block is not None:
-                yield block
+                if meter is not None:
+                    # charge() ends in a checkpoint: the one before the
+                    # next read.
+                    meter.charge(
+                        rows=block[1] if block else 0,
+                        nbytes=0 if run_meter else stats.bytes_read - before,
+                    )
+                if block is not None:
+                    yield block
         block = pipeline.finish()
         if block is not None:
             if meter is not None:

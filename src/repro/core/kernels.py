@@ -40,10 +40,12 @@ exactly.
 
 :class:`BlockPipeline` is where any predicate — this kernel, the
 interpreted oracle, or none — meets extracted columns.  With a kernel,
-small AFCs are accumulated into fused evaluation blocks (one
-``np.concatenate`` per needed column, one kernel evaluation, one
+small AFCs form fused evaluation blocks (one kernel evaluation, one
 fancy-index gather per output column), which amortizes the per-chunk
-Python overhead while preserving serial row order exactly.
+Python overhead while preserving serial row order exactly.  The
+extractor decodes a block's AFCs as one run straight into contiguous
+columns (``AfcReader.columns``): the kernel is never handed strided
+record views, over which every elementwise pass runs markedly slower.
 """
 
 from __future__ import annotations
@@ -538,16 +540,19 @@ Block = Tuple[Dict[str, np.ndarray], int]
 class BlockPipeline:
     """The one place a predicate meets extracted columns.
 
-    ``add`` takes one AFC's needed columns and returns a finished
+    ``add`` takes the needed columns of one AFC, or of a run of AFCs
+    the extractor already decoded as one, and returns a finished
     :data:`Block` when one closes (``None`` otherwise, and for blocks no
     row survives); ``finish`` closes the remainder.  Row order is the
     ``add`` order throughout.  What closes a block depends on the
     evaluator:
 
-    * a :class:`CompiledPredicate` fuses AFCs until ``block_rows`` rows
-      are pending, then concatenates each needed column once, evaluates
-      the kernel once and gathers each output column with one fancy
-      index (``block_rows=1`` closes a block per AFC);
+    * a :class:`CompiledPredicate` accumulates until ``block_rows`` rows
+      are pending, evaluates the kernel once and gathers each output
+      column with one fancy index (``block_rows=1`` closes a block per
+      ``add``).  The extractor sizes its runs by :attr:`pending_rows`,
+      so a block is normally one ``add``; only pieces that meet at a
+      part boundary are concatenated, once per needed column;
     * an :class:`InterpretedPredicate` closes a block per AFC whatever
       ``block_rows`` says — the oracle evaluates exactly as before
       kernels existed;
@@ -581,6 +586,11 @@ class BlockPipeline:
         self.tracer = tracer
         self._pending: List[Tuple[Mapping[str, np.ndarray], int]] = []
         self._pending_rows = 0
+
+    @property
+    def pending_rows(self) -> int:
+        """Rows added since the last block closed."""
+        return self._pending_rows
 
     def add(
         self, columns: Mapping[str, np.ndarray], num_rows: int

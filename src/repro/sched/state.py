@@ -100,7 +100,8 @@ class RunState:
 
         Called after a partial is produced; the counts are totals across
         every thread of the query (the lock makes concurrent node
-        workers safe).
+        workers safe).  One critical section does both: the execution
+        path charges once per AFC.
         """
         with self._lock:
             self.rows += rows
@@ -113,7 +114,9 @@ class RunState:
                     and self.nbytes > self.byte_quota
                 ):
                     self._quota_trip = ("byte", self.nbytes, self.byte_quota)
-        self.checkpoint()
+            cancel_reason = self._cancel_reason if self._cancelled else None
+            trip = self._quota_trip
+        self._stop(cancel_reason, trip)
 
     def checkpoint(self) -> None:
         """Raise the pending stop condition, if any.
@@ -125,9 +128,15 @@ class RunState:
         in-band check — surface identically.
         """
         with self._lock:
-            if self._cancelled:
-                raise QueryCancelledError(self._cancel_reason)
+            cancel_reason = self._cancel_reason if self._cancelled else None
             trip = self._quota_trip
+        self._stop(cancel_reason, trip)
+
+    def _stop(self, cancel_reason: Optional[str], trip: Optional[tuple]) -> None:
+        """:meth:`checkpoint`'s raise, given the state read under the
+        lock; the deadline is checked outside it."""
+        if cancel_reason is not None:
+            raise QueryCancelledError(cancel_reason)
         if trip is not None:
             raise QuotaExceededError(*trip)
         if self.deadline_at is not None and self.clock() >= self.deadline_at:

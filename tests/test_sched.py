@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.core import CompiledDataset, ExecOptions, GeneratedDataset, IOStats
-from repro.core.extractor import AfcReader
+from repro.core.extractor import AfcReader, Extractor
 from repro.core.kernels import block_rows_for
 from repro.core.options import resolve_workers
 from repro.datasets import IparsConfig, ipars
@@ -374,26 +374,37 @@ class TestCancellation:
     def test_cancel_mid_query_stops_before_next_afc_read(
         self, env, monkeypatch, sql
     ):
-        # Cancel from inside the third AFC's extraction: neither the
-        # per-AFC path (no WHERE) nor the block driver reads a fourth.
+        # Cancel from inside the third AFC's read: neither the per-AFC
+        # path (no WHERE) nor a fused run of AFCs (the kernel's) reads a
+        # fourth.  Every AFC reads its own SOIL chunk once; the shared
+        # COORDS chunk does not tell AFCs apart.
         service, _, _ = env
-        extract = AfcReader.extract
-        calls, submitted, box = [], threading.Event(), {}
+        read_chunk, columns = Extractor.read_chunk, AfcReader.columns
+        afcs, runs, submitted, box = [], [], threading.Event(), {}
 
-        def cancelling_extract(reader, afc, stats):
-            calls.append(afc)
-            if len(calls) == 3:
-                assert submitted.wait(10)
-                assert box["handle"].cancel() is True
-            return extract(reader, afc, stats)
+        def cancelling_read(extractor, node, path, offset, *args):
+            if "SOIL" in path and (node, path, offset) not in afcs:
+                afcs.append((node, path, offset))
+                if len(afcs) == 3:
+                    assert submitted.wait(10)
+                    assert box["handle"].cancel() is True
+            return read_chunk(extractor, node, path, offset, *args)
 
-        monkeypatch.setattr(AfcReader, "extract", cancelling_extract)
+        def run_columns(reader, part, lo, hi, *args):
+            runs.append(hi - lo)
+            return columns(reader, part, lo, hi, *args)
+
+        monkeypatch.setattr(Extractor, "read_chunk", cancelling_read)
+        monkeypatch.setattr(AfcReader, "columns", run_columns)
         with Scheduler(service, workers=1) as sched:
             box["handle"] = sched.submit(sql, LOCAL.replace(parallel=False))
             submitted.set()
             with pytest.raises(QueryCancelledError):
                 box["handle"].result(timeout=30)
-        assert len(calls) == 3
+        assert len(afcs) == 3
+        # No WHERE steps one AFC at a time; the kernel's first run is a
+        # whole part (6 AFCs), cancelled inside.
+        assert runs == ([1, 1, 1] if "WHERE" not in sql else [6])
 
     def test_cancel_during_retry_backoff_ends_the_sleep(self, env):
         # osu0 always fails at once; the retry loop then sleeps 2 s
