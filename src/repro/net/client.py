@@ -7,7 +7,12 @@ protocol itself — :meth:`TcpTransport.execute_node` takes a pooled
 socket, writes EXECUTE and reads BATCH.../DONE with the blocking
 helpers of :mod:`~repro.net.framing` (the same ones the node server
 uses), releasing the GIL in ``recv`` so several nodes' replies arrive
-in parallel.  Each node has a small connection pool
+in parallel.  A BATCH is never held as a payload: after its header,
+every column is received by ``recv_into`` straight into that node's
+result columns (:class:`~repro.net.wire.TableReceiver`, sized once by
+the planned rows of a row plan), and the node's table is a zero-copy
+view of them — the query service's cross-node ``concat_tables`` is the
+one copy the coordinator makes.  Each node has a small connection pool
 (``ExecOptions.max_connections_per_node``: a semaphore plus an idle
 list) and a cluster-wide semaphore (``ExecOptions.inflight_limit``) is
 admission control — per-node backpressure comes from the pool,
@@ -37,6 +42,7 @@ number of AFCs than were planned for that node.
 
 from __future__ import annotations
 
+import functools
 import json
 import select
 import socket
@@ -45,11 +51,11 @@ import time
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.afc import AlignedFileChunkSet, ExtractionPlan
+from ..core.afc import AfcTable, AlignedFileChunkSet, ExtractionPlan
 from ..core.extractor import empty_result
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
-from ..core.table import VirtualTable, concat_tables
+from ..core.table import VirtualTable
 from ..errors import NodeConnectionError, PlanMismatchError, TransportError
 from ..obs.tracer import NULL_TRACER
 from ..storm.transport import Transport
@@ -154,14 +160,16 @@ class _NodePool:
         payload: bytes,
         want: int,
         connect_timeout: Optional[float],
-    ) -> Tuple[List[bytearray], bytearray]:
+        batches: Optional[wire.TableReceiver] = None,
+    ) -> bytearray:
         """One request/reply on a pooled connection, on this thread.
 
-        Returns the reply's BATCH payloads and the payload of the
-        ``want`` frame that closed it; an ERROR frame is raised as what
-        it encodes.  No timeout on the reply: a hung node is the query
-        service's business (``ExecOptions.node_timeout`` abandons the
-        attempt).
+        Returns the payload of the ``want`` frame that closed the reply;
+        its BATCH payloads are received into ``batches``, column by
+        column, as they arrive.  An ERROR frame — after some batches or
+        none — is raised as what it encodes.  No timeout on the reply: a
+        hung node is the query service's business
+        (``ExecOptions.node_timeout`` abandons the attempt).
         """
         try:
             with self._slots:
@@ -171,12 +179,13 @@ class _NodePool:
                 reusable = False
                 try:
                     framing.write_frame(sock, kind, payload)
-                    batches: List[bytearray] = []
+                    read_into = functools.partial(framing.recv_into, sock)
                     while True:
-                        got, data = framing.read_frame(sock)
-                        if got != framing.BATCH:
+                        got, length = framing.read_header(sock)
+                        if got != framing.BATCH or batches is None:
+                            data = framing.recv_exact(sock, length)
                             break
-                        batches.append(data)
+                        batches.receive(read_into, length)
                     reusable = True
                 finally:
                     self._checkin(sock, reusable)
@@ -189,7 +198,7 @@ class _NodePool:
                 f"expected {framing.kind_name(want)}, got "
                 f"{framing.kind_name(got)}"
             )
-        return batches, data
+        return data
 
     def _checkout(self, connect_timeout: Optional[float]) -> socket.socket:
         """A connection fit to carry a request: idle if any, else new."""
@@ -327,34 +336,38 @@ class TcpTransport(Transport):
         payload = json.dumps(
             wire.encode_execute(plan, len(afcs), opts)
         ).encode("utf-8")
+        empty = empty_result(plan)
+        # A row plan's reply is at most its planned rows: the columns are
+        # allocated once, at that size, on the first BATCH.
+        batches = wire.TableReceiver(
+            empty,
+            AfcTable.of(afcs).total_rows if plan.aggregate is None else None,
+        )
         start = time.perf_counter()
         with tracer.span(
             "rpc", node=node, afcs=len(afcs), request_bytes=len(payload)
         ) as span:
             with self._inflight:
-                batches, data = self._pool(node).request(
+                data = self._pool(node).request(
                     framing.EXECUTE, payload, framing.DONE,
-                    opts.connect_timeout,
+                    opts.connect_timeout, batches,
                 )
             done = framing.decode_json(data)
             if tracer.enabled:
-                received = sum(len(b) for b in batches)
                 span.tag(
                     rtt_seconds=round(time.perf_counter() - start, 6),
-                    response_bytes=received,
-                    batches=len(batches),
+                    response_bytes=batches.nbytes,
+                    batches=batches.frames,
                 )
                 tracer.metrics.record("net.requests")
-                tracer.metrics.record("net.bytes_received", received)
+                tracer.metrics.record("net.bytes_received", batches.nbytes)
         if done.get("afcs") != len(afcs):
             raise PlanMismatchError(
                 f"node {node!r} answered for {done.get('afcs')} AFC(s), "
                 f"the coordinator planned {len(afcs)} for it"
             )
         stats.merge(wire.decode_stats(done.get("stats", {})))
-        if not batches:
-            return empty_result(plan)
-        return concat_tables([wire.decode_table(b) for b in batches])
+        return batches.table() if batches.frames else empty
 
     # -- cluster-wide control ------------------------------------------------
 

@@ -14,8 +14,12 @@ columnar encoding of :func:`repro.net.wire.encode_table` (BATCH frames).
 
 Both ends speak it through the same blocking-socket helpers: the
 threaded :class:`~repro.net.server.NodeServer` and the coordinator's
-pooled :class:`~repro.net.client.TcpTransport` call :func:`read_frame`
-and :func:`write_frame` from whichever thread owns the connection.
+pooled :class:`~repro.net.client.TcpTransport` call :func:`write_frame`
+and :func:`read_frame` (or :func:`read_header` and :func:`recv_into`,
+to receive a BATCH payload straight into result columns) from whichever
+thread owns the connection.  :func:`write_frame` is the one writer: a
+payload given as several buffers — a BATCH's header and column arrays —
+goes to the kernel by ``sendmsg`` without being joined first.
 """
 
 from __future__ import annotations
@@ -60,6 +64,12 @@ _HEADER = struct.Struct("!BI")
 MAX_FRAME_BYTES = 1 << 29  # 512 MiB
 
 
+#: Most buffers one ``sendmsg`` call may carry: the kernel refuses a
+#: longer iovec array (``IOV_MAX``, 1024 on Linux and macOS), so
+#: :func:`write_frame` sends longer lists in turns.
+IOV_MAX = 1024
+
+
 def kind_name(kind: int) -> str:
     return KIND_NAMES.get(kind, f"kind#{kind}")
 
@@ -72,12 +82,11 @@ def _check_length(kind: int, length: int) -> None:
         )
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytearray:
-    """Receive exactly ``count`` bytes, straight into the one buffer
-    they need (a multi-megabyte BATCH is never held twice); raise
-    ConnectionError on EOF."""
-    buf = bytearray(count)
-    view = memoryview(buf)
+def recv_into(sock: socket.socket, buffer) -> None:
+    """Fill the writable ``buffer`` from ``sock``, however many receives
+    that takes; raise ConnectionError on EOF."""
+    view = memoryview(buffer)
+    count = view.nbytes
     read = 0
     while read < count:
         got = sock.recv_into(view[read:])
@@ -86,18 +95,55 @@ def _recv_exact(sock: socket.socket, count: int) -> bytearray:
                 f"connection closed mid-frame ({read}/{count} bytes read)"
             )
         read += got
+
+
+def recv_exact(sock: socket.socket, count: int) -> bytearray:
+    """Receive exactly ``count`` bytes into the one buffer they need."""
+    buf = bytearray(count)
+    recv_into(sock, buf)
     return buf
+
+
+def read_header(sock: socket.socket) -> Tuple[int, int]:
+    """The next frame's kind and payload length, payload left unread;
+    raises ConnectionError when the peer hung up."""
+    kind, length = _HEADER.unpack(recv_exact(sock, _HEADER.size))
+    _check_length(kind, length)
+    return kind, length
 
 
 def read_frame(sock: socket.socket) -> Tuple[int, bytearray]:
     """Read one frame; raises ConnectionError when the peer hung up."""
-    kind, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    _check_length(kind, length)
-    return kind, _recv_exact(sock, length)
+    kind, length = read_header(sock)
+    return kind, recv_exact(sock, length)
 
 
-def write_frame(sock: socket.socket, kind: int, payload: bytes = b"") -> None:
-    sock.sendall(_HEADER.pack(kind, len(payload)) + payload)
+def write_frame(sock: socket.socket, kind: int, *buffers) -> int:
+    """Send one frame whose payload is ``buffers`` back to back; returns
+    the payload length.
+
+    Each buffer is a bytes-like object whose ``len`` is its size in
+    bytes (``bytes``, ``bytearray``, a 1-D ``uint8`` array).  They reach
+    the kernel as they are: ``sendmsg`` gathers at most :data:`IOV_MAX`
+    of them per call, and a partial send resumes inside the buffer where
+    it stopped.
+    """
+    pending = [b for b in buffers if len(b)]
+    length = sum(len(b) for b in pending)
+    pending.insert(0, _HEADER.pack(kind, length))
+    unsent = _HEADER.size + length
+    while True:
+        sent = sock.sendmsg(pending[:IOV_MAX])
+        unsent -= sent
+        if not unsent:
+            return length
+        done = 0
+        while sent >= len(pending[done]):
+            sent -= len(pending[done])
+            done += 1
+        del pending[:done]
+        if sent:
+            pending[0] = memoryview(pending[0])[sent:]
 
 
 def write_json(sock: socket.socket, kind: int, obj: Any) -> None:

@@ -9,10 +9,22 @@ server runs the same ``resolve -> rewrite -> ranges -> index`` pipeline
 as the coordinator, restricted to the file groups homed on its node —
 the paper's generated index function running at the data source —
 executes the resulting AFCs, streams the filtered rows back as columnar
-BATCH frames sized by the request's ``batch_rows``, and closes the
-request with a DONE frame carrying the AFC count it planned and the
-node's IOStats.  Nothing planned for a request outlives its reply:
-there is no node-side plan cache.
+BATCH frames of exactly the request's ``batch_rows`` rows (the last one
+shorter), and closes the request with a DONE frame carrying the AFC
+count it planned and the node's IOStats.  Nothing planned for a request
+outlives its reply: there is no node-side plan cache.
+
+The reply is written from the blocks the extractor finishes
+(:meth:`~repro.storm.data_source.DataSourceService.parts`), while the
+next block is still being read: each frame is the table header plus
+zero-copy slices of the blocks' columns, handed to ``sendmsg`` unjoined
+(:func:`~repro.net.wire.table_frames`, :func:`~repro.net.framing.
+write_frame`).  The node copies a result byte only where a block column
+is a strided view — L0's X/Y/Z fields of ``COORDS`` records — into a
+contiguous piece.  An aggregate plan's parts are still combined into
+one state frame first and sent the same way.  A failure after some
+BATCH frames went out (a disk dying mid-scan) is answered with ERROR in
+place of DONE; the coordinator drops what it received.
 
 Coordinator and node must plan alike, so WELCOME announces what the
 server plans from (:func:`~repro.core.codegen.plan_identity`: dataset
@@ -24,8 +36,8 @@ Concurrency is thread-per-connection over the one shared service; the
 extractor's handle/segment caches are internally locked, exactly as in
 the in-process path.  A server-side
 :class:`~repro.faults.FaultInjector` wraps the mount (disk chaos) and is
-consulted before every result frame (``conn-reset`` chaos): fault
-injection travels with the process that owns the disk.
+consulted before every reply frame, BATCH or DONE (``conn-reset``
+chaos): fault injection travels with the process that owns the disk.
 
 Entry point: ``repro serve DESC --root R --node osu0`` (see
 :mod:`repro.cli`), or programmatic embedding via :class:`NodeServer`.
@@ -42,11 +54,10 @@ from typing import Optional, Tuple
 
 from ..core.afc import ExtractionPlan
 from ..core.codegen import plan_identity
-from ..core.extractor import local_mount
+from ..core.extractor import combine_parts, local_mount
 from ..core.planner import CompiledDataset
 from ..core.stats import IOStats
-from ..core.table import batched
-from ..errors import PlanMismatchError, TransportError
+from ..errors import InjectedFault, PlanMismatchError, TransportError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import FunctionRegistry
 from ..storm.data_source import DataSourceService
@@ -232,49 +243,27 @@ class NodeServer:
         )
 
     def _execute(self, conn, payload: bytes) -> bool:
-        """Plan and run one shipped query, streaming batches then DONE."""
-        from ..errors import InjectedFault
-
+        """Plan and run one shipped query: BATCH frames, then DONE.  A
+        failure anywhere before DONE — even after some BATCH frames went
+        out — is answered with ERROR, which the coordinator reads in
+        place of DONE."""
         try:
             request = wire.decode_execute(framing.decode_json(payload))
             plan = self._plan(request)
-            options = request.options
             stats = IOStats()
-            table = self.source.execute(
-                plan, plan.afcs, stats, NULL_TRACER, options
-            )
-        except Exception as exc:
-            framing.write_json(conn, framing.ERROR, wire.encode_error(exc))
-            return True
-        injector = self.fault_injector
-        batches = 0
-        try:
-            for batch in batched(table, options.batch_rows):
-                if injector is not None:
-                    injector.on_response(self.node)
-                payload_out = wire.encode_table(batch)
-                # This node's share of the response traffic: with
-                # aggregate pushdown these are tiny state frames, in the
-                # ablation every filtered base row — the difference the
-                # pushdown benchmark measures.
-                stats.bytes_sent += len(payload_out)
-                framing.write_frame(conn, framing.BATCH, payload_out)
-                batches += 1
-            if injector is not None:
-                injector.on_response(self.node)
+            rows, batches = self._reply(conn, plan, request.options, stats)
+            self._chaos()
             framing.write_json(
                 conn,
                 framing.DONE,
                 {
-                    "rows": int(table.num_rows),
+                    "rows": rows,
                     "batches": batches,
                     "afcs": len(plan.afcs),
                     "stats": wire.encode_stats(stats),
                 },
             )
-        except InjectedFault:
-            # conn-reset chaos: drop the socket with no protocol-level
-            # goodbye; the coordinator sees a raw connection reset.
+        except _HangUp:
             try:
                 # Linger 0: RST on close, not a graceful FIN — the
                 # coordinator must see a *reset*, mid-stream.
@@ -285,4 +274,50 @@ class NodeServer:
             except OSError:
                 pass
             return False
+        except ConnectionError:
+            raise  # the peer is gone: there is no one to answer
+        except Exception as exc:
+            framing.write_json(conn, framing.ERROR, wire.encode_error(exc))
         return True
+
+    def _reply(
+        self, conn, plan: ExtractionPlan, options, stats: IOStats
+    ) -> Tuple[int, int]:
+        """Extract ``plan`` and write its rows as BATCH frames, each sent
+        from the blocks' own columns as soon as its last block is
+        finished; returns the rows and frames sent."""
+        parts = self.source.parts(plan, plan.afcs, stats, NULL_TRACER, options)
+        names = plan.output
+        if plan.aggregate is not None:
+            state = combine_parts(plan, parts, stats)
+            names = list(state.column_names)
+            parts = [({n: state.column(n) for n in names}, state.num_rows)]
+        rows = batches = 0
+        for count, buffers in wire.table_frames(
+            names, parts, options.batch_rows
+        ):
+            self._chaos()
+            # This node's share of the response traffic: with aggregate
+            # pushdown these are tiny state frames, in the ablation every
+            # filtered base row — the difference the pushdown benchmark
+            # measures.
+            stats.bytes_sent += framing.write_frame(
+                conn, framing.BATCH, *buffers
+            )
+            rows += count
+            batches += 1
+        return rows, batches
+
+    def _chaos(self) -> None:
+        """``conn-reset`` chaos, consulted before every reply frame."""
+        if self.fault_injector is not None:
+            try:
+                self.fault_injector.on_response(self.node)
+            except InjectedFault:
+                raise _HangUp() from None
+
+
+class _HangUp(Exception):
+    """``conn-reset`` fired: drop the socket with no protocol-level
+    goodbye, so the coordinator sees a raw connection reset.  Its own
+    type, so an injected *disk* fault mid-reply still becomes ERROR."""

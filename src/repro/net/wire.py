@@ -18,10 +18,17 @@ DONE frame) turns any disagreement between the two plans into a typed
 
 Result batches go the other way as raw bytes: a small JSON header (names,
 dtypes, row count) followed by the concatenated C-contiguous column
-buffers — ``np.frombuffer`` decodes them without parsing.  IOStats travel
-as their counter dict; errors as ``{etype, message, retryable}`` and are
-re-raised as the closest coordinator-side type so the retry machinery
-cannot tell a remote disk failure from a local one.
+buffers.  There is one encoder and one decoder.  :func:`table_frames`
+cuts a node's finished blocks into BATCH payloads, each a list of
+buffers — the length-prefixed header, then every column's pieces as
+zero-copy byte views of the blocks — that the server hands to
+``sendmsg`` unjoined; :func:`encode_table` is the join of that list for
+a whole table.  :class:`TableReceiver` validates each header and reads
+every column straight into preallocated result columns — from a socket
+on the coordinator, from a bytes payload in :func:`decode_table`.
+IOStats travel as their counter dict; errors as ``{etype, message,
+retryable}`` and are re-raised as the closest coordinator-side type so
+the retry machinery cannot tell a remote disk failure from a local one.
 
 ``encode_plan``/``decode_plan`` (a whole AFC list as JSON, strips
 deduplicated into a side table) are what EXECUTE carried through
@@ -35,7 +42,18 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from itertools import chain, islice
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -48,6 +66,7 @@ from ..core.afc import (
 )
 from ..core.aggregate import AggregateSpec
 from ..core.extractor import empty_result
+from ..core.kernels import Block
 from ..core.options import ExecOptions
 from ..core.stats import IOStats
 from ..core.strips import LoopDim, Strip
@@ -412,57 +431,287 @@ def decode_options(data: Dict[str, Any]) -> ExecOptions:
 
 _HEADER_LEN = struct.Struct("!I")
 
+#: A batch header's columns: ``(name, dtype)`` in wire order.
+Schema = List[Tuple[str, np.dtype]]
 
-def encode_table(table: VirtualTable) -> bytes:
-    """JSON header + concatenated C-contiguous column buffers."""
-    names = list(table.column_names)
-    arrays = [np.ascontiguousarray(table.column(n)) for n in names]
+
+def _buffers(
+    rows: int,
+    names: Sequence[str],
+    pieces: Sequence[Sequence[np.ndarray]],
+    dtypes: Sequence[np.dtype],
+) -> list:
+    """One table payload as the buffers it is sent from: the
+    length-prefixed JSON header, then each column's ``pieces`` in order
+    as byte views — copied only where a piece is strided (or not yet in
+    its column's wire ``dtype``)."""
+    arrays = [
+        [np.ascontiguousarray(piece, dtype=dtype) for piece in column]
+        for column, dtype in zip(pieces, dtypes)
+    ]
     header = {
-        "rows": int(table.num_rows),
+        "rows": int(rows),
         "columns": [
-            {"name": n, "dtype": a.dtype.str, "nbytes": int(a.nbytes)}
-            for n, a in zip(names, arrays)
+            {"name": name, "dtype": dtype.str, "nbytes": int(rows) * dtype.itemsize}
+            for name, dtype in zip(names, dtypes)
         ],
     }
     blob = json.dumps(header).encode("utf-8")
-    parts = [_HEADER_LEN.pack(len(blob)), blob]
-    parts.extend(a.tobytes() for a in arrays)
-    return b"".join(parts)
+    return [
+        _HEADER_LEN.pack(len(blob)) + blob,
+        *(a.view(np.uint8) for column in arrays for a in column),
+    ]
+
+
+def encode_table(table: VirtualTable) -> bytes:
+    """JSON header + concatenated C-contiguous column buffers: the join
+    of the buffers a node sends for ``table`` as one BATCH."""
+    names = list(table.column_names)
+    columns = [table.column(n) for n in names]
+    return b"".join(
+        _buffers(
+            table.num_rows, names, [[c] for c in columns],
+            [c.dtype for c in columns],
+        )
+    )
+
+
+def table_frames(
+    names: Sequence[str], blocks: Iterable[Block], batch_rows: int
+) -> Iterator[Tuple[int, list]]:
+    """``(rows, buffers)`` of each BATCH payload of a node's reply:
+    ``blocks`` cut into frames of exactly ``batch_rows`` rows (the last
+    one shorter) by zero-copy slices, each frame built as soon as its
+    last block has been produced.
+
+    Byte for byte, the frames are :func:`encode_table` of the one table
+    ``assemble_table`` would have made of the blocks, sliced
+    ``batch_rows`` at a time — dtypes included: a lone block's own, or,
+    for several, their concatenation's (native byte order).  Blocks with
+    no column, like a table with none, carry no rows.
+    """
+    if batch_rows < 1:
+        raise ExtractionError("batch_rows must be positive")
+    blocks = iter(blocks)
+    head = list(islice(blocks, 2))
+    if not names or not head:
+        return
+    dtypes = [head[0][0][name].dtype for name in names]
+    if len(head) > 1:
+        dtypes = [dtype.newbyteorder("=") for dtype in dtypes]
+    pieces: List[List[np.ndarray]] = [[] for _ in names]
+    held = 0
+    for columns, count in chain(head, blocks):
+        start = 0
+        while start < count:
+            take = min(count - start, batch_rows - held)
+            for column, name in zip(pieces, names):
+                column.append(columns[name][start:start + take])
+            start += take
+            held += take
+            if held == batch_rows:
+                yield held, _buffers(held, names, pieces, dtypes)
+                pieces, held = [[] for _ in names], 0
+    if held:
+        yield held, _buffers(held, names, pieces, dtypes)
+
+
+def _malformed(what: str) -> TransportError:
+    return TransportError(f"malformed table batch header: {what}")
+
+
+def _schema(header: Any) -> Tuple[int, Schema]:
+    """A batch header's row count and columns, each checked against what
+    a table can be."""
+    if not isinstance(header, dict):
+        raise _malformed(f"not an object: {header!r}")
+    rows, columns = header.get("rows"), header.get("columns")
+    if type(rows) is not int or rows < 0:
+        raise _malformed(f"rows must be a non-negative integer, got {rows!r}")
+    if not isinstance(columns, list) or (rows and not columns):
+        raise _malformed(f"no columns for {rows} row(s): {columns!r}")
+    schema: Schema = []
+    for column in columns:
+        if not (
+            isinstance(column, dict)
+            and isinstance(column.get("name"), str)
+            and isinstance(column.get("dtype"), str)
+            and type(column.get("nbytes")) is int
+        ):
+            raise _malformed(f"bad column entry {column!r}")
+        name = column["name"]
+        try:
+            dtype = np.dtype(column["dtype"])
+        except (TypeError, ValueError, SyntaxError):
+            raise _malformed(
+                f"column {name!r} has unknown dtype {column['dtype']!r}"
+            ) from None
+        if dtype.hasobject or not dtype.itemsize or dtype.shape:
+            raise _malformed(
+                f"column {name!r} has dtype {dtype.str!r}: not a flat "
+                "fixed-width scalar"
+            )
+        if column["nbytes"] != rows * dtype.itemsize:
+            raise _malformed(
+                f"column {name!r} declares {column['nbytes']} bytes for "
+                f"{rows} row(s) of {dtype.itemsize}"
+            )
+        schema.append((name, dtype))
+    names = [name for name, _ in schema]
+    if len(set(names)) != len(names):
+        raise _malformed(f"duplicate column names in {names}")
+    return rows, schema
+
+
+def _native(schema: Schema) -> Schema:
+    return [(name, dtype.newbyteorder("=")) for name, dtype in schema]
+
+
+class TableReceiver:
+    """One reply's BATCH payloads, each validated, then read straight
+    into the result's columns — the one decoder, fed by a socket on the
+    coordinator and by a bytes payload in :func:`decode_table`.
+
+    ``expected`` is the table every payload must match column for column
+    (names, order, and dtypes up to byte order: see
+    :func:`table_frames`); without it the first payload's columns are
+    the schema.  Later payloads repeat the first one's exactly.
+    ``bound`` caps the total rows — a row plan's planned rows — and
+    sizes the columns once; without it they start at the first
+    payload's rows and double as needed.  Every departure — a header
+    that is not an object, a missing or mistyped field, an unknown,
+    object or zero-width dtype, a column whose bytes are not its rows,
+    duplicate names, bytes missing or left over — is a
+    :class:`~repro.errors.TransportError`, raised before any column
+    byte of that payload is read.
+    """
+
+    def __init__(
+        self,
+        expected: Optional[VirtualTable] = None,
+        bound: Optional[int] = None,
+    ):
+        self._expected = None if expected is None else _native(
+            [(name, expected.column(name).dtype)
+             for name in expected.column_names]
+        )
+        self._bound = bound
+        #: The first payload's columns, and each one's bytes so far.
+        self._schema: Optional[Schema] = None
+        self._raw: List[np.ndarray] = []
+        self._capacity = 0
+        self.rows = 0
+        self.frames = 0
+        #: Payload bytes received, table headers included.
+        self.nbytes = 0
+
+    def receive(self, read_into: Callable[[Any], None], length: int) -> None:
+        """Read one ``length``-byte payload through ``read_into``, which
+        fills the writable buffer it is handed."""
+        rows, schema = self._header(read_into, length)
+        if self._schema is None:
+            if self._expected is not None and _native(schema) != self._expected:
+                raise TransportError(
+                    f"table batch columns {schema} differ from the "
+                    f"planned {self._expected}"
+                )
+            self._schema = schema
+            self._raw = [np.empty(0, np.uint8) for _ in schema]
+        elif schema != self._schema:
+            raise TransportError(
+                f"table batch columns {schema} differ from the reply's "
+                f"first batch {self._schema}"
+            )
+        end = self.rows + rows
+        if self._bound is not None and end > self._bound:
+            raise TransportError(
+                f"table batches carry {end} rows, more than the "
+                f"{self._bound} planned"
+            )
+        self._reserve(schema, end)
+        for (_, dtype), raw in zip(schema, self._raw):
+            width = dtype.itemsize
+            read_into(memoryview(raw)[self.rows * width:end * width])
+        self.rows = end
+        self.frames += 1
+        self.nbytes += length
+
+    @staticmethod
+    def _header(
+        read_into: Callable[[Any], None], length: int
+    ) -> Tuple[int, Schema]:
+        if length < _HEADER_LEN.size:
+            raise TransportError("truncated table batch: missing header")
+        prefix = bytearray(_HEADER_LEN.size)
+        read_into(prefix)
+        (header_len,) = _HEADER_LEN.unpack(prefix)
+        body = length - _HEADER_LEN.size - header_len
+        if body < 0:
+            raise TransportError(
+                f"truncated table batch: a {header_len}-byte header in a "
+                f"{length}-byte payload"
+            )
+        blob = bytearray(header_len)
+        read_into(blob)
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise _malformed(str(exc)) from None
+        rows, schema = _schema(header)
+        declared = rows * sum(dtype.itemsize for _, dtype in schema)
+        if declared > body:
+            raise TransportError(
+                f"truncated table batch: columns want {declared} bytes, "
+                f"{body} remain"
+            )
+        if declared < body:
+            raise TransportError(
+                f"malformed table batch: {body - declared} trailing bytes"
+            )
+        return rows, schema
+
+    def _reserve(self, schema: Schema, rows: int) -> None:
+        if rows <= self._capacity:
+            return
+        capacity = self._bound if self._bound is not None else max(
+            rows, 2 * self._capacity
+        )
+        grown = []
+        for (_, dtype), raw in zip(schema, self._raw):
+            new = np.empty(capacity * dtype.itemsize, np.uint8)
+            kept = self.rows * dtype.itemsize
+            new[:kept] = raw[:kept]
+            grown.append(new)
+        self._raw = grown
+        self._capacity = capacity
+
+    def table(self) -> VirtualTable:
+        """The rows received so far, as zero-copy prefix views of the
+        columns."""
+        schema = self._schema or []
+        return VirtualTable(
+            {
+                name: raw[:self.rows * dtype.itemsize].view(dtype)
+                for (name, dtype), raw in zip(schema, self._raw)
+            },
+            order=[name for name, _ in schema],
+        )
 
 
 def decode_table(payload: bytes) -> VirtualTable:
-    if len(payload) < _HEADER_LEN.size:
-        raise TransportError("truncated table batch: missing header")
-    (header_len,) = _HEADER_LEN.unpack_from(payload)
-    end = _HEADER_LEN.size + header_len
-    try:
-        header = json.loads(payload[_HEADER_LEN.size:end].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise TransportError(f"malformed table batch header: {exc}") from None
-    rows = header["rows"]
-    columns: Dict[str, np.ndarray] = {}
-    order: List[str] = []
-    offset = end
+    """One encoded table, through :class:`TableReceiver`."""
     view = memoryview(payload)
-    for col in header["columns"]:
-        nbytes = col["nbytes"]
-        if offset + nbytes > len(payload):
-            raise TransportError(
-                f"truncated table batch: column {col['name']!r} wants "
-                f"{nbytes} bytes, {len(payload) - offset} remain"
-            )
-        array = np.frombuffer(
-            view[offset:offset + nbytes], dtype=np.dtype(col["dtype"])
-        )
-        if array.shape[0] != rows:
-            raise TransportError(
-                f"column {col['name']!r} decoded {array.shape[0]} rows, "
-                f"header says {rows}"
-            )
-        columns[col["name"]] = array
-        order.append(col["name"])
-        offset += nbytes
-    return VirtualTable(columns, order=order)
+    pos = 0
+
+    def read_into(buffer) -> None:
+        nonlocal pos
+        target = memoryview(buffer)
+        target[:] = view[pos:pos + target.nbytes]
+        pos += target.nbytes
+
+    receiver = TableReceiver()
+    receiver.receive(read_into, view.nbytes)
+    return receiver.table()
 
 
 #: The zero-batch result shape, under the name this module has always
@@ -514,6 +763,7 @@ def decode_error(data: Dict[str, Any], node: str) -> Exception:
 
 __all__ = [
     "ExecuteRequest",
+    "TableReceiver",
     "decode_error",
     "decode_execute",
     "decode_options",
@@ -529,4 +779,5 @@ __all__ = [
     "encode_stats",
     "encode_table",
     "encode_where",
+    "table_frames",
 ]

@@ -8,6 +8,9 @@ node's file handles and caches, and materialises the rows of the AFCs
 assigned to it — by running its extractor's one AFC -> block driver
 (``Extractor.execute_parts``) with this node's name on the reader, the
 filtering service's predicate evaluator, and the options' I/O shape.
+:meth:`DataSourceService.parts` hands out the driver's finished parts
+as they are produced (a node server streams them);
+:meth:`DataSourceService.execute` combines them into one table.
 
 Concurrency: the extractor's handle/segment caches are internally locked
 and all chunk I/O is positional, so there is no coarse per-node lock —
@@ -21,7 +24,7 @@ deterministically in that same order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..core.afc import AfcTable, AlignedFileChunkSet, ExtractionPlan
 from ..core.extractor import Extractor, Mount, combine_parts
@@ -70,7 +73,25 @@ class DataSourceService:
         options: Optional[ExecOptions] = None,
     ) -> VirtualTable:
         """Extract + filter the given AFCs; returns this node's partial
-        table — for an aggregate plan, its partial state frame.
+        table — for an aggregate plan, its partial state frame: the
+        :meth:`parts` of the call, combined."""
+        stats = stats if stats is not None else self.stats
+        return combine_parts(
+            plan, self.parts(plan, afcs, stats, tracer, options), stats
+        )
+
+    def parts(
+        self,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        stats: Optional[IOStats] = None,
+        tracer=NULL_TRACER,
+        options: Optional[ExecOptions] = None,
+    ) -> Iterable:
+        """What :meth:`execute` combines: a row plan's finished blocks, an
+        aggregate plan's per-AFC state frames, in AFC order — produced
+        as they are consumed on one worker, which is how a node server
+        streams a reply while its next block is still being read.
 
         ``options`` supplies the I/O shape: ``coalesce_gap_bytes`` merges
         nearby chunk reads across all of this node's AFCs into wide
@@ -94,14 +115,12 @@ class DataSourceService:
         )
         workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
         if workers == 1:
-            parts = self.extractor.execute_parts(
+            return self.extractor.execute_parts(
                 plan, afcs, evaluator, reader, stats, opts.run_state
             )
-        else:
-            parts = self._per_afc(
-                plan, afcs, evaluator, reader, stats, opts.run_state, workers
-            )
-        return combine_parts(plan, parts, stats)
+        return self._per_afc(
+            plan, afcs, evaluator, reader, stats, opts.run_state, workers
+        )
 
     def _per_afc(
         self, plan, afcs: Sequence[AlignedFileChunkSet], evaluator, reader,

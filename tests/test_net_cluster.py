@@ -25,11 +25,17 @@ from repro.errors import (
     TransportError,
 )
 from repro.index import build_summaries, summaries_path
-from repro.net import ProcessCluster, framing
+from repro.net import ProcessCluster, framing, wire
 from repro.net.client import TcpTransport
 from repro.net.server import NodeServer
 from tests.conftest import assert_tables_equal
 from tests.test_cross_node_groups import SPLIT_TEXT as CROSS_NODE_TEXT
+from tests.test_net_wire import (
+    GOOD_BATCH,
+    HOSTILE_TABLES,
+    _columns,
+    batch_payload,
+)
 
 CLUSTER_IPARS = IparsConfig(
     num_rels=2, num_times=8, cells_per_node=24, num_nodes=3
@@ -681,6 +687,90 @@ class TestHostileExecuteFrames:
                     transport.execute_node("osu0", bad, plan.afcs, IOStats())
 
 
+@contextlib.contextmanager
+def fake_node(batch, afcs):
+    """A listener that speaks WELCOME as ``osu0``, then answers one
+    EXECUTE with ``batch`` as its BATCH payload and a DONE for ``afcs``
+    AFCs; yields its address."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                try:
+                    framing.read_frame(conn)  # HELLO
+                    framing.write_json(
+                        conn, framing.WELCOME,
+                        {"node": "osu0", "protocol": framing.PROTOCOL_VERSION},
+                    )
+                    framing.read_frame(conn)  # EXECUTE
+                    framing.write_frame(conn, framing.BATCH, batch)
+                    framing.write_json(
+                        conn, framing.DONE, {"afcs": afcs, "stats": {}}
+                    )
+                    conn.recv(1)  # until the coordinator hangs up
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            yield listener.getsockname()[:2]
+        finally:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+class TestHostileBatchFrames:
+    """A BATCH no table encodes to, or one the request's plan cannot
+    have produced, is a typed TransportError at the coordinator, and the
+    connection it came on is never reused."""
+
+    SQL = "SELECT X, SOIL FROM IparsData WHERE TIME = 3"
+    PLANNED_ROWS = 48  # ONE_NODE: 2 realizations x 24 cells at one step
+
+    HOSTILE = {
+        **HOSTILE_TABLES,
+        "other-names": batch_payload(
+            _columns(2, ("X", "<f4"), ("SGAS", "<f4")), bytes(16)
+        ),
+        "other-dtype": batch_payload(
+            _columns(2, ("X", "<f8"), ("SOIL", "<f4")), bytes(24)
+        ),
+        "more-rows-than-planned": batch_payload(
+            _columns(PLANNED_ROWS + 1, ("X", "<f4"), ("SOIL", "<f4")),
+            bytes(8 * (PLANNED_ROWS + 1)),
+        ),
+    }
+
+    @pytest.fixture
+    def plan(self, one_node):
+        plan = GeneratedDataset(one_node[0]).plan(self.SQL)
+        assert plan.afcs.total_rows == self.PLANNED_ROWS
+        return plan
+
+    def test_a_good_batch_through_the_same_fake_node(self, plan):
+        with fake_node(GOOD_BATCH, len(plan.afcs)) as address, TcpTransport(
+            [address]
+        ) as transport:
+            table = transport.execute_node("osu0", plan, plan.afcs, IOStats())
+            assert table.column_names == ("X", "SOIL")
+            assert table.num_rows == 2
+            assert len(transport._pools["osu0"]._idle) == 1
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_typed_error_and_the_connection_is_dropped(self, plan, case):
+        with fake_node(self.HOSTILE[case], len(plan.afcs)) as address, (
+            TcpTransport([address])
+        ) as transport:
+            pool = transport._pools["osu0"]
+            (first,) = pool._idle
+            with pytest.raises(TransportError):
+                transport.execute_node("osu0", plan, plan.afcs, IOStats())
+            assert not pool._idle and not pool._open
+            assert first.fileno() == -1
+
+
 class TestNodeServerHoldsNoPlans:
     """Every EXECUTE plans fresh AFCs on the node; anything that kept
     them past the reply (a plan cache, per-call state that outlived its
@@ -780,16 +870,17 @@ def executes_observed(monkeypatch, hold=0.01):
     """Count node-side executions in progress, process-wide; yields a
     dict whose ``peak`` is the most that ever overlapped.
 
-    Observed around ``DataSourceService.execute``, which ends before the
-    first reply frame is written: two of them overlapping means two
-    requests were on the wire at once, whatever the thread timing."""
+    Observed around ``NodeServer._reply``, which extracts the plan and
+    writes every BATCH frame of the reply, and returns before DONE is
+    written: the coordinator cannot finish a request (and send the next
+    one) while its reply is inside the window, so two of them
+    overlapping means two requests were on the wire at once, whatever
+    the thread timing."""
     import time
-
-    from repro.storm.data_source import DataSourceService
 
     seen = {"active": 0, "peak": 0, "calls": 0}
     lock = threading.Lock()
-    honest = DataSourceService.execute
+    honest = NodeServer._reply
 
     def observed(self, *args, **kwargs):
         with lock:
@@ -804,7 +895,7 @@ def executes_observed(monkeypatch, hold=0.01):
                 seen["active"] -= 1
 
     with monkeypatch.context() as patch:
-        patch.setattr(DataSourceService, "execute", observed)
+        patch.setattr(NodeServer, "_reply", observed)
         yield seen
 
 
@@ -1100,3 +1191,312 @@ def test_zero_rows_look_the_same_over_tcp_and_after_losing_every_node(
     assert unanswered.table.column_names == lost.table.column_names
     for name in lost.table.column_names:
         assert unanswered.table[name].dtype == lost.table[name].dtype
+
+
+# ---------------------------------------------------------------------------
+# Replies streamed from the node's blocks
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def serving_cluster(text, root, nodes, injectors=None):
+    """One in-process NodeServer per node; yields the ``tcp://`` URL."""
+    injectors = injectors or {}
+    with contextlib.ExitStack() as stack:
+        servers = [
+            stack.enter_context(serving(
+                node, root, GeneratedDataset(text),
+                fault_injector=injectors.get(node),
+            ))
+            for node in nodes
+        ]
+        yield "tcp://" + ",".join(
+            "{}:{}".format(*server.address) for server in servers
+        )
+
+
+@pytest.fixture
+def frames_written(monkeypatch):
+    """node -> kinds of every frame its server threads wrote, in order."""
+    written = {}
+    honest = framing.write_frame
+
+    def recording(sock, kind, *buffers):
+        name = threading.current_thread().name
+        if name.startswith("node-"):
+            written.setdefault(name.split("-")[1], []).append(kind)
+        return honest(sock, kind, *buffers)
+
+    monkeypatch.setattr(framing, "write_frame", recording)
+    return written
+
+
+def _reset_on_second_frame():
+    """``conn-reset`` on osu1's second reply frame, once."""
+    from repro.faults import FaultInjector, parse_rule
+
+    class Injector(FaultInjector):
+        frames = 0
+
+        def on_response(self, node):
+            self.frames += 1
+            if self.frames == 2:
+                super().on_response(node)
+
+    return Injector([parse_rule("conn-reset:osu1:*:times=1")], seed=7)
+
+
+class TestMidStreamFailure:
+    """osu1's reply fails after some of its BATCH frames went out — a
+    disk dying mid-scan (ERROR follows the batches) or a reset on the
+    second frame.  Never a short table: retried to the fault-free bits,
+    a typed failure, or a result marked degraded."""
+
+    NODES = ("osu0", "osu1", "osu2")
+    # Small frames, and one read per chunk so the disk dies mid-reply.
+    OPTIONS = {"batch_rows": 16, "coalesce_gap_bytes": 0, "retry_backoff": 0.0}
+
+    @pytest.fixture(scope="class")
+    def fault_free(self, cluster_dataset):
+        text, root = cluster_dataset
+        with serving_cluster(text, root, self.NODES) as url, repro.connect(
+            url, descriptor=text, **self.OPTIONS
+        ) as db:
+            return db.query(SQL)
+
+    @pytest.mark.parametrize("mode", ["retried", "raises", "degraded"])
+    @pytest.mark.parametrize("fault", ["disk", "reset"])
+    def test_never_a_short_table(
+        self, cluster_dataset, fault_free, frames_written, fault, mode
+    ):
+        from repro.faults import FaultInjector, parse_rule
+
+        text, root = cluster_dataset
+        if fault == "disk":
+            injector = FaultInjector(
+                [parse_rule("fail-after-chunks:osu1:*:after=4,times=1")],
+                seed=7,
+            )
+        else:
+            injector = _reset_on_second_frame()
+        options = dict(
+            self.OPTIONS,
+            retries=2 if mode == "retried" else 0,
+            allow_partial=mode == "degraded",
+        )
+        with serving_cluster(
+            text, root, self.NODES, {"osu1": injector}
+        ) as url, repro.connect(url, descriptor=text, **options) as db:
+            if mode == "raises":
+                with pytest.raises(NodeFailureError, match="osu1"):
+                    db.submit(SQL)
+                result = None
+            else:
+                result = db.submit(SQL)
+        kinds = frames_written["osu1"]
+        # The failing attempt had sent BATCH frames before it failed.
+        if fault == "disk":
+            failed_at = kinds.index(framing.ERROR)
+            assert kinds[failed_at - 1] == framing.BATCH
+        else:
+            assert kinds[:2] == [framing.WELCOME, framing.BATCH]
+            assert injector.frames >= 2
+        if mode == "retried":
+            assert not result.degraded
+            assert result.table.column_names == fault_free.column_names
+            for name in fault_free.column_names:
+                assert result.table[name].dtype == fault_free[name].dtype
+                np.testing.assert_array_equal(
+                    result.table[name], fault_free[name]
+                )
+        elif mode == "degraded":
+            assert result.degraded and result.failed_nodes == ["osu1"]
+            # Each node holds a third of the rows; none of osu1's count.
+            assert result.table.num_rows == fault_free.num_rows * 2 // 3
+
+
+TWO_NODES = IparsConfig(num_rels=2, num_times=8, cells_per_node=24, num_nodes=2)
+
+#: Per query and node of a 2-node reply with ``batch_rows=50``: (rows,
+#: BATCH frames, BATCH payload bytes = ``IOStats.bytes_sent`` = the rpc
+#: span's ``response_bytes``), as the nodes sent them when they
+#: assembled the whole table first and sliced it.
+PINNED_REPLY = {
+    # A decided window: one block per 24-row AFC, frames span blocks.
+    "SELECT REL, TIME, X, SOIL FROM IparsData WHERE TIME > 1 AND TIME <= 6": {
+        "osu0": (240, 5, 4464), "osu1": (240, 5, 4464),
+    },
+    # A kernel-filtered window: fused blocks, cut inside a block.
+    "SELECT REL, TIME, X, SOIL FROM IparsData "
+    "WHERE TIME > 1 AND TIME <= 6 AND SOIL > 0.3": {
+        "osu0": (161, 4, 3134), "osu1": (170, 4, 3260),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def two_nodes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("net_two_nodes")
+    text, _ = ipars.generate(TWO_NODES, "L0", local_mount(str(root)))
+    return text, str(root)
+
+
+def _raw_reply(address, plan, afcs, options):
+    """One EXECUTE on a raw socket: its BATCH payloads, then DONE."""
+    with socket.create_connection(address, timeout=10) as sock:
+        kind, _ = _raw_request(
+            sock, framing.HELLO,
+            b'{"protocol": %d}' % framing.PROTOCOL_VERSION,
+        )
+        assert kind == framing.WELCOME
+        request = wire.encode_execute(plan, len(afcs), options)
+        framing.write_frame(sock, framing.EXECUTE, json.dumps(request).encode())
+        batches = []
+        kind, payload = framing.read_frame(sock)
+        while kind == framing.BATCH:
+            batches.append(payload)
+            kind, payload = framing.read_frame(sock)
+    assert kind == framing.DONE
+    return batches, framing.decode_json(payload)
+
+
+def reply_shapes(text, root, sql):
+    """Per node: the rows of each BATCH of its raw reply to ``sql``, its
+    DONE, and the rpc span tags and ``bytes_sent`` of the same query
+    through the coordinator, all with ``batch_rows=50``."""
+    from repro.core.afc import group_by_home_node
+    from repro.obs import Tracer
+
+    plan = GeneratedDataset(text).plan(sql)
+    shares = group_by_home_node(plan.afcs)
+    options = ExecOptions(batch_rows=50)
+    shapes = {}
+    with contextlib.ExitStack() as stack:
+        servers = {
+            node: stack.enter_context(serving(node, root, GeneratedDataset(text)))
+            for node in ("osu0", "osu1")
+        }
+        for node, server in servers.items():
+            batches, done = _raw_reply(server.address, plan, shares[node], options)
+            shapes[node] = {
+                "frame_rows": [wire.decode_table(b).num_rows for b in batches],
+                "payload_bytes": sum(len(b) for b in batches),
+                "done": done,
+            }
+        tracer = Tracer("framed")
+        url = "tcp://" + ",".join(
+            "{}:{}".format(*s.address) for s in servers.values()
+        )
+        with repro.connect(url, descriptor=text, batch_rows=50) as db:
+            result = db.submit(sql, db.options.replace(trace=tracer))
+    for span in tracer.spans:
+        if span.name == "rpc":
+            shapes[span.tags["node"]]["rpc"] = (
+                span.tags["response_bytes"], span.tags["batches"]
+            )
+    for node in shapes:
+        shapes[node]["bytes_sent"] = result.per_node_stats[node].bytes_sent
+    return shapes, result.table
+
+
+class TestReplyFraming:
+    @pytest.mark.parametrize(
+        "sql", sorted(PINNED_REPLY), ids=["decided", "filtered"]
+    )
+    def test_two_node_reply_frames_and_counts(self, two_nodes, sql):
+        text, root = two_nodes
+        shapes, table = reply_shapes(text, root, sql)
+        for node, shape in shapes.items():
+            rows = shape["frame_rows"]
+            # BATCH boundaries at exact multiples of batch_rows.
+            assert len(rows) > 1
+            assert rows[:-1] == [50] * (len(rows) - 1) and 0 < rows[-1] <= 50
+            done = shape["done"]
+            assert done["batches"] == len(rows) and done["rows"] == sum(rows)
+            sent = done["stats"]["bytes_sent"]
+            assert sent == shape["payload_bytes"] == shape["bytes_sent"]
+            assert shape["rpc"] == (sent, len(rows))
+            assert (done["rows"], done["batches"], sent) == PINNED_REPLY[sql][node]
+        with repro.connect(f"local://{root}", descriptor=text) as ref:
+            assert_bit_identical(table, ref.query(sql))
+
+    @pytest.fixture(scope="class")
+    def wide_node(self, tmp_path_factory):
+        """One node of 10 240 rows: 320 AFCs under ``chunk_row_cap=32``."""
+        root = tmp_path_factory.mktemp("net_wide_node")
+        config = IparsConfig(
+            num_rels=2, num_times=20, cells_per_node=256, num_nodes=1
+        )
+        text, _ = ipars.generate(config, "L0", local_mount(str(root)))
+        with repro.connect(f"local://{root}", descriptor=text) as ref:
+            expected = ref.query(self.WIDE_SQL)
+        return text, str(root), expected
+
+    WIDE_SQL = "SELECT REL, TIME, X, SOIL FROM IparsData"
+
+    def test_a_frame_of_more_pieces_than_one_sendmsg_carries(
+        self, wide_node, monkeypatch
+    ):
+        text, root, expected = wide_node
+        pieces = []
+        honest = framing.write_frame
+
+        def recording(sock, kind, *buffers):
+            if kind == framing.BATCH:
+                pieces.append(len(buffers))
+            return honest(sock, kind, *buffers)
+
+        monkeypatch.setattr(framing, "write_frame", recording)
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            url = "tcp://{}:{}".format(*server.address)
+            with repro.connect(url, descriptor=text) as db:
+                db.service.dataset.chunk_row_cap = 32
+                result = db.submit(self.WIDE_SQL)
+        assert result.afc_count == 320
+        # One frame: a header and one piece per column per AFC block.
+        assert pieces == [1 + 4 * 320] and pieces[0] > framing.IOV_MAX
+        assert_bit_identical(result.table, expected)
+
+    def test_a_tiny_send_buffer_forces_partial_sends(
+        self, wide_node, monkeypatch
+    ):
+        text, root, expected = wide_node
+        partial = []
+
+        class Counted:
+            """The server's connection, counting partial ``sendmsg``s."""
+
+            def __init__(self, conn):
+                self._conn = conn
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._conn.close()
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def sendmsg(self, buffers):
+                sent = self._conn.sendmsg(buffers)
+                if sent < sum(len(b) for b in buffers):
+                    partial.append(sent)
+                return sent
+
+        honest = NodeServer._serve_connection
+
+        def tiny_buffer(self, conn):
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            # With a timeout the socket is non-blocking underneath, so a
+            # send returns as soon as the small buffer is full.
+            conn.settimeout(30)
+            honest(self, Counted(conn))
+
+        monkeypatch.setattr(NodeServer, "_serve_connection", tiny_buffer)
+        with serving("osu0", root, GeneratedDataset(text)) as server:
+            url = "tcp://{}:{}".format(*server.address)
+            with repro.connect(url, descriptor=text) as db:
+                result = db.submit(self.WIDE_SQL)
+        assert partial
+        assert_bit_identical(result.table, expected)

@@ -1,6 +1,8 @@
 """Wire-protocol unit tests: framing and serialization, no processes."""
 
+import json
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -98,6 +100,54 @@ class TestFraming:
         assert kind == framing.BATCH
         assert len(received) == len(payload)
         assert received == payload
+
+    @staticmethod
+    def _send_and_read(sender, receiver, buffers):
+        writer = threading.Thread(
+            target=framing.write_frame,
+            args=(sender, framing.BATCH, *buffers),
+        )
+        writer.start()
+        receiver.settimeout(10)  # a writer that failed sends nothing
+        try:
+            return framing.read_frame(receiver)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    def test_more_buffers_than_one_sendmsg_carries(self):
+        pieces = [
+            bytes([i % 251]) * (i % 7) for i in range(3 * framing.IOV_MAX + 5)
+        ]
+        a, b = socket.socketpair()
+        with a, b:
+            kind, payload = self._send_and_read(a, b, pieces)
+        assert kind == framing.BATCH
+        assert payload == b"".join(pieces)
+
+    def test_partial_sends_resume_inside_a_buffer(self):
+        """A socket with a timeout sends what fits its tiny buffer and
+        returns; the writer resumes mid-buffer until all is out."""
+
+        class Counting:
+            def __init__(self, sock):
+                self.sock, self.partial = sock, 0
+
+            def sendmsg(self, buffers):
+                sent = self.sock.sendmsg(buffers)
+                self.partial += sent < sum(len(b) for b in buffers)
+                return sent
+
+        rng = np.random.default_rng(5)
+        pieces = [rng.integers(0, 256, 50_000, dtype=np.uint8) for _ in range(8)]
+        a, b = socket.socketpair()
+        with a, b:
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            a.settimeout(10)
+            counting = Counting(a)
+            _, payload = self._send_and_read(counting, b, pieces)
+        assert counting.partial > 0
+        assert payload == b"".join(p.tobytes() for p in pieces)
 
     def test_oversized_length_rejected(self):
         a, b = socket.socketpair()
@@ -340,6 +390,59 @@ def _table(rows=100):
     )
 
 
+def batch_payload(header, body=b""):
+    """A BATCH payload from a header (JSON-encoded unless bytes)."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return struct.pack("!I", len(blob)) + blob + body
+
+
+def _columns(rows, *specs):
+    """A header over ``(name, dtype[, nbytes])`` specs; ``nbytes``
+    defaults to what ``rows`` rows of the dtype take."""
+    return {
+        "rows": rows,
+        "columns": [
+            {
+                "name": name,
+                "dtype": dtype,
+                "nbytes": nbytes[0] if nbytes
+                else rows * np.dtype(dtype).itemsize,
+            }
+            for name, dtype, *nbytes in specs
+        ],
+    }
+
+
+GOOD_BATCH = batch_payload(
+    _columns(2, ("X", "<f4"), ("SOIL", "<f4")), bytes(16)
+)
+
+#: Payloads no table encodes to; each must be a TransportError, never a
+#: ValueError/KeyError/TypeError or a silently different table.
+HOSTILE_TABLES = {
+    "odd-nbytes": batch_payload(
+        _columns(2, ("X", "<f4", 7), ("SOIL", "<f4")), bytes(15)
+    ),
+    "object-dtype": batch_payload(
+        _columns(2, ("X", "|O"), ("SOIL", "<f4")), bytes(24)
+    ),
+    "missing-rows": batch_payload(
+        {"columns": _columns(2, ("X", "<f4"))["columns"]}, bytes(8)
+    ),
+    "unknown-dtype": batch_payload(_columns(2, ("X", "zz", 8)), bytes(8)),
+    "subarray-dtype": batch_payload(_columns(2, ("X", "(2,)<f4")), bytes(16)),
+    "rows-without-columns": batch_payload({"rows": 3, "columns": []}),
+    "not-an-object": batch_payload(b"[1, 2]"),
+    "not-json": batch_payload(b"{nope"),
+    "trailing-bytes": GOOD_BATCH + b"\x00\x00",
+    "short-body": GOOD_BATCH[:-4],
+    "header-past-payload": b"\x00\x00\x03\xe8" + GOOD_BATCH[4:],
+    "duplicate-names": batch_payload(
+        _columns(2, ("X", "<f4"), ("X", "<f4")), bytes(16)
+    ),
+}
+
+
 class TestTableRoundtrip:
     def test_roundtrip_preserves_dtypes_and_values(self):
         table = _table()
@@ -375,6 +478,159 @@ class TestTableRoundtrip:
         assert_tables_equal(
             table, wire.decode_table(wire.encode_table(table))
         )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TABLES))
+    def test_hostile_payloads_are_transport_errors(self, case):
+        with pytest.raises(TransportError):
+            wire.decode_table(HOSTILE_TABLES[case])
+
+
+
+
+# ---------------------------------------------------------------------------
+# Wire bytes: pinned to what encode_table wrote for an assembled table
+# before replies were sent from the blocks' own columns
+# ---------------------------------------------------------------------------
+
+
+def _strided_blocks():
+    """L0-like blocks: X/Y are strided fields of COORDS-style records,
+    SOIL a contiguous column; blocks of 7, 20 and 13 rows."""
+    records = np.zeros(
+        40, dtype=[("X", "<f4"), ("Y", "<f4"), ("Z", "<f4"), ("ID", "<i4")]
+    )
+    records["X"] = np.arange(40) * 0.5
+    records["Y"] = np.arange(40) * -1.25
+    soil = np.linspace(0.0, 1.0, 40)
+    cuts = [(0, 7), (7, 27), (27, 40)]
+    return ["X", "Y", "SOIL"], [
+        ({"X": records["X"][a:b], "Y": records["Y"][a:b], "SOIL": soil[a:b]},
+         b - a)
+        for a, b in cuts
+    ]
+
+
+def _bytes_blocks():
+    """One block: an ``S`` column, a big-endian column (a lone block
+    keeps its byte order) and a short."""
+    names = np.array([b"ab", b"cdef", b"", b"ghijk", b"l"] * 5, dtype="S5")
+    return ["NAME", "BE", "REL"], [(
+        {
+            "NAME": names,
+            "BE": (np.arange(25) * 1000).astype(">i4"),
+            "REL": (np.arange(25) % 3).astype(np.int16),
+        },
+        25,
+    )]
+
+
+def _mixed_blocks():
+    """Two blocks of every fixed-width kind, a big-endian double among
+    them (several blocks are concatenated in native byte order)."""
+    columns = {
+        "I1": (np.arange(30) - 15).astype(np.int8),
+        "U2": (np.arange(30) * 1000).astype(np.uint16),
+        "I4": (np.arange(30) * -70000).astype(np.int32),
+        "I8": (np.arange(30) * 3 ** 30).astype(np.int64),
+        "F4": (np.arange(30) / 7).astype(np.float32),
+        "F8": (np.arange(30) / 9).astype(">f8"),
+        "S3": np.array([b"x", b"yy", b"zzz"] * 10, dtype="S3"),
+        "B": np.arange(30) % 2 == 0,
+    }
+    names = list(columns)
+    return names, [
+        ({n: c[:11] for n, c in columns.items()}, 11),
+        ({n: c[11:] for n, c in columns.items()}, 19),
+    ]
+
+
+def _digest(frames):
+    """One hash over a list of payloads, their boundaries included."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for frame in frames:
+        digest.update(len(frame).to_bytes(4, "big"))
+        digest.update(frame)
+    return digest.hexdigest()
+
+
+GOLDEN_BLOCKS = {
+    "strided": _strided_blocks,
+    "bytes": _bytes_blocks,
+    "mixed": _mixed_blocks,
+}
+
+#: sha256 (see ``_digest``) of ``encode_table`` of ``assemble_table`` of
+#: each case's blocks — whole, then ``batched`` by 8 rows — captured
+#: from the encoder that joined an assembled table.
+GOLDEN = {
+    "strided": (
+        "4fcbacd555be9b4af7dd56737c479d17b13346780d64f8ad3eb86b6df73efa5d",
+        "f45b5e2a6b1071ca6a9e0d57f1a3073b131c19c77c754e683ca3d5247c04dd4c",
+    ),
+    "bytes": (
+        "8a29d6f8bdd19c276c9bec03ae13a577cb9660108c592214c8c5aa3ea9a6539d",
+        "1a5d045c4367699f3c7a1f5f856bbd7846fa83a3d7b10d94e403cf25782f860f",
+    ),
+    "mixed": (
+        "d0e2b90e385a5494ba7a8310657dadfb426e7cc8b2b043f8ab0241ed39dcb608",
+        "77debe431707123d1d509d09863cd90c45baff9c426df15bd5264561ca94b1d7",
+    ),
+}
+
+#: ``_digest([encode_table(_table(rows=0))])`` from the same encoder.
+GOLDEN_ZERO_ROWS = (
+    "947811f8c32e700acaee5388ed17c2808467e0ea9b251b986c53519cfdce86c6"
+)
+
+
+class TestWireBytesUnchanged:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BLOCKS))
+    def test_frames_from_blocks_are_the_assembled_tables_bytes(self, case):
+        names, blocks = GOLDEN_BLOCKS[case]()
+        whole, by_8 = GOLDEN[case]
+        ((rows, buffers),) = wire.table_frames(names, blocks, 1 << 20)
+        assert rows == sum(count for _, count in blocks)
+        assert _digest([b"".join(buffers)]) == whole
+        frames = list(wire.table_frames(names, blocks, 8))
+        assert [count for count, _ in frames[:-1]] == [8] * (len(frames) - 1)
+        assert 0 < frames[-1][0] <= 8
+        assert _digest([b"".join(b) for _, b in frames]) == by_8
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BLOCKS))
+    def test_encode_table_of_the_assembled_table(self, case):
+        from repro.core.kernels import assemble_table
+
+        names, blocks = GOLDEN_BLOCKS[case]()
+        dtypes = {n: blocks[0][0][n].dtype for n in names}
+        table = assemble_table(names, dtypes, blocks)
+        payload = wire.encode_table(table)
+        assert _digest([payload]) == GOLDEN[case][0]
+        decoded = wire.decode_table(payload)
+        assert decoded.column_names == table.column_names
+        for name in names:
+            assert decoded[name].dtype == table[name].dtype
+            np.testing.assert_array_equal(decoded[name], table[name])
+
+    def test_zero_rows(self):
+        payload = wire.encode_table(_table(rows=0))
+        assert _digest([payload]) == GOLDEN_ZERO_ROWS
+        assert list(wire.table_frames(["X"], [], 8)) == []
+        # A block with no surviving rows sends no frame either.
+        assert list(wire.table_frames(
+            ["X"], [({"X": np.empty(0, np.float32)}, 0)], 8
+        )) == []
+
+    def test_only_strided_pieces_are_copied(self):
+        names, blocks = _strided_blocks()
+        ((_, buffers),) = wire.table_frames(names, blocks, 1 << 20)
+        # The header, then each column's three pieces.
+        assert len(buffers) == 1 + 3 * len(names)
+        x, soil = buffers[1:4], buffers[7:10]
+        for (columns, _), x_piece, soil_piece in zip(blocks, x, soil):
+            assert np.shares_memory(soil_piece, columns["SOIL"])
+            assert not np.shares_memory(x_piece, columns["X"])
 
 
 # ---------------------------------------------------------------------------
