@@ -17,6 +17,13 @@ that every evaluation block reuses:
   AND term's observed pass fraction (an EWMA over evaluated blocks) and
   runs the most selective terms first, short-circuiting the rest of the
   conjunction as soon as the running mask drains to all-False;
+* **expensive conjuncts on the survivors only** — a conjunct that costs
+  more than one pass over the block (a function call on row data, or an
+  AND/OR/NOT combination, surviving constant folding) runs after every
+  single-test one, and once the running mask keeps less than
+  :data:`SELECTION_SHARE` of the block it runs on the surviving rows
+  alone (a selection vector: ``np.flatnonzero`` of the mask, its
+  columns taken by index), writing its verdict back into the mask;
 * **in-place boolean ops** — AND/OR/NOT combine into reusable
   per-thread mask buffers (``np.logical_and(..., out=...)``) instead of
   allocating a fresh array per AST node;
@@ -30,18 +37,20 @@ that every evaluation block reuses:
   tracer counts ``kernel.scalar_udf_calls``).
 
 Bit-identity with the interpreted oracle is by construction: every leaf
-uses the same operations (``ast._CMP``, ``in_list_mask``) over the same
-full-length blocks, boolean combination is commutative so reordering
-cannot change bits, and early exit only skips terms that cannot flip an
-already-drained mask.  A term that evaluates to a non-boolean array (no
-parser-produced predicate does) makes the kernel defer the whole block
-to the interpreted evaluator, so even degenerate hand-built trees agree
-exactly.
+uses the same elementwise operations (``ast._CMP``, ``in_list_mask``)
+as the oracle, so a row gets the same bits whether it is evaluated in
+the full block or among the survivors; boolean combination is
+commutative so reordering cannot change bits; and early exit and the
+selection vector only skip rows an earlier conjunct already rejected,
+which no later term can bring back.  A term that evaluates to a
+non-boolean array (no parser-produced predicate does) makes the kernel
+defer the whole block to the interpreted evaluator, so even degenerate
+hand-built trees agree exactly.
 
 :class:`BlockPipeline` is where any predicate — this kernel, the
 interpreted oracle, or none — meets extracted columns.  With a kernel,
 small AFCs form fused evaluation blocks (one kernel evaluation, one
-fancy-index gather per output column), which amortizes the per-chunk
+index gather per output column), which amortizes the per-chunk
 Python overhead while preserving serial row order exactly.  The
 extractor decodes a block's AFCs as one run straight into contiguous
 columns (``AfcReader.columns``): the kernel is never handed strided
@@ -99,6 +108,12 @@ _NOT_CONST = object()
 #: EWMA smoothing for observed conjunct selectivity.
 _SELECTIVITY_ALPHA = 0.25
 
+#: An expensive conjunct runs on the surviving rows alone when the
+#: conjuncts before it kept fewer than this share of the block; above
+#: it, the index and the taken columns cost more than the rows they
+#: save.
+SELECTION_SHARE = 0.5
+
 MaskLike = Union[np.ndarray, bool]
 
 
@@ -129,17 +144,28 @@ class _Ctx:
 
 
 class _Conjunct:
-    """One top-level AND term with its observed-selectivity estimate.
+    """One top-level AND term with its cost class and observed-selectivity
+    estimate.
 
-    ``ewma`` is advisory only — it chooses evaluation *order*, never
-    result bits — so it is updated without a lock; a lost update under
-    concurrent blocks just leaves a slightly stale estimate.
+    ``expensive`` terms call a function on row data or combine several
+    tests; they run after every single-test (cheap) term, over ``names``
+    (the columns they read) taken at the surviving rows when few
+    survive.  ``ewma`` is advisory only — it chooses evaluation *order*,
+    never result bits — so it is updated without a lock; a lost update
+    under concurrent blocks just leaves a slightly stale estimate.
     """
 
-    __slots__ = ("fn", "ewma", "seen")
+    __slots__ = ("fn", "expensive", "names", "ewma", "seen")
 
-    def __init__(self, fn: Callable[[_Ctx], MaskLike]):
+    def __init__(
+        self,
+        fn: Callable[[_Ctx], MaskLike],
+        expensive: bool,
+        names: Tuple[str, ...],
+    ):
         self.fn = fn
+        self.expensive = expensive
+        self.names = names
         self.ewma = 1.0
         self.seen = False
 
@@ -166,6 +192,10 @@ class CompiledPredicate:
         self._functions = functions
         self._num_slots = 0
         self._num_nodes = 0
+        #: Nodes compiled so far that cost a conjunct more than one pass
+        #: over its block: function calls and AND/OR/NOT combinations
+        #: that constant folding left.
+        self._num_costly = 0
         #: Names of referenced functions running through the np.vectorize
         #: fallback (registered without ``vectorized=True``).
         self.scalar_udfs: List[str] = []
@@ -184,13 +214,15 @@ class CompiledPredicate:
         terms = where.terms if isinstance(where, And) else (where,)
         conjuncts: List[_Conjunct] = []
         for term in terms:
+            costly = self._num_costly
             fn, const = self._compile(term)
             if const is not _NOT_CONST:
                 if not const:
                     self._const = False  # one False term drains the AND
                     return
                 continue  # True is neutral in a conjunction
-            conjuncts.append(_Conjunct(fn))
+            names = tuple(dict.fromkeys(term.referenced_columns()))
+            conjuncts.append(_Conjunct(fn, self._num_costly > costly, names))
         if not conjuncts:
             self._const = True
             return
@@ -285,6 +317,7 @@ class CompiledPredicate:
 
     def _compile_not(self, node: Not):
         term, _ = self._compile(node.term)
+        self._num_costly += 1
         slot = self._new_slot()
 
         def run(ctx: _Ctx):
@@ -301,11 +334,14 @@ class CompiledPredicate:
         """A nested AND/OR: in-place combination with early exit, source
         order (only the *root* conjunction reorders by selectivity)."""
         fns = []
+        costly = self._num_costly
         for term in terms:
             fn, const = self._compile(term)
             if const is not _NOT_CONST:
                 if bool(const) != is_and:
-                    # False in an AND / True in an OR decides the chain.
+                    # False in an AND / True in an OR decides the chain:
+                    # the terms compiled into it never run.
+                    self._num_costly = costly
                     decided = not is_and
                     return lambda ctx: decided
                 continue  # neutral element
@@ -315,6 +351,7 @@ class CompiledPredicate:
             return lambda ctx: neutral
         if len(fns) == 1:
             return fns[0]
+        self._num_costly += 1
         slot = self._new_slot()
         combine = np.logical_and if is_and else np.logical_or
 
@@ -355,6 +392,7 @@ class CompiledPredicate:
             # regression RT309/kernel.scalar_udf_calls report.
             call = np.vectorize(func)
             self.scalar_udfs.append(node.name.upper())
+        self._num_costly += 1
         args = [self._compile(arg)[0] for arg in node.args]
 
         def run(ctx: _Ctx):
@@ -399,9 +437,10 @@ class CompiledPredicate:
         ctx = _Ctx(columns, num_rows, self._buffers())
         conjuncts = self._conjuncts
         if len(conjuncts) > 1:
-            # Most selective first: stable sort keeps source order for
-            # ties and for the first, unobserved block.
-            conjuncts = sorted(conjuncts, key=lambda c: c.ewma)
+            # Cheap before expensive, then most selective first: stable
+            # sort keeps source order for ties and for the first,
+            # unobserved block.
+            conjuncts = sorted(conjuncts, key=lambda c: (c.expensive, c.ewma))
         try:
             return self._evaluate_ordered(ctx, conjuncts, num_rows, tracer)
         except _NonBooleanTerm:
@@ -411,28 +450,57 @@ class CompiledPredicate:
 
     def _evaluate_ordered(self, ctx, conjuncts, num_rows, tracer) -> MaskLike:
         out: Optional[np.ndarray] = None
+        result: MaskLike = True
+        compressed = 0
         for index, conjunct in enumerate(conjuncts):
-            value = conjunct.fn(ctx)
+            sel = None
+            rows = num_rows
+            if (
+                conjunct.expensive
+                and out is not None
+                and np.count_nonzero(out) < SELECTION_SHARE * num_rows
+            ):
+                # Few survivors: run the conjunct on those rows only.  A
+                # name missing from the block raises in the column
+                # loader, as it does at full length.
+                sel = np.flatnonzero(out)
+                rows = sel.size
+                compressed += rows
+                taken = {
+                    name: ctx.columns[name].take(sel)
+                    for name in conjunct.names
+                    if name in ctx.columns
+                }
+                value = conjunct.fn(_Ctx(taken, rows, ctx.bufs))
+            else:
+                value = conjunct.fn(ctx)
             arr = np.asarray(value)
             if arr.ndim == 0:
                 if not arr:
-                    return False
+                    result = False
+                    break
                 continue
             if arr.dtype != np.bool_:
                 raise _NonBooleanTerm
-            conjunct.observe(np.count_nonzero(arr) / num_rows)
+            conjunct.observe(np.count_nonzero(arr) / rows)
             if out is None:
                 out = ctx.buffer(self._root_slot, arr.shape[0])
                 np.copyto(out, arr)
-            else:
+            elif sel is None:
                 np.logical_and(out, arr, out=out)
+            else:
+                out[sel] = arr  # every row outside ``sel`` is already False
+            result = out
             if not out.any():
                 if tracer.enabled and index + 1 < len(conjuncts):
                     tracer.metrics.record("kernel.early_exits")
-                return out
-        if out is None:
-            return True
-        return out
+                break
+        if compressed and tracer.enabled:
+            tracer.metrics.record("kernel.compressed_rows", compressed)
+            span = tracer.current()  # BlockPipeline's ``filter`` span
+            if span is not None:
+                span.tag(compressed=compressed)
+        return result
 
 
 class KernelCache:
@@ -549,10 +617,11 @@ class BlockPipeline:
 
     * a :class:`CompiledPredicate` accumulates until ``block_rows`` rows
       are pending, evaluates the kernel once and gathers each output
-      column with one fancy index (``block_rows=1`` closes a block per
-      ``add``).  The extractor sizes its runs by :attr:`pending_rows`,
-      so a block is normally one ``add``; only pieces that meet at a
-      part boundary are concatenated, once per needed column;
+      column with one ``take`` of the survivors' indices
+      (``block_rows=1`` closes a block per ``add``).  The extractor
+      sizes its runs by :attr:`pending_rows`, so a block is normally one
+      ``add``; only pieces that meet at a part boundary are
+      concatenated, once per needed column;
     * an :class:`InterpretedPredicate` closes a block per AFC whatever
       ``block_rows`` says — the oracle evaluates exactly as before
       kernels existed;
@@ -647,11 +716,14 @@ class BlockPipeline:
         if not count:
             return None
         # Every row kept (no WHERE, or a constant-true one): the columns
-        # are the result, as they are.  Otherwise fancy indexing copies,
-        # which also frees the kernel's mask buffer for the next block.
+        # are the result, as they are.  Otherwise the survivors' indices
+        # are found once and each output column is taken by them — a
+        # copy, which also frees the kernel's mask buffer for the next
+        # block.
         if count == num_rows:
             return {n: block[n] for n in self.output}, count
-        return {n: block[n][mask] for n in self.output}, count
+        index = np.flatnonzero(mask)
+        return {n: block[n].take(index) for n in self.output}, count
 
 
 def assemble_table(

@@ -17,14 +17,16 @@ can check arity and argument types without calling the function.
 **Vectorization contract.**  ``register(..., vectorized=True)`` declares
 that a function accepts full numpy arrays and returns an aligned array —
 the contract the compiled predicate kernels (``repro.core.kernels``)
-need to call it directly over a whole evaluation block.  Functions left
+need to call it directly over an evaluation block, or over the block's
+surviving rows once cheaper conjuncts rejected most.  Functions left
 at the default ``vectorized=False`` still work everywhere: the
 interpreted path calls them exactly as before, and the kernels wrap
 them in a batched ``np.vectorize`` adapter (one Python call per row —
 correct but slow; the static analyzer notes the regression as RT309).
 Declared-vectorized functions must also be *elementwise* (row i of the
-output depends only on row i of the inputs), which is what makes fusing
-several chunks into one evaluation block sound.
+output depends only on row i of the inputs) and total, which is what
+makes fusing several chunks into one evaluation block, and calling a
+function on any subset of its rows, sound.
 """
 
 from __future__ import annotations
