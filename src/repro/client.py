@@ -120,8 +120,9 @@ class Client:
         priorities, quotas, and cancellation work identically on the
         ``local://`` and ``tcp://`` transports — over TCP the client is
         the coordinator, so a process cluster gets the same fairness.
-        Dispatch workers only start once a query actually queues;
-        ``scheduler="off"`` queries run inline.
+        Dispatch workers only start once a query actually queues: a
+        ``submit`` with nothing queued ahead of it runs on the calling
+        thread, and ``scheduler="off"`` queries run inline.
         """
         with self._scheduler_lock:
             if self._scheduler is None:

@@ -142,15 +142,18 @@ class ExecOptions:
                       each tenant gets its own weighted queue.
     ``priority``      ``> 0`` routes the query onto the priority lane,
                       which is served before any fair-share queue and
-                      has a reserved worker (higher values first).
+                      has a reserved dispatch slot (higher values
+                      first).
     ``scheduler``     ``"fair"`` (default) weighted fair-share across
                       tenants; ``"fifo"`` one global arrival-order
                       queue (priority lane still honoured); ``"off"``
                       bypasses scheduling entirely — the ablation mode
                       used by the latency benchmarks.
-    ``scheduler_workers``  concurrent queries the scheduler dispatches
-                      (and the size of the query service's shared node
-                      fan-out pool); ``0`` picks an automatic size.
+    ``scheduler_workers``  concurrent queries the scheduler runs,
+                      counting those a blocking ``submit`` runs on its
+                      own thread (and the size of the query service's
+                      shared node fan-out pool); ``0`` picks an
+                      automatic size.
     ``admission``     what happens to a query predicted over its
                       ``admission_budget``: ``"reject"`` (default)
                       raises :class:`~repro.errors.AdmissionError`,

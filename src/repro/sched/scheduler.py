@@ -1,13 +1,13 @@
 """Workload-aware scheduler in front of ``QueryService.submit``.
 
 The paper's services assume one polite client; this module makes the
-front door safe for heavy mixed traffic.  A :class:`Scheduler` owns a
-bounded pool of dispatch workers and three lanes of queued work:
+front door safe for heavy mixed traffic.  A :class:`Scheduler` owns
+``workers`` dispatch slots and three lanes of queued work:
 
 1. **Priority lane** — queries submitted with ``ExecOptions(priority>0)``
-   jump every queue (higher values first, FIFO within a value).  One
-   dispatch worker is *reserved* for this lane, so an interactive query
-   never waits behind a bulk scan that grabbed the last worker — the
+   jump every queue (higher values first, FIFO within a value).
+   ``reserve_priority`` slots serve this lane only, so an interactive
+   query never waits behind a bulk scan that took the last slot — the
    express-lane property the latency benchmarks measure.
 2. **Fair-share lanes** — one weighted queue per ``ExecOptions.tenant``,
    served by weighted fair queuing over virtual time: each dispatch
@@ -20,7 +20,18 @@ bounded pool of dispatch workers and three lanes of queued work:
    every other lane is empty, so over-budget work scavenges idle
    capacity instead of competing.
 
-Admission control happens at :meth:`Scheduler.submit` using
+A query runs on the thread that asked for it whenever nothing is
+waiting ahead of it: :meth:`Scheduler.run` (behind ``Client.submit``)
+dispatches inline when no query is queued and a slot is free for the
+query's class — exactly when an idle worker would have dispatched it
+next, so dispatch order is the same.  An inline run holds its slot like
+a worker does and goes through the same admission, run state, deadline,
+virtual-clock charge, counters and ``sched`` span.  Otherwise the query
+queues for a dispatch worker; :meth:`Scheduler.submit` always queues,
+since it returns at once.  Worker threads start with the first query
+that queues, and pop only while a slot is free.
+
+Admission control happens before a query runs or queues, using
 ``CostModel.estimate_plan`` (a-priori simulated seconds from the plan's
 chunk layout): over budget with ``admission="reject"`` raises a typed
 :class:`~repro.errors.AdmissionError` before any work is queued.
@@ -40,7 +51,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.options import ExecOptions, resolve_workers
 from ..errors import (
@@ -70,6 +81,7 @@ class QueryHandle:
         predicted_seconds: Optional[float],
         clock: Callable[[], float],
         scheduler: Optional["Scheduler"],
+        backfill: bool = False,
     ):
         self.sql = sql
         self.options = options
@@ -79,6 +91,9 @@ class QueryHandle:
         #: Simulated seconds the cost model predicted, when admission
         #: control ran; None otherwise.
         self.predicted_seconds = predicted_seconds
+        #: Over budget under ``admission="queue"``: served by the
+        #: backfill lane, as fair-lane work.
+        self.backfill = backfill
         self.submitted_at = clock()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -188,11 +203,11 @@ class Scheduler:
         The :class:`~repro.storm.query_service.QueryService` (or any
         object with ``submit(sql, options)``) queries dispatch into.
     workers:
-        Concurrent dispatches; ``0`` resolves like
-        ``ExecOptions.scheduler_workers`` auto-sizing.
+        Concurrent dispatches, inline runs included; ``0`` resolves
+        like ``ExecOptions.scheduler_workers`` auto-sizing.
     reserve_priority:
-        Dispatch workers reserved for the priority lane (clamped so at
-        least one worker always serves the fair lanes); ``0`` disables
+        Dispatch slots reserved for the priority lane (clamped so at
+        least one slot always serves the fair lanes); ``0`` disables
         the express lane's reservation.
     weights:
         Per-tenant fair-share weights (default 1.0 each).
@@ -222,7 +237,11 @@ class Scheduler:
         self._weights = dict(weights or {})
         self._clock = clock
         self._lock = threading.Lock()
+        #: Dispatch workers (and ``close`` awaiting inline runs) wait
+        #: here; the deadline monitor waits on its own condition, so a
+        #: worker wake-up is one ``notify``.
         self._cond = threading.Condition(self._lock)
+        self._deadline_cond = threading.Condition(self._lock)
         self._seq = itertools.count()
         #: Heap of (-priority, seq, handle): the express lane.
         self._priority: List[tuple] = []
@@ -232,7 +251,13 @@ class Scheduler:
         self._deadlines: List[tuple] = []
         self._gvtime = 0.0
         self._queued = 0
-        self._running = 0
+        #: Dispatch slots per kind, and how many are taken — by worker
+        #: dispatches and inline runs alike.
+        self._slots = {
+            "reserved": self._reserved,
+            "general": self.workers - self._reserved,
+        }
+        self._busy = dict.fromkeys(self._slots, 0)
         self._closed = False
         self._threads: List[threading.Thread] = []
         self._monitor: Optional[threading.Thread] = None
@@ -248,11 +273,138 @@ class Scheduler:
         path the benchmarks compare against).
         """
         opts = options if options is not None else ExecOptions()
+        if opts.scheduler == "off":
+            self._check_open()
+            return self._run_bypassed(sql, opts)
+        handle = self._admit(sql, opts)
+        with self._cond:
+            self._enqueue_locked(handle, self._register_locked(handle))
+        return handle
+
+    def run(self, sql, options: Optional[ExecOptions] = None):
+        """Submit and block: the scheduled analogue of ``service.submit``.
+
+        When no query is queued and a dispatch slot is free for the
+        query's class, the query runs on the calling thread, holding
+        that slot; otherwise it queues as :meth:`submit` would and this
+        thread waits for its result.
+        """
+        opts = options if options is not None else ExecOptions()
+        if opts.scheduler == "off":
+            return self.submit(sql, opts).result()
+        handle = self._admit(sql, opts)
+        with self._cond:
+            seq = self._register_locked(handle)
+            slot = None if self._queued else self._take_slot_locked(handle)
+            if slot is None:
+                self._enqueue_locked(handle, seq)
+            elif not handle.backfill and handle.priority <= 0:
+                self._charge_locked(self._lane_locked(handle), handle)
+            self._update_gauges_locked()
+        if slot is not None:
+            self._run_in_slot(handle, slot)
+        return handle.result()
+
+    # -- introspection --------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Queue depths, per-tenant lanes, counters, wait histograms."""
+        with self._cond:
+            tenants = {
+                name: {
+                    "queued": len(lane.queue),
+                    "weight": lane.weight,
+                    "vtime": round(lane.vtime, 6),
+                }
+                for name, lane in sorted(self._lanes.items())
+            }
+            snapshot = {
+                "workers": self.workers,
+                "reserved_priority_workers": self._reserved,
+                "queued": self._queued,
+                "running": sum(self._busy.values()),
+                "priority_queued": len(self._priority),
+                "backfill_queued": len(self._backfill),
+                "tenants": tenants,
+            }
+        data = self.metrics.as_dict()
+        snapshot["counters"] = data["counters"]
+        snapshot["wait_seconds"] = {
+            name[len("sched.wait_seconds.") :]: hist
+            for name, hist in data["histograms"].items()
+            if name.startswith("sched.wait_seconds.")
+        }
+        overall = data["histograms"].get("sched.wait_seconds")
+        if overall is not None:
+            snapshot["wait_seconds"]["*"] = overall
+        snapshot["threads_abandoned"] = threads_abandoned()
+        return snapshot
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def close(self, wait: bool = True) -> None:
+        """Stop dispatching; queued queries are cancelled, running ones
+        finish (``wait=True`` waits for them, inline runs included)."""
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            drained = [h for _, _, h in self._priority]
+            drained.extend(self._backfill)
+            for lane in self._lanes.values():
+                drained.extend(lane.queue)
+            self._priority.clear()
+            self._backfill.clear()
+            for lane in self._lanes.values():
+                lane.queue.clear()
+            self._queued = 0
+            self._update_gauges_locked()
+            self._cond.notify_all()
+            self._deadline_cond.notify_all()
+            threads = list(self._threads)
+            monitor = self._monitor
+        for handle in drained:
+            if handle._finish(
+                "cancelled", error=QueryCancelledError("scheduler closed")
+            ):
+                self.metrics.record("sched.cancelled")
+        if wait:
+            with self._cond:
+                self._cond.wait_for(lambda: not any(self._busy.values()))
+            for thread in threads:
+                thread.join()
+            if monitor is not None:
+                monitor.join()
+
+    def __enter__(self) -> "Scheduler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- internals ------------------------------------------------------------
+
+    def _check_open(self) -> None:
         if self._closed:
             raise SchedulerError("scheduler is closed")
-        if opts.scheduler == "off":
-            return self._run_inline(sql, opts)
 
+    def _run_bypassed(self, sql, opts: ExecOptions) -> QueryHandle:
+        self.metrics.record("sched.bypassed")
+        handle = QueryHandle(
+            sql, opts, RunState(clock=self._clock), None, self._clock, None
+        )
+        handle.started_at = handle.submitted_at
+        try:
+            result = self.service.submit(sql, opts)
+        except BaseException as exc:
+            handle._finish("failed", error=exc)
+        else:
+            handle._finish("done", result=result)
+        return handle
+
+    def _admit(self, sql, opts: ExecOptions) -> QueryHandle:
+        """Admission control, then the handle and its run state."""
+        self._check_open()
         predicted = None
         backfill = False
         if opts.admission_budget is not None and self.cost_model is not None:
@@ -275,124 +427,9 @@ class Scheduler:
             deadline_at=deadline_at,
             clock=self._clock,
         )
-        handle = QueryHandle(sql, opts, run_state, predicted, self._clock, self)
-        with self._cond:
-            if self._closed:
-                raise SchedulerError("scheduler is closed")
-            seq = next(self._seq)
-            if backfill:
-                self._backfill.append(handle)
-            elif opts.priority > 0:
-                heapq.heappush(self._priority, (-opts.priority, seq, handle))
-            else:
-                # fifo mode funnels every tenant into one shared
-                # arrival-order lane; fair mode keeps one per tenant.
-                lane = "*" if opts.scheduler == "fifo" else opts.tenant
-                self._lane_for(lane).queue.append(handle)
-            self._queued += 1
-            if deadline_at is not None:
-                heapq.heappush(self._deadlines, (deadline_at, seq, handle))
-            self.metrics.record("sched.submitted")
-            self._update_gauges_locked()
-            self._ensure_workers_locked()
-            if deadline_at is not None:
-                self._ensure_monitor_locked()
-            self._cond.notify_all()
-        return handle
-
-    def run(self, sql, options: Optional[ExecOptions] = None):
-        """Submit and block: the scheduled analogue of ``service.submit``."""
-        return self.submit(sql, options).result()
-
-    # -- introspection --------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Queue depths, per-tenant lanes, counters, wait histograms."""
-        with self._cond:
-            tenants = {
-                name: {
-                    "queued": len(lane.queue),
-                    "weight": lane.weight,
-                    "vtime": round(lane.vtime, 6),
-                }
-                for name, lane in sorted(self._lanes.items())
-            }
-            snapshot = {
-                "workers": self.workers,
-                "reserved_priority_workers": self._reserved,
-                "queued": self._queued,
-                "running": self._running,
-                "priority_queued": len(self._priority),
-                "backfill_queued": len(self._backfill),
-                "tenants": tenants,
-            }
-        data = self.metrics.as_dict()
-        snapshot["counters"] = data["counters"]
-        snapshot["wait_seconds"] = {
-            name[len("sched.wait_seconds.") :]: hist
-            for name, hist in data["histograms"].items()
-            if name.startswith("sched.wait_seconds.")
-        }
-        overall = data["histograms"].get("sched.wait_seconds")
-        if overall is not None:
-            snapshot["wait_seconds"]["*"] = overall
-        snapshot["threads_abandoned"] = threads_abandoned()
-        return snapshot
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self, wait: bool = True) -> None:
-        """Stop dispatching; queued queries are cancelled, running ones
-        finish (``wait=True`` joins them)."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            drained = [h for _, _, h in self._priority]
-            drained.extend(self._backfill)
-            for lane in self._lanes.values():
-                drained.extend(lane.queue)
-            self._priority.clear()
-            self._backfill.clear()
-            for lane in self._lanes.values():
-                lane.queue.clear()
-            self._queued = 0
-            self._update_gauges_locked()
-            self._cond.notify_all()
-            threads = list(self._threads)
-            monitor = self._monitor
-        for handle in drained:
-            if handle._finish(
-                "cancelled", error=QueryCancelledError("scheduler closed")
-            ):
-                self.metrics.record("sched.cancelled")
-        if wait:
-            for thread in threads:
-                thread.join()
-            if monitor is not None:
-                monitor.join()
-
-    def __enter__(self) -> "Scheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- internals ------------------------------------------------------------
-
-    def _run_inline(self, sql, opts: ExecOptions) -> QueryHandle:
-        self.metrics.record("sched.bypassed")
-        handle = QueryHandle(
-            sql, opts, RunState(clock=self._clock), None, self._clock, None
+        return QueryHandle(
+            sql, opts, run_state, predicted, self._clock, self, backfill
         )
-        handle.started_at = handle.submitted_at
-        try:
-            result = self.service.submit(sql, opts)
-        except BaseException as exc:
-            handle._finish("failed", error=exc)
-        else:
-            handle._finish("done", result=result)
-        return handle
 
     def _predict(self, sql, opts: ExecOptions) -> float:
         dataset = self.service.dataset
@@ -401,7 +438,36 @@ class Scheduler:
         plan = dataset.plan(resolved)
         return self.cost_model.estimate_plan(plan, remote=opts.remote)
 
-    def _lane_for(self, name: str) -> _TenantLane:
+    def _register_locked(self, handle: QueryHandle) -> int:
+        """Count an admitted query and arm its deadline; its sequence
+        number."""
+        self._check_open()
+        seq = next(self._seq)
+        deadline_at = handle.run_state.deadline_at
+        if deadline_at is not None:
+            heapq.heappush(self._deadlines, (deadline_at, seq, handle))
+            self._ensure_monitor_locked()
+            self._deadline_cond.notify()
+        self.metrics.record("sched.submitted")
+        return seq
+
+    def _enqueue_locked(self, handle: QueryHandle, seq: int) -> None:
+        if handle.backfill:
+            self._backfill.append(handle)
+        elif handle.priority > 0:
+            heapq.heappush(self._priority, (-handle.priority, seq, handle))
+        else:
+            self._lane_locked(handle).queue.append(handle)
+        self._queued += 1
+        self._update_gauges_locked()
+        self._ensure_workers_locked()
+        self._cond.notify()
+
+    def _lane_locked(self, handle: QueryHandle) -> _TenantLane:
+        # fifo mode funnels every tenant into one shared arrival-order
+        # lane; fair mode keeps one per tenant.
+        opts = handle.options
+        name = "*" if opts.scheduler == "fifo" else opts.tenant
         lane = self._lanes.get(name)
         if lane is None:
             lane = _TenantLane(name, float(self._weights.get(name, 1.0)))
@@ -412,13 +478,44 @@ class Scheduler:
             lane.vtime = max(lane.vtime, self._gvtime)
         return lane
 
+    def _charge_locked(self, lane: _TenantLane, handle: QueryHandle) -> None:
+        """Advance ``lane``'s virtual clock for dispatching ``handle``."""
+        self._gvtime = lane.vtime
+        cost = handle.predicted_seconds
+        lane.vtime += max(
+            cost if cost is not None else _UNIT_COST, 1e-9
+        ) / max(lane.weight, 1e-9)
+
+    def _take_slot_locked(self, handle: QueryHandle) -> Optional[str]:
+        """Take a free slot ``handle`` may run in; None when none is.
+
+        Priority queries fill the reserved slots first, so the general
+        ones stay free for fair-lane work, which may use no other.
+        """
+        express = handle.priority > 0 and not handle.backfill
+        for kind in ("reserved", "general") if express else ("general",):
+            if self._busy[kind] < self._slots[kind]:
+                self._busy[kind] += 1
+                return kind
+        return None
+
+    def _release_locked(self, slot: str) -> None:
+        self._busy[slot] -= 1
+        self._update_gauges_locked()
+        # A worker that frees a slot pops again by itself; a slot an
+        # inline run frees needs a worker woken, and close() may be
+        # waiting for the last run.
+        if self._closed:
+            self._cond.notify_all()
+        elif self._queued:
+            self._cond.notify()
+
     def _ensure_workers_locked(self) -> None:
         if self._threads:
             return
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker,
-                args=(index,),
                 name=f"sched-worker-{index}",
                 daemon=True,
             )
@@ -432,55 +529,60 @@ class Scheduler:
             )
             self._monitor.start()
 
-    def _pop_locked(self, priority_only: bool) -> Optional[QueryHandle]:
+    def _pop_locked(self) -> Optional[Tuple[QueryHandle, str]]:
+        """The next queued query a free slot may run, with that slot."""
+        lane: Optional[_TenantLane] = None
         if self._priority:
-            handle = heapq.heappop(self._priority)[2]
-            self._queued -= 1
-            return handle
-        if priority_only:
+            head = self._priority[0][2]
+        else:
+            for name in sorted(self._lanes):
+                candidate = self._lanes[name]
+                if candidate.queue and (
+                    lane is None or candidate.vtime < lane.vtime
+                ):
+                    lane = candidate
+            if lane is not None:
+                head = lane.queue[0]
+            elif self._backfill:
+                head = self._backfill[0]
+            else:
+                return None
+        slot = self._take_slot_locked(head)
+        if slot is None:
             return None
-        best: Optional[_TenantLane] = None
-        for name in sorted(self._lanes):
-            lane = self._lanes[name]
-            if lane.queue and (best is None or lane.vtime < best.vtime):
-                best = lane
-        if best is not None:
-            handle = best.queue.popleft()
-            self._queued -= 1
-            self._gvtime = best.vtime
-            cost = handle.predicted_seconds
-            best.vtime += max(
-                cost if cost is not None else _UNIT_COST, 1e-9
-            ) / max(best.weight, 1e-9)
-            return handle
-        if self._backfill:
-            self._queued -= 1
-            return self._backfill.popleft()
-        return None
+        if self._priority:
+            heapq.heappop(self._priority)
+        elif lane is not None:
+            lane.queue.popleft()
+            self._charge_locked(lane, head)
+        else:
+            self._backfill.popleft()
+        self._queued -= 1
+        return head, slot
 
-    def _worker(self, index: int) -> None:
-        priority_only = index < self._reserved
+    def _worker(self) -> None:
         while True:
             with self._cond:
-                handle = None
-                while handle is None:
+                popped = None
+                while popped is None:
                     if self._closed:
                         return
-                    handle = self._pop_locked(priority_only)
-                    if handle is None:
+                    popped = self._pop_locked()
+                    if popped is None:
                         self._cond.wait()
-                    elif handle.done():
+                    elif popped[0].done():
                         # Cancelled while queued; already torn down.
-                        handle = None
-                self._running += 1
+                        self._release_locked(popped[1])
+                        popped = None
                 self._update_gauges_locked()
-            try:
-                self._dispatch(handle)
-            finally:
-                with self._cond:
-                    self._running -= 1
-                    self._update_gauges_locked()
-                    self._cond.notify_all()
+            self._run_in_slot(*popped)
+
+    def _run_in_slot(self, handle: QueryHandle, slot: str) -> None:
+        try:
+            self._dispatch(handle)
+        finally:
+            with self._cond:
+                self._release_locked(slot)
 
     def _dispatch(self, handle: QueryHandle) -> None:
         with handle._lock:
@@ -532,7 +634,7 @@ class Scheduler:
 
     def _monitor_loop(self) -> None:
         while True:
-            with self._cond:
+            with self._lock:
                 if self._closed:
                     return
                 now = self._clock()
@@ -544,11 +646,11 @@ class Scheduler:
                     timeout = None
                     if self._deadlines:
                         timeout = max(0.01, self._deadlines[0][0] - now)
-                    self._cond.wait(timeout)
+                    self._deadline_cond.wait(timeout)
                     continue
             for handle in fire:
                 handle.cancel("deadline")
 
     def _update_gauges_locked(self) -> None:
         self.metrics.gauge("sched.queue_depth").set(self._queued)
-        self.metrics.gauge("sched.running").set(self._running)
+        self.metrics.gauge("sched.running").set(sum(self._busy.values()))

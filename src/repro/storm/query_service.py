@@ -374,7 +374,8 @@ class QueryService:
     ):
         """Failure-aware parallel extraction of a plan across its nodes.
 
-        Returns ``(table, per_node_stats, failed_nodes)``; raises
+        The first node runs on the calling thread, the others on the
+        shared fan-out pool; partials come back in node order.  Returns ``(table, per_node_stats, failed_nodes)``; raises
         :class:`~repro.errors.NodeFailureError` for the first exhausted
         node unless ``opts.allow_partial``.
         """
@@ -483,8 +484,9 @@ class QueryService:
         def run_node(node: str) -> Optional[VirtualTable]:
             """The node's partial, or None once its failure is recorded."""
             try:
-                # Worker threads have an empty span stack; parent the
-                # per-node span under the query root via the context.
+                # Pool threads have an empty span stack, so the context
+                # parents the per-node span under the query root; on
+                # the calling thread that root is the innermost span.
                 with ctx.span(
                     "extract", node=node, afcs=len(by_node[node])
                 ) as span:
@@ -508,7 +510,16 @@ class QueryService:
 
         nodes = list(by_node)
         if opts.parallel and len(nodes) > 1:
-            maybe_partials = list(self._pool(opts).map(run_node, nodes))
+            # The calling thread extracts the first node itself while
+            # the pool runs the rest: one handoff fewer per query.
+            pool = self._pool(opts)
+            futures = [pool.submit(run_node, node) for node in nodes[1:]]
+            try:
+                maybe_partials = [run_node(nodes[0])]
+                maybe_partials += [future.result() for future in futures]
+            finally:
+                for future in futures:
+                    future.cancel()
         else:
             maybe_partials = [run_node(node) for node in nodes]
 

@@ -7,6 +7,9 @@ assert the same knobs behave identically via ``repro.connect`` on
 ``local://`` and ``tcp://`` endpoints.
 """
 
+import collections
+import contextlib
+import sys
 import threading
 import time
 
@@ -25,6 +28,7 @@ from repro.errors import (
     SchedulerError,
 )
 from repro.faults import FaultInjector, FaultRule
+from repro.obs.tracer import Tracer
 from repro.sched import RunState, Scheduler, threads_abandoned
 from repro.storm import QueryService, VirtualCluster
 from repro.storm.data_source import DataSourceService
@@ -55,22 +59,34 @@ def wait_for(predicate, timeout=5.0):
 
 
 class StubService:
-    """submit() records dispatch order; named queries block on a gate."""
+    """submit() records dispatch order, the thread each query ran on and
+    how many ran at once; named queries (or, with ``gate``, every
+    query) block on a gate."""
 
     cost_model = None
 
-    def __init__(self, gates=None):
+    def __init__(self, gates=None, gate=None):
         self.order = []
+        self.threads = {}
+        self.active = self.peak = 0
         self.gates = gates or {}
+        self.gate = gate
         self._lock = threading.Lock()
 
     def submit(self, sql, opts):
         with self._lock:
             self.order.append(sql)
-        gate = self.gates.get(sql)
-        if gate is not None:
-            assert gate.wait(10), f"gate for {sql!r} never opened"
-        return sql
+            self.threads[sql] = threading.current_thread().name
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            gate = self.gates.get(sql, self.gate)
+            if gate is not None:
+                assert gate.wait(10), f"gate for {sql!r} never opened"
+            return sql
+        finally:
+            with self._lock:
+                self.active -= 1
 
 
 class CooperativeStub:
@@ -80,12 +96,28 @@ class CooperativeStub:
 
     def __init__(self):
         self.running = threading.Event()
+        self.run_state = None
 
     def submit(self, sql, opts):
+        self.run_state = opts.run_state
         self.running.set()
         while True:
             opts.run_state.checkpoint()
             time.sleep(0.005)
+
+
+class MonitoredStub:
+    """submit() waits, without checkpoints, until the run state is
+    cancelled: only the scheduler's deadline monitor can stop it."""
+
+    cost_model = None
+
+    def submit(self, sql, opts):
+        deadline = time.monotonic() + 10
+        while not opts.run_state.cancelled:
+            assert time.monotonic() < deadline, "never cancelled"
+            time.sleep(0.005)
+        opts.run_state.checkpoint()
 
 
 class TestFairShare:
@@ -149,9 +181,9 @@ class TestFairShare:
             s1 = sched.submit("slow1", LOCAL.replace(tenant="bulk"))
             wait_for(lambda: "slow1" in stub.order)
             s2 = sched.submit("slow2", LOCAL.replace(tenant="bulk"))
-            # The general worker is pinned inside slow1 and slow2 can
-            # only ever follow it; the reserved worker refuses fair-lane
-            # work, so a priority query overtakes both.
+            # slow1 holds the general slot and slow2 can only ever
+            # follow it; the reserved slot refuses fair-lane work, so a
+            # priority query overtakes both.
             express = sched.submit("vip", LOCAL.replace(priority=1))
             assert express.result(timeout=5) == "vip"
             assert s2.state == "queued"
@@ -485,6 +517,452 @@ class TestOffMode:
             assert handle.state == "failed"
             with pytest.raises(ValueError, match="boom"):
                 handle.result()
+
+
+class TestCallerRuns:
+    """``Scheduler.run`` dispatches on the calling thread when nothing
+    is queued and a slot is free for the query's class."""
+
+    def test_lone_blocking_client_runs_on_its_own_thread(self):
+        stub = StubService()
+        before = set(threading.enumerate())
+        with Scheduler(stub, workers=4) as sched:
+            assert sched.run("q", LOCAL) == "q"
+            assert stub.threads["q"] == threading.current_thread().name
+            started = set(threading.enumerate()) - before
+            assert not any(t.name.startswith("sched-worker") for t in started)
+            assert sched._threads == []
+            stats = sched.stats()
+        assert stats["counters"] == {
+            "sched.completed": 1,
+            "sched.dispatched": 1,
+            "sched.submitted": 1,
+        }
+        assert (stats["queued"], stats["running"]) == (0, 0)
+        assert stats["wait_seconds"]["*"]["count"] == 1
+        assert stats["wait_seconds"]["*"]["max"] < 0.05
+
+    def test_blocking_callers_and_submits_never_exceed_workers(self):
+        gate = threading.Event()
+        stub = StubService(gate=gate)
+        results = {}
+        with Scheduler(stub, workers=3, reserve_priority=0) as sched:
+            callers = [
+                threading.Thread(
+                    target=lambda i=i: results.update(
+                        {i: sched.run(f"run{i}", LOCAL)}
+                    )
+                )
+                for i in range(5)
+            ]
+            for caller in callers:
+                caller.start()
+            handles = [sched.submit(f"sub{i}", LOCAL) for i in range(3)]
+            wait_for(lambda: sched.stats()["queued"] == 5)
+            assert stub.active == sched.stats()["running"] == 3
+            gate.set()
+            for caller in callers:
+                caller.join(10)
+            assert [h.result(timeout=10) for h in handles] == [
+                "sub0", "sub1", "sub2"
+            ]
+        assert stub.peak == 3
+        assert results == {i: f"run{i}" for i in range(5)}
+        # A caller that found a free slot ran its query itself; every
+        # other query, and every submit, went to a dispatch worker.
+        inline = {
+            sql for sql, name in stub.threads.items()
+            if not name.startswith("sched-worker")
+        }
+        assert inline and all(sql.startswith("run") for sql in inline)
+
+    def test_a_blocking_run_queues_behind_queued_work(self):
+        # The reserved slot is free, but a fair query is queued: a
+        # priority run queues too (and a worker dispatches it first).
+        gate = threading.Event()
+        stub = StubService(gates={"BLOCK": gate})
+        with Scheduler(stub, workers=2, reserve_priority=1) as sched:
+            sched.submit("BLOCK", LOCAL)
+            wait_for(lambda: "BLOCK" in stub.order)
+            queued = sched.submit("q1", LOCAL)
+            assert sched.run("vip", LOCAL.replace(priority=1)) == "vip"
+            gate.set()
+            queued.result(timeout=10)
+        assert stub.order == ["BLOCK", "vip", "q1"]
+        assert stub.threads["vip"].startswith("sched-worker")
+
+    def test_fair_inline_run_never_takes_a_reserved_slot(self):
+        gate = threading.Event()
+        stub = StubService(gate=gate)
+        with Scheduler(stub, workers=2, reserve_priority=1) as sched:
+            first = threading.Thread(target=sched.run, args=("fair1", LOCAL))
+            first.start()
+            wait_for(lambda: "fair1" in stub.order)
+            second = threading.Thread(target=sched.run, args=("fair2", LOCAL))
+            second.start()
+            # The reserved slot is free, but not for fair-lane work.
+            wait_for(lambda: sched.stats()["queued"] == 1)
+            assert "fair2" not in stub.order
+            gate.set()
+            first.join(10)
+            second.join(10)
+        assert stub.threads["fair1"] == first.name
+        assert stub.threads["fair2"].startswith("sched-worker")
+
+    def test_priority_inline_run_may_take_the_reserved_slot(self):
+        gate = threading.Event()
+        stub = StubService(gates={"bulk": gate})
+        with Scheduler(stub, workers=2, reserve_priority=1) as sched:
+            bulk = threading.Thread(target=sched.run, args=("bulk", LOCAL))
+            bulk.start()
+            wait_for(lambda: "bulk" in stub.order)
+            assert sched.run("vip", LOCAL.replace(priority=1)) == "vip"
+            assert stub.threads["vip"] == threading.current_thread().name
+            assert sched._threads == []
+            gate.set()
+            bulk.join(10)
+
+    def test_slots_hold_under_contention(self):
+        # More clients than cores, blocking runs and queued submits of
+        # both classes, a short switch interval: a lost update to the
+        # slot counts would run more than ``workers`` queries at once,
+        # or strand one.
+        stub = StubService()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Scheduler(stub, workers=2, reserve_priority=1) as sched:
+
+                def client(i):
+                    for j in range(40):
+                        opts = LOCAL.replace(priority=int(j % 3 == 0))
+                        if j % 2:
+                            sched.run(f"r{i}.{j}", opts)
+                        else:
+                            sched.submit(f"s{i}.{j}", opts).result(timeout=10)
+
+                clients = [
+                    threading.Thread(target=client, args=(i,)) for i in range(6)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(30)
+                assert not any(thread.is_alive() for thread in clients)
+                stats = sched.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stub.peak <= 2
+        assert len(stub.order) == 6 * 40
+        assert (stats["queued"], stats["running"]) == (0, 0)
+        assert stats["counters"]["sched.completed"] == 6 * 40
+
+    def test_close_waits_for_an_inline_run(self):
+        gate = threading.Event()
+        stub = StubService(gate=gate)
+        sched = Scheduler(stub, workers=1)
+        box = {}
+        caller = threading.Thread(
+            target=lambda: box.update(result=sched.run("slow", LOCAL))
+        )
+        caller.start()
+        wait_for(lambda: "slow" in stub.order)
+        closer = threading.Thread(target=sched.close)
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive(), "close() returned under a running query"
+        gate.set()
+        closer.join(10)
+        caller.join(10)
+        assert not closer.is_alive()
+        assert box["result"] == "slow"
+        with pytest.raises(SchedulerError):
+            sched.run("later", LOCAL)
+
+
+def outcome(mode, service, sql, opts, during=None):
+    """One query through a fresh 1-worker scheduler, on the calling
+    thread (``inline``: ``run``) or a dispatch worker (``queued``:
+    ``submit``): ``(value or error, counters and lanes, wait counts,
+    workers)``."""
+    with Scheduler(service, workers=1, reserve_priority=0) as sched:
+        helper = None
+        if during is not None:
+            helper = threading.Thread(target=during)
+            helper.start()
+        try:
+            if mode == "inline":
+                value = sched.run(sql, opts)
+            else:
+                value = sched.submit(sql, opts).result(timeout=30)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            value = exc
+        if helper is not None:
+            helper.join(10)
+        stats = sched.stats()
+        workers = bool(sched._threads)
+    waits = {name: hist["count"] for name, hist in stats["wait_seconds"].items()}
+    counters = dict(stats["counters"], lanes=stats["tenants"])
+    return value, counters, waits, workers
+
+
+def assert_same_outcome(inline, queued):
+    (got, counters, waits, workers), (want, *expected) = inline, queued
+    assert not workers, "the inline run started dispatch workers"
+    assert (counters, waits) == tuple(expected[:2])
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "reason", None) == getattr(want, "reason", None)
+    elif hasattr(want, "table"):
+        assert_tables_equal(got.table, want.table)
+    else:
+        assert got == want
+
+
+class TestInlineRunMatchesQueued:
+    """Everything a dispatch does, an inline run does too."""
+
+    def both(self, service, sql, opts, during=None, before=None):
+        runs = []
+        for mode in ("inline", "queued"):
+            if before is not None:
+                before()
+            runs.append(outcome(mode, service, sql, opts, during))
+        assert runs[1][3] or isinstance(runs[1][0], AdmissionError)
+        assert_same_outcome(*runs)
+        return runs[0]
+
+    def test_success(self, env):
+        service, _, _ = env
+        value, counters, waits, _ = self.both(
+            service, SCAN, LOCAL.replace(tenant="t")
+        )
+        assert value.num_rows == TOTAL_ROWS
+        assert counters["sched.completed"] == 1
+        # The dispatch charged the tenant's virtual clock one unit.
+        assert counters["lanes"] == {
+            "t": {"queued": 0, "weight": 1.0, "vtime": 1.0}
+        }
+        assert waits == {"*": 1, "t": 1}
+
+    def test_cancel_from_another_thread(self):
+        stub = CooperativeStub()
+
+        def cancel():
+            assert stub.running.wait(10)
+            stub.run_state.cancel()
+
+        value, counters, _, _ = self.both(
+            stub, "spin", LOCAL, during=cancel, before=stub.running.clear
+        )
+        assert isinstance(value, QueryCancelledError)
+        assert value.reason == "cancelled"
+        assert counters["sched.cancelled"] == 1
+
+    @pytest.mark.parametrize("stub", [CooperativeStub, MonitoredStub])
+    def test_deadline(self, stub):
+        value, counters, _, _ = self.both(
+            stub(), "spin", LOCAL.replace(deadline=0.05)
+        )
+        assert isinstance(value, QueryCancelledError)
+        assert value.reason == "deadline"
+        assert counters["sched.deadline_cancelled"] == 1
+
+    def test_admission_reject(self, env):
+        service, _, _ = env
+        value, counters, _, _ = self.both(
+            service, SCAN, LOCAL.replace(admission_budget=1e-9)
+        )
+        assert isinstance(value, AdmissionError)
+        assert counters == {"sched.rejected": 1, "lanes": {}}
+
+    def test_admission_backfill(self, env):
+        service, _, _ = env
+        value, counters, _, _ = self.both(
+            service,
+            SCAN,
+            LOCAL.replace(admission_budget=1e-9, admission="queue"),
+        )
+        assert value.num_rows == TOTAL_ROWS
+        assert counters["sched.queued_over_budget"] == 1
+
+    def test_row_quota(self, env):
+        service, _, _ = env
+        value, counters, _, _ = self.both(
+            service, SCAN, LOCAL.replace(row_quota=10)
+        )
+        assert isinstance(value, QuotaExceededError)
+        assert "row quota" in str(value)
+        assert counters["sched.quota_trips"] == 1
+
+    def test_byte_quota(self, env):
+        service, _, _ = env
+        value, counters, _, _ = self.both(
+            service,
+            SCAN,
+            LOCAL.replace(byte_quota=64),
+            before=service.drop_caches,
+        )
+        assert isinstance(value, QuotaExceededError)
+        assert "byte quota" in str(value)
+        assert counters["sched.quota_trips"] == 1
+
+
+def spy_threads(monkeypatch, obj, method):
+    """Record the thread each ``obj.method(node, ...)`` call runs on."""
+    seen = {}
+    real = getattr(obj, method)
+
+    def spy(node, *args, **kwargs):
+        seen[node] = threading.current_thread().name
+        return real(node, *args, **kwargs)
+
+    monkeypatch.setattr(obj, method, spy)
+    return seen
+
+
+#: Span names of a row query's skeleton, above the per-read events.
+SKELETON = {
+    "sched", "query", "plan", "index", "rewrite", "extract", "extract_afc",
+    "filter", "kernel_compile", "partition", "mover",
+}
+
+
+class TestFirstNodeOnCaller:
+    """``_extract_nodes`` runs the first node on the calling thread and
+    only the others on the fan-out pool."""
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_first_node_runs_on_the_caller(self, env, monkeypatch, transport):
+        from repro.net import ProcessCluster
+
+        _, text, root = env
+        with contextlib.ExitStack() as stack:
+            if transport == "tcp":
+                cluster = stack.enter_context(ProcessCluster(text, root))
+                db = stack.enter_context(cluster.connect())
+            else:
+                db = stack.enter_context(
+                    repro.connect(f"local://{root}", descriptor=text)
+                )
+            seen = spy_threads(monkeypatch, db.service.transport, "execute_node")
+            assert db.submit(SCAN, LOCAL).num_rows == TOTAL_ROWS
+        assert seen["osu0"] == threading.current_thread().name
+        assert seen["osu1"].startswith("storm-node")
+
+    def test_span_tree_of_a_two_node_query(self, env):
+        _, text, root = env
+        tracer = Tracer()
+        with repro.connect(f"local://{root}", descriptor=text) as db:
+            db.submit(SCAN + " WHERE SOIL > 0.2", ExecOptions(trace=tracer))
+        by_id = {span.span_id: span for span in tracer.spans}
+
+        def parent(span):
+            return by_id[span.parent_id] if span.parent_id else None
+
+        edges = collections.Counter(
+            (span.name, parent(span) and parent(span).name)
+            for span in tracer.spans
+            if span.name in SKELETON
+        )
+        assert edges == {
+            ("sched", None): 1,
+            ("query", "sched"): 1,
+            ("plan", "query"): 1,
+            ("rewrite", "plan"): 1,
+            ("index", "plan"): 1,
+            ("extract", "query"): 2,
+            ("extract_afc", "extract"): 4,
+            ("filter", "extract"): 2,
+            ("kernel_compile", "extract"): 1,
+            ("partition", "query"): 1,
+            ("mover", "query"): 1,
+        }
+        extracts = sorted(
+            (s.tags for s in tracer.spans if s.name == "extract"),
+            key=lambda tags: tags["node"],
+        )
+        assert extracts == [
+            {"node": "osu0", "afcs": 12, "rows": 162, "bytes_read": 960,
+             "attempts": 1},
+            {"node": "osu1", "afcs": 12, "rows": 157, "bytes_read": 960,
+             "attempts": 1},
+        ]
+        # Every span that names a node sits under that node's extract.
+        for span in tracer.spans:
+            node = span.tags.get("node")
+            if node is None or span.name == "extract":
+                continue
+            up = parent(span)
+            while up.name != "extract":
+                up = parent(up)
+            assert up.tags["node"] == node, (span, up)
+
+
+def same_bytes(a, b):
+    return a.to_structured().tobytes() == b.to_structured().tobytes()
+
+
+#: The fault each case puts on one node, and the options it runs under.
+FAULT_CASES = {
+    "retried": (
+        lambda node: FaultRule("raise-on-open", node=node, times=1),
+        dict(retries=2),
+    ),
+    "down": (
+        lambda node: FaultRule("node-down", node=node),
+        dict(retries=1, allow_partial=True),
+    ),
+    "timeout": (
+        # One slow read per attempt, well past the timeout; the healthy
+        # node has the same timeout to finish in.
+        lambda node: FaultRule("slow-read", node=node, path="*SOIL0", delay=0.5),
+        dict(retries=1, node_timeout=0.25, allow_partial=True),
+    ),
+}
+
+
+class TestInlineNodeFailures:
+    """Retries, ``node_timeout`` and ``allow_partial`` on the node the
+    caller extracts (osu0) behave as on a pooled one (osu1): with the
+    fan-out, each gives the table, failed nodes and counters of the
+    serial run, where every node runs on the caller."""
+
+    def run(self, monkeypatch, text, root, node, case, parallel):
+        rule, knobs = FAULT_CASES[case]
+        dataset = GeneratedDataset(text)
+        cluster = VirtualCluster.for_storage(root, dataset.descriptor.storage)
+        injector = FaultInjector([rule(node)])
+        opts = LOCAL.replace(parallel=parallel, retry_backoff=0.0, **knobs)
+        with QueryService(dataset, cluster, fault_injector=injector) as svc:
+            seen = spy_threads(monkeypatch, svc, "_retried")
+            result = svc.submit(SCAN, opts)
+            # Abandoned attempts finish their slow reads before the
+            # service closes their files.
+            for thread in threading.enumerate():
+                if thread.name.startswith("extract-"):
+                    thread.join(10)
+        return result, seen, injector.injected
+
+    @pytest.mark.parametrize("case", sorted(FAULT_CASES))
+    @pytest.mark.parametrize("node", ["osu0", "osu1"])
+    def test_same_as_serial(self, env, monkeypatch, node, case):
+        _, text, root = env
+        fanned, seen, injected = self.run(
+            monkeypatch, text, root, node, case, parallel=True
+        )
+        serial, _, injected_serial = self.run(
+            monkeypatch, text, root, node, case, parallel=False
+        )
+        on_caller = seen[node] == threading.current_thread().name
+        assert on_caller == (node == "osu0")
+        assert same_bytes(fanned.table, serial.table)
+        assert fanned.failed_nodes == serial.failed_nodes
+        assert fanned.failed_nodes == ([] if case == "retried" else [node])
+        assert {n: s.as_dict() for n, s in fanned.per_node_stats.items()} == {
+            n: s.as_dict() for n, s in serial.per_node_stats.items()
+        }
+        assert injected == injected_serial > 0
 
 
 class TestClientTransports:
