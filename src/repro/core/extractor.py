@@ -22,9 +22,15 @@ semantics:
 
 * an LRU of open file handles (files are opened once per query, not once
   per chunk — the paper's L0 layout opens 18 files per AFC set otherwise);
-* an LRU of chunk payloads keyed by (path, offset, length), which pays off
-  when one chunk participates in many AFCs (the COORDS file of the paper's
-  example appears in all 500 TIME chunks).
+* an LRU of chunks keyed by (node, path, offset, length) and bounded by
+  their payload bytes, which pays off when one chunk participates in
+  many AFCs (the COORDS file of the paper's example appears in all 500
+  TIME chunks) or queries.  A chunk of a record strip — more than one
+  field — is decoded once, as it enters: transposed into one
+  contiguous read-only column per field, the chunks of one coalesced
+  read sharing their columns as row ranges, so a fused block over
+  cached record chunks is a slice per field, not a join and a strided
+  copy.  A single-field chunk is cached as read.
 
 Both caches are thread safe and all chunk I/O uses positional reads
 (``pread``), so one extractor can serve several query threads — and
@@ -213,21 +219,128 @@ class _HandleCache:
             v.file.close()
 
 
+class _Group:
+    """Adjacent chunks of one strip that were read together, decoded
+    once into one contiguous read-only column per field: each chunk
+    cached from it is a row range (:class:`_Decoded`)."""
+
+    __slots__ = ("file", "columns", "nbytes", "keys", "live")
+
+    def __init__(self, file: Tuple[str, str], columns: Columns, keys: list):
+        #: (node, path) the chunks were read from.
+        self.file = file
+        self.columns = columns
+        self.nbytes = sum(column.nbytes for column in columns.values())
+        #: The member chunks' segment-cache keys.
+        self.keys = keys
+        #: Members not yet dropped from the segment cache (evicted,
+        #: replaced, refused or cleared); kept under the cache's lock.
+        self.live = len(keys)
+
+
+class _Decoded:
+    """A segment-cache entry holding a chunk as rows ``start .. stop -
+    1`` of its group's columns, decoded with the full record dtype of
+    its strip.  ``len`` is the payload's byte count, as for raw bytes."""
+
+    __slots__ = ("group", "start", "stop", "nbytes", "dtype")
+
+    def __init__(self, group: _Group, start: int, stop: int, nbytes: int,
+                 dtype: np.dtype):
+        self.group = group
+        self.start = start
+        self.stop = stop
+        self.nbytes = nbytes
+        self.dtype = dtype
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def detached(self, key: tuple) -> "_Decoded":
+        """This chunk, cached under ``key``, with columns of its own,
+        copied out of its group."""
+        columns = {}
+        for name, column in self.group.columns.items():
+            columns[name] = column[self.start:self.stop].copy()
+            columns[name].flags.writeable = False
+        group = _Group(self.group.file, columns, [key])
+        return _Decoded(group, 0, self.stop - self.start, self.nbytes, self.dtype)
+
+
+#: A segment-cache entry: a chunk's payload as read, or decoded.
+Entry = Union[bytes, _Decoded]
+
+#: Bytes of records per transpose tile: a tile stays in L2 while each
+#: of its fields is copied out.
+_TILE_BYTES = 256 * 1024
+
+
+def _transpose(data, start: int, rows: int, dtype: np.dtype) -> Columns:
+    """``rows`` records of ``dtype`` at byte ``start`` of ``data`` as
+    one contiguous read-only array per field, copied a cache-sized
+    tile at a time."""
+    records = np.frombuffer(data, dtype=dtype, count=rows, offset=start)
+    columns = {
+        name: np.empty(rows, dtype=dtype.fields[name][0]) for name in dtype.names
+    }
+    step = max(1, _TILE_BYTES // dtype.itemsize)
+    for lo in range(0, rows, step):
+        tile = records[lo:lo + step]
+        for name, column in columns.items():
+            column[lo:lo + step] = tile[name]
+    for column in columns.values():
+        column.flags.writeable = False
+    return columns
+
+
 class _SegmentCache:
-    """LRU cache of chunk payload bytes, bounded by total size; thread safe."""
+    """LRU cache of chunk entries, bounded by total payload size; thread
+    safe.
+
+    An entry is a payload as read, or a :class:`_Decoded` row range of
+    a group shared with the chunks read alongside it.  A group's
+    columns live while any of its chunks is cached, so at most one group
+    per file is kept with some of its chunks dropped: when a second
+    group of a file loses a chunk, the first one's survivors are copied
+    out of it (:meth:`_detach`).  Memory held is therefore bounded by
+    ``capacity`` plus one group per file.
+    """
 
     def __init__(self, capacity_bytes: int = 32 * 1024 * 1024):
         self.capacity = capacity_bytes
         self.size = 0
         self._lock = threading.Lock()
-        self._segments: "OrderedDict[tuple, bytes]" = OrderedDict()
+        self._segments: "OrderedDict[tuple, Entry]" = OrderedDict()
+        #: Per file, the group that has dropped some chunks but not all.
+        self._ragged: Dict[Tuple[str, str], _Group] = {}
 
-    def get(self, key: tuple) -> Optional[bytes]:
+    def get(self, key: tuple) -> Optional[Entry]:
         with self._lock:
             data = self._segments.get(key)
             if data is not None:
                 self._segments.move_to_end(key)
             return data
+
+    def get_run(
+        self, keys: Sequence[tuple], dtypes: Sequence[Optional[np.dtype]]
+    ) -> Optional[List[Entry]]:
+        """Every key's entry, each promoted in turn as :meth:`get`
+        would, under one lock — or None, promoting nothing, if any key
+        is absent or its entry does not fit its dtype (see
+        :meth:`Extractor._entry`)."""
+        with self._lock:
+            segments = self._segments
+            try:
+                entries = [segments[key] for key in keys]
+            except KeyError:
+                return None
+            for entry, dtype in zip(entries, dtypes):
+                if type(entry) is _Decoded and entry.dtype is not dtype:
+                    return None
+            promote = segments.move_to_end
+            for key in keys:
+                promote(key)
+            return entries
 
     def missing(self, keys: Sequence[tuple]) -> List[bool]:
         """Per key, whether it is absent — no LRU promotion, one lock
@@ -235,30 +348,60 @@ class _SegmentCache:
         with self._lock:
             return [key not in self._segments for key in keys]
 
-    def put(self, key: tuple, data: bytes) -> None:
-        if len(data) > self.capacity:
-            return
+    def put(self, key: tuple, data: Entry) -> None:
         with self._lock:
+            if len(data) > self.capacity:
+                if type(data) is _Decoded:
+                    self._dropped(data)
+                return
             old = self._segments.pop(key, None)
             if old is not None:
                 self.size -= len(old)
+                if type(old) is _Decoded:
+                    self._dropped(old)
             self._segments[key] = data
             self.size += len(data)
             while self.size > self.capacity:
                 _, evicted = self._segments.popitem(last=False)
                 self.size -= len(evicted)
+                if type(evicted) is _Decoded:
+                    self._dropped(evicted)
+
+    def _dropped(self, entry: _Decoded) -> None:
+        """Account a decoded chunk leaving (or refused by) the cache;
+        lock held."""
+        group = entry.group
+        group.live -= 1
+        ragged = self._ragged.get(group.file)
+        if group.live == 0:
+            if ragged is group:
+                del self._ragged[group.file]
+        elif ragged is not group:
+            if ragged is not None:
+                self._detach(ragged)
+            self._ragged[group.file] = group
+
+    def _detach(self, group: _Group) -> None:
+        """Give ``group``'s cached chunks columns of their own, in place
+        in the LRU order, so its columns are no longer held; lock held."""
+        for key in group.keys:
+            entry = self._segments.get(key)
+            if type(entry) is _Decoded and entry.group is group:
+                self._segments[key] = entry.detached(key)
+        group.live = 0
 
     def clear(self) -> None:
         with self._lock:
             self._segments.clear()
+            self._ragged.clear()
             self.size = 0
 
 
 class _CoalesceRun:
     """One merged read: a contiguous span of a file covering ≥2 chunks."""
 
-    __slots__ = ("node", "path", "start", "end", "members", "lock", "results",
-                 "failed")
+    __slots__ = ("node", "path", "start", "end", "members", "decoded", "lock",
+                 "results", "failed")
 
     def __init__(
         self,
@@ -267,6 +410,7 @@ class _CoalesceRun:
         start: int,
         end: int,
         members: Tuple[Tuple[int, int], ...],
+        decoded: Optional[Tuple[Optional[np.dtype], ...]] = None,
     ):
         self.node = node
         self.path = path
@@ -274,10 +418,13 @@ class _CoalesceRun:
         self.end = end
         #: (offset, nbytes) per member chunk, sorted by offset.
         self.members = members
+        #: Per member, the dtype it is cached decoded with, or None;
+        #: None: every member is cached as read.
+        self.decoded = decoded
         self.lock = threading.Lock()
-        #: key -> payload once the merged read happened; members pop
-        #: their slice exactly once (the segment cache serves repeats).
-        self.results: Optional[Dict[ReadKey, bytes]] = None
+        #: key -> entry once the merged read happened; members pop
+        #: their entry exactly once (the segment cache serves repeats).
+        self.results: Optional[Dict[ReadKey, Entry]] = None
         self.failed = False
 
     @property
@@ -322,19 +469,24 @@ class _Resolved:
     cannot supply."""
 
     __slots__ = ("reads", "env", "consts", "inner", "missing",
-                 "remote_bytes_per_row")
+                 "remote_bytes_per_row", "geometry", "decoded")
 
     def __init__(self, layout: GroupLayout, reader: "AfcReader"):
+        extractor = reader.extractor
         needed = reader.needed_set
         dtypes = reader.dtypes or {}
-        #: (member index, node, path, bytes/row, projected dtype, names)
+        #: (member index, node, path, bytes/row, record dtype, names,
+        #: decoded dtype or None — see :meth:`Extractor._decoded_dtype`)
         self.reads: List[tuple] = []
         for j, member in enumerate(layout.members):
             wanted = [a for a in member.strip.attrs if a in needed]
             if wanted:
+                decoded = extractor._decoded_dtype(member.strip)
                 self.reads.append((
                     j, member.node, member.path, member.bytes_per_row,
-                    member.strip.record_dtype(wanted), wanted,
+                    extractor._record_dtype(member.strip)
+                    if decoded is None else decoded,
+                    wanted, decoded,
                 ))
         env = dict(layout.env)
         consts = layout.const_names
@@ -353,8 +505,12 @@ class _Resolved:
         for read in self.reads:
             supplied.update(read[5])
         self.missing = sorted(needed.difference(supplied))
+        #: Per read, (member index, node, path, bytes/row) and its
+        #: decoded dtype: a run's keys, and what its lookup must find.
+        self.geometry = [read[:4] for read in self.reads]
+        self.decoded = [read[6] for read in self.reads]
         self.remote_bytes_per_row = sum(
-            bpr for _, node, _, bpr, _, _ in self.reads
+            bpr for _, node, _, bpr, _, _, _ in self.reads
             if reader.node is not None and node != reader.node
         )
 
@@ -371,20 +527,24 @@ class AfcReader:
 
     :meth:`columns` decodes a run of adjacent rows of one group table
     (one AFC per row).  Reads are per AFC whatever the run: one
-    ``Extractor.read_chunk`` per needed member, in plan order, so the
-    segment cache, coalescing and every I/O counter see the same reads.
-    A one-row run (:meth:`extract`) decodes as before: one
-    ``frombuffer`` per member, its fields returned as views of the
-    payload, constants from the row's values and the inner variables'
-    columns computed once per distinct row span and shared (read-only,
-    so ``assemble_table`` copies what it emits of them).  A longer run
-    decodes as one table: each member's payloads are joined once into a
-    fresh writable buffer and decoded with one ``frombuffer``, each
-    wanted field copied once into a contiguous column (a single-field
-    record already is one), constants repeated from the ``values``
-    column and the inner variables' span columns concatenated — so a
-    kernel block gets contiguous columns it owns, with no per-AFC
-    concatenation.
+    segment-cache entry (``Extractor._entry``) per needed member, in
+    plan order, so the segment cache, coalescing and every I/O counter
+    see the same reads; untraced, a run whose entries are all cached is
+    looked up under one lock instead, with the same LRU promotions and
+    counts.  A record strip's entry is decoded columns
+    (``_Decoded``), a single-field strip's its payload as read.  A
+    one-row run (:meth:`extract`) returns each field as a view: a slice
+    of the decoded columns, or of one ``frombuffer`` of the payload;
+    constants come from the row's values and the inner variables'
+    columns are computed once per distinct row span and shared
+    (read-only, so ``assemble_table`` copies what it emits of them).  A
+    longer run decodes as one table: a record strip's fields are one
+    slice of a group's columns where the run's chunks are consecutive
+    rows of it, else one concatenation of such slices; a single-field
+    strip's payloads are joined once into a fresh buffer; constants are
+    repeated from the ``values`` column and the inner variables' span
+    columns concatenated — so a kernel block gets contiguous columns,
+    read-only where they are the cache's own.
 
     ``node`` is the executing node of a data-source service: chunks
     homed elsewhere are charged as ``remote_bytes_read`` and each run
@@ -445,9 +605,11 @@ class AfcReader:
         """The needed columns of rows ``lo .. hi - 1`` of ``part``, in
         row order, with the per-AFC accounting every execute path shares
         (AFC, chunk and row counts, remote bytes) and one ``extract_afc``
-        span per run.  ``meter`` (see :meth:`Extractor.execute_blocks`)
-        is charged each AFC's bytes once that AFC is read, so its quota
-        and cancel bounds stay one AFC inside a run."""
+        span per run, tagged ``views`` when every stored column is a
+        slice of a decoded cache entry.  ``meter`` (see
+        :meth:`Extractor.execute_blocks`) is charged each AFC's bytes
+        once that AFC is read, so its quota and cancel bounds stay one
+        AFC inside a run."""
         resolved = self._resolve(part.layout)
         if resolved.missing:
             raise ExtractionError(
@@ -459,9 +621,11 @@ class AfcReader:
             rows = sum(part.lists()[3][lo:hi])
             with self.tracer.span(
                 "extract_afc", node=self.node, afcs=hi - lo, rows=rows
-            ):
-                return decode(resolved, part, lo, hi, stats, meter)
-        return decode(resolved, part, lo, hi, stats, meter)
+            ) as span:
+                columns, views = decode(resolved, part, lo, hi, stats, meter)
+                span.tag(views=views)
+                return columns
+        return decode(resolved, part, lo, hi, stats, meter)[0]
 
     def extract(self, row: RowRef, stats: IOStats) -> Columns:
         """One table row (one AFC) decoded: :meth:`columns` of a
@@ -471,8 +635,8 @@ class AfcReader:
     def _row(
         self, resolved: _Resolved, part: GroupTable, i: int, _: int,
         stats: IOStats, meter,
-    ) -> Columns:
-        """Row ``i`` alone: its fields as views of its payloads."""
+    ) -> Tuple[Columns, bool]:
+        """Row ``i`` alone: its fields as views of its entries."""
         values, offsets, first, counts = part.lists()
         num_rows = counts[i]
         before = stats.bytes_read
@@ -488,50 +652,82 @@ class AfcReader:
                 columns[name] = constant_column(num_rows, row_values[pos], want)
         if resolved.inner:
             columns.update(self._inner_columns(resolved, first[i], num_rows))
-        read_chunk = self.extractor.read_chunk
+        read = self.extractor._entry
         row_offsets = offsets[i]
-        for j, node, path, bpr, dtype, wanted in resolved.reads:
-            data = read_chunk(
+        views = True
+        for j, node, path, bpr, dtype, wanted, decoded in resolved.reads:
+            entry = read(
                 node, path, row_offsets[j], num_rows * bpr, stats,
-                self.tracer, self.coalesce,
+                self.tracer, self.coalesce, decoded,
             )
             stats.chunks_read += 1
-            records = np.frombuffer(data, dtype=dtype)
-            for name in wanted:
-                columns[name] = records[name]
+            if type(entry) is _Decoded:
+                start, stop = entry.start, entry.stop
+                group = entry.group.columns
+                for name in wanted:
+                    columns[name] = group[name][start:stop]
+            else:
+                views = False
+                records = np.frombuffer(entry, dtype=dtype)
+                for name in wanted:
+                    columns[name] = records[name]
         stats.rows_extracted += num_rows
         if meter is not None:
             meter.charge(nbytes=stats.bytes_read - before)
-        return columns
+        return columns, views
 
     def _run(
         self, resolved: _Resolved, part: GroupTable, lo: int, hi: int,
         stats: IOStats, meter,
-    ) -> Columns:
-        """Rows ``lo .. hi - 1`` read AFC by AFC, decoded as one table:
-        a contiguous column per attribute."""
-        values, offsets, first, counts = part.lists()
-        read_chunk = self.extractor.read_chunk
+    ) -> Tuple[Columns, bool]:
+        """Rows ``lo .. hi - 1`` read AFC by AFC — or, untraced, looked
+        up at once when every chunk is cached — decoded as one table: a
+        column per attribute, contiguous."""
+        _, offsets, first, counts = part.lists()
         reads = resolved.reads
         remote = resolved.remote_bytes_per_row if self.node is not None else 0
-        # Every needed member's payload, AFC by AFC: member m's payloads
-        # are payloads[m::len(reads)].
-        payloads: List[bytes] = []
-        for k in range(lo, hi):
-            num_rows = counts[k]
-            before = stats.bytes_read
-            stats.afcs_processed += 1
-            stats.remote_bytes_read += num_rows * remote
-            row_offsets = offsets[k]
-            for j, node, path, bpr, _, _ in reads:
-                payloads.append(read_chunk(
-                    node, path, row_offsets[j], num_rows * bpr, stats,
-                    self.tracer, self.coalesce,
-                ))
-                stats.chunks_read += 1
-            stats.rows_extracted += num_rows
+        # Every needed member's entry, AFC by AFC: member m's entries
+        # are entries[m::len(reads)].  A run of hits is looked up under
+        # one lock and its hits counted in bulk; the meter is still
+        # charged once per AFC.
+        entries = None
+        if not self.tracer.enabled:
+            entries = self.extractor._segments.get_run(
+                [
+                    (node, path, offsets[k][j], counts[k] * bpr)
+                    for k in range(lo, hi)
+                    for j, node, path, bpr in resolved.geometry
+                ],
+                resolved.decoded * (hi - lo),
+            )
+        if entries is not None:
+            stats.cache_hits += len(entries)
+            stats.chunks_read += len(entries)
+            stats.afcs_processed += hi - lo
+            rows = sum(counts[lo:hi])
+            stats.rows_extracted += rows
+            stats.remote_bytes_read += rows * remote
             if meter is not None:
-                meter.charge(nbytes=stats.bytes_read - before)
+                for _ in range(lo, hi):
+                    meter.charge(nbytes=0)
+        else:
+            entries = []
+            read = self.extractor._entry
+            for k in range(lo, hi):
+                num_rows = counts[k]
+                before = stats.bytes_read
+                stats.afcs_processed += 1
+                stats.remote_bytes_read += num_rows * remote
+                row_offsets = offsets[k]
+                for j, node, path, bpr, _, _, decoded in reads:
+                    entries.append(read(
+                        node, path, row_offsets[j], num_rows * bpr, stats,
+                        self.tracer, self.coalesce, decoded,
+                    ))
+                    stats.chunks_read += 1
+                stats.rows_extracted += num_rows
+                if meter is not None:
+                    meter.charge(nbytes=stats.bytes_read - before)
         columns: Columns = {}
         rows = part.rows[lo:hi]
         for name, value, want in resolved.env:
@@ -552,12 +748,53 @@ class AfcReader:
                 columns[iv.name] = np.concatenate(
                     [span[iv.name] for span in spans]
                 )
-        for m, (_, _, _, _, dtype, wanted) in enumerate(reads):
-            joined = bytearray().join(payloads[m::len(reads)])
-            records = np.frombuffer(joined, dtype=dtype)
-            for name in wanted:
-                columns[name] = np.ascontiguousarray(records[name])
-        return columns
+        views = True
+        for m, (_, _, _, _, dtype, wanted, decoded) in enumerate(reads):
+            member = entries[m::len(reads)]
+            if decoded is None:
+                views = False
+                records = np.frombuffer(bytearray().join(member), dtype=dtype)
+                for name in wanted:
+                    columns[name] = np.ascontiguousarray(records[name])
+            else:
+                views &= _stitch(member, dtype, wanted, columns)
+        return columns, views
+
+
+def _stitch(
+    entries: Sequence[Entry], dtype: np.dtype, wanted: Sequence[str],
+    columns: Columns,
+) -> bool:
+    """Set ``columns``' wanted fields of consecutive chunks of one strip:
+    one view of a group's columns where the chunks are consecutive rows
+    of it (True), else one concatenation of the views of such stretches
+    and of the fields of payloads cached as read (False)."""
+    spans: List = []
+    for entry in entries:
+        if type(entry) is not _Decoded:
+            spans.append(np.frombuffer(entry, dtype=dtype))
+            continue
+        last = spans[-1] if spans else None
+        if (
+            type(last) is list and last[0] is entry.group
+            and last[2] == entry.start
+        ):
+            last[2] = entry.stop
+        else:
+            spans.append([entry.group, entry.start, entry.stop])
+    if len(spans) == 1 and type(spans[0]) is list:
+        group, start, stop = spans[0]
+        for name in wanted:
+            columns[name] = group.columns[name][start:stop]
+        return True
+    for name in wanted:
+        # The field's own dtype: concatenate would swap big-endian bytes.
+        columns[name] = np.concatenate([
+            span[0].columns[name][span[1]:span[2]]
+            if type(span) is list else span[name]
+            for span in spans
+        ], dtype=dtype.fields[name][0])
+    return False
 
 
 def _runs(
@@ -636,6 +873,12 @@ class Extractor:
         #: read: a failed read never moved the physical head.
         self._head: Dict[str, tuple] = {}
         self._head_lock = threading.Lock()
+        #: One dtype object per distinct record layout, so cache entries
+        #: and requests compare by identity.
+        self._dtypes: Dict[np.dtype, np.dtype] = {}
+        #: id(strip) -> (strip, its record dtype): asked per member of
+        #: every planned layout, where hashing a strip costs more.
+        self._strip_dtypes: Dict[int, tuple] = {}
 
     def close(self) -> None:
         self._handles.close()
@@ -659,6 +902,25 @@ class Extractor:
         self.close()
 
     # -- chunk I/O ---------------------------------------------------------------
+
+    def _record_dtype(self, strip) -> np.dtype:
+        """``strip.record_dtype()`` — every field of its records, which
+        decodes any projection of them — memoised per strip, interned."""
+        known = self._strip_dtypes.get(id(strip))
+        if known is not None and known[0] is strip:
+            return known[1]
+        dtype = strip.record_dtype()
+        dtype = self._dtypes.setdefault(dtype, dtype)
+        if len(self._strip_dtypes) >= 4096:
+            self._strip_dtypes.clear()
+        self._strip_dtypes[id(strip)] = (strip, dtype)
+        return dtype
+
+    def _decoded_dtype(self, strip) -> Optional[np.dtype]:
+        """The dtype a chunk of ``strip`` is cached decoded with — its
+        :meth:`_record_dtype` — or None for a single-field strip, whose
+        payload is cached as read (its field is contiguous already)."""
+        return self._record_dtype(strip) if len(strip.attrs) > 1 else None
 
     def _read_span(
         self, node: str, path: str, offset: int, nbytes: int, stats: IOStats
@@ -729,17 +991,38 @@ class Extractor:
         gap_bytes: int,
     ) -> Optional[CoalescePlan]:
         """Coalesce plan for every needed chunk read of a batch of AFCs,
-        read off the table's offset and row-count columns."""
+        read off the table's offset and row-count columns; each member
+        carries its strip's decoded dtype (see :meth:`_decoded_dtype`)."""
         if gap_bytes <= 0:
             return None
         wanted = set(needed)
-        per_file: Dict[Tuple[str, str], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        per_file: Dict[
+            Tuple[str, str], List[Tuple[np.ndarray, np.ndarray, Optional[np.dtype]]]
+        ] = {}
+        # Per file, the dtype its chunks are cached decoded with — by
+        # chunk offset where strips of several dtypes share the file.
+        decoded: Dict[Tuple[str, str], object] = {}
+        mixed = set()
         for part in AfcTable.of(afcs).parts:
             for j, member in enumerate(part.layout.members):
                 if wanted.intersection(member.strip.attrs):
-                    per_file.setdefault((member.node, member.path), []).append(
-                        (part.offsets[:, j], part.rows * member.bytes_per_row)
+                    file = (member.node, member.path)
+                    dtype = self._decoded_dtype(member.strip)
+                    read = (
+                        part.offsets[:, j], part.rows * member.bytes_per_row,
+                        dtype,
                     )
+                    if file in per_file:
+                        per_file[file].append(read)
+                        if decoded[file] is not dtype:
+                            mixed.add(file)
+                    else:
+                        per_file[file] = [read]
+                        decoded[file] = dtype
+        for file in mixed:
+            decoded[file] = {
+                off: d for o, _, d in per_file[file] for off in o.tolist()
+            }
         # A file read once cannot coalesce: leave it out of the sort.
         files = [
             (file, reads) for file, reads in per_file.items()
@@ -751,12 +1034,13 @@ class Extractor:
             [file for file, _ in files],
             np.repeat(
                 np.arange(len(files)),
-                [sum(len(o) for o, _ in reads) for _, reads in files],
+                [sum(len(o) for o, _, _ in reads) for _, reads in files],
             ),
-            np.concatenate([o for _, reads in files for o, _ in reads]),
-            np.concatenate([n for _, reads in files for _, n in reads]),
+            np.concatenate([o for _, reads in files for o, _, _ in reads]),
+            np.concatenate([n for _, reads in files for _, n, _ in reads]),
             gap_bytes,
             MAX_COALESCED_BYTES,
+            decoded,
         )
 
     def _coalesce(
@@ -767,10 +1051,13 @@ class Extractor:
         sizes: np.ndarray,
         gap_bytes: int,
         max_run_bytes: int,
+        decoded: Optional[Dict[Tuple[str, str], object]] = None,
     ) -> Optional[CoalescePlan]:
         """:meth:`plan_coalesce` over requests as columns (file index,
         offset, bytes): one sort, distinct uncached requests, then runs
-        merged greedily in file-and-offset order."""
+        merged greedily in file-and-offset order.  ``decoded`` maps a
+        file to the dtype its chunks are cached decoded with, or to a
+        dict of them by chunk offset (absent: cached as read)."""
         if len(offsets) < 2:
             return None
         order = np.lexsort((sizes, offsets, fids))
@@ -793,13 +1080,20 @@ class Extractor:
         if len(keys) < 2:
             return None
         runs: Dict[ReadKey, _CoalesceRun] = {}
+        decoded = decoded or {}
 
         def register(group: List[ReadKey], end: int) -> None:
             if len(group) < 2:
                 return
             node, path, start, _ = group[0]
+            dtype = decoded.get((node, path))
+            if type(dtype) is dict:
+                dtype = tuple(dtype[k[2]] for k in group)
+            elif dtype is not None:
+                dtype = (dtype,) * len(group)
             run = _CoalesceRun(
-                node, path, start, end, tuple((k[2], k[3]) for k in group)
+                node, path, start, end, tuple((k[2], k[3]) for k in group),
+                dtype,
             )
             for key in group:
                 runs[key] = run
@@ -823,11 +1117,11 @@ class Extractor:
 
     def _read_coalesced(
         self, key: ReadKey, run: _CoalesceRun, stats: IOStats, tracer
-    ) -> Optional[bytes]:
+    ) -> Optional[Entry]:
         """Satisfy one chunk request by executing (or joining) a merged read.
 
-        Returns None when this chunk's slice is no longer available (its
-        run failed in another thread, or the slice was consumed and then
+        Returns None when this chunk's entry is no longer available (its
+        run failed in another thread, or the entry was consumed and then
         evicted from the segment cache) — the caller falls back to a
         plain read.
         """
@@ -843,14 +1137,35 @@ class Extractor:
             return run.results.pop(key, None)
 
     def _fill_run(self, run: _CoalesceRun, stats: IOStats, tracer) -> None:
-        data = self._read_span(run.node, run.path, run.start, run.span, stats)
-        results: Dict[ReadKey, bytes] = {}
-        for off, nb in run.members:
-            lo = off - run.start
-            segment = data[lo : lo + nb]
-            member_key = (run.node, run.path, off, nb)
-            results[member_key] = segment
-            self._segments.put(member_key, segment)
+        """One merged read, cut into its members' entries: a payload
+        slice per single-field member, and one :class:`_Group` per
+        stretch of adjacent members of one multi-field strip."""
+        node, path, start = run.node, run.path, run.start
+        data = self._read_span(node, path, start, run.span, stats)
+        results: Dict[ReadKey, Entry] = {}
+        members, decoded = run.members, run.decoded
+        i = 0
+        while i < len(members):
+            off, nb = members[i]
+            dtype = decoded[i] if decoded else None
+            j, end = i + 1, off + nb
+            if dtype is None or nb % dtype.itemsize:
+                results[(node, path, off, nb)] = data[off - start : end - start]
+            else:
+                while (
+                    j < len(members) and decoded[j] is dtype
+                    and members[j][0] == end
+                    and not members[j][1] % dtype.itemsize
+                ):
+                    end += members[j][1]
+                    j += 1
+                results.update(self._decode(
+                    node, path, data, off - start, members[i:j], dtype, tracer
+                ))
+            i = j
+        put = self._segments.put
+        for member_key, entry in results.items():
+            put(member_key, entry)
         saved = len(run.members) - 1
         waste = run.span - run.covered_bytes()
         stats.reads_coalesced += saved
@@ -870,6 +1185,86 @@ class Extractor:
             )
         run.results = results
 
+    def _decode(
+        self,
+        node: str,
+        path: str,
+        data,
+        start: int,
+        members: Sequence[Tuple[int, int]],
+        dtype: np.dtype,
+        tracer,
+    ) -> Dict[ReadKey, _Decoded]:
+        """Adjacent chunks ``(offset, nbytes)`` of one strip, read as
+        ``data[start:]``, as one group of columns decoded with
+        ``dtype``: an entry per chunk, keyed like the cache."""
+        rows = sum(nb for _, nb in members) // dtype.itemsize
+        if tracer.enabled:
+            tracer.metrics.record("segments.transposed_bytes", rows * dtype.itemsize)
+        keys = [(node, path, off, nb) for off, nb in members]
+        group = _Group((node, path), _transpose(data, start, rows, dtype), keys)
+        entries: Dict[ReadKey, _Decoded] = {}
+        row = 0
+        for key in keys:
+            stop = row + key[3] // dtype.itemsize
+            entries[key] = _Decoded(group, row, stop, key[3], dtype)
+            row = stop
+        return entries
+
+    def _entry(
+        self,
+        node: str,
+        path: str,
+        offset: int,
+        nbytes: int,
+        stats: IOStats,
+        tracer=NULL_TRACER,
+        coalesce: Optional[CoalescePlan] = None,
+        dtype: Optional[np.dtype] = None,
+    ) -> Entry:
+        """One chunk's segment-cache entry, read on a miss.
+
+        ``dtype`` is the chunk's :meth:`_decoded_dtype`: a chunk of a
+        multi-field strip is cached decoded, a single-field one (and any
+        raw request, ``dtype=None``) as read.  With a
+        :class:`CoalescePlan`, a chunk that belongs to a merged run
+        triggers (or joins) the run's single wide read; sibling chunks
+        then come out of the segment cache.  An entry fits a request
+        if it is a payload as read (a decoded request takes views of
+        its records) or was decoded with the request's dtype; one that
+        does not — a raw request of a decoded chunk — is left cached as
+        it is and the payload read again, uncached.
+        """
+        key = (node, path, offset, nbytes)
+        cached = self._segments.get(key)
+        if cached is not None and (
+            type(cached) is not _Decoded or cached.dtype is dtype
+        ):
+            stats.cache_hits += 1
+            if tracer.enabled:
+                tracer.event("segment_cache_hit", node=node, path=path, bytes=nbytes)
+            return cached
+        if tracer.enabled:
+            tracer.event("segment_cache_miss", node=node, path=path, bytes=nbytes)
+        if coalesce is not None and cached is None:
+            run = coalesce.run_for(key)
+            if run is not None:
+                cached = self._read_coalesced(key, run, stats, tracer)
+                if cached is not None and (
+                    type(cached) is not _Decoded or cached.dtype is dtype
+                ):
+                    return cached
+        data = self._read_span(node, path, offset, nbytes, stats)
+        if cached is not None:
+            return data
+        entry: Entry = data
+        if dtype is not None and not nbytes % dtype.itemsize:
+            entry = self._decode(
+                node, path, data, 0, ((offset, nbytes),), dtype, tracer
+            )[key]
+        self._segments.put(key, entry)
+        return entry
+
     def read_chunk(
         self,
         node: str,
@@ -880,30 +1275,9 @@ class Extractor:
         tracer=NULL_TRACER,
         coalesce: Optional[CoalescePlan] = None,
     ) -> bytes:
-        """Read one chunk's payload, via the segment cache.
-
-        With a :class:`CoalescePlan`, a chunk that belongs to a merged
-        run triggers (or joins) the run's single wide read; sibling
-        chunks then come out of the segment cache.
-        """
-        key = (node, path, offset, nbytes)
-        cached = self._segments.get(key)
-        if cached is not None:
-            stats.cache_hits += 1
-            if tracer.enabled:
-                tracer.event("segment_cache_hit", node=node, path=path, bytes=nbytes)
-            return cached
-        if tracer.enabled:
-            tracer.event("segment_cache_miss", node=node, path=path, bytes=nbytes)
-        if coalesce is not None:
-            run = coalesce.run_for(key)
-            if run is not None:
-                data = self._read_coalesced(key, run, stats, tracer)
-                if data is not None:
-                    return data
-        data = self._read_span(node, path, offset, nbytes, stats)
-        self._segments.put(key, data)
-        return data
+        """Read one chunk's payload, via the segment cache: always the
+        bytes of the file (see :meth:`_entry`)."""
+        return self._entry(node, path, offset, nbytes, stats, tracer, coalesce)
 
     # -- AFC decoding -------------------------------------------------------------
 

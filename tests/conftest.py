@@ -82,3 +82,15 @@ def assert_tables_equal(a, b, approx=False):
             )
         else:
             np.testing.assert_array_equal(va, vb)
+
+
+def cached_buffers(extractor):
+    """Every buffer an extractor's segment cache holds: each payload
+    cached as read, and the columns of each decoded entry's group."""
+    buffers = []
+    for entry in extractor._segments._segments.values():
+        if isinstance(entry, bytes):
+            buffers.append(np.frombuffer(entry, dtype=np.uint8))
+        else:
+            buffers.extend(entry.group.columns.values())
+    return buffers

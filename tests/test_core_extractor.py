@@ -8,7 +8,7 @@ import pytest
 from repro.core import CompiledDataset, Extractor, IOStats, local_mount
 from repro.core.extractor import _SegmentCache
 from repro.errors import ExtractionError
-from tests.conftest import PAPER_DESCRIPTOR, paper_value_fn
+from tests.conftest import PAPER_DESCRIPTOR, cached_buffers, paper_value_fn
 
 
 def write_node_file(root, node, name, payload):
@@ -243,10 +243,7 @@ class TestResultOwnership:
     def test_columns_do_not_alias_cache_segments(self, env):
         extractor, selected = self._columns(env)
         try:
-            segments = [
-                np.frombuffer(payload, dtype=np.uint8)
-                for payload in extractor._segments._segments.values()
-            ]
+            segments = cached_buffers(extractor)
             assert segments
             for name, column in selected.items():
                 for segment in segments:

@@ -44,6 +44,7 @@ from repro.sql import parse_where
 from repro.storm.cost import STORM_COST
 from repro.storm.data_source import DataSourceService
 from repro.storm.filtering import FilteringService
+from tests.conftest import cached_buffers
 
 # ---------------------------------------------------------------------------
 # Datasets: (descriptor text, mount, summaries) plus what queries may use
@@ -440,13 +441,6 @@ class TestDecisionRules:
 # ---------------------------------------------------------------------------
 
 
-def _payloads(extractor):
-    return [
-        np.frombuffer(data, dtype=np.uint8)
-        for data in extractor._segments._segments.values()
-    ]
-
-
 def assert_owned(columns, payloads):
     for column in columns:
         assert column.flags.writeable and column.flags.c_contiguous
@@ -470,7 +464,7 @@ class TestOwnership:
                 batches = list(
                     extractor.execute_iter(plan, 5, vectorize=vectorize)
                 )
-                payloads = _payloads(extractor)
+                payloads = cached_buffers(extractor)
                 assert payloads
                 assert_owned([table.column(n) for n in table.column_names],
                              payloads)
@@ -496,7 +490,7 @@ class TestOwnership:
                     )
                     assert_owned(
                         [table.column(n) for n in table.column_names],
-                        _payloads(source.extractor),
+                        cached_buffers(source.extractor),
                     )
                 finally:
                     source.close()

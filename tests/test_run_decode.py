@@ -14,10 +14,12 @@ the pipeline concatenates.  Both ways through ``assemble_table`` must
 give the same table bit for bit, every ``IOStats`` field and the meter's
 totals equal.
 
-Then the ownership rule: a run's columns are contiguous and writable
-(``assemble_table`` never copies them again), a lone row's stored
-columns are still read-only views of the chunk read, and a scan whose
-WHERE the index decided never fuses, so it gains no copy.
+Then the ownership rule: a run's columns are contiguous — writable
+when decoded from chunks read one by one, as here (read-only slices of
+the segment cache's decoded columns otherwise: test_decoded_segments)
+— a lone row's stored columns are still read-only views of the chunk
+read, and a scan whose WHERE the index decided never fuses, so it gains
+no copy.
 """
 
 from __future__ import annotations

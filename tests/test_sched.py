@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.core import CompiledDataset, ExecOptions, GeneratedDataset, IOStats
-from repro.core.extractor import AfcReader, Extractor
+from repro.core.extractor import AfcReader, Extractor, _SegmentCache
 from repro.core.kernels import block_rows_for
 from repro.core.options import resolve_workers
 from repro.datasets import IparsConfig, ipars
@@ -409,34 +409,60 @@ class TestCancellation:
         # Cancel from inside the third AFC's read: neither the per-AFC
         # path (no WHERE) nor a fused run of AFCs (the kernel's) reads a
         # fourth.  Every AFC reads its own SOIL chunk once; the shared
-        # COORDS chunk does not tell AFCs apart.
+        # COORDS chunk does not tell AFCs apart.  Chunks are read one at
+        # a time (Extractor._entry, hit or miss) or, for a fused run
+        # whose chunks are all cached, looked up at once
+        # (_SegmentCache.get_run); the query runs cold, then warm.
         service, _, _ = env
-        read_chunk, columns = Extractor.read_chunk, AfcReader.columns
+        entry, get_run = Extractor._entry, _SegmentCache.get_run
+        columns = AfcReader.columns
         afcs, runs, submitted, box = [], [], threading.Event(), {}
 
-        def cancelling_read(extractor, node, path, offset, *args):
-            if "SOIL" in path and (node, path, offset) not in afcs:
-                afcs.append((node, path, offset))
-                if len(afcs) == 3:
-                    assert submitted.wait(10)
-                    assert box["handle"].cancel() is True
-            return read_chunk(extractor, node, path, offset, *args)
+        def seen(keys):
+            for node, path, offset, _ in keys:
+                if "SOIL" in path and (node, path, offset) not in afcs:
+                    afcs.append((node, path, offset))
+            if len(afcs) >= 3 and box.get("armed"):
+                box["armed"] = False
+                assert submitted.wait(10)
+                assert box["handle"].cancel() is True
+
+        def cancelling_entry(extractor, node, path, offset, nbytes, *args):
+            seen([(node, path, offset, nbytes)])
+            return entry(extractor, node, path, offset, nbytes, *args)
+
+        def cancelling_get_run(cache, keys, dtypes):
+            entries = get_run(cache, keys, dtypes)
+            if entries is not None:
+                seen(keys)
+            return entries
 
         def run_columns(reader, part, lo, hi, *args):
             runs.append(hi - lo)
             return columns(reader, part, lo, hi, *args)
 
-        monkeypatch.setattr(Extractor, "read_chunk", cancelling_read)
+        monkeypatch.setattr(Extractor, "_entry", cancelling_entry)
+        monkeypatch.setattr(_SegmentCache, "get_run", cancelling_get_run)
         monkeypatch.setattr(AfcReader, "columns", run_columns)
-        with Scheduler(service, workers=1) as sched:
-            box["handle"] = sched.submit(sql, LOCAL.replace(parallel=False))
-            submitted.set()
-            with pytest.raises(QueryCancelledError):
-                box["handle"].result(timeout=30)
-        assert len(afcs) == 3
-        # No WHERE steps one AFC at a time; the kernel's first run is a
-        # whole part (6 AFCs), cancelled inside.
-        assert runs == ([1, 1, 1] if "WHERE" not in sql else [6])
+        service.drop_caches()
+        for warm in (False, True):
+            if warm:
+                service.submit(sql, LOCAL.replace(parallel=False))
+            del afcs[:], runs[:]
+            submitted.clear()
+            box["armed"] = True
+            with Scheduler(service, workers=1) as sched:
+                box["handle"] = sched.submit(sql, LOCAL.replace(parallel=False))
+                submitted.set()
+                with pytest.raises(QueryCancelledError):
+                    box["handle"].result(timeout=30)
+            # No WHERE steps one AFC at a time; the kernel's first run
+            # is a whole part (6 AFCs), cancelled inside — read AFC by
+            # AFC when cold, looked up at once (all 6 seen) when warm.
+            if "WHERE" not in sql:
+                assert (len(afcs), runs) == (3, [1, 1, 1]), warm
+            else:
+                assert (len(afcs), runs) == (6 if warm else 3, [6]), warm
 
     def test_cancel_during_retry_backoff_ends_the_sleep(self, env):
         # osu0 always fails at once; the retry loop then sleeps 2 s
