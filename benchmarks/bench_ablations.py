@@ -310,11 +310,12 @@ ROWS = (
         ("bytes_read under 2x",
          lambda b, v: v.stats.bytes_read < 2 * b.stats.bytes_read),
     )),
-    # Row counters, not read counters: two workers can both miss the
-    # segment cache on a chunk their AFCs share (L0's COORDS).
+    # Read counters too: a chunk the workers' AFCs share (L0's COORDS)
+    # is read once, its other misses waiting for that read.
     Row("intra_node_workers", "ipars-1node", FULL_SCAN, NO_COALESCE,
         "intra_node_workers", 4, (same("rows_extracted"), same("afcs_processed"),
-                                  same("chunks_read"))),
+                                  same("chunks_read"), same("read_calls"),
+                                  same("bytes_read"))),
     Row("segment_cache", "ipars", EARLY, RAW, "segment_cache_bytes", 32 << 20, (
         ("segment cache hits only when on",
          lambda b, v: b.stats.cache_hits == 0 < v.stats.cache_hits),

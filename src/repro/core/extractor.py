@@ -30,11 +30,21 @@ semantics:
   contiguous read-only column per field, the chunks of one coalesced
   read sharing their columns as row ranges, so a fused block over
   cached record chunks is a slice per field, not a join and a strided
-  copy.  A single-field chunk is cached as read.
+  copy.  A single-field chunk is cached as read.  Beside the columns,
+  a group of decoded chunks keeps a zone map: per numeric field, each
+  chunk's min and max, computed the first time a zone test asks for
+  that field.  Before its block loop, :meth:`Extractor.execute_blocks`
+  looks a part's chunks up at once and tests the kernel's ordered
+  column-constant conjuncts on those bounds, one vectorized test per
+  part (:meth:`AfcReader.zone`); an AFC they refute is counted like
+  any other but never stitched or filtered.
 
 Both caches are thread safe and all chunk I/O uses positional reads
 (``pread``), so one extractor can serve several query threads — and
-several intra-node worker threads of one query — concurrently.
+several intra-node worker threads of one query — concurrently.  Within
+one call a miss is single-flight: a worker missing on a chunk another
+worker is reading waits for that read and takes its entry, so a chunk
+the call's AFCs share is read once whatever the thread timing.
 
 On top of the caches sits **I/O coalescing**: chunk reads against one
 file that are adjacent, or separated by at most a configurable gap, are
@@ -53,6 +63,7 @@ import os
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
+from functools import partial
 from itertools import accumulate
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -76,6 +87,7 @@ from .aggregate import merge_partials, partial_aggregate
 from .kernels import (
     Block,
     BlockPipeline,
+    CompiledPredicate,
     Evaluator,
     KernelCache,
     assemble_table,
@@ -222,11 +234,15 @@ class _HandleCache:
 class _Group:
     """Adjacent chunks of one strip that were read together, decoded
     once into one contiguous read-only column per field: each chunk
-    cached from it is a row range (:class:`_Decoded`)."""
+    cached from it is a row range (:class:`_Decoded`).  Per numeric
+    field, the member chunks' min and max are computed the first time a
+    zone test asks for them (:meth:`bounds`)."""
 
-    __slots__ = ("file", "columns", "nbytes", "keys", "live")
+    __slots__ = ("file", "columns", "nbytes", "keys", "live", "starts",
+                 "_bounds")
 
-    def __init__(self, file: Tuple[str, str], columns: Columns, keys: list):
+    def __init__(self, file: Tuple[str, str], columns: Columns, keys: list,
+                 starts: Sequence[int] = (0,)):
         #: (node, path) the chunks were read from.
         self.file = file
         self.columns = columns
@@ -236,22 +252,53 @@ class _Group:
         #: Members not yet dropped from the segment cache (evicted,
         #: replaced, refused or cleared); kept under the cache's lock.
         self.live = len(keys)
+        #: Each member's first row.
+        self.starts = starts
+        #: field -> (mins, maxs) per member, or None: no bounds.
+        self._bounds: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+
+    def bounds(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Per member chunk, the min and the max of field ``name``, in
+        the field's own dtype: one ``reduceat`` each, on first use — or
+        None for a non-numeric field or a group with an empty member.
+        A member holding a NaN has NaN bounds.  Computing twice under a
+        race is harmless: both results are equal."""
+        try:
+            return self._bounds[name]
+        except KeyError:
+            pass
+        column = self.columns[name]
+        starts = np.asarray(self.starts, dtype=np.intp)
+        bounds = None
+        if (
+            column.dtype.kind in "iuf"
+            and starts[-1] < len(column)
+            and (len(starts) == 1 or (np.diff(starts) > 0).all())
+        ):
+            bounds = (
+                np.minimum.reduceat(column, starts).astype(column.dtype, copy=False),
+                np.maximum.reduceat(column, starts).astype(column.dtype, copy=False),
+            )
+        self._bounds[name] = bounds
+        return bounds
 
 
 class _Decoded:
     """A segment-cache entry holding a chunk as rows ``start .. stop -
     1`` of its group's columns, decoded with the full record dtype of
-    its strip.  ``len`` is the payload's byte count, as for raw bytes."""
+    its strip; ``member`` is its index among the group's chunks.
+    ``len`` is the payload's byte count, as for raw bytes."""
 
-    __slots__ = ("group", "start", "stop", "nbytes", "dtype")
+    __slots__ = ("group", "start", "stop", "nbytes", "dtype", "member")
 
     def __init__(self, group: _Group, start: int, stop: int, nbytes: int,
-                 dtype: np.dtype):
+                 dtype: np.dtype, member: int = 0):
         self.group = group
         self.start = start
         self.stop = stop
         self.nbytes = nbytes
         self.dtype = dtype
+        self.member = member
 
     def __len__(self) -> int:
         return self.nbytes
@@ -291,6 +338,47 @@ def _transpose(data, start: int, rows: int, dtype: np.dtype) -> Columns:
     for column in columns.values():
         column.flags.writeable = False
     return columns
+
+
+class _Flight:
+    """A chunk one thread is reading after a miss: ``lock`` is held
+    until the read ends (a lock, not an event: a miss creates one)."""
+
+    __slots__ = ("lock", "entry")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.entry: Optional[Entry] = None
+
+
+class _Flights:
+    """The chunks one call's threads are reading after a miss, so that a
+    thread missing on a chunk another is reading waits for that read and
+    takes its entry instead of reading the chunk again (single-flight).
+    Scoped to one call (:class:`AfcReader`): a retry never waits on a
+    read its abandoned attempt left hanging."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._reading: Dict[tuple, _Flight] = {}
+
+    def claim(self, key: tuple) -> Optional[_Flight]:
+        """None when this thread is the one to read ``key`` (it then
+        calls :meth:`release`), else the flight to wait on."""
+        with self._lock:
+            flight = self._reading.get(key)
+            if flight is None:
+                self._reading[key] = _Flight()
+            return flight
+
+    def release(self, key: tuple, entry: Optional[Entry]) -> None:
+        """End a claim, handing waiters ``entry`` (None: the read failed,
+        and each waiter reads for itself)."""
+        with self._lock:
+            flight = self._reading.pop(key)
+        flight.entry = entry
+        flight.lock.release()
 
 
 class _SegmentCache:
@@ -514,6 +602,19 @@ class _Resolved:
             if reader.node is not None and node != reader.node
         )
 
+    def zone_sources(self, names: Iterable[str]) -> Dict[int, List[str]]:
+        """Per read, those of ``names`` whose column a run hands the
+        kernel is a field of that read's member, when it is decoded: a
+        name's last read that supplies it."""
+        sources: Dict[int, List[str]] = {}
+        for name in names:
+            for m in range(len(self.reads) - 1, -1, -1):
+                if name in self.reads[m][5]:
+                    if self.reads[m][6] is not None:
+                        sources.setdefault(m, []).append(name)
+                    break
+        return sources
+
 
 class AfcReader:
     """One ``execute`` call's table rows -> columns decoder.
@@ -546,6 +647,14 @@ class AfcReader:
     columns concatenated — so a kernel block gets contiguous columns,
     read-only where they are the cache's own.
 
+    Zone maps: :meth:`zone` looks up a whole part's entries at once,
+    when every chunk is cached, and tests the kernel's ordered
+    column-constant conjuncts on the bounds of its decoded groups; the
+    runs of the AFCs that survive are then decoded from those entries
+    by ``columns(..., zoned=...)``, through the same assembly as any
+    run.  Single-field strips, uncached chunks and one-row parts carry
+    no bounds and decode as above.
+
     ``node`` is the executing node of a data-source service: chunks
     homed elsewhere are charged as ``remote_bytes_read`` and each run
     gets an ``extract_afc`` span.  One call's intra-node worker threads
@@ -568,6 +677,8 @@ class AfcReader:
         self.tracer = tracer
         self.coalesce = coalesce
         self.node = node
+        #: The call's chunk reads in progress (single-flight misses).
+        self.flights = _Flights()
         self._resolved: Dict[GroupLayout, _Resolved] = {}
         #: (resolved layout, first, rows) -> the span's inner columns.
         self._inner: Dict[Tuple[_Resolved, int, int], Columns] = {}
@@ -601,6 +712,7 @@ class AfcReader:
         hi: int,
         stats: IOStats,
         meter=None,
+        zoned: Optional["_Zoned"] = None,
     ) -> Columns:
         """The needed columns of rows ``lo .. hi - 1`` of ``part``, in
         row order, with the per-AFC accounting every execute path shares
@@ -609,23 +721,109 @@ class AfcReader:
         slice of a decoded cache entry.  ``meter`` (see
         :meth:`Extractor.execute_blocks`) is charged each AFC's bytes
         once that AFC is read, so its quota and cancel bounds stay one
-        AFC inside a run."""
+        AFC inside a run.
+
+        With ``zoned`` (:meth:`zone`), ``lo .. hi - 1`` index its
+        surviving AFCs, which are decoded from the entries it holds and
+        were accounted when it was made; the span also tags ``zoned``,
+        the AFCs it refuted from after the previous run's last survivor
+        up to this run's (to the part's end, for the last run)."""
         resolved = self._resolve(part.layout)
         if resolved.missing:
             raise ExtractionError(
                 f"plan cannot supply columns {resolved.missing}; "
                 "they are neither stored in any chunk nor implicit"
             )
-        decode = self._row if hi - lo == 1 else self._run
+        if zoned is not None:
+            decode = partial(self._survivors, zoned)
+        else:
+            decode = self._row if hi - lo == 1 else self._run
         if self.node is not None and self.tracer.enabled:
-            rows = sum(part.lists()[3][lo:hi])
+            if zoned is None:
+                rows = sum(part.lists()[3][lo:hi])
+                tags = {}
+            else:
+                rows = sum(zoned.counts[lo:hi])
+                begin = zoned.rows[lo - 1] + 1 if lo else 0
+                end = zoned.rows[hi] if hi < len(zoned.rows) else len(part)
+                tags = {"zoned": end - begin - (hi - lo)}
             with self.tracer.span(
-                "extract_afc", node=self.node, afcs=hi - lo, rows=rows
+                "extract_afc", node=self.node, afcs=hi - lo, rows=rows, **tags
             ) as span:
                 columns, views = decode(resolved, part, lo, hi, stats, meter)
                 span.tag(views=views)
                 return columns
         return decode(resolved, part, lo, hi, stats, meter)[0]
+
+    def zone(
+        self,
+        part: GroupTable,
+        kernel: CompiledPredicate,
+        pipeline: BlockPipeline,
+        stats: IOStats,
+        meter=None,
+    ) -> Optional["_Zoned"]:
+        """The zone pass over a whole part, when its every chunk is
+        cached: the AFCs whose cached chunk bounds do not refute one of
+        ``kernel``'s ordered column-constant conjuncts, with their
+        entries — or None, having done nothing, when no such conjunct's
+        column is a field of a decoded member, or a chunk misses.
+
+        One :meth:`_SegmentCache.get_run` looks up every AFC's chunks,
+        promoting the keys the per-run lookups would, in their order.
+        Every AFC is then accounted as an all-hit run accounts it — AFC,
+        chunk, hit and row counts, remote bytes, a ``segment_cache_hit``
+        event per chunk when tracing, one ``meter`` charge — and the
+        refuted ones' rows go to the pipeline as settled
+        (:meth:`BlockPipeline.skip`): they are never stitched or
+        filtered, and only the survivors' entries are kept."""
+        resolved = self._resolve(part.layout)
+        if resolved.missing:
+            return None
+        sources = resolved.zone_sources(kernel.zone_columns)
+        if not sources:
+            return None
+        _, offsets, _, counts = part.lists()
+        geometry = resolved.geometry
+        keys = [
+            (node, path, row_offsets[j], num_rows * bpr)
+            for row_offsets, num_rows in zip(offsets, counts)
+            for j, node, path, bpr in geometry
+        ]
+        entries = self.extractor._segments.get_run(
+            keys, resolved.decoded * len(counts)
+        )
+        if entries is None:
+            return None
+        tracer = self.tracer
+        if tracer.enabled:
+            for node, path, _, nbytes in keys:
+                tracer.event("segment_cache_hit", node=node, path=path, bytes=nbytes)
+        rows = sum(counts)
+        stats.cache_hits += len(entries)
+        stats.chunks_read += len(entries)
+        stats.afcs_processed += len(counts)
+        stats.rows_extracted += rows
+        if self.node is not None:
+            stats.remote_bytes_read += rows * resolved.remote_bytes_per_row
+        if meter is not None:
+            for _ in counts:
+                meter.charge(nbytes=0)
+        width = len(resolved.reads)
+        bounds = {}
+        for m, names in sources.items():
+            bounds.update(_zone_bounds(entries[m::width], names))
+        keep = kernel.zone_keep(bounds) if bounds else None
+        if keep is None or keep.all():
+            return _Zoned(range(len(counts)), counts, entries)
+        survivors = np.flatnonzero(keep).tolist()
+        kept = [entries[k * width + j] for k in survivors for j in range(width)]
+        kept_counts = [counts[k] for k in survivors]
+        skipped = len(counts) - len(survivors)
+        pipeline.skip(skipped, rows - sum(kept_counts))
+        if tracer.enabled:
+            tracer.metrics.record("kernel.zoned_afcs", skipped)
+        return _Zoned(survivors, kept_counts, kept)
 
     def extract(self, row: RowRef, stats: IOStats) -> Columns:
         """One table row (one AFC) decoded: :meth:`columns` of a
@@ -658,7 +856,7 @@ class AfcReader:
         for j, node, path, bpr, dtype, wanted, decoded in resolved.reads:
             entry = read(
                 node, path, row_offsets[j], num_rows * bpr, stats,
-                self.tracer, self.coalesce, decoded,
+                self.tracer, self.coalesce, decoded, self.flights,
             )
             stats.chunks_read += 1
             if type(entry) is _Decoded:
@@ -722,27 +920,50 @@ class AfcReader:
                 for j, node, path, bpr, _, _, decoded in reads:
                     entries.append(read(
                         node, path, row_offsets[j], num_rows * bpr, stats,
-                        self.tracer, self.coalesce, decoded,
+                        self.tracer, self.coalesce, decoded, self.flights,
                     ))
                     stats.chunks_read += 1
                 stats.rows_extracted += num_rows
                 if meter is not None:
                     meter.charge(nbytes=stats.bytes_read - before)
+        return self._assemble(resolved, part, range(lo, hi), entries)
+
+    def _survivors(
+        self, zoned: "_Zoned", resolved: _Resolved, part: GroupTable,
+        lo: int, hi: int, stats: IOStats, meter,
+    ) -> Tuple[Columns, bool]:
+        """Surviving AFCs ``lo .. hi - 1`` of ``zoned``, decoded from the
+        entries it holds; accounted already."""
+        width = len(resolved.reads)
+        return self._assemble(
+            resolved, part, zoned.rows[lo:hi],
+            zoned.entries[lo * width:hi * width],
+        )
+
+    def _assemble(
+        self, resolved: _Resolved, part: GroupTable, at: Sequence[int],
+        entries: Sequence[Entry],
+    ) -> Tuple[Columns, bool]:
+        """Rows ``at`` of ``part`` (a range, or ascending row numbers)
+        decoded as one table from their needed members' entries, AFC by
+        AFC: a column per attribute, contiguous."""
+        reads = resolved.reads
+        first, counts = part.lists()[2:]
+        index = slice(at.start, at.stop) if type(at) is range else at
         columns: Columns = {}
-        rows = part.rows[lo:hi]
+        rows = part.rows[index]
         for name, value, want in resolved.env:
             columns[name] = constant_column(int(rows.sum()), value, want)
         for pos, name, want in resolved.consts:
             # One cast of the run's values, wrapping a too-narrow
             # declared type (RV124) exactly like constant_column.
-            run_values = part.values[lo:hi, pos].astype(
+            run_values = part.values[index, pos].astype(
                 np.int64 if want is None else want
             )
             columns[name] = np.repeat(run_values, rows)
         if resolved.inner:
             spans = [
-                self._inner_columns(resolved, first[k], counts[k])
-                for k in range(lo, hi)
+                self._inner_columns(resolved, first[k], counts[k]) for k in at
             ]
             for iv, _ in resolved.inner:
                 columns[iv.name] = np.concatenate(
@@ -759,6 +980,58 @@ class AfcReader:
             else:
                 views &= _stitch(member, dtype, wanted, columns)
         return columns, views
+
+
+class _Zoned:
+    """What a part's zone pass (:meth:`AfcReader.zone`) kept: the
+    surviving AFCs' row numbers, in order, their row counts, and their
+    needed members' entries, AFC by AFC."""
+
+    __slots__ = ("rows", "counts", "entries")
+
+    def __init__(self, rows: Sequence[int], counts: Sequence[int],
+                 entries: Sequence[Entry]):
+        self.rows = rows
+        self.counts = counts
+        self.entries = entries
+
+
+def _zone_bounds(
+    entries: Sequence[Entry], names: Sequence[str]
+) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """Per name of ``names``, each entry's chunk ``(min, max)`` of that
+    field, gathered from its group's bounds by one fancy index over the
+    joined bounds of the stretches of entries from one group.  Only
+    names every entry has bounds for."""
+    try:
+        groups = [entry.group for entry in entries]
+        members = np.array([entry.member for entry in entries], dtype=np.intp)
+    except AttributeError:  # a payload cached as read: no bounds
+        return {}
+    firsts = [0]
+    firsts.extend(
+        i for i, (a, b) in enumerate(zip(groups, groups[1:]), 1) if a is not b
+    )
+    stretches = [groups[i] for i in firsts]
+    found = {}
+    for name in names:
+        bounds = [group.bounds(name) for group in stretches]
+        if any(b is None for b in bounds):
+            continue
+        if len(bounds) == 1:
+            found[name] = bounds[0][0][members], bounds[0][1][members]
+            continue
+        # Each entry's row in the stretches' bounds joined end to end.
+        sizes = [len(b[0]) for b in bounds]
+        starts = np.cumsum([0] + sizes[:-1])
+        index = members + np.repeat(starts, np.diff(firsts + [len(groups)]))
+        # The field's own dtype: concatenate would swap big-endian bytes.
+        dtype = bounds[0][0].dtype
+        found[name] = (
+            np.concatenate([b[0] for b in bounds], dtype=dtype)[index],
+            np.concatenate([b[1] for b in bounds], dtype=dtype)[index],
+        )
+    return found
 
 
 def _stitch(
@@ -798,13 +1071,12 @@ def _stitch(
 
 
 def _runs(
-    part: GroupTable, pipeline: BlockPipeline
+    counts: Sequence[int], pipeline: BlockPipeline
 ) -> Iterator[Tuple[int, int, int]]:
-    """``(lo, hi, rows)`` runs covering ``part``: each the rows that fill
-    the pipeline's pending count up to its block size, read as the
-    caller adds each run (one row per run when every row closes its own
-    block)."""
-    counts = part.lists()[3]
+    """``(lo, hi, rows)`` runs covering AFCs of ``counts`` rows each:
+    each run the AFCs that fill the pipeline's pending count up to its
+    block size, read as the caller adds each run (one AFC per run when
+    every AFC closes its own block)."""
     if pipeline.block_rows == 1:
         for i, num_rows in enumerate(counts):
             yield i, i + 1, num_rows
@@ -1202,13 +1474,18 @@ class Extractor:
         if tracer.enabled:
             tracer.metrics.record("segments.transposed_bytes", rows * dtype.itemsize)
         keys = [(node, path, off, nb) for off, nb in members]
-        group = _Group((node, path), _transpose(data, start, rows, dtype), keys)
+        starts = [0]
+        for key in keys[:-1]:
+            starts.append(starts[-1] + key[3] // dtype.itemsize)
+        group = _Group(
+            (node, path), _transpose(data, start, rows, dtype), keys, starts
+        )
         entries: Dict[ReadKey, _Decoded] = {}
-        row = 0
-        for key in keys:
-            stop = row + key[3] // dtype.itemsize
-            entries[key] = _Decoded(group, row, stop, key[3], dtype)
-            row = stop
+        for member, key in enumerate(keys):
+            row = starts[member]
+            entries[key] = _Decoded(
+                group, row, row + key[3] // dtype.itemsize, key[3], dtype, member
+            )
         return entries
 
     def _entry(
@@ -1221,6 +1498,7 @@ class Extractor:
         tracer=NULL_TRACER,
         coalesce: Optional[CoalescePlan] = None,
         dtype: Optional[np.dtype] = None,
+        flights: Optional[_Flights] = None,
     ) -> Entry:
         """One chunk's segment-cache entry, read on a miss.
 
@@ -1233,7 +1511,11 @@ class Extractor:
         if it is a payload as read (a decoded request takes views of
         its records) or was decoded with the request's dtype; one that
         does not — a raw request of a decoded chunk — is left cached as
-        it is and the payload read again, uncached.
+        it is and the payload read again, uncached.  With ``flights``
+        (one call's), a miss is single-flight: a thread missing on a
+        chunk another thread of the call is reading waits for that read
+        and takes its entry, counted as a hit, so how often a chunk is
+        read does not depend on thread timing.
         """
         key = (node, path, offset, nbytes)
         cached = self._segments.get(key)
@@ -1254,9 +1536,44 @@ class Extractor:
                     type(cached) is not _Decoded or cached.dtype is dtype
                 ):
                     return cached
-        data = self._read_span(node, path, offset, nbytes, stats)
         if cached is not None:
-            return data
+            return self._read_span(node, path, offset, nbytes, stats)
+        if flights is None:
+            return self._fill(key, stats, tracer, dtype)
+        flight = flights.claim(key)
+        if flight is not None:
+            # Another thread of the call is reading this chunk: take its
+            # entry, as a hit — a serial run would find it cached.
+            with flight.lock:
+                cached = flight.entry
+            if cached is not None and (
+                type(cached) is not _Decoded or cached.dtype is dtype
+            ):
+                stats.cache_hits += 1
+                return cached
+            return self._read_span(node, path, offset, nbytes, stats)
+        entry: Optional[Entry] = None
+        try:
+            # A thread that finished reading it between our miss and
+            # our claim.
+            entry = self._segments.get(key)
+            if entry is None:
+                entry = self._fill(key, stats, tracer, dtype)
+            elif type(entry) is not _Decoded or entry.dtype is dtype:
+                stats.cache_hits += 1
+            else:
+                return self._read_span(node, path, offset, nbytes, stats)
+            return entry
+        finally:
+            flights.release(key, entry)
+
+    def _fill(
+        self, key: ReadKey, stats: IOStats, tracer, dtype: Optional[np.dtype]
+    ) -> Entry:
+        """Read a missing chunk and cache it: decoded with ``dtype``
+        when it is a whole number of its records, else as read."""
+        node, path, offset, nbytes = key
+        data = self._read_span(node, path, offset, nbytes, stats)
         entry: Entry = data
         if dtype is not None and not nbytes % dtype.itemsize:
             entry = self._decode(
@@ -1374,6 +1691,12 @@ class Extractor:
         aggregate fold), the interpreted oracle, and scans with no
         residual WHERE, whose blocks stay views of the chunks read.
 
+        With ``fuse`` and a compiled kernel, each part of more than one
+        row first gets a zone pass (:meth:`AfcReader.zone`): when its
+        chunks are all cached, the AFCs whose chunk bounds refute a
+        cheap conjunct are settled there, and the runs are cut over the
+        survivors alone.
+
         ``meter`` is the scheduler's cooperative cancel/quota state
         (``ExecOptions.run_state``; anything with ``checkpoint()`` and
         ``charge(rows, nbytes)``).  It is checked before every AFC read
@@ -1388,15 +1711,22 @@ class Extractor:
             block_rows_for(reader.needed, plan.dtypes) if fuse else 1,
             stats, reader.tracer,
         )
+        zoning = fuse and pipeline.compiled and bool(evaluator.zone_columns)
         if meter is not None:
             meter.checkpoint()
         for part in AfcTable.of(afcs).parts:
-            for lo, hi, num_rows in _runs(part, pipeline):
-                # A lone AFC's bytes are charged with its block's rows.
-                run_meter = meter if hi - lo > 1 else None
+            zoned = None
+            if zoning and len(part) > 1:
+                zoned = reader.zone(part, evaluator, pipeline, stats, meter)
+            counts = part.lists()[3] if zoned is None else zoned.counts
+            for lo, hi, num_rows in _runs(counts, pipeline):
+                # A lone AFC's bytes are charged with its block's rows;
+                # a zoned part's AFCs were charged by its zone pass.
+                run_meter = meter if hi - lo > 1 and zoned is None else None
                 before = stats.bytes_read
                 block = pipeline.add(
-                    reader.columns(part, lo, hi, stats, run_meter), num_rows
+                    reader.columns(part, lo, hi, stats, run_meter, zoned),
+                    num_rows,
                 )
                 if meter is not None:
                     # charge() ends in a checkpoint: the one before the

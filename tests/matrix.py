@@ -1,0 +1,177 @@
+"""Hypothesis strategies for the differential test matrix.
+
+One home for the axes a differential test crosses, so a new oracle test
+draws from these instead of growing its own ``random.Random`` generator:
+
+* :func:`exec_axes` — the option axes that must not change a result:
+  segment-cache size (0, tiny enough to evict mid-run, default),
+  coalescing gap, fused-block size and intra-node workers;
+* :func:`where_terms` — a WHERE conjunction over stored attributes whose
+  terms chunk bounds may refute (ordered comparisons of a column with a
+  literal, either way round) mixed with terms that never refute
+  (``!=``, ``NOT``, ``OR``);
+* :func:`chunk_columns` — per-chunk column values with adversarial
+  bounds: NaN, +-inf, all-equal chunks, -0.0 beside +0.0, int64 beyond
+  2**53, float32 values whose neighbours straddle a decimal literal,
+  big-endian dtypes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
+from hypothesis import strategies as st
+
+#: Segment-cache sizes: off, small enough to evict inside one run, the
+#: default.
+CACHE_BYTES = (0, 300, 32 * 1024 * 1024)
+#: Coalescing off, and merging chunks up to 64 KiB apart.
+GAPS = (0, 64 * 1024)
+#: Fused-block rows: one AFC a block, blocks that close mid-part, and
+#: one block per part.
+BLOCK_ROWS = (1, 7, 64, 10**6)
+#: intra_node_workers.
+WORKERS = (1, 3)
+
+#: Operators chunk bounds can refute, and their mirror images.
+ORDERED = ("<", "<=", ">", ">=")
+
+
+@dataclasses.dataclass(frozen=True)
+class Axes:
+    cache_bytes: int
+    gap: int
+    block_rows: int
+    workers: int
+
+
+@st.composite
+def exec_axes(
+    draw,
+    cache_bytes: Sequence[int] = CACHE_BYTES,
+    gaps: Sequence[int] = GAPS,
+    block_rows: Sequence[int] = BLOCK_ROWS,
+    workers: Sequence[int] = WORKERS,
+) -> Axes:
+    """One point of the option axes, each drawn from its values."""
+    return Axes(
+        draw(st.sampled_from(cache_bytes)),
+        draw(st.sampled_from(gaps)),
+        draw(st.sampled_from(block_rows)),
+        draw(st.sampled_from(workers)),
+    )
+
+
+def literal_text(value) -> str:
+    """A number as SQL literal text (no exponent: the lexer reads plain
+    decimals)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return np.format_float_positional(float(value), trim="-")
+
+
+def _literals(attr: str, spans: Mapping[str, Tuple[float, float]],
+              extra: Mapping[str, Sequence[str]]):
+    lo, hi = spans[attr]
+    fixed = [lo - 1, lo, (lo + hi) / 2, hi, hi + 1, *extra.get(attr, ())]
+    return st.one_of(
+        st.sampled_from([literal_text(v) for v in fixed]),
+        st.floats(lo, hi).map(lambda v: literal_text(round(v, 3))),
+    )
+
+
+@st.composite
+def where_terms(
+    draw,
+    spans: Mapping[str, Tuple[float, float]],
+    extra: Mapping[str, Sequence[str]] = {},
+    max_terms: int = 4,
+) -> str:
+    """A WHERE conjunction over the attributes of ``spans`` (each with
+    the range its values span), literals drawn around those ranges and
+    from ``extra`` per attribute."""
+    names = sorted(spans)
+    terms: List[str] = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        attr = draw(st.sampled_from(names))
+        lit = draw(_literals(attr, spans, extra))
+        op = draw(st.sampled_from(ORDERED))
+        kind = draw(st.sampled_from(
+            ["col-op-lit", "col-op-lit", "lit-op-col", "ne", "not", "or"]
+        ))
+        if kind == "col-op-lit":
+            terms.append(f"{attr} {op} {lit}")
+        elif kind == "lit-op-col":
+            terms.append(f"{lit} {op} {attr}")
+        elif kind == "ne":
+            terms.append(f"{attr} != {lit}")
+        elif kind == "not":
+            terms.append(f"NOT ({attr} {op} {lit})")
+        else:
+            other = draw(st.sampled_from(names))
+            lit2 = draw(_literals(other, spans, extra))
+            op2 = draw(st.sampled_from(ORDERED))
+            terms.append(f"({attr} {op} {lit} OR {other} {op2} {lit2})")
+    return " AND ".join(terms)
+
+
+#: Dtypes a stored column may have, native and big-endian.
+BOUND_DTYPES = ("<f4", ">f4", "<f8", ">f8", "<i8", ">i8", "<i4", "u1")
+
+_BIG = 2**53
+
+
+def _specials(dtype: np.dtype) -> List:
+    if dtype.kind == "f":
+        tiny = np.float32(0.1)
+        return [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 0.1, float(tiny),
+            float(np.nextafter(tiny, np.float32(1))),
+            float(np.nextafter(tiny, np.float32(0))), 1.5, -2.0,
+        ]
+    info = np.iinfo(dtype)
+    values = [0, 1, -1, 7, info.max, info.min]
+    if dtype.itemsize == 8:
+        values += [_BIG - 1, _BIG, _BIG + 1, -_BIG - 1, -_BIG]
+    return [v for v in values if info.min <= v <= info.max]
+
+
+@st.composite
+def chunk_columns(draw) -> Tuple[np.dtype, List[np.ndarray]]:
+    """One column's chunks, in one dtype: each chunk all-equal, drawn
+    from that dtype's adversarial values, or a mix of both with small
+    numbers."""
+    dtype = np.dtype(draw(st.sampled_from(BOUND_DTYPES)))
+    specials = _specials(dtype)
+    chunks = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            values = [draw(st.sampled_from(specials))] * rows
+        else:
+            values = draw(st.lists(
+                st.one_of(st.sampled_from(specials), st.integers(-3, 3)),
+                min_size=rows, max_size=rows,
+            ))
+        chunks.append(np.array(values).astype(dtype))
+    return dtype, chunks
+
+
+def chunk_literals(dtype: np.dtype) -> List[str]:
+    """Literal texts worth comparing a column of ``dtype`` with: its
+    adversarial values and the decimals between float neighbours."""
+    texts = ["0", "1", "-1", "0.1", "-0.0", "0.0", "1.5", "2.5"]
+    if dtype.kind in "iu" and dtype.itemsize == 8:
+        texts += [str(_BIG), str(_BIG + 1), f"{_BIG}.0", f"{_BIG + 2}.0"]
+    return texts
+
+
+def where_over(names: Sequence[str], literals: Dict[str, List[str]]):
+    """:func:`where_terms` over ``names``, every literal from
+    ``literals``."""
+    spans = {name: (0.0, 1.0) for name in names}
+    return where_terms(spans, literals)

@@ -402,7 +402,9 @@ class TestCancellation:
             assert handle.cancelled()
             assert sched.stats()["counters"]["sched.cancelled"] == 1
 
-    @pytest.mark.parametrize("sql", [SCAN, SCAN + " WHERE SOIL >= 0"])
+    @pytest.mark.parametrize(
+        "sql", [SCAN, SCAN + " WHERE SOIL >= 0", SCAN + " WHERE X >= 0"]
+    )
     def test_cancel_mid_query_stops_before_next_afc_read(
         self, env, monkeypatch, sql
     ):
@@ -412,7 +414,10 @@ class TestCancellation:
         # COORDS chunk does not tell AFCs apart.  Chunks are read one at
         # a time (Extractor._entry, hit or miss) or, for a fused run
         # whose chunks are all cached, looked up at once
-        # (_SegmentCache.get_run); the query runs cold, then warm.
+        # (_SegmentCache.get_run); the query runs cold, then warm.  A
+        # conjunct on a field of a record chunk (X, of COORDS) has
+        # chunk bounds: warm, its part's chunks are looked up at once,
+        # before any run, for the zone pass.
         service, _, _ = env
         entry, get_run = Extractor._entry, _SegmentCache.get_run
         columns = AfcReader.columns
@@ -459,10 +464,15 @@ class TestCancellation:
             # No WHERE steps one AFC at a time; the kernel's first run
             # is a whole part (6 AFCs), cancelled inside — read AFC by
             # AFC when cold, looked up at once (all 6 seen) when warm.
+            # Warm, the zone pass looks the whole part up (all 6 seen)
+            # and the cancel lands at its first per-AFC meter charge:
+            # no AFC is decoded, no run begins.
             if "WHERE" not in sql:
                 assert (len(afcs), runs) == (3, [1, 1, 1]), warm
+            elif not warm:
+                assert (len(afcs), runs) == (3, [6]), warm
             else:
-                assert (len(afcs), runs) == (6 if warm else 3, [6]), warm
+                assert (len(afcs), runs) == (6, [] if "X >=" in sql else [6])
 
     def test_cancel_during_retry_backoff_ends_the_sleep(self, env):
         # osu0 always fails at once; the retry loop then sleeps 2 s
