@@ -52,7 +52,7 @@ from ..sql.ast import (
     NEGATE_OP,
 )
 from ..sql.ranges import IntervalSet, Interval, RangeMap
-from ..sql.rewrite import rewrite_where
+from ..sql.rewrite import rewrite_of
 
 #: Sorted ((attribute, intervals), ...) — the hashable form of a RangeMap.
 CanonicalRanges = Tuple[Tuple[str, Tuple[Interval, ...]], ...]
@@ -212,9 +212,10 @@ def query_key(
     The WHERE clause is canonicalized by the equivalence-preserving
     rewrite pass first (idempotent, so pre-rewritten queries key the
     same), which is what collapses commuted conjuncts, flipped
-    comparisons and foldable constants onto one key.
+    comparisons and foldable constants onto one key.  The rewrite is
+    memoized on ``query`` (:func:`~repro.sql.rewrite.rewrite_of`).
     """
-    where, _ = rewrite_where(query.where)
+    where = rewrite_of(query).canonical_where
     ranges, residual = split_where(where)
     canonical: CanonicalRanges = tuple(
         sorted((name, ivs.intervals) for name, ivs in ranges.items())

@@ -27,7 +27,7 @@ from ..core.stats import IOStats
 from ..core.table import VirtualTable
 from ..obs.tracer import NULL_TRACER
 from ..sql.ast import Query
-from ..sql.rewrite import rewrite_query
+from ..sql.rewrite import rewrite_of
 from .keys import QueryKey, descriptor_fingerprint, query_key
 from .result_cache import PlanCache, ResultCache
 
@@ -130,7 +130,8 @@ class QueryCache:
         # Canonicalize first: commuted/flipped/folded spellings share one
         # key, and ``needed`` then matches the (also-rewritten) plan's
         # column set, so stored entries actually serve every spelling.
-        query, _ = rewrite_query(query)
+        # The rewrite is memoized on ``query``: planning reuses it.
+        query = rewrite_of(query).canonical(query)
         needed, output = self.dataset.needed_columns(query)
         if query.is_aggregate:
             from ..core.aggregate import aggregate_spec
@@ -184,7 +185,7 @@ class QueryCache:
             # original but only references columns inside ``needed``, so a
             # contradiction-folded query can never read a column the
             # cached superset does not store.
-            canonical, _ = rewrite_query(query)
+            canonical = rewrite_of(query).canonical(query)
             table = filtering.refilter(
                 canonical.where, entry.table, list(key.output), stats, tracer,
                 vectorize=vectorize,

@@ -13,7 +13,12 @@ draws from these instead of growing its own ``random.Random`` generator:
 * :func:`chunk_columns` — per-chunk column values with adversarial
   bounds: NaN, +-inf, all-equal chunks, -0.0 beside +0.0, int64 beyond
   2**53, float32 values whose neighbours straddle a decimal literal,
-  big-endian dtypes.
+  big-endian dtypes;
+* :func:`query_shapes` — a query text with literal holes and several
+  bindings of it, drawn from literals that steer the rewrite: equal and
+  reversed bounds, integral floats, ``1e999``, ``-0.0``, ints beyond
+  2**53, strings, IN lists with duplicates, BETWEEN/NOT/OR, ``X-1``
+  next to ``X - 1``, ``--`` comments and non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -175,3 +180,124 @@ def where_over(names: Sequence[str], literals: Dict[str, List[str]]):
     ``literals``."""
     spans = {name: (0.0, 1.0) for name in names}
     return where_terms(spans, literals)
+
+
+# ---------------------------------------------------------------------------
+# Query shapes
+# ---------------------------------------------------------------------------
+
+#: Number literals as texts: ties across int and float, reversed and
+#: equal bounds, integral floats, signed zeros, spellings that sort
+#: unlike their values, ints beyond 2**53, non-finite floats.
+SHAPE_NUMBERS = (
+    "0", "1", "2", "3", "10", "-1", "+3", "007", "2.0", "1.0", "-0.0",
+    "0.0", "1.5", ".5", "0.25", "1e3", "1e-3", "2E+2", "1e999", "-1e999",
+    str(_BIG), str(_BIG + 1), f"{_BIG}.0", "12345678901234567890",
+)
+#: String literal texts, quoted; one holds a quote, one is empty.
+SHAPE_STRINGS = ("'a'", "'b'", "'a b'", "''", "'10'", "\"it's\"")
+#: Literal texts the lexer reads differently from ASCII or rejects.
+SHAPE_ODD = ("\u0661", "\u0662\u0663", "\u00b2", "1.2.3", "- 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class Shape:
+    """A query text with ``{0}``, ``{1}``, ... literal holes."""
+
+    template: str
+    holes: int
+
+    def text(self, literals: Sequence[str]) -> str:
+        return self.template.format(*literals)
+
+
+@st.composite
+def _term(draw, names: Sequence[str], hole, depth: int = 0) -> str:
+    a = draw(st.sampled_from(names))
+    b = draw(st.sampled_from(names))
+    op = draw(st.sampled_from(("=", "==", "!=", "<>", "<", "<=", ">", ">=")))
+    kinds = [
+        "col-lit", "col-lit", "col-lit", "lit-col", "lit-lit", "glued",
+        "between", "in", "func", "col-col",
+    ]
+    if depth < 2:
+        kinds += ["not", "or", "and"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "col-lit":
+        return f"{a} {op} {hole()}"
+    if kind == "lit-col":
+        return f"{hole()} {op} {a}"
+    if kind == "lit-lit":
+        return f"{hole()} {op} {hole()}"
+    if kind == "glued":  # X>-1, X-1 and X - 1 side by side
+        return draw(st.sampled_from((
+            f"{a}{op}{hole()}", f"{a}{hole()} > 0", f"{a} - {hole()} > 0",
+        )))
+    if kind == "between":
+        neg = draw(st.sampled_from(("", "NOT ")))
+        return f"{a} {neg}BETWEEN {hole()} AND {hole()}"
+    if kind == "in":
+        neg = draw(st.sampled_from(("", "NOT ")))
+        values = ", ".join(hole() for _ in range(draw(st.integers(1, 4))))
+        return f"{a} {neg}IN ({values})"
+    if kind == "func":
+        return f"F({a}, {hole()}) {op} {hole()}"
+    if kind == "col-col":
+        return f"{a} {op} {b}"
+    inner = draw(_term(names, hole, depth + 1))
+    if kind == "not":
+        return f"NOT ({inner})"
+    other = draw(_term(names, hole, depth + 1))
+    joiner = " OR " if kind == "or" else " AND "
+    return f"({inner}{joiner}{other})"
+
+
+@st.composite
+def query_shapes(
+    draw, table: str, names: Sequence[str], group: Sequence[str] = ()
+) -> Shape:
+    """A query over ``table``: a SELECT list (rows, or aggregates over
+    ``group``), and a WHERE of up to five terms over ``names``, with
+    literal holes, odd spacing and ``--`` comments."""
+    count = [0]
+
+    def hole() -> str:
+        count[0] += 1
+        return "{%d}" % (count[0] - 1)
+
+    if group and draw(st.booleans()):
+        key = draw(st.sampled_from(group))
+        select = f"{key}, COUNT(*), MIN({draw(st.sampled_from(names))})"
+        tail = f" GROUP BY {key}"
+    else:
+        select = ", ".join(draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=3, unique=True,
+        )))
+        tail = ""
+    terms = [
+        draw(_term(names, hole)) for _ in range(draw(st.integers(0, 5)))
+    ]
+    joiners = [
+        draw(st.sampled_from((" AND ", " AND ", "  AND\n", " -- 7 'x'\nAND ")))
+        for _ in terms[1:]
+    ]
+    where = terms[0] if terms else ""
+    for joiner, term in zip(joiners, terms[1:]):
+        where += joiner + term
+    text = f"SELECT {select} FROM {table}"
+    if where:
+        text += f" WHERE {where}"
+    return Shape(text + tail, count[0])
+
+
+def shape_literals(holes: int):
+    """Literal texts for ``holes`` holes: mostly numbers, some strings,
+    now and then a literal the lexer reads otherwise."""
+    pool = st.one_of(
+        st.sampled_from(SHAPE_NUMBERS),
+        st.sampled_from(SHAPE_NUMBERS),
+        st.integers(-20, 20).map(str),
+        st.sampled_from(SHAPE_STRINGS),
+        st.sampled_from(SHAPE_ODD),
+    )
+    return st.lists(pool, min_size=holes, max_size=holes)
