@@ -39,7 +39,7 @@ from ..sql.ranges import (
     _FALSE_KEY,
     extract_ranges,
 )
-from ..sql.rewrite import rewrite_query
+from ..sql.rewrite import rewrite_of
 from ..sql.typecheck import typecheck_query
 from .core import Collector
 from .linter import _const_range, _iter_loops
@@ -102,10 +102,10 @@ def analyze_query(
         span_of=lambda token: _sql_span(text, token),
     )
 
-    canonical, steps = rewrite_query(query)
+    memo = rewrite_of(query)
     if (
-        isinstance(canonical.where, BoolLiteral)
-        and not canonical.where.value
+        isinstance(memo.canonical_where, BoolLiteral)
+        and not memo.canonical_where.value
         and "RQ207" not in collector.codes()
     ):
         collector.emit(
@@ -115,7 +115,7 @@ def analyze_query(
             span=None,
         )
     if explain:
-        for step in steps:
+        for step in memo.steps:
             collector.emit(step.code, step.detail)
     return collector
 
