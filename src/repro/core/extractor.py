@@ -50,7 +50,9 @@ On top of the caches sits **I/O coalescing**: chunk reads against one
 file that are adjacent, or separated by at most a configurable gap, are
 merged into a single ``read()`` call whose payload is sliced back into
 per-chunk segments (:meth:`Extractor.plan_coalesce`, planned over the
-table's offset columns: one sort, then a greedy merge per file).
+table's offset columns: one sort, then a greedy merge per file).  A
+call plans at its first chunk miss, not before: a call whose every
+chunk is cached never plans at all.
 Interleaved layouts like the paper's L0 otherwise pay a read
 call and a simulated seek per chunk; coalescing restores
 near-sequential I/O at the cost of reading the gap bytes (charged as
@@ -357,9 +359,12 @@ class _Flights:
     thread missing on a chunk another is reading waits for that read and
     takes its entry instead of reading the chunk again (single-flight).
     Scoped to one call (:class:`AfcReader`): a retry never waits on a
-    read its abandoned attempt left hanging."""
+    read its abandoned attempt left hanging.  ``generation`` is the
+    segment cache's when the call began: what the call reads after a
+    ``drop_caches`` is not cached (:meth:`_SegmentCache.put`)."""
 
-    def __init__(self):
+    def __init__(self, generation: Optional[int] = None):
+        self.generation = generation
         self._lock = threading.Lock()
         self._reading: Dict[tuple, _Flight] = {}
 
@@ -401,6 +406,8 @@ class _SegmentCache:
         self._segments: "OrderedDict[tuple, Entry]" = OrderedDict()
         #: Per file, the group that has dropped some chunks but not all.
         self._ragged: Dict[Tuple[str, str], _Group] = {}
+        #: Bumped by every :meth:`clear`.
+        self.generation = 0
 
     def get(self, key: tuple) -> Optional[Entry]:
         with self._lock:
@@ -436,9 +443,17 @@ class _SegmentCache:
         with self._lock:
             return [key not in self._segments for key in keys]
 
-    def put(self, key: tuple, data: Entry) -> None:
+    def put(
+        self, key: tuple, data: Entry, generation: Optional[int] = None
+    ) -> None:
+        """Cache ``data`` — unless it is larger than the cache, or was
+        read by a call that began before the last :meth:`clear` (its
+        ``generation``): a query still running when the caches were
+        dropped leaves nothing behind for the next one."""
         with self._lock:
-            if len(data) > self.capacity:
+            if len(data) > self.capacity or generation not in (
+                None, self.generation
+            ):
                 if type(data) is _Decoded:
                     self._dropped(data)
                 return
@@ -483,6 +498,7 @@ class _SegmentCache:
             self._segments.clear()
             self._ragged.clear()
             self.size = 0
+            self.generation += 1
 
 
 class _CoalesceRun:
@@ -548,6 +564,31 @@ class CoalescePlan:
     @property
     def num_members(self) -> int:
         return len(self._runs)
+
+
+class _PlanOnMiss:
+    """One call's :class:`CoalescePlan`, built by ``build`` when a chunk
+    first misses, under a lock the call's intra-node workers share.
+
+    Until its first miss a call has only hit, and hits promote entries
+    but never add or drop one, so the plan is the one the call would
+    have built at its start."""
+
+    __slots__ = ("_build", "_plan", "_lock")
+
+    def __init__(self, build: Callable[[], Optional[CoalescePlan]]):
+        self._build: Optional[Callable[[], Optional[CoalescePlan]]] = build
+        self._plan: Optional[CoalescePlan] = None
+        self._lock = threading.Lock()
+
+    def run_for(self, key: ReadKey) -> Optional[_CoalesceRun]:
+        if self._build is not None:
+            with self._lock:
+                if self._build is not None:
+                    self._plan = self._build()
+                    self._build = None
+        plan = self._plan
+        return None if plan is None else plan.run_for(key)
 
 
 class _Resolved:
@@ -667,7 +708,7 @@ class AfcReader:
         needed: Sequence[str],
         dtypes: Optional[Dict[str, np.dtype]] = None,
         tracer=NULL_TRACER,
-        coalesce: Optional[CoalescePlan] = None,
+        coalesce: Optional[Union[CoalescePlan, _PlanOnMiss]] = None,
         node: Optional[str] = None,
     ):
         self.extractor = extractor
@@ -678,7 +719,7 @@ class AfcReader:
         self.coalesce = coalesce
         self.node = node
         #: The call's chunk reads in progress (single-flight misses).
-        self.flights = _Flights()
+        self.flights = _Flights(extractor._segments.generation)
         self._resolved: Dict[GroupLayout, _Resolved] = {}
         #: (resolved layout, first, rows) -> the span's inner columns.
         self._inner: Dict[Tuple[_Resolved, int, int], Columns] = {}
@@ -1388,7 +1429,8 @@ class Extractor:
         return CoalescePlan(runs) if runs else None
 
     def _read_coalesced(
-        self, key: ReadKey, run: _CoalesceRun, stats: IOStats, tracer
+        self, key: ReadKey, run: _CoalesceRun, stats: IOStats, tracer,
+        generation: Optional[int] = None,
     ) -> Optional[Entry]:
         """Satisfy one chunk request by executing (or joining) a merged read.
 
@@ -1400,7 +1442,7 @@ class Extractor:
         with run.lock:
             if run.results is None and not run.failed:
                 try:
-                    self._fill_run(run, stats, tracer)
+                    self._fill_run(run, stats, tracer, generation)
                 except Exception:
                     run.failed = True
                     raise
@@ -1408,7 +1450,10 @@ class Extractor:
                 return None
             return run.results.pop(key, None)
 
-    def _fill_run(self, run: _CoalesceRun, stats: IOStats, tracer) -> None:
+    def _fill_run(
+        self, run: _CoalesceRun, stats: IOStats, tracer,
+        generation: Optional[int] = None,
+    ) -> None:
         """One merged read, cut into its members' entries: a payload
         slice per single-field member, and one :class:`_Group` per
         stretch of adjacent members of one multi-field strip."""
@@ -1437,7 +1482,7 @@ class Extractor:
             i = j
         put = self._segments.put
         for member_key, entry in results.items():
-            put(member_key, entry)
+            put(member_key, entry, generation)
         saved = len(run.members) - 1
         waste = run.span - run.covered_bytes()
         stats.reads_coalesced += saved
@@ -1496,7 +1541,7 @@ class Extractor:
         nbytes: int,
         stats: IOStats,
         tracer=NULL_TRACER,
-        coalesce: Optional[CoalescePlan] = None,
+        coalesce: Optional[Union[CoalescePlan, _PlanOnMiss]] = None,
         dtype: Optional[np.dtype] = None,
         flights: Optional[_Flights] = None,
     ) -> Entry:
@@ -1505,7 +1550,8 @@ class Extractor:
         ``dtype`` is the chunk's :meth:`_decoded_dtype`: a chunk of a
         multi-field strip is cached decoded, a single-field one (and any
         raw request, ``dtype=None``) as read.  With a
-        :class:`CoalescePlan`, a chunk that belongs to a merged run
+        :class:`CoalescePlan` (or a :class:`_PlanOnMiss`, asked only
+        here, on a miss), a chunk that belongs to a merged run
         triggers (or joins) the run's single wide read; sibling chunks
         then come out of the segment cache.  An entry fits a request
         if it is a payload as read (a decoded request takes views of
@@ -1515,9 +1561,12 @@ class Extractor:
         (one call's), a miss is single-flight: a thread missing on a
         chunk another thread of the call is reading waits for that read
         and takes its entry, counted as a hit, so how often a chunk is
-        read does not depend on thread timing.
+        read does not depend on thread timing; and what it reads is
+        cached only while the cache has not been dropped since the call
+        began.
         """
         key = (node, path, offset, nbytes)
+        generation = None if flights is None else flights.generation
         cached = self._segments.get(key)
         if cached is not None and (
             type(cached) is not _Decoded or cached.dtype is dtype
@@ -1531,7 +1580,9 @@ class Extractor:
         if coalesce is not None and cached is None:
             run = coalesce.run_for(key)
             if run is not None:
-                cached = self._read_coalesced(key, run, stats, tracer)
+                cached = self._read_coalesced(
+                    key, run, stats, tracer, generation
+                )
                 if cached is not None and (
                     type(cached) is not _Decoded or cached.dtype is dtype
                 ):
@@ -1558,7 +1609,7 @@ class Extractor:
             # our claim.
             entry = self._segments.get(key)
             if entry is None:
-                entry = self._fill(key, stats, tracer, dtype)
+                entry = self._fill(key, stats, tracer, dtype, generation)
             elif type(entry) is not _Decoded or entry.dtype is dtype:
                 stats.cache_hits += 1
             else:
@@ -1568,7 +1619,8 @@ class Extractor:
             flights.release(key, entry)
 
     def _fill(
-        self, key: ReadKey, stats: IOStats, tracer, dtype: Optional[np.dtype]
+        self, key: ReadKey, stats: IOStats, tracer, dtype: Optional[np.dtype],
+        generation: Optional[int] = None,
     ) -> Entry:
         """Read a missing chunk and cache it: decoded with ``dtype``
         when it is a whole number of its records, else as read."""
@@ -1579,7 +1631,7 @@ class Extractor:
             entry = self._decode(
                 node, path, data, 0, ((offset, nbytes),), dtype, tracer
             )[key]
-        self._segments.put(key, entry)
+        self._segments.put(key, entry, generation)
         return entry
 
     def read_chunk(
@@ -1626,12 +1678,15 @@ class Extractor:
     ) -> AfcReader:
         """One call's decoder of ``plan.extracted`` for ``afcs``, their
         nearby chunk reads merged into wide reads when
-        ``coalesce_gap_bytes > 0``."""
+        ``coalesce_gap_bytes > 0`` — planned at the call's first chunk
+        miss (:class:`_PlanOnMiss`)."""
         columns = plan.extracted
-        return AfcReader(
-            self, columns, plan.dtypes, tracer,
-            self.coalesce_for(afcs, columns, coalesce_gap_bytes), node,
-        )
+        coalesce = None
+        if coalesce_gap_bytes > 0:
+            coalesce = _PlanOnMiss(
+                partial(self.coalesce_for, afcs, columns, coalesce_gap_bytes)
+            )
+        return AfcReader(self, columns, plan.dtypes, tracer, coalesce, node)
 
     def execute(
         self,

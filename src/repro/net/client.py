@@ -11,12 +11,17 @@ in parallel.  A BATCH is never held as a payload: after its header,
 every column is received by ``recv_into`` straight into that node's
 result columns (:class:`~repro.net.wire.TableReceiver`, sized once by
 the planned rows of a row plan), and the node's table is a zero-copy
-view of them — the query service's cross-node ``concat_tables`` is the
-one copy the coordinator makes.  Each node has a small connection pool
-(``ExecOptions.max_connections_per_node``: a semaphore plus an idle
-list) and a cluster-wide semaphore (``ExecOptions.inflight_limit``) is
-admission control — per-node backpressure comes from the pool,
-cluster-wide backpressure from the semaphore.  Retries, timeouts, and
+view of them.  Where the plan fixes every node's rows (no residual
+WHERE, several nodes, no ``node_timeout``), those columns are the
+node's region of the query's one result buffer
+(:meth:`TcpTransport.node_blocks`): replies that fill their regions are
+the result, and the coordinator copies nothing; otherwise the query
+service's one merge of the nodes' replies is the one copy.  Each node
+has a small connection pool (``ExecOptions.max_connections_per_node``:
+a semaphore plus an idle list) and a cluster-wide semaphore
+(``ExecOptions.inflight_limit``) is admission control — per-node
+backpressure comes from the pool, cluster-wide backpressure from the
+semaphore.  Retries, timeouts, and
 degraded results stay coordinator business, in
 ``QueryService._extract_nodes``, untouched: an attempt abandoned by
 ``node_timeout`` keeps its pool and in-flight slot until the node
@@ -49,10 +54,13 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.afc import AfcTable, AlignedFileChunkSet, ExtractionPlan
 from ..core.extractor import empty_result
+from ..core.kernels import Block
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
 from ..core.table import VirtualTable
@@ -242,6 +250,7 @@ class TcpTransport(Transport):
     """Fan out extraction over real sockets to node server processes."""
 
     scheme = "tcp"
+    lands_replies = True
 
     def __init__(
         self,
@@ -329,6 +338,44 @@ class TcpTransport(Transport):
         tracer=NULL_TRACER,
         options=None,
     ) -> VirtualTable:
+        batches = self._execute(node, plan, afcs, stats, tracer, options)
+        return batches.table() if batches.frames else empty_result(plan)
+
+    def node_blocks(
+        self,
+        node: str,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        stats: IOStats,
+        tracer=NULL_TRACER,
+        options=None,
+        landing: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> List[Block]:
+        """The reply as one block, received into ``landing`` when one is
+        offered and the reply's dtypes are native (see
+        :meth:`Transport.node_blocks`)."""
+        if landing is None:
+            return super().node_blocks(node, plan, afcs, stats, tracer, options)
+        batches = self._execute(
+            node, plan, afcs, stats, tracer, options,
+            [column.view(np.uint8) for column in landing.values()],
+        )
+        if batches.landed and batches.rows == batches.bound:
+            return [(landing, batches.rows)]
+        return [(batches.table(), batches.rows)] if batches.rows else []
+
+    def _execute(
+        self,
+        node: str,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        stats: IOStats,
+        tracer,
+        options,
+        landing: Optional[List[np.ndarray]] = None,
+    ) -> wire.TableReceiver:
+        """One EXECUTE: the node's BATCH frames received, its DONE
+        checked and its stats merged into ``stats``."""
         opts = options if options is not None else DEFAULT_OPTIONS
         if self.fault_injector is not None:
             # node-down over sockets: unreachable before any bytes move.
@@ -336,12 +383,13 @@ class TcpTransport(Transport):
         payload = json.dumps(
             wire.encode_execute(plan, len(afcs), opts)
         ).encode("utf-8")
-        empty = empty_result(plan)
         # A row plan's reply is at most its planned rows: the columns are
-        # allocated once, at that size, on the first BATCH.
+        # allocated once, at that size, on the first BATCH — or are the
+        # landing region, which has that size.
         batches = wire.TableReceiver(
-            empty,
+            empty_result(plan),
             AfcTable.of(afcs).total_rows if plan.aggregate is None else None,
+            landing,
         )
         start = time.perf_counter()
         with tracer.span(
@@ -367,7 +415,7 @@ class TcpTransport(Transport):
                 f"the coordinator planned {len(afcs)} for it"
             )
         stats.merge(wire.decode_stats(done.get("stats", {})))
-        return batches.table() if batches.frames else empty
+        return batches
 
     # -- cluster-wide control ------------------------------------------------
 

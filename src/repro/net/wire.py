@@ -584,18 +584,30 @@ class TableReceiver:
     duplicate names, bytes missing or left over — is a
     :class:`~repro.errors.TransportError`, raised before any column
     byte of that payload is read.
+
+    ``landing`` is where the columns go instead of buffers of the
+    receiver's own: per ``expected`` column, in its order, a writable
+    byte view of ``bound`` rows in native byte order (a node's region of
+    the coordinator's result buffer).  A reply whose first payload's
+    dtypes are those lands there (:attr:`landed`); one that keeps a
+    column big-endian is read into buffers of its own, as without it.
     """
 
     def __init__(
         self,
         expected: Optional[VirtualTable] = None,
         bound: Optional[int] = None,
+        landing: Optional[Sequence[np.ndarray]] = None,
     ):
         self._expected = None if expected is None else _native(
             [(name, expected.column(name).dtype)
              for name in expected.column_names]
         )
-        self._bound = bound
+        #: The rows the reply may carry at most, or None: no cap.
+        self.bound = bound
+        self._landing = landing
+        #: True once the reply's columns are ``landing``.
+        self.landed = False
         #: The first payload's columns, and each one's bytes so far.
         self._schema: Optional[Schema] = None
         self._raw: List[np.ndarray] = []
@@ -616,17 +628,22 @@ class TableReceiver:
                     f"planned {self._expected}"
                 )
             self._schema = schema
-            self._raw = [np.empty(0, np.uint8) for _ in schema]
+            if self._landing is not None and schema == self._expected:
+                self._raw = list(self._landing)
+                self._capacity = self.bound
+                self.landed = True
+            else:
+                self._raw = [np.empty(0, np.uint8) for _ in schema]
         elif schema != self._schema:
             raise TransportError(
                 f"table batch columns {schema} differ from the reply's "
                 f"first batch {self._schema}"
             )
         end = self.rows + rows
-        if self._bound is not None and end > self._bound:
+        if self.bound is not None and end > self.bound:
             raise TransportError(
                 f"table batches carry {end} rows, more than the "
-                f"{self._bound} planned"
+                f"{self.bound} planned"
             )
         self._reserve(schema, end)
         for (_, dtype), raw in zip(schema, self._raw):
@@ -673,7 +690,7 @@ class TableReceiver:
     def _reserve(self, schema: Schema, rows: int) -> None:
         if rows <= self._capacity:
             return
-        capacity = self._bound if self._bound is not None else max(
+        capacity = self.bound if self.bound is not None else max(
             rows, 2 * self._capacity
         )
         grown = []

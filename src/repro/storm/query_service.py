@@ -7,7 +7,8 @@ resolve -> diagnostics -> cache lookup -> plan -> aggregate strategy ->
 cache fill -> project).  What this module adds is what is
 service-specific: *how a plan is executed* — ``_extract_nodes``, the
 per-node parallel fan-out over a transport (data source + filtering
-services) — and what surrounds the pipeline call: the scheduler's
+services) and the one merge of the nodes' blocks into the result — and
+what surrounds the pipeline call: the scheduler's
 run-state checkpoint, partition generation -> data mover, per-node
 operation counts and a deterministic simulated execution time from the
 cost model, all returned as a :class:`QueryResult`.
@@ -34,8 +35,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Type, TypeVar, Union
 
-from ..core.afc import group_by_home_node
+import numpy as np
+
+from ..core.afc import AfcTable, group_by_home_node
 from ..core.extractor import empty_result
+from ..core.kernels import Block, assemble_table
 from ..core.options import DEFAULT_OPTIONS, ExecOptions, resolve_workers
 from ..core.pipeline import (  # noqa: F401 - pseudo-node names re-exported
     CACHE_NODE,
@@ -143,6 +147,62 @@ class QueryResult:
         if self.degraded:
             text += f" [DEGRADED: lost {', '.join(self.failed_nodes)}]"
         return text
+
+
+def _rows(blocks: List[Block]) -> int:
+    return sum(rows for _, rows in blocks)
+
+
+def _landing(
+    plan, by_node: Dict[str, AfcTable]
+) -> Tuple[Optional[Dict[str, np.ndarray]], Dict[str, Dict[str, np.ndarray]]]:
+    """One native-order buffer per output column of ``plan``, sized to
+    its planned rows, and per node its region: its planned rows at its
+    offset in node order — or ``(None, {})`` unless the plan fixes
+    every node's rows (a row plan with no residual WHERE) and spans
+    several nodes."""
+    if plan.aggregate is not None or plan.where is not None or len(by_node) < 2:
+        return None, {}
+    empty = empty_result(plan)
+    counts = [afcs.total_rows for afcs in by_node.values()]
+    buffers = {
+        name: np.empty(sum(counts), empty.column(name).dtype.newbyteorder("="))
+        for name in empty.column_names
+    }
+    landing: Dict[str, Dict[str, np.ndarray]] = {}
+    start = 0
+    for node, count in zip(by_node, counts):
+        landing[node] = {
+            name: buffer[start:start + count]
+            for name, buffer in buffers.items()
+        }
+        start += count
+    return buffers, landing
+
+
+def _merge(plan, partials: List[List[Block]]) -> VirtualTable:
+    """The one concatenation of every node's blocks, in node order: a
+    row plan's by ``assemble_table`` (a lone block is kept where it is
+    writable and contiguous), an aggregate plan's state frames by
+    ``concat_tables``."""
+    blocks = [block for node_blocks in partials for block in node_blocks]
+    if plan.aggregate is None:
+        return assemble_table(plan.output, plan.dtypes, blocks)
+    if not blocks:
+        return empty_result(plan)
+    return concat_tables([frame for frame, _ in blocks])
+
+
+def _copied_bytes(table: VirtualTable, partials: List[List[Block]]) -> int:
+    """Bytes of the columns of ``table`` that are none of the blocks'
+    own: what the merge copied."""
+    blocks = [columns for node_blocks in partials for columns, _ in node_blocks]
+    copied = 0
+    for name in table.column_names:
+        column = table.column(name)
+        if all(columns[name] is not column for columns in blocks):
+            copied += column.nbytes
+    return copied
 
 
 class QueryService:
@@ -375,11 +435,26 @@ class QueryService:
         """Failure-aware parallel extraction of a plan across its nodes.
 
         The first node runs on the calling thread, the others on the
-        shared fan-out pool; partials come back in node order.  Returns ``(table, per_node_stats, failed_nodes)``; raises
+        shared fan-out pool; each hands back its partial as blocks
+        (:meth:`~repro.storm.transport.Transport.node_blocks`), and one
+        merge makes the table of them in node order (:func:`_merge`).
+        Returns ``(table, per_node_stats, failed_nodes)``; raises
         :class:`~repro.errors.NodeFailureError` for the first exhausted
         node unless ``opts.allow_partial``.
+
+        Where the plan fixes every node's rows in advance — a row plan
+        keeping every row of its AFCs, over several nodes — and no
+        attempt can be abandoned (``node_timeout`` unset), a transport
+        that ``lands_replies`` gets each node's region of one result
+        buffer: replies that fill theirs are the result, uncopied.
+        Under ``node_timeout`` a hung attempt keeps writing after its
+        retry starts, so every attempt writes memory of its own.
         """
         by_node = group_by_home_node(plan.afcs)
+        buffers, landing = _landing(plan, by_node) if (
+            opts.node_timeout is None
+            and getattr(self.transport, "lands_replies", False)
+        ) else (None, {})
 
         per_node_stats: Dict[str, IOStats] = {
             node: IOStats() for node in by_node
@@ -392,7 +467,7 @@ class QueryService:
         #: Attempts made per node; each key is written by one thread.
         attempts: Dict[str, int] = dict.fromkeys(by_node, 0)
 
-        def attempt_node(node: str) -> VirtualTable:
+        def attempt_node(node: str) -> List[Block]:
             """One extraction attempt, bounded by node_timeout; its
             counters join the node's unless it was abandoned as hung."""
             if run_state is not None:
@@ -401,8 +476,9 @@ class QueryService:
             attempt_stats = IOStats()
             try:
                 if opts.node_timeout is None:
-                    partial = self.transport.execute_node(
-                        node, plan, by_node[node], attempt_stats, tracer, opts
+                    partial = self.transport.node_blocks(
+                        node, plan, by_node[node], attempt_stats, tracer,
+                        opts, landing.get(node),
                     )
                 else:
                     partial = attempt_bounded(node, attempt_stats)
@@ -423,11 +499,11 @@ class QueryService:
                 # cross the wire), so quotas are charged here, per node
                 # partial, at the coordinator.
                 run_state.charge(
-                    rows=partial.num_rows, nbytes=attempt_stats.bytes_read
+                    rows=_rows(partial), nbytes=attempt_stats.bytes_read
                 )
             return partial
 
-        def attempt_bounded(node: str, attempt_stats: IOStats) -> VirtualTable:
+        def attempt_bounded(node: str, attempt_stats: IOStats) -> List[Block]:
             # A hung attempt cannot be interrupted from outside, so it
             # runs on a sacrificial thread we abandon on timeout (it
             # ends when its blocking read does, still writing into an
@@ -446,8 +522,9 @@ class QueryService:
 
             def work() -> None:
                 try:
-                    box["result"] = self.transport.execute_node(
-                        node, plan, by_node[node], attempt_stats, tracer, opts
+                    box["result"] = self.transport.node_blocks(
+                        node, plan, by_node[node], attempt_stats, tracer,
+                        opts, landing.get(node),
                     )
                 except BaseException as exc:  # noqa: BLE001 - relayed below
                     box["error"] = exc
@@ -481,8 +558,8 @@ class QueryService:
                 raise error  # type: ignore[misc]
             return box["result"]  # type: ignore[return-value]
 
-        def run_node(node: str) -> Optional[VirtualTable]:
-            """The node's partial, or None once its failure is recorded."""
+        def run_node(node: str) -> Optional[List[Block]]:
+            """The node's blocks, or None once its failure is recorded."""
             try:
                 # Pool threads have an empty span stack, so the context
                 # parents the per-node span under the query root; on
@@ -499,7 +576,7 @@ class QueryService:
                         attempts_allowed,
                     )
                     span.tag(
-                        rows=partial.num_rows,
+                        rows=_rows(partial),
                         bytes_read=per_node_stats[node].bytes_read,
                         attempts=attempts[node],
                     )
@@ -535,7 +612,19 @@ class QueryService:
             raise failures[failed_nodes[0]]
         partials = [p for p in maybe_partials if p is not None]
 
-        table = concat_tables(partials) if partials else empty_result(plan)
+        with tracer.span("merge", nodes=len(partials)) as span:
+            tiled = buffers is not None and not failed_nodes and all(
+                len(blocks) == 1 and blocks[0][0] is landing[node]
+                for node, blocks in zip(nodes, maybe_partials)
+            )
+            if tiled:
+                table = VirtualTable(buffers)
+            else:
+                table = _merge(plan, partials)
+            if tracer.enabled:
+                copied = 0 if tiled else _copied_bytes(table, partials)
+                span.tag(rows=table.num_rows, tiled=tiled, copied_bytes=copied)
+                tracer.metrics.record("merge.copied_bytes", copied)
         return table, per_node_stats, failed_nodes
 
     def _retried(

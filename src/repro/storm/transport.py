@@ -10,6 +10,14 @@ DataSourceService` in this process (:class:`LocalTransport`, the
 query over a socket to a node server process that plans its own share
 (:class:`repro.net.client.TcpTransport`, the ``tcp://`` path).
 
+The query service merges through :meth:`Transport.node_blocks`, the
+internal seam under ``execute_node``: a node's partial as the blocks the
+coordinator's one merge concatenates — a local node's finished blocks,
+still views of its segment cache, or a remote reply that landed in the
+region of a result buffer the coordinator allocated for it.  The base
+implementation wraps ``execute_node``, so any other transport merges as
+one block per node.
+
 ``LocalTransport`` owns what used to live directly on ``QueryService``:
 the lazily-built per-node service map and its construction lock.  The
 service keeps delegating ``sources`` so existing callers and tests see
@@ -19,9 +27,12 @@ the same objects.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ..core.afc import AlignedFileChunkSet, ExtractionPlan
+from ..core.kernels import Block
 from ..core.stats import IOStats
 from ..core.table import VirtualTable
 from ..obs.tracer import NULL_TRACER
@@ -43,6 +54,11 @@ class Transport:
     #: a process boundary.
     cooperative_quotas = False
 
+    #: True when ``node_blocks`` can land a row reply in a region of the
+    #: coordinator's result buffer (``landing``); False makes the query
+    #: service allocate none.
+    lands_replies = False
+
     def execute_node(
         self,
         node: str,
@@ -60,6 +76,35 @@ class Transport:
         from one worker thread per node (plus retry attempts).
         """
         raise NotImplementedError
+
+    def node_blocks(
+        self,
+        node: str,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        stats: IOStats,
+        tracer=NULL_TRACER,
+        options=None,
+        landing: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> List[Block]:
+        """One node's partial as the ``(columns, rows)`` blocks the query
+        service merges, in row order: a row plan's blocks, none when the
+        node kept no row; an aggregate plan's one block, its partial
+        state frame (a table).
+
+        ``landing``, offered only to a transport that ``lands_replies``
+        and only for a row plan whose every planned row is kept, maps
+        each output column to this node's region of the result buffer:
+        its planned rows, native byte order.  A transport that filled
+        it returns ``[(landing, rows)]`` — the mapping itself — and the
+        query service then copies nothing.  The base implementation
+        ignores it and returns ``execute_node``'s table as one block.
+        Thread-safety as for ``execute_node``.
+        """
+        table = self.execute_node(node, plan, afcs, stats, tracer, options)
+        if table.num_rows or plan.aggregate is not None:
+            return [(table, table.num_rows)]
+        return []
 
     def drop_caches(self) -> None:
         """Forget per-node handle/segment caches (cold-run mode)."""
@@ -128,6 +173,25 @@ class LocalTransport(Transport):
         options=None,
     ) -> VirtualTable:
         return self.source(node).execute(plan, afcs, stats, tracer, options)
+
+    def node_blocks(
+        self,
+        node: str,
+        plan: ExtractionPlan,
+        afcs: Sequence[AlignedFileChunkSet],
+        stats: IOStats,
+        tracer=NULL_TRACER,
+        options=None,
+        landing=None,
+    ) -> List[Block]:
+        """A row plan's finished blocks as the node produced them —
+        views of its segment-cache entries where every row was kept;
+        the coordinator's merge is their one copy."""
+        if plan.aggregate is not None:
+            return super().node_blocks(node, plan, afcs, stats, tracer, options)
+        return list(
+            self.source(node).parts(plan, afcs, stats, tracer, options)
+        )
 
     def drop_caches(self) -> None:
         with self._sources_lock:

@@ -18,7 +18,13 @@ draws from these instead of growing its own ``random.Random`` generator:
   bindings of it, drawn from literals that steer the rewrite: equal and
   reversed bounds, integral floats, ``1e999``, ``-0.0``, ints beyond
   2**53, strings, IN lists with duplicates, BETWEEN/NOT/OR, ``X-1``
-  next to ``X - 1``, ``--`` comments and non-ASCII digits.
+  next to ``X - 1``, ``--`` comments and non-ASCII digits;
+* :func:`merge_axes` — what a multi-node result's merge must not be
+  changed by: transport and node count, the plan's kind (a WHERE the
+  index decides, a residual one, an aggregate, no AFC at all), a node
+  lost under ``allow_partial`` or retried after its reply failed
+  midway, intra-node workers, result-cache mode (widened plans),
+  big-endian columns and reply frame size.
 """
 
 from __future__ import annotations
@@ -301,3 +307,55 @@ def shape_literals(holes: int):
         st.sampled_from(SHAPE_ODD),
     )
     return st.lists(pool, min_size=holes, max_size=holes)
+
+
+# ---------------------------------------------------------------------------
+# The merge
+# ---------------------------------------------------------------------------
+
+TRANSPORTS = ("local", "tcp")
+#: Several nodes first: a lone node's table is the result as it is.
+NODE_COUNTS = (2, 3, 1)
+#: ``decided``: a REL/TIME window the index settles, every planned row
+#: kept (a tcp reply may land in the result buffer); ``residual``: the
+#: window and a stored-attribute conjunct, which may empty whole nodes;
+#: ``aggregate``: per-node state frames; ``empty``: a window no AFC is in.
+PLAN_KINDS = ("decided", "residual", "aggregate", "empty")
+#: ``lost``: a node down, dropped under ``allow_partial``; ``retried``:
+#: a node whose first reply fails midway (a reset after its first frame
+#: over tcp, a disk failing after two chunks locally), retried.
+MERGE_FAULTS = ("none", "lost", "retried")
+CACHE_MODES = ("off", "exact", "subsume")
+#: Reply frames of a few rows, and of whole replies.
+FRAME_ROWS = (5, 65536)
+
+
+@dataclasses.dataclass(frozen=True)
+class MergeAxes:
+    transport: str
+    nodes: int
+    plan: str
+    fault: str
+    #: Index of the node the fault hits.
+    faulty: int
+    workers: int
+    cache_mode: str
+    big_endian: bool
+    batch_rows: int
+
+
+@st.composite
+def merge_axes(draw) -> MergeAxes:
+    """One point of the merge's axes."""
+    nodes = draw(st.sampled_from(NODE_COUNTS))
+    return MergeAxes(
+        draw(st.sampled_from(TRANSPORTS)),
+        nodes,
+        draw(st.sampled_from(PLAN_KINDS)),
+        draw(st.sampled_from(MERGE_FAULTS)),
+        draw(st.integers(0, nodes - 1)),
+        draw(st.sampled_from(WORKERS)),
+        draw(st.sampled_from(CACHE_MODES)),
+        draw(st.booleans()),
+        draw(st.sampled_from(FRAME_ROWS)),
+    )

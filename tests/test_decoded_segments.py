@@ -40,7 +40,7 @@ from repro.core import CompiledDataset, ExecOptions, GeneratedDataset, local_mou
 from repro.core import extractor as extractor_module
 from repro.core.afc import group_by_home_node
 from repro.core.extractor import (
-    Extractor, _Decoded, _Group, _SegmentCache, _transpose,
+    AfcReader, Extractor, _Decoded, _Group, _SegmentCache, _transpose,
 )
 from repro.core.kernels import KernelCache
 from repro.core.stats import IOStats
@@ -410,6 +410,96 @@ def test_a_raw_read_never_sees_a_decoded_entry(specs):
         # Read again from the file, and the decoded entry left in place.
         assert (stats.read_calls, stats.cache_hits) == (1, 0)
         assert extractor._segments._segments[key] is entry
+
+
+# ---------------------------------------------------------------------------
+# Coalesce planning at a call's first miss
+# ---------------------------------------------------------------------------
+
+PLANNED = "SELECT X, Y, SOIL FROM IparsData WHERE TIME > 2 AND SOIL > 0.3"
+
+
+def eager_reader_for(self, plan, afcs, tracer=NULL_TRACER,
+                     coalesce_gap_bytes=0, node=None):
+    """The reader a call got when it planned before its first read."""
+    columns = plan.extracted
+    return AfcReader(
+        self, columns, plan.dtypes, tracer,
+        self.coalesce_for(afcs, columns, coalesce_gap_bytes), node,
+    )
+
+
+def planned_runs(ipars_l0, monkeypatch, cache_bytes, eager=False):
+    """Per pass (cold, then warm) of one node's query, its ``IOStats``
+    and how often ``coalesce_for`` ran."""
+    _, text, mount = ipars_l0
+    plan = CompiledDataset(text).plan(PLANNED)
+    afcs = group_by_home_node(plan.afcs)["osu0"]
+    calls = []
+    coalesce_for = Extractor.coalesce_for
+
+    def counted(self, *args):
+        calls.append(1)
+        return coalesce_for(self, *args)
+
+    passes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Extractor, "coalesce_for", counted)
+        if eager:
+            patch.setattr(Extractor, "reader_for", eager_reader_for)
+        source = DataSourceService(
+            "osu0", mount, FilteringService(), segment_cache_bytes=cache_bytes
+        )
+        try:
+            for _ in range(2):
+                stats = IOStats()
+                source.execute(plan, afcs, stats, NULL_TRACER, ExecOptions())
+                passes.append((stats, len(calls)))
+                calls.clear()
+        finally:
+            source.close()
+    return passes
+
+
+@pytest.mark.parametrize("cache_bytes", [32 * 1024 * 1024, 300], ids=["whole", "tiny"])
+def test_a_call_plans_its_reads_at_its_first_miss(
+    ipars_l0, monkeypatch, cache_bytes
+):
+    lazy = planned_runs(ipars_l0, monkeypatch, cache_bytes)
+    eager = planned_runs(ipars_l0, monkeypatch, cache_bytes, eager=True)
+    (cold, cold_plans), (warm, warm_plans) = lazy
+    assert cold.reads_coalesced and cold_plans == 1
+    if cache_bytes == 300:
+        # Nothing stays cached: the warm call misses and plans too.
+        assert warm.read_calls and warm_plans == 1
+    else:
+        # Every chunk hits: no read, no plan.
+        assert warm.read_calls == 0 and warm_plans == 0
+    for (got, _), (want, plans) in zip(lazy, eager):
+        assert plans == 1
+        assert got == want
+
+
+def test_a_call_begun_before_drop_caches_leaves_nothing_cached(ipars_l0):
+    # A query still reading when the caches are dropped (a node thread
+    # left running by a quota trip or a cancel) must not fill the cache
+    # the next query starts from.
+    _, text, mount = ipars_l0
+    plan = CompiledDataset(text).plan(PLANNED)
+    afcs = group_by_home_node(plan.afcs)["osu0"]
+    part = afcs.parts[0]
+    with Extractor(mount) as extractor:
+        early = extractor.reader_for(plan, afcs, coalesce_gap_bytes=64 * 1024)
+        extractor.drop_caches()
+        got = early.columns(part, 0, len(part), IOStats())
+        assert not extractor._segments._segments
+        assert_bounded(extractor)
+        stats = IOStats()
+        late = extractor.reader_for(plan, afcs, coalesce_gap_bytes=64 * 1024)
+        want = late.columns(part, 0, len(part), stats)
+        assert stats.read_calls and extractor._segments._segments
+        for name, column in want.items():
+            assert got[name].tobytes() == column.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -881,7 +881,7 @@ class TestFirstNodeOnCaller:
                 db = stack.enter_context(
                     repro.connect(f"local://{root}", descriptor=text)
                 )
-            seen = spy_threads(monkeypatch, db.service.transport, "execute_node")
+            seen = spy_threads(monkeypatch, db.service.transport, "node_blocks")
             assert db.submit(SCAN, LOCAL).num_rows == TOTAL_ROWS
         assert seen["osu0"] == threading.current_thread().name
         assert seen["osu1"].startswith("storm-node")
