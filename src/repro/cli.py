@@ -34,6 +34,8 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .core.codegen import GeneratedDataset, generate_index_source
 from .core.extractor import local_mount
 from .core.planner import CompiledDataset
@@ -227,26 +229,35 @@ def cmd_verify_data(args) -> int:
     fresh = build_summaries(dataset, mount)
     mismatches = 0
     checked = 0
-    for key, bounds in fresh._bounds.items():
+    for key in fresh.keys():
         checked += 1
         old = persisted.bounds(key)
         if old is None:
             print(f"MISSING summary for chunk {key}")
             mismatches += 1
             continue
-        for attr, (lo, hi) in bounds.items():
-            if attr not in old or abs(old[attr][0] - lo) > 1e-9 or abs(
-                old[attr][1] - hi
-            ) > 1e-9:
+        for attr, (lo, hi) in fresh.bounds(key).items():
+            if attr not in old or not (
+                _same_bound(old[attr][0], lo) and _same_bound(old[attr][1], hi)
+            ):
                 print(f"STALE  {key} {attr}: stored {old.get(attr)} "
                       f"!= actual ({lo}, {hi})")
                 mismatches += 1
     # Orphans are keys persisted but not recomputed; counting by length
     # alone lets a missing chunk and a stale key cancel out.
-    orphans = sum(1 for key in persisted._bounds if key not in fresh)
+    orphans = sum(1 for key in persisted.keys() if key not in fresh)
     print(f"checked {checked} chunks: {mismatches} mismatch(es)"
           + (f", {orphans} orphaned summaries" if orphans else ""))
     return 1 if mismatches or orphans else 0
+
+
+def _same_bound(stored, actual) -> bool:
+    """Whether a persisted bound, cast to the fresh bound's dtype, is
+    that bound exactly (NaN equal to NaN): any other difference prunes
+    some query differently."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        cast = np.array(stored).astype(actual.dtype)
+    return bool(cast == actual or (cast != cast and actual != actual))
 
 
 def cmd_query(args) -> int:

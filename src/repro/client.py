@@ -37,12 +37,11 @@ import os
 import threading
 from typing import List, Optional, Tuple, Union
 
-from .core.analysis import ChunkSummaries
 from .core.codegen import GeneratedDataset, plan_identity
 from .core.options import ExecOptions
 from .core.table import VirtualTable, batched
 from .errors import StormError
-from .index.summaries import load_sidecar_summaries
+from .index.summaries import MinMaxSummaries, load_sidecar_summaries
 from .metadata.descriptor import parse_descriptor
 from .sql.functions import FunctionRegistry
 from .storm.cluster import VirtualCluster
@@ -208,7 +207,7 @@ def connect(
     options: Optional[ExecOptions] = None,
     functions: Optional[FunctionRegistry] = None,
     fault_injector=None,
-    summaries: Optional[ChunkSummaries] = None,
+    summaries: Optional[MinMaxSummaries] = None,
     **exec_options,
 ) -> Client:
     """Open a :class:`Client` for a ``local://`` or ``tcp://`` endpoint.

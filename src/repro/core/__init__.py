@@ -18,7 +18,6 @@ from .aggregate import (
 )
 from .analysis import (
     Alignment,
-    ChunkSummaries,
     compute_alignment,
     consistent_group,
     enumerate_afcs,
@@ -47,7 +46,6 @@ __all__ = [
     "AlignedFileChunkSet",
     "Alignment",
     "ChunkRef",
-    "ChunkSummaries",
     "CompiledDataset",
     "DEFAULT_OPTIONS",
     "ExecOptions",

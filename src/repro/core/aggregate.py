@@ -393,37 +393,39 @@ def summary_answer(plan, summaries) -> Optional[VirtualTable]:
             order=list(spec.output),
         )
 
-    def attr_bounds(attr: str) -> Optional[Tuple[float, float]]:
-        """(min, max) of ``attr`` across every planned AFC, or None."""
-        lo = hi = None
+    def attr_bounds(attr: str) -> Optional[Tuple[object, object]]:
+        """(min, max) of ``attr`` across every planned AFC, or None: the
+        parts' implicit hulls and their member chunks' summary columns,
+        reduced by ``np.min``/``np.max`` in the field's dtype, so a NaN
+        propagates as extraction's MIN/MAX propagates it."""
+        lows: List[np.ndarray] = []
+        highs: List[np.ndarray] = []
         for part in plan.afcs.parts:
             implicit = part.implicit_bounds(attr)
-            per_afc: List[Tuple[float, float]] = []
             if implicit is not None:
-                per_afc.append(implicit)
-            else:
-                stored = [
-                    (j, m) for j, m in enumerate(part.layout.members)
-                    if attr in m.strip.attrs
-                ]
-                if not stored or summaries is None:
+                lows.append(np.array([implicit[0]]))
+                highs.append(np.array([implicit[1]]))
+                continue
+            stored = [
+                (j, m) for j, m in enumerate(part.layout.members)
+                if attr in m.strip.attrs
+            ]
+            if not stored or summaries is None:
+                return None
+            for j, m in stored:
+                zone = summaries.gather(
+                    m.node, m.path, (attr,), part.offsets[:, j]
+                ).get(attr)
+                if zone is None or not zone[0].all():
                     return None
-                for offsets in part.lists()[1]:
-                    a_lo = a_hi = None
-                    for j, m in stored:
-                        entry = summaries.bounds((m.node, m.path, offsets[j]))
-                        if entry is None or attr not in entry:
-                            return None
-                        c_lo, c_hi = entry[attr]
-                        a_lo = c_lo if a_lo is None else min(a_lo, c_lo)
-                        a_hi = c_hi if a_hi is None else max(a_hi, c_hi)
-                    per_afc.append((a_lo, a_hi))
-            for a_lo, a_hi in per_afc:
-                lo = a_lo if lo is None else min(lo, a_lo)
-                hi = a_hi if hi is None else max(hi, a_hi)
-        if lo is None:
+                lows.append(zone[1])
+                highs.append(zone[2])
+        if not lows:
             return None
-        return lo, hi
+        return (
+            np.min(np.concatenate(lows)).item(),
+            np.max(np.concatenate(highs)).item(),
+        )
 
     columns: Dict[str, np.ndarray] = {}
     for item in spec.items:

@@ -22,12 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..errors import PlanningError
 from ..sql.ranges import Interval, IntervalSet, RangeMap
 from .afc import AlignedFileChunkSet, ChunkRef, InnerVar
 from .strips import LoopDim, PhysicalFile, Strip
+
+if TYPE_CHECKING:
+    from ..index.summaries import MinMaxSummaries
 
 
 # ---------------------------------------------------------------------------
@@ -220,34 +226,13 @@ def compute_alignment(
 # ---------------------------------------------------------------------------
 
 
-class ChunkSummaries:
-    """Interface for the chunk-summary index (see repro.index.summaries).
-
-    Maps a chunk key ``(node, path, offset)`` to per-attribute (min, max)
-    bounds for *stored* attributes.  ``None`` means "no summary known",
-    which never prunes.
-    """
-
-    def bounds(self, key) -> Optional[Dict[str, Tuple[float, float]]]:
-        raise NotImplementedError
-
-    def digest(self) -> str:
-        """Content hash: equal digests prune every query identically.
-
-        Only the ``tcp://`` path needs it — a coordinator and its node
-        servers compare digests at connect time, because each plans its
-        own share of a query and must prune alike.
-        """
-        raise NotImplementedError
-
-
 def enumerate_afcs(
     group: Sequence[PhysicalFile],
     env: Dict[str, int],
     alignment: Alignment,
     row_var_order: Sequence[str],
     ranges: RangeMap,
-    summaries: Optional[ChunkSummaries] = None,
+    summaries: Optional[MinMaxSummaries] = None,
     summary_attrs: Iterable[str] = (),
 ) -> List[AlignedFileChunkSet]:
     """Enumerate the aligned file chunk sets of one file group.
@@ -356,7 +341,7 @@ def _pruned_by_inner_bounds(afc: AlignedFileChunkSet, ranges: RangeMap) -> bool:
 def _pruned_by_summaries(
     afc: AlignedFileChunkSet,
     ranges: RangeMap,
-    summaries: ChunkSummaries,
+    summaries: MinMaxSummaries,
     summary_attrs: Sequence[str],
 ) -> bool:
     """Prune via persisted per-chunk min/max of stored indexed attributes."""
@@ -370,12 +355,16 @@ def _pruned_by_summaries(
 
 
 def chunk_pruned(
-    bounds: Optional[Mapping[str, Tuple[float, float]]],
+    bounds: Optional[Mapping[str, Tuple[Any, Any]]],
     attrs: Sequence[str],
     ranges: RangeMap,
 ) -> bool:
     """Whether one chunk's summary ``bounds`` (None: unknown) rule it out
-    on any of ``attrs`` — shared with the generated index's row mask."""
+    on any of ``attrs``: the reference the generated index's row mask
+    (:func:`~repro.core.codegen_runtime.summary_mask`) is tested against.
+    The bounds are scalars of the field's dtype, so the interval algebra
+    compares them with the range ends as the compiled kernel compares
+    the column with its literals; a NaN bound never rules a chunk out."""
     if bounds is None:
         return False
     for attr in attrs:

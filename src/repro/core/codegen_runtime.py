@@ -18,13 +18,15 @@ pruning is a row mask.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..sql.ranges import Interval, IntervalSet, RangeMap
 from .afc import AfcTable, GroupLayout, GroupTable, OuterLoop
-from .analysis import ChunkSummaries, chunk_pruned
+
+if TYPE_CHECKING:
+    from ..index.summaries import MinMaxSummaries
 
 Bound = Union[int, float]
 
@@ -181,30 +183,54 @@ def enumerate_group(
 def summary_mask(
     part: GroupTable,
     ranges: RangeMap,
-    summaries: ChunkSummaries,
+    summaries: MinMaxSummaries,
     relevant: Sequence[str],
 ) -> np.ndarray:
-    """Rows of ``part`` no member chunk's summary rules out."""
-    keep = [True] * len(part)
-    offsets = part.offsets
+    """Rows of ``part`` no member chunk's summary rules out: per member
+    storing a relevant attribute, one lookup of its offsets column, then
+    per attribute one test of the gathered bounds (:func:`zone_overlaps`).
+    A chunk without a summary never rules its row out."""
+    keep = np.ones(len(part), dtype=bool)
     for j, member in enumerate(part.layout.members):
         attrs = [a for a in relevant if a in member.strip.attrs]
         if not attrs:
             continue
-        for i, offset in enumerate(offsets[:, j].tolist()):
-            if keep[i] and chunk_pruned(
-                summaries.bounds((member.node, member.path, offset)),
-                attrs,
-                ranges,
-            ):
-                keep[i] = False
-    return np.array(keep, dtype=bool)
+        gathered = summaries.gather(
+            member.node, member.path, attrs, part.offsets[:, j]
+        )
+        for attr, (found, mins, maxs) in gathered.items():
+            keep &= ~found | zone_overlaps(ranges[attr], mins, maxs)
+    return keep
+
+
+def zone_overlaps(
+    allowed: IntervalSet, mins: np.ndarray, maxs: np.ndarray
+) -> np.ndarray:
+    """Per chunk, whether its ``[min, max]`` meets ``allowed``: ORed
+    over the set's intervals, ``maxs >= lo`` (``>`` when open) and
+    ``mins <= hi`` (``<`` when open).  These are numpy comparisons of
+    the field-dtype bounds with the range ends as Python scalars, as
+    :class:`~repro.core.kernels.CompiledPredicate` compares the column
+    with its literal, so a chunk fails only if the kernel would keep
+    none of its rows.  A NaN bound (the chunk holds a NaN) and a NaN
+    range end rule nothing out, as in the interval algebra."""
+    keep: np.ndarray = np.zeros(len(mins), dtype=bool)
+    if mins.dtype.kind == "f":
+        keep |= np.isnan(mins) | np.isnan(maxs)
+    for iv in allowed.intervals:
+        meets: np.ndarray = np.ones(len(mins), dtype=bool)
+        if iv.lo == iv.lo:
+            meets &= maxs > iv.lo if iv.lo_open else maxs >= iv.lo
+        if iv.hi == iv.hi:
+            meets &= mins < iv.hi if iv.hi_open else mins <= iv.hi
+        keep |= meets
+    return keep
 
 
 def index_groups(
     groups: Sequence[GroupLayout],
     ranges: RangeMap,
-    summaries: Optional[ChunkSummaries] = None,
+    summaries: Optional[MinMaxSummaries] = None,
     node: Optional[str] = None,
     summary_attrs: Sequence[str] = (),
 ) -> AfcTable:

@@ -269,20 +269,31 @@ class _Group:
             return self._bounds[name]
         except KeyError:
             pass
-        column = self.columns[name]
-        starts = np.asarray(self.starts, dtype=np.intp)
-        bounds = None
-        if (
-            column.dtype.kind in "iuf"
-            and starts[-1] < len(column)
-            and (len(starts) == 1 or (np.diff(starts) > 0).all())
-        ):
-            bounds = (
-                np.minimum.reduceat(column, starts).astype(column.dtype, copy=False),
-                np.maximum.reduceat(column, starts).astype(column.dtype, copy=False),
-            )
+        bounds = run_bounds(self.columns[name], self.starts)
         self._bounds[name] = bounds
         return bounds
+
+
+def run_bounds(
+    column: np.ndarray, starts: Sequence[int]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Per run of ``column`` beginning at each of ``starts`` (the last
+    run ends with the column), its min and its max, in the column's own
+    dtype: one ``reduceat`` each — or None for a non-numeric column or
+    an empty run.  A run holding a NaN has NaN bounds.  The segment
+    cache's zone maps and the persisted chunk summaries both come from
+    here."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if (
+        column.dtype.kind not in "iuf"
+        or starts[-1] >= len(column)
+        or (len(starts) > 1 and not (np.diff(starts) > 0).all())
+    ):
+        return None
+    return (
+        np.minimum.reduceat(column, starts).astype(column.dtype, copy=False),
+        np.maximum.reduceat(column, starts).astype(column.dtype, copy=False),
+    )
 
 
 class _Decoded:

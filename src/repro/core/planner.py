@@ -23,8 +23,9 @@ from typing import (
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle (diag imports sql)
+if TYPE_CHECKING:  # pragma: no cover - import cycles
     from ..diag.core import Collector
+    from ..index.summaries import MinMaxSummaries
 
 from ..errors import PlanningError, QueryValidationError
 from ..metadata.descriptor import Descriptor, parse_descriptor
@@ -37,7 +38,6 @@ from ..sql.textcache import QueryTextCache
 from .afc import AfcTable, ExtractionPlan
 from .analysis import (
     Alignment,
-    ChunkSummaries,
     compute_alignment,
     enumerate_afcs,
     match_file,
@@ -75,7 +75,7 @@ class CompiledDataset:
     def __init__(
         self,
         descriptor: Union[Descriptor, str],
-        summaries: Optional[ChunkSummaries] = None,
+        summaries: Optional[MinMaxSummaries] = None,
         chunk_row_cap: Optional[int] = None,
         lazy_groups: bool = False,
     ):

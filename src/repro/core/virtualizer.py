@@ -26,14 +26,13 @@ code ``QueryService.submit`` runs.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
 
 from ..metadata.descriptor import Descriptor, parse_descriptor
 from ..metadata.schema import Schema
 from ..sql.ast import Query
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from .afc import ExtractionPlan
-from .analysis import ChunkSummaries
 from .codegen import GeneratedDataset
 from .extractor import Extractor, Mount, local_mount
 from .options import DEFAULT_OPTIONS, ExecOptions
@@ -41,6 +40,9 @@ from .pipeline import Answer, QueryPipeline, sql_tag
 from .planner import CompiledDataset
 from .stats import IOStats
 from .table import VirtualTable, batched
+
+if TYPE_CHECKING:
+    from ..index.summaries import MinMaxSummaries
 
 #: The name this single-extractor front door's work is accounted under
 #: in :attr:`~repro.core.pipeline.Answer.per_node_stats`.
@@ -56,7 +58,7 @@ class Virtualizer:
         mount: Mount,
         functions: Optional[FunctionRegistry] = None,
         use_codegen: bool = True,
-        summaries: Optional[ChunkSummaries] = None,
+        summaries: Optional[MinMaxSummaries] = None,
         codegen_path: Optional[Union[str, "os.PathLike"]] = None,
         segment_cache_bytes: int = 32 * 1024 * 1024,
         chunk_row_cap: Optional[int] = None,

@@ -288,6 +288,10 @@ def _extract(node: Node, negated: bool) -> RangeMap:
         numeric = [v for v in node.values if isinstance(v, (int, float))]
         if len(numeric) != len(node.values):
             return {}
+        if any(isinstance(v, float) for v in numeric):
+            # One float makes the kernel compare every value as a float
+            # (``in_list_mask``): 2**53 + 1 matches 2**53 there.
+            numeric = [float(v) for v in numeric]
         return {node.operand.name: IntervalSet.points(numeric)}
 
     if isinstance(node, Between):

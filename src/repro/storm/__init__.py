@@ -1,8 +1,11 @@
 """STORM runtime: the service suite of the paper's Section 2.3.
 
-Query service, data source service, indexing service, filtering service,
-partition generation service, and data mover service, running over a
-virtual cluster with a deterministic cost model.
+Query service, data source service, filtering service, partition
+generation service, and data mover service, running over a virtual
+cluster with a deterministic cost model.  The indexing service is the
+dataset's index function (``CompiledDataset.index``, generated or
+interpreted) with :func:`~repro.core.afc.group_by_home_node` assigning
+each AFC to the node holding its chunks.
 """
 
 from ..core.stats import IOStats
@@ -11,7 +14,6 @@ from .cluster import VirtualCluster, VirtualNode
 from .cost import POSTGRES_COST, STORM_COST, CostModel
 from .data_source import DataSourceService
 from .filtering import FilteringService
-from .indexing_service import IndexingService
 from .mover import DataMoverService, Delivery
 from .partition import (
     BlockPartitioner,
@@ -33,7 +35,6 @@ __all__ = [
     "FilteringService",
     "HashPartitioner",
     "IOStats",
-    "IndexingService",
     "POSTGRES_COST",
     "Partitioner",
     "QueryResult",

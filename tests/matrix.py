@@ -8,8 +8,9 @@ draws from these instead of growing its own ``random.Random`` generator:
   coalescing gap, fused-block size and intra-node workers;
 * :func:`where_terms` — a WHERE conjunction over stored attributes whose
   terms chunk bounds may refute (ordered comparisons of a column with a
-  literal, either way round) mixed with terms that never refute
-  (``!=``, ``NOT``, ``OR``);
+  literal, either way round) mixed with terms a cached chunk's bounds
+  never refute but persisted summaries may (``!=``, ``NOT``, ``OR``,
+  ``[NOT] IN`` lists, ``[NOT] BETWEEN``);
 * :func:`chunk_columns` — per-chunk column values with adversarial
   bounds: NaN, +-inf, all-equal chunks, -0.0 beside +0.0, int64 beyond
   2**53, float32 values whose neighbours straddle a decimal literal,
@@ -111,9 +112,11 @@ def where_terms(
         attr = draw(st.sampled_from(names))
         lit = draw(_literals(attr, spans, extra))
         op = draw(st.sampled_from(ORDERED))
-        kind = draw(st.sampled_from(
-            ["col-op-lit", "col-op-lit", "lit-op-col", "ne", "not", "or"]
-        ))
+        kind = draw(st.sampled_from([
+            "col-op-lit", "col-op-lit", "lit-op-col", "ne", "not", "or",
+            "in", "between",
+        ]))
+        neg = draw(st.sampled_from(("", "", "NOT ")))
         if kind == "col-op-lit":
             terms.append(f"{attr} {op} {lit}")
         elif kind == "lit-op-col":
@@ -122,6 +125,12 @@ def where_terms(
             terms.append(f"{attr} != {lit}")
         elif kind == "not":
             terms.append(f"NOT ({attr} {op} {lit})")
+        elif kind == "in":
+            more = draw(st.lists(_literals(attr, spans, extra), max_size=2))
+            terms.append(f"{attr} {neg}IN ({', '.join([lit, *more])})")
+        elif kind == "between":
+            hi = draw(_literals(attr, spans, extra))
+            terms.append(f"{attr} {neg}BETWEEN {lit} AND {hi}")
         else:
             other = draw(st.sampled_from(names))
             lit2 = draw(_literals(other, spans, extra))
@@ -176,6 +185,15 @@ def chunk_literals(dtype: np.dtype) -> List[str]:
     """Literal texts worth comparing a column of ``dtype`` with: its
     adversarial values and the decimals between float neighbours."""
     texts = ["0", "1", "-1", "0.1", "-0.0", "0.0", "1.5", "2.5"]
+    if dtype.kind == "f":
+        # float32(0.1) written out exactly, and its float32 neighbours.
+        tiny = np.float32(0.1)
+        texts += [
+            literal_text(float(v)) for v in (
+                tiny, np.nextafter(tiny, np.float32(1)),
+                np.nextafter(tiny, np.float32(0)),
+            )
+        ]
     if dtype.kind in "iu" and dtype.itemsize == 8:
         texts += [str(_BIG), str(_BIG + 1), f"{_BIG}.0", f"{_BIG + 2}.0"]
     return texts

@@ -278,6 +278,36 @@ class TestVerifyData:
         assert "MISSING" in out
         assert "1 orphaned summaries" in out
 
+    def test_a_bound_off_by_less_than_1e_9_is_stale(self, capsys, tmp_path):
+        # A stored min of 5e-10 over data whose min is 1e-12 wrongly
+        # prunes ``WHERE V < 1e-10``: bounds are compared exactly.
+        from tests.test_index_summaries import one_column_dataset
+
+        text, _ = one_column_dataset(
+            tmp_path, "double", [[1e-12, 0.5], [0.25, 0.75]]
+        )
+        desc = tmp_path / "d.desc"
+        desc.write_text(text)
+        summ_file = str(tmp_path / "summ.json")
+        code, _, _ = run(
+            capsys, "index-build", str(desc), "--root", str(tmp_path),
+            "-o", summ_file,
+        )
+        assert code == 0
+        args = ("verify-data", str(desc), "--root", str(tmp_path),
+                "--summaries", summ_file)
+        assert run(capsys, *args)[0] == 0
+        with open(summ_file) as handle:
+            payload = json.load(handle)
+        bounds = payload["chunks"][0]["bounds"]["V"]
+        assert bounds[0] == 1e-12
+        bounds[0] = 5e-10
+        with open(summ_file, "w") as handle:
+            json.dump(payload, handle)
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert "STALE" in out and "1 mismatch(es)" in out
+
     def test_missing_summary_file(self, capsys, titan_files):
         _, desc, root, _, _ = titan_files
         code, _, err = run(

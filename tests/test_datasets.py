@@ -144,7 +144,7 @@ class TestTitanGenerator:
         config, text, mount, summaries = titan_small
         # Each chunk's X extent is one lattice cell wide.
         cell_w = config.extent[0] / config.chunks_x
-        for key in list(summaries._bounds)[:10]:
+        for key in list(summaries.keys())[:10]:
             lo, hi = summaries.bounds(key)["X"]
             assert hi - lo <= cell_w
 

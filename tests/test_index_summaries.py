@@ -1,17 +1,101 @@
-"""Tests for per-chunk min/max summaries (the Titan spatial index)."""
+"""Per-chunk min/max summaries: the columnar zone map of stored attributes.
+
+``MinMaxSummaries`` keeps, per summarised ``(node, path, attr)``, the
+chunks' sorted offsets and each chunk's min and max in the field's own
+dtype.  The generated index prunes with one vectorised interval test of
+the gathered bounds (``codegen_runtime.summary_mask``); the interpreted
+index tests chunk by chunk over ``bounds(key)`` (``chunk_pruned``); the
+summary fast path of COUNT/MIN/MAX reduces the gathered columns.
+
+Besides the pieces, the differential matrix at the end crosses Titan and
+a two-strip layout over adversarial chunk values drawn from
+``tests/matrix.py`` and checks three properties: pruning with summaries
+never changes a result (vectorize on and off, generated and
+interpreted); the generated index's table equals the interpreted one
+row for row; and the summary answer of COUNT/MIN/MAX equals extraction,
+dtype included.
+"""
+
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from repro.core import CompiledDataset, Extractor, Virtualizer
-from repro.core.stats import IOStats
-from repro.errors import ReproError
-from repro.index import (
-    MinMaxSummaries,
-    build_summaries,
-    load_or_build_summaries,
-    summaries_path,
+from repro.baselines import HandwrittenTitan
+from repro.core import (
+    CompiledDataset, ExecOptions, Extractor, GeneratedDataset, Virtualizer,
+    local_mount, summary_answer,
 )
+from repro.core.stats import IOStats
+from repro.datasets.writers import write_dataset
+from repro.errors import ReproError
+from repro.index import MinMaxSummaries, build_summaries
+from repro.sql import parse_where
+from repro.sql.ranges import extract_ranges
+from tests.matrix import (
+    BOUND_DTYPES, chunk_columns, chunk_literals, where_over, where_terms,
+)
+
+_BIG = 2**53
+_TINY = np.float32(0.1)
+
+
+def one_column_dataset(root, type_name, chunks, extra_strip=False):
+    """Dataset ``D`` of one file: per chunk ``T = 1..``, its rows of
+    ``V`` (type ``type_name``, DATAINDEX), every chunk as long as the
+    longest (a chunk repeats its values, keeping its min, max and NaNs).
+    ``extra_strip`` puts a big-endian float strip ``A`` before each
+    chunk of ``V`` in the same file."""
+    rows = max(len(chunk) for chunk in chunks)
+    values = np.stack([np.resize(np.asarray(chunk), rows) for chunk in chunks])
+    strips = "LOOP G 0:%d:1 { A }\n      " % (rows - 1) if extra_strip else ""
+    other = "A = be float\n" if extra_strip else ""
+    text = f"""
+[S]
+T = int
+{other}V = {type_name}
+
+[D]
+DatasetDescription = S
+DIR[0] = n0/d
+
+DATASET "D" {{
+  DATAINDEX {{ T V }}
+  DATASPACE {{
+    LOOP T 1:{len(chunks)}:1 {{
+      {strips}LOOP G 0:{rows - 1}:1 {{ V }}
+    }}
+  }}
+  DATA {{ DIR[0]/v.bin }}
+}}
+"""
+
+    def value(attr, env, coords):
+        if attr == "A":
+            return coords["T"] * 10.0 + coords["G"]
+        return values[coords["T"] - 1, coords["G"]]
+
+    mount = local_mount(str(root))
+    write_dataset(CompiledDataset(text), mount, value)
+    return text, mount
+
+
+def rows_of(text, mount, sql, summaries, codegen=True, vectorize="on"):
+    with Virtualizer(
+        text, mount, use_codegen=codegen, summaries=summaries
+    ) as v:
+        return v.query(sql, options=ExecOptions(vectorize=vectorize))
+
+
+WAYS = [
+    pytest.param(codegen, vectorize, id=f"{kind}-vectorize-{vectorize}")
+    for codegen, kind in ((True, "generated"), (False, "interpreted"))
+    for vectorize in ("on", "off")
+]
 
 
 class TestBuild:
@@ -21,6 +105,7 @@ class TestBuild:
         assert set(summaries.attrs) == {"X", "Y", "Z", "TIME"}
 
     def test_bounds_are_correct(self, titan_small):
+        # Exact, and in the field's dtype.
         config, text, mount, summaries = titan_small
         dataset = CompiledDataset(text)
         with Extractor(mount) as extractor:
@@ -30,13 +115,15 @@ class TestBuild:
                     afc, ["X", "Y", "TIME"], IOStats()
                 )
                 bounds = summaries.bounds(chunk.key)
-                assert bounds["X"][0] == pytest.approx(float(cols["X"].min()))
-                assert bounds["X"][1] == pytest.approx(float(cols["X"].max()))
-                assert bounds["TIME"][0] == float(cols["TIME"].min())
+                for attr in ("X", "TIME"):
+                    lo, hi = bounds[attr]
+                    assert lo.dtype == cols[attr].dtype.newbyteorder("=")
+                    assert lo == cols[attr].min() and hi == cols[attr].max()
 
     def test_unknown_key(self, titan_small):
         _, _, _, summaries = titan_small
         assert summaries.bounds(("nope", "x", 0)) is None
+        assert ("nope", "x", 0) not in summaries
 
     def test_requires_indexed_attrs(self, paper_dataset):
         # The IPARS example indexes only implicit attributes.
@@ -57,6 +144,16 @@ class TestBuild:
         with pytest.raises(ReproError, match="unknown"):
             build_summaries(dataset, mount, attrs=["GHOST"])
 
+    def test_columns_share_one_offsets_array_per_file(self, titan_small):
+        _, _, _, summaries = titan_small
+        zones = [
+            zone for (node, path, _), zone in summaries.zones.items()
+            if node == "osu0"
+        ]
+        assert len(zones) == 4
+        assert all(zone.offsets is zones[0].offsets for zone in zones)
+        assert (np.diff(zones[0].offsets) > 0).all()
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, titan_small, tmp_path):
@@ -65,26 +162,70 @@ class TestPersistence:
         summaries.save(path)
         loaded = MinMaxSummaries.load(path)
         assert len(loaded) == len(summaries)
-        key = next(iter(loaded._bounds))
-        assert loaded.bounds(key) == summaries.bounds(key)
+        assert loaded.digest() == summaries.digest()
+        for key in summaries.keys():
+            assert loaded.bounds(key) == summaries.bounds(key)
+        assert loaded.dtypes == summaries.dtypes
+        with open(path) as handle:
+            assert json.load(handle)["dtypes"]["X"] == "<f4"
 
-    def test_load_or_build(self, titan_small, tmp_path):
-        _, text, mount, _ = titan_small
-        dataset = CompiledDataset(text)
-        root = str(tmp_path)
-        first = load_or_build_summaries(dataset, mount, root)
-        assert len(first) > 0
-        import os
+    def test_integers_round_trip_exactly(self, tmp_path):
+        summaries = MinMaxSummaries.of(
+            {("n", "f", 0): {"V": (_BIG + 1, _BIG + 3)}}, {"V": "<i8"}
+        )
+        path = str(tmp_path / "summ.json")
+        summaries.save(path)
+        with open(path) as handle:
+            assert json.load(handle)["chunks"][0]["bounds"]["V"] == [
+                _BIG + 1, _BIG + 3,
+            ]
+        lo, hi = MinMaxSummaries.load(path).bounds(("n", "f", 0))["V"]
+        assert (int(lo), int(hi)) == (_BIG + 1, _BIG + 3)
+        assert lo.dtype == np.int64
 
-        assert os.path.exists(summaries_path(root, dataset.descriptor.name))
-        second = load_or_build_summaries(dataset, mount, root)
-        assert len(second) == len(first)
+    def test_digest_follows_content(self):
+        def make(hi, dtype="<f8"):
+            return MinMaxSummaries.of(
+                {("n", "f", 8): {"V": (0, hi)}, ("n", "f", 0): {"V": (0, 1)}},
+                {"V": dtype},
+            )
+
+        assert make(2).digest() == make(2).digest()
+        assert make(2).digest() != make(3).digest()
+        assert make(2).digest() != make(2, "<f4").digest()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99, "chunks": []}')
         with pytest.raises(ReproError, match="version"):
             MinMaxSummaries.load(str(path))
+
+    def test_a_file_without_dtypes_loads_as_float64(self, titan_small, tmp_path):
+        # Files written before the dtypes map held every bound as a
+        # float64: they load as those values and prune as they did.
+        config, text, mount, summaries = titan_small
+        path = str(tmp_path / "old.json")
+        summaries.save(path)
+        with open(path) as handle:
+            payload = json.load(handle)
+        del payload["dtypes"]
+        for entry in payload["chunks"]:
+            entry["bounds"] = {
+                attr: [float(lo), float(hi)]
+                for attr, (lo, hi) in entry["bounds"].items()
+            }
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        old = MinMaxSummaries.load(path)
+        assert set(old.dtypes.values()) == {np.dtype(np.float64)}
+        ranges = extract_ranges(parse_where(
+            f"X >= 0 AND X <= {config.extent[0] / 4} AND TIME < 1000"
+        ))
+        for kind in (CompiledDataset, GeneratedDataset):
+            got = kind(text, old).index(ranges)
+            want = kind(text, summaries).index(ranges)
+            assert list(got) == list(want)
+            assert 0 < len(got) < len(kind(text).index(ranges))
 
 
 class TestPruning:
@@ -117,14 +258,90 @@ class TestPruning:
                 for sql in queries:
                     assert vi.query(sql).num_rows == vp.query(sql).num_rows
 
-    def test_rtree_over_chunks(self, titan_small):
-        config, _, _, summaries = titan_small
-        tree = summaries.rtree(["X", "Y"])
-        assert len(tree) == config.total_chunks
-        hits = summaries.chunks_overlapping(
-            ["X", "Y"], ((0, config.extent[0] / 4), (0, config.extent[1] / 4))
+
+class TestBoundaries:
+    """Bounds kept as floats used to drop rows and misreport MIN/MAX."""
+
+    @pytest.mark.parametrize("codegen, vectorize", WAYS)
+    def test_a_float32_boundary_keeps_its_row(self, tmp_path, codegen, vectorize):
+        # float(float32(0.1)) > 0.1, yet the kernel compares in float32.
+        text, mount = one_column_dataset(tmp_path, "float", [[_TINY]])
+        summaries = build_summaries(CompiledDataset(text), mount)
+        sql = "SELECT V FROM D WHERE V <= 0.1"
+        plain = rows_of(text, mount, sql, None, codegen, vectorize)
+        pruned = rows_of(text, mount, sql, summaries, codegen, vectorize)
+        assert plain.num_rows == pruned.num_rows == 1
+
+    def test_handwritten_titan_keeps_a_float32_boundary(self, titan_small):
+        config, text, mount, summaries = titan_small
+        hand = HandwrittenTitan(config, summaries)
+        # A literal below a chunk's float32 min that rounds to it.
+        low = np.float32(min(
+            summaries.bounds(afc.chunks[0].key)["X"][0]
+            for afc in CompiledDataset(text).index({})
+        ))
+        literal = float(low) - float(np.spacing(low)) / 4
+        assert np.float32(literal) == low and literal < float(low)
+        sql = (
+            "SELECT X FROM TitanData WHERE X <= "
+            + np.format_float_positional(literal)
         )
-        assert 0 < len(hits) < config.total_chunks
+        with Extractor(mount) as extractor:
+            got = extractor.execute(hand.plan(sql))
+            everything = extractor.execute(
+                HandwrittenTitan(config, None).plan(sql)
+            )
+        assert got.num_rows == everything.num_rows >= 1
+
+    CHUNKS = [[_BIG + 1, _BIG + 2], [_BIG + 3, _BIG + 5], [_BIG + 7, _BIG + 9]]
+
+    @pytest.mark.parametrize("codegen, vectorize", WAYS)
+    def test_int64_beyond_2_53_keeps_its_rows(self, tmp_path, codegen, vectorize):
+        text, mount = one_column_dataset(tmp_path, "long", self.CHUNKS)
+        summaries = build_summaries(CompiledDataset(text), mount)
+        sql = f"SELECT V FROM D WHERE V <= {_BIG + 3}"
+        plain = rows_of(text, mount, sql, None, codegen, vectorize)
+        pruned = rows_of(text, mount, sql, summaries, codegen, vectorize)
+        assert plain.num_rows == pruned.num_rows == 3
+
+    @pytest.mark.parametrize("codegen, vectorize", WAYS)
+    def test_an_in_list_with_a_float_compares_as_floats(
+        self, tmp_path, codegen, vectorize
+    ):
+        # One float makes the kernel compare the list as float64, where
+        # 2**53 + 1 is 2**53: the chunk holding 2**53 keeps its rows.
+        text, mount = one_column_dataset(tmp_path, "long", [[_BIG], [7]])
+        summaries = build_summaries(CompiledDataset(text), mount)
+        sql = f"SELECT V FROM D WHERE V IN ({_BIG + 1}, 0.5)"
+        plain = rows_of(text, mount, sql, None, codegen, vectorize)
+        pruned = rows_of(text, mount, sql, summaries, codegen, vectorize)
+        assert plain.num_rows == pruned.num_rows == 1
+
+    @pytest.mark.parametrize("codegen", [True, False])
+    def test_int64_beyond_2_53_min_max_are_exact(self, tmp_path, codegen):
+        text, mount = one_column_dataset(tmp_path, "long", self.CHUNKS)
+        summaries = build_summaries(CompiledDataset(text), mount)
+        sql = "SELECT MIN(V), MAX(V), COUNT(*) FROM D"
+        kind = GeneratedDataset if codegen else CompiledDataset
+        answer = summary_answer(kind(text, summaries).plan(sql), summaries)
+        extracted = rows_of(text, mount, sql, None, codegen)
+        want = [int(extracted.column(n)[0]) for n in extracted.column_names]
+        assert want == [_BIG + 1, _BIG + 9, 6]
+        assert [int(answer.column(n)[0]) for n in answer.column_names] == want
+
+    @pytest.mark.parametrize("nan_chunk", [0, 1, 3])
+    def test_a_nan_chunk_makes_min_and_max_nan(self, tmp_path, nan_chunk):
+        chunks = [[k, k + 0.25] for k in range(4)]
+        chunks[nan_chunk] = [np.nan, nan_chunk + 0.25]
+        text, mount = one_column_dataset(tmp_path, "float", chunks)
+        summaries = build_summaries(CompiledDataset(text), mount)
+        sql = "SELECT MIN(V), MAX(V) FROM D"
+        answer = summary_answer(GeneratedDataset(text, summaries).plan(sql), summaries)
+        extracted = rows_of(text, mount, sql, None)
+        for name in extracted.column_names:
+            assert answer.column(name).dtype == extracted.column(name).dtype
+            assert np.isnan(answer.column(name)[0])
+            assert np.isnan(extracted.column(name)[0])
 
 
 class TestShortTailChunk:
@@ -134,7 +351,6 @@ class TestShortTailChunk:
 
     @pytest.fixture()
     def truncated(self, tmp_path):
-        from repro.core import local_mount
         from repro.datasets import TitanConfig, titan
 
         config = TitanConfig(
@@ -148,7 +364,7 @@ class TestShortTailChunk:
         afcs = dataset.index({})
         chunk = afcs[-1].chunks[-1]
         path = mount(chunk.node, chunk.path)
-        size = __import__("os").path.getsize(path)
+        size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size - chunk.bytes_per_row // 2)
         return config, dataset, mount
@@ -169,11 +385,10 @@ class TestShortTailChunk:
 
 class TestAttrsAcrossLayouts:
     """Regression: ``attrs`` used to report an arbitrary first chunk's
-    keys and the single-slot rtree cache thrashed on alternating attr
-    tuples."""
+    keys."""
 
     def make(self):
-        return MinMaxSummaries({
+        return MinMaxSummaries.of({
             ("n0", "a.dat", 0): {"X": (0.0, 1.0), "Y": (0.0, 2.0)},
             ("n0", "b.dat", 0): {"Y": (1.0, 3.0), "Z": (5.0, 9.0)},
         })
@@ -181,23 +396,100 @@ class TestAttrsAcrossLayouts:
     def test_attrs_is_sorted_union(self):
         assert self.make().attrs == ("X", "Y", "Z")
         # Insertion order of the bounds dict must not matter.
-        flipped = MinMaxSummaries({
+        flipped = MinMaxSummaries.of({
             ("n0", "b.dat", 0): {"Z": (5.0, 9.0)},
             ("n0", "a.dat", 0): {"X": (0.0, 1.0)},
         })
         assert flipped.attrs == ("X", "Z")
 
-    def test_rtree_cache_not_thrashed_by_alternating_attrs(self, titan_small):
-        _, _, _, summaries = titan_small
-        xy_1 = summaries.rtree(["X", "Y"])
-        z_1 = summaries.rtree(["Z"])
-        xy_2 = summaries.rtree(["X", "Y"])
-        z_2 = summaries.rtree(["Z"])
-        # Same objects: alternating lookups reuse both cached trees
-        # instead of rebuilding on every switch.
-        assert xy_1 is xy_2
-        assert z_1 is z_2
+    def test_each_chunk_reports_its_own_attrs(self):
+        summaries = self.make()
+        assert set(summaries.bounds(("n0", "a.dat", 0))) == {"X", "Y"}
+        assert set(summaries.bounds(("n0", "b.dat", 0))) == {"Y", "Z"}
+        assert len(summaries) == 2
 
-    def test_rtree_missing_attr_still_raises(self):
-        with pytest.raises(ReproError, match="no summary"):
-            self.make().rtree(["X", "Z"])
+
+# ---------------------------------------------------------------------------
+# The differential matrix
+# ---------------------------------------------------------------------------
+
+#: Descriptor type names of :data:`tests.matrix.BOUND_DTYPES`.
+TYPE_NAMES = {
+    np.dtype(code): name for code, name in [
+        ("<f4", "float"), (">f4", "be float"), ("<f8", "double"),
+        (">f8", "be double"), ("<i8", "long int"), (">i8", "be long int"),
+        ("<i4", "int"), ("u1", "unsigned char"),
+    ]
+}
+assert set(TYPE_NAMES) == {np.dtype(code) for code in BOUND_DTYPES}
+
+FAST_PATH = "SELECT COUNT(*), MIN({0}), MAX({0}) FROM {1}"
+
+
+def check_properties(text, mount, summaries, table, where, attr):
+    """Soundness, generated-equals-interpreted pruning, and the fast
+    path against extraction, for one WHERE over one dataset."""
+    sql = f"SELECT * FROM {table} WHERE {where}"
+    ranges = extract_ranges(parse_where(where))
+    unpruned = len(GeneratedDataset(text).index(ranges))
+    tables = {
+        kind: kind(text, summaries).index(ranges)
+        for kind in (GeneratedDataset, CompiledDataset)
+    }
+    assert list(tables[GeneratedDataset]) == list(tables[CompiledDataset]), where
+    assert len(tables[GeneratedDataset]) <= unpruned, where
+    event(f"pruned: {len(tables[GeneratedDataset]) < unpruned}")
+    want = rows_of(text, mount, sql, None, True, "off").canonical()
+    for codegen in (True, False):
+        for vectorize in ("on", "off"):
+            got = rows_of(text, mount, sql, summaries, codegen, vectorize)
+            got = got.canonical()
+            for name in want.column_names:
+                np.testing.assert_array_equal(
+                    got[name], want[name], err_msg=f"{where} {name}"
+                )
+    fast = FAST_PATH.format(attr, table)
+    answer = summary_answer(GeneratedDataset(text, summaries).plan(fast), summaries)
+    assert answer is not None, fast
+    extracted = rows_of(text, mount, fast, None)
+    for name in extracted.column_names:
+        assert answer.column(name).dtype == extracted.column(name).dtype, name
+        np.testing.assert_array_equal(
+            answer.column(name), extracted.column(name), err_msg=name
+        )
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_matrix_over_adversarial_chunks(data):
+    dtype, chunks = data.draw(chunk_columns(), label="chunks")
+    extra_strip = data.draw(st.booleans(), label="extra strip")
+    where = data.draw(where_over(["V"], {"V": chunk_literals(dtype)}), label="where")
+    with tempfile.TemporaryDirectory() as root:
+        text, mount = one_column_dataset(
+            root, TYPE_NAMES[dtype], chunks, extra_strip
+        )
+        summaries = build_summaries(CompiledDataset(text), mount)
+        assert summaries.dtypes["V"] == dtype.newbyteorder("=")
+        check_properties(text, mount, summaries, "D", where, "V")
+
+
+TITAN_SPANS = {
+    "X": (0.0, 40000.0), "Y": (0.0, 40000.0), "Z": (0.0, 400.0),
+    "TIME": (0.0, 10000.0),
+}
+
+
+@settings(
+    max_examples=25, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_matrix_over_titan(titan_small, data):
+    _, text, mount, summaries = titan_small
+    where = data.draw(where_terms(TITAN_SPANS), label="where")
+    attr = data.draw(st.sampled_from(["X", "Z"]), label="attr")
+    check_properties(text, mount, summaries, "TitanData", where, attr)

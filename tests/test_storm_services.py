@@ -10,13 +10,10 @@ from repro.storm import (
     BlockPartitioner,
     DataMoverService,
     FilteringService,
-    IndexingService,
     QueryService,
     RoundRobinPartitioner,
     VirtualCluster,
 )
-from repro.sql import parse_where
-from repro.sql.ranges import extract_ranges
 from tests.conftest import assert_tables_equal
 
 
@@ -122,25 +119,6 @@ class TestQueryService:
         _, _, _, service = storm
         result = service.submit("SELECT REL FROM IparsData WHERE TIME = 1")
         assert "rows" in result.summary() and "sim" in result.summary()
-
-
-class TestIndexingService:
-    def test_candidate_files(self, storm):
-        config, _, dataset, _ = storm
-        service = IndexingService(dataset)
-        ranges = extract_ranges(parse_where("REL = 0"))
-        files = service.candidate_files(ranges)
-        assert all(f.env.get("REL", 0) == 0 for f in files)
-        # coords files (no REL binding) always survive
-        assert any(f.leaf_name == "coords" for f in files)
-
-    def test_lookup_by_node(self, storm):
-        config, _, dataset, _ = storm
-        service = IndexingService(dataset)
-        by_node = service.lookup_by_node({})
-        assert set(by_node) == {f"osu{i}" for i in range(config.num_nodes)}
-        counts = {n: len(v) for n, v in by_node.items()}
-        assert len(set(counts.values())) == 1
 
 
 class TestMover:
