@@ -55,6 +55,7 @@ from .strips import Strip
 
 if TYPE_CHECKING:  # pragma: no cover - avoid import at module load
     from ..sql.ast import Query
+    from ..sql.ranges import RangeMap
     from .aggregate import AggregateSpec
 
 
@@ -225,11 +226,14 @@ class GroupLayout:
     the AFCs are enumerated over and the group's implicit-attribute
     hulls.  ``const_names`` name the per-row constant columns of a
     :class:`GroupTable` — the chunk loops ``env`` does not pin.
+    ``record_fields`` are the attributes of its members' record strips
+    (more than one attribute: the chunks an extractor caches decoded).
     """
 
     __slots__ = (
         "members", "env", "inner_vars", "num_rows", "outer", "hulls",
         "const_names", "home", "bytes_per_row", "base", "strides", "varying",
+        "record_fields",
     )
 
     def __init__(
@@ -253,6 +257,9 @@ class GroupLayout:
             const_names = [o[0] for o in self.outer if o[0] not in pinned]
         self.const_names = tuple(const_names)
         self.home = self.members[0].node if self.members else "local"
+        self.record_fields = frozenset(
+            a for m in self.members if len(m.strip.attrs) > 1 for a in m.strip.attrs
+        )
         self.bytes_per_row = np.array(
             [m.bytes_per_row for m in self.members], dtype=np.int64
         )
@@ -669,6 +676,12 @@ class ExtractionPlan:
     holds the ones it did — each true of every row of ``afcs`` (see
     :meth:`~repro.core.planner.CompiledDataset.plan`) — so applying
     ``query.where`` instead of ``where`` yields the same rows.
+
+    ``ranges`` are the per-attribute ranges the planner derived from
+    ``query.where`` (:func:`~repro.sql.ranges.extract_ranges`): what a
+    node tests its learned chunk bounds against
+    (:meth:`~repro.core.extractor.Extractor.prune`).  Empty: prune
+    nothing.
     """
 
     afcs: AfcTable
@@ -680,6 +693,7 @@ class ExtractionPlan:
     query: Optional["Query"] = None  # the rewritten query ``afcs`` came from
     chunk_row_cap: Optional[int] = None
     decided: Tuple[object, ...] = ()  # conjuncts settled by the index
+    ranges: "RangeMap" = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.afcs = AfcTable.of(self.afcs)

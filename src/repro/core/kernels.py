@@ -24,15 +24,6 @@ that every evaluation block reuses:
   :data:`SELECTION_SHARE` of the block it runs on the surviving rows
   alone (a selection vector: ``np.flatnonzero`` of the mask, its
   columns taken by index), writing its verdict back into the mask;
-* **chunk bounds** — a cheap root conjunct comparing a column with a
-  constant by ``<``, ``<=``, ``>`` or ``>=`` (either way round) is
-  tested once per chunk, before any row is, on the chunk's min or max
-  of that column (:meth:`CompiledPredicate.zone_keep`, over bounds the
-  segment cache keeps); a chunk it refutes is never decoded or
-  filtered.  The test is the conjunct's own closure run on the
-  favourable bound, so the bound is compared with the kernel's dtype
-  promotion and literal rounding; ``!=``, ``NOT``, ``OR``, ``IN`` and
-  function calls never refute, and a NaN bound refutes nothing;
 * **in-place boolean ops** — AND/OR/NOT combine into reusable
   per-thread mask buffers (``np.logical_and(..., out=...)``) instead of
   allocating a fresh array per AST node;
@@ -48,12 +39,10 @@ that every evaluation block reuses:
 Bit-identity with the interpreted oracle is by construction: every leaf
 uses the same elementwise operations (``ast._CMP``, ``in_list_mask``)
 as the oracle, so a row gets the same bits whether it is evaluated in
-the full block or among the survivors; an ordered comparison is
-monotone in the column value, so where a chunk's most favourable
-element fails a conjunct, every row of the chunk does; boolean
-combination is commutative so reordering cannot change bits; and early
-exit and the selection vector only skip rows an earlier conjunct
-already rejected, which no later term can bring back.  A term that evaluates to a
+the full block or among the survivors; boolean combination is
+commutative so reordering cannot change bits; and early exit and the
+selection vector only skip rows an earlier conjunct already rejected,
+which no later term can bring back.  A term that evaluates to a
 non-boolean array (no parser-produced predicate does) makes the kernel
 defer the whole block to the interpreted evaluator, so even degenerate
 hand-built trees agree exactly.
@@ -164,24 +153,19 @@ class _Conjunct:
     survive.  ``ewma`` is advisory only — it chooses evaluation *order*,
     never result bits — so it is updated without a lock; a lost update
     under concurrent blocks just leaves a slightly stale estimate.
-    ``zone`` is ``(column, use_max)`` for an ordered comparison of a
-    column with a constant, which chunk bounds can refute
-    (:meth:`CompiledPredicate.zone_keep`); None for every other term.
     """
 
-    __slots__ = ("fn", "expensive", "names", "zone", "ewma", "seen")
+    __slots__ = ("fn", "expensive", "names", "ewma", "seen")
 
     def __init__(
         self,
         fn: Callable[[_Ctx], MaskLike],
         expensive: bool,
         names: Tuple[str, ...],
-        zone: Optional[Tuple[str, bool]] = None,
     ):
         self.fn = fn
         self.expensive = expensive
         self.names = names
-        self.zone = zone
         self.ewma = 1.0
         self.seen = False
 
@@ -238,9 +222,7 @@ class CompiledPredicate:
                     return
                 continue  # True is neutral in a conjunction
             names = tuple(dict.fromkeys(term.referenced_columns()))
-            conjuncts.append(_Conjunct(
-                fn, self._num_costly > costly, names, _zone_of(term)
-            ))
+            conjuncts.append(_Conjunct(fn, self._num_costly > costly, names))
         if not conjuncts:
             self._const = True
             return
@@ -425,45 +407,6 @@ class CompiledPredicate:
         return len(self._conjuncts)
 
     @property
-    def zone_columns(self) -> Tuple[str, ...]:
-        """The columns whose chunk bounds can refute a root conjunct."""
-        return tuple(dict.fromkeys(
-            c.zone[0] for c in self._conjuncts if c.zone is not None
-        ))
-
-    def zone_keep(
-        self, bounds: Mapping[str, Tuple[np.ndarray, np.ndarray]]
-    ) -> Optional[np.ndarray]:
-        """Per chunk, whether its bounds leave every zoned conjunct
-        possibly true, or None when no conjunct could be tested.
-        ``bounds`` maps a column to its chunks' ``(mins, maxs)``, each
-        an array in the column's own dtype.
-
-        Each conjunct runs its own compiled closure on its favourable
-        bound — the max for ``>``/``>=``, the min for ``<``/``<=``:
-        the bound is an element of the column, so it is compared with
-        the kernel's promotion and literal rounding, and an ordered
-        comparison is monotone in the column value, so where the most
-        favourable element fails every element fails.  A NaN bound
-        (the chunk holds a NaN) refutes nothing."""
-        keep: Optional[np.ndarray] = None
-        for conjunct in self._conjuncts:
-            zone = conjunct.zone
-            if zone is None or zone[0] not in bounds:
-                continue
-            bound = bounds[zone[0]][zone[1]]
-            try:
-                passed = conjunct.fn(_Ctx({zone[0]: bound}, len(bound), []))
-            except Exception:
-                continue  # the kernel raises the same on the rows
-            if getattr(passed, "shape", None) != bound.shape:
-                continue  # not one verdict per chunk
-            if bound.dtype.kind == "f":
-                passed = passed | np.isnan(bound)
-            keep = passed if keep is None else np.logical_and(keep, passed, out=keep)
-        return keep
-
-    @property
     def num_nodes(self) -> int:
         return self._num_nodes
 
@@ -558,25 +501,6 @@ class CompiledPredicate:
             if span is not None:
                 span.tag(compressed=compressed)
         return result
-
-
-#: Ordered comparisons chunk bounds can refute: per operator, whether a
-#: column on its left is tested at its chunk's max (else its min).
-_ZONE_OPS = {">": True, ">=": True, "<": False, "<=": False}
-
-
-def _zone_of(term: Node) -> Optional[Tuple[str, bool]]:
-    """``(column, use_max)`` when ``term`` compares a column with a
-    constant by ``<``, ``<=``, ``>`` or ``>=``, either way round."""
-    if not isinstance(term, Comparison) or term.op not in _ZONE_OPS:
-        return None
-    use_max = _ZONE_OPS[term.op]
-    left, right = term.left, term.right
-    if isinstance(left, Column) and not right.referenced_columns():
-        return left.name, use_max
-    if isinstance(right, Column) and not left.referenced_columns():
-        return right.name, not use_max
-    return None
 
 
 class KernelCache:
@@ -731,23 +655,11 @@ class BlockPipeline:
         self.tracer = tracer
         self._pending: List[Tuple[Mapping[str, np.ndarray], int]] = []
         self._pending_rows = 0
-        #: AFCs settled by their chunk bounds since the last block closed.
-        self._zoned = 0
 
     @property
     def pending_rows(self) -> int:
         """Rows added since the last block closed."""
         return self._pending_rows
-
-    def skip(self, afcs: int, num_rows: int) -> None:
-        """Settle ``afcs`` AFCs of ``num_rows`` rows in all without a
-        pass: their chunk bounds refuted the kernel's WHERE
-        (``AfcReader.zone``).  Like the rows of a WHERE the index
-        decided, they count as ``rows_vectorized``; the next ``filter``
-        span tags them as ``zoned``."""
-        if self.stats is not None:
-            self.stats.rows_vectorized += num_rows
-        self._zoned += afcs
 
     def add(
         self, columns: Mapping[str, np.ndarray], num_rows: int
@@ -781,9 +693,6 @@ class BlockPipeline:
             ) as span:
                 selected = self._select(block, num_rows)
                 span.tag(out=selected[1] if selected else 0)
-                if self._zoned:
-                    span.tag(zoned=self._zoned)
-                    self._zoned = 0
             if self.compiled:
                 self.tracer.metrics.record("kernel.blocks")
         else:

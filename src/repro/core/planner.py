@@ -393,7 +393,7 @@ class CompiledDataset:
                 return ExtractionPlan(
                     AfcTable(), needed, output, query.where, dtypes,
                     aggregate=spec, query=query,
-                    chunk_row_cap=self.chunk_row_cap,
+                    chunk_row_cap=self.chunk_row_cap, ranges=ranges,
                 )
             # Note: no ``len(self.groups)`` tag here — touching ``groups``
             # would defeat the lazy analysis on the cached-codegen path.
@@ -408,7 +408,7 @@ class CompiledDataset:
             return ExtractionPlan(
                 afcs, needed, output, residual, dtypes, aggregate=spec,
                 query=query, chunk_row_cap=self.chunk_row_cap,
-                decided=decided,
+                decided=decided, ranges=ranges,
             )
 
     # -- introspection ------------------------------------------------------------

@@ -58,7 +58,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.afc import AfcTable, AlignedFileChunkSet, ExtractionPlan
+from ..core.afc import AfcTable, ExtractionPlan
 from ..core.extractor import empty_result
 from ..core.kernels import Block
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
@@ -333,7 +333,7 @@ class TcpTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,
@@ -345,7 +345,7 @@ class TcpTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,
@@ -368,7 +368,7 @@ class TcpTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer,
         options,

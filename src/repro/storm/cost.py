@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping
 
-from ..core.afc import AfcTable
 from ..core.stats import IOStats
 
 
@@ -117,7 +116,7 @@ class CostModel:
         needed = set(plan.needed)
         per_node_io: Dict[str, float] = {}
         per_node_rows: Dict[str, int] = {}
-        afcs = AfcTable.of(plan.afcs)
+        afcs = plan.afcs
         for part in afcs.parts:
             node = part.layout.home
             members = [

@@ -24,9 +24,9 @@ deterministically in that same order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from ..core.afc import AfcTable, AlignedFileChunkSet, ExtractionPlan
+from ..core.afc import AfcTable, ExtractionPlan
 from ..core.extractor import Extractor, Mount, combine_parts
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
 from ..core.stats import IOStats
@@ -67,7 +67,7 @@ class DataSourceService:
     def execute(
         self,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
         options: Optional[ExecOptions] = None,
@@ -83,7 +83,7 @@ class DataSourceService:
     def parts(
         self,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: Optional[IOStats] = None,
         tracer=NULL_TRACER,
         options: Optional[ExecOptions] = None,
@@ -99,12 +99,16 @@ class DataSourceService:
         interpreted oracle, ``run_state`` meters the run (quota bounds:
         ``Extractor.execute_blocks``), and ``intra_node_workers`` runs
         the extractor's block driver on that many threads, one AFC per
-        job.  ``afcs`` is an :class:`~repro.core.afc.AfcTable` (any other
-        AFC sequence is tabulated first).
+        job.  The AFCs this node's segment cache taught it to rule out
+        (``Extractor.prune``) are dropped first, before the reader and
+        its coalescing plan are built.  ``afcs`` may also be a list of
+        AFC objects (the ledger's layer calls pass one): it is
+        tabulated here, the one boundary below the transports.
         """
         afcs = AfcTable.of(afcs)
         stats = stats if stats is not None else self.stats
         opts = options if options is not None else DEFAULT_OPTIONS
+        afcs = self.extractor.prune(plan, afcs, tracer)
         reader = self.extractor.reader_for(
             plan, afcs, tracer, opts.coalesce_gap_bytes, self.node
         )
@@ -123,7 +127,7 @@ class DataSourceService:
         )
 
     def _per_afc(
-        self, plan, afcs: Sequence[AlignedFileChunkSet], evaluator, reader,
+        self, plan, afcs: AfcTable, evaluator, reader,
         stats: IOStats, meter, workers,
     ) -> list:
         """The block driver over one AFC (a one-row slice of the table)

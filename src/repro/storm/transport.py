@@ -27,11 +27,11 @@ the same objects.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..core.afc import AlignedFileChunkSet, ExtractionPlan
+from ..core.afc import AfcTable, ExtractionPlan
 from ..core.kernels import Block
 from ..core.stats import IOStats
 from ..core.table import VirtualTable
@@ -63,14 +63,14 @@ class Transport:
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,
     ) -> VirtualTable:
         """Run one node's share of a plan (``afcs``: its
-        :class:`~repro.core.afc.AfcTable`, or any AFC sequence); returns
-        its partial table.
+        :class:`~repro.core.afc.AfcTable`; a list of AFC objects is
+        tabulated); returns its partial table.
 
         Must be thread-safe: the query service calls it concurrently
         from one worker thread per node (plus retry attempts).
@@ -81,7 +81,7 @@ class Transport:
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,
@@ -167,7 +167,7 @@ class LocalTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,
@@ -178,7 +178,7 @@ class LocalTransport(Transport):
         self,
         node: str,
         plan: ExtractionPlan,
-        afcs: Sequence[AlignedFileChunkSet],
+        afcs: AfcTable,
         stats: IOStats,
         tracer=NULL_TRACER,
         options=None,

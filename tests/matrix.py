@@ -6,11 +6,12 @@ draws from these instead of growing its own ``random.Random`` generator:
 * :func:`exec_axes` — the option axes that must not change a result:
   segment-cache size (0, tiny enough to evict mid-run, default),
   coalescing gap, fused-block size and intra-node workers;
-* :func:`where_terms` — a WHERE conjunction over stored attributes whose
-  terms chunk bounds may refute (ordered comparisons of a column with a
-  literal, either way round) mixed with terms a cached chunk's bounds
-  never refute but persisted summaries may (``!=``, ``NOT``, ``OR``,
-  ``[NOT] IN`` lists, ``[NOT] BETWEEN``);
+* :func:`where_terms` — a WHERE conjunction over stored attributes:
+  ordered comparisons of a column with a literal, either way round,
+  mixed with ``!=``, ``NOT``, ``OR``, ``[NOT] IN`` lists and
+  ``[NOT] BETWEEN``;
+* :func:`where_trees` — a WHERE tree of up to three AND/OR/NOT atoms,
+  literals per attribute given (e.g. :func:`chunk_literals`);
 * :func:`chunk_columns` — per-chunk column values with adversarial
   bounds: NaN, +-inf, all-equal chunks, -0.0 beside +0.0, int64 beyond
   2**53, float32 values whose neighbours straddle a decimal literal,
@@ -197,6 +198,48 @@ def chunk_literals(dtype: np.dtype) -> List[str]:
     if dtype.kind in "iu" and dtype.itemsize == 8:
         texts += [str(_BIG), str(_BIG + 1), f"{_BIG}.0", f"{_BIG + 2}.0"]
     return texts
+
+
+@st.composite
+def where_trees(
+    draw, literals: Mapping[str, Sequence[str]], max_atoms: int = 3
+) -> str:
+    """A WHERE tree of up to ``max_atoms`` atoms joined by AND, OR and
+    NOT, each atom comparing an attribute of ``literals`` with one of
+    its literals: an ordered comparison either way round, ``=``,
+    ``!=``, ``[NOT] IN`` or ``[NOT] BETWEEN``."""
+    names = sorted(literals)
+
+    def atom() -> str:
+        attr = draw(st.sampled_from(names))
+        lit = draw(st.sampled_from(literals[attr]))
+        kind = draw(st.sampled_from(
+            ["col-op-lit", "col-op-lit", "lit-op-col", "eq", "ne", "in",
+             "between"]
+        ))
+        op = draw(st.sampled_from(ORDERED))
+        neg = draw(st.sampled_from(("", "", "NOT ")))
+        if kind == "col-op-lit":
+            return f"{attr} {op} {lit}"
+        if kind == "lit-op-col":
+            return f"{lit} {op} {attr}"
+        if kind in ("eq", "ne"):
+            return f"{attr} {'=' if kind == 'eq' else '!='} {lit}"
+        other = draw(st.sampled_from(literals[attr]))
+        if kind == "in":
+            return f"{attr} {neg}IN ({lit}, {other})"
+        return f"{attr} {neg}BETWEEN {lit} AND {other}"
+
+    def tree(atoms: int) -> str:
+        if atoms == 1:
+            text = atom()
+        else:
+            left = draw(st.integers(1, atoms - 1))
+            joiner = draw(st.sampled_from((" AND ", " OR ")))
+            text = f"({tree(left)}{joiner}{tree(atoms - left)})"
+        return f"NOT ({text})" if draw(st.integers(0, 4)) == 0 else text
+
+    return tree(draw(st.integers(1, max_atoms)))
 
 
 def where_over(names: Sequence[str], literals: Dict[str, List[str]]):

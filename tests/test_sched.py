@@ -416,8 +416,8 @@ class TestCancellation:
         # whose chunks are all cached, looked up at once
         # (_SegmentCache.get_run); the query runs cold, then warm.  A
         # conjunct on a field of a record chunk (X, of COORDS) has
-        # chunk bounds: warm, its part's chunks are looked up at once,
-        # before any run, for the zone pass.
+        # learned chunk bounds, warm, but refutes no AFC (every X is
+        # >= 0), so every AFC is read as with a SOIL conjunct.
         service, _, _ = env
         entry, get_run = Extractor._entry, _SegmentCache.get_run
         columns = AfcReader.columns
@@ -464,15 +464,12 @@ class TestCancellation:
             # No WHERE steps one AFC at a time; the kernel's first run
             # is a whole part (6 AFCs), cancelled inside — read AFC by
             # AFC when cold, looked up at once (all 6 seen) when warm.
-            # Warm, the zone pass looks the whole part up (all 6 seen)
-            # and the cancel lands at its first per-AFC meter charge:
-            # no AFC is decoded, no run begins.
             if "WHERE" not in sql:
                 assert (len(afcs), runs) == (3, [1, 1, 1]), warm
             elif not warm:
                 assert (len(afcs), runs) == (3, [6]), warm
             else:
-                assert (len(afcs), runs) == (6, [] if "X >=" in sql else [6])
+                assert (len(afcs), runs) == (6, [6])
 
     def test_cancel_during_retry_backoff_ends_the_sleep(self, env):
         # osu0 always fails at once; the retry loop then sleeps 2 s
