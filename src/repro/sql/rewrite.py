@@ -66,7 +66,7 @@ from .ast import (
     Query,
     Value,
 )
-from .ranges import Interval, IntervalSet
+from .ranges import Interval, IntervalSet, _exact_apart
 
 __all__ = ["Rewrite", "RewriteStep", "rewrite_of", "rewrite_where", "rewrite_query"]
 
@@ -302,10 +302,14 @@ def _atomic_range(term: Node) -> Optional[Tuple[str, Node, IntervalSet]]:
 
 
 def _interval_terms(operand: Node, interval: Interval) -> List[Node]:
-    """Synthesize AST terms equivalent to one (non-empty) interval."""
+    """Synthesize AST terms equivalent to one (non-empty) interval;
+    none for ends that cross in Python yet may tie in the kernel
+    (:meth:`~repro.sql.ranges.Interval.is_empty`)."""
     lo, hi = interval.lo, interval.hi
     terms: List[Node] = []
-    if lo == hi:
+    if lo > hi or lo == hi and (interval.lo_open or interval.hi_open):
+        return terms
+    if lo == hi and not _exact_apart((lo, hi)):
         return [Comparison("=", operand, Literal(_numeric(lo)))]
     if lo != float("-inf"):
         op = ">" if interval.lo_open else ">="
