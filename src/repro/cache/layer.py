@@ -165,8 +165,9 @@ class QueryCache:
         are read-only), projected down to the query's SELECT list — the
         stored table may carry extra WHERE-only columns (see
         :func:`widen_plan`).  Subsumption hits re-run the query's full
-        WHERE over the cached superset through ``filtering`` (a
-        ``FilteringService``), which both charges the re-filter CPU to
+        WHERE over the cached superset through ``filtering`` (its
+        ``refilter``: a ``FilteringService``'s or a ``KernelCache``'s),
+        which both charges the re-filter CPU to
         ``stats.rows_refiltered`` and hands back writable columns.
         """
         entry, kind = self.results.lookup(key, needed, subsume=mode == "subsume")

@@ -23,12 +23,17 @@ A :class:`Client` answers ``query`` (a table), ``submit`` (the full
 :class:`~repro.storm.query_service.QueryService` — retries, timeouts,
 degraded results, tracing, and the result cache apply unchanged on both
 transports.  ``connect`` is the preferred front door.  The two others
-run the same staged pipeline (:mod:`repro.core.pipeline`) and differ
-only in how a plan is executed: ``QueryService.submit`` is what a
-``Client`` calls (node fan-out over a transport, node-grouped rows, the
-full ``QueryResult``), ``Virtualizer.query`` is the embedded
-single-process form (one extractor over a mount, plan-order rows,
-``query_iter`` that truly streams).
+run the same staged pipeline (:mod:`repro.core.pipeline`) over the same
+node driver (``Extractor.execute_parts``) and differ only in how a plan
+is executed: ``QueryService.submit`` is what a ``Client`` calls (node
+fan-out over a transport, node-grouped rows, the full
+``QueryResult``), ``Virtualizer.query`` is the embedded single-process
+form (one extractor over a mount, plan-order rows, ``query_iter`` that
+truly streams).  Every stream is cut by one rule
+(:func:`~repro.core.table.cut_blocks`): batches of exactly
+``batch_rows`` rows, the last one shorter — a ``Client``'s slices of
+the merged table, a ``Virtualizer``'s cut from the blocks as they are
+produced.
 """
 
 from __future__ import annotations
@@ -151,7 +156,9 @@ class Client:
         return self.submit(sql, options).table
 
     def query_iter(self, sql, options: Optional[ExecOptions] = None):
-        """Run a query; yield the result as batch-sized tables."""
+        """Run a query; yield the merged result in batches of exactly
+        ``batch_rows`` rows, the last one shorter
+        (:func:`~repro.core.table.batched`)."""
         opts = self._opts(options)
         return batched(self.submit(sql, opts).table, opts.batch_rows)
 

@@ -12,10 +12,12 @@ rows (one AFC each), decodes each run with one :meth:`AfcReader.columns`
 call and hands each finished :class:`~repro.core.kernels.BlockPipeline`
 block to its consumer.  A run is the rows that fill one kernel block, or
 a single row wherever AFC boundaries matter or no kernel runs.
-``execute`` assembles the blocks into a table, ``execute_iter`` batches
-them for streaming, an aggregate plan folds each into a partial state
-frame (:meth:`Extractor.execute_parts`), and a data-source service's
-``intra_node_workers`` run the same driver one AFC per job.
+Every front door runs it through one driver,
+:meth:`Extractor.execute_parts`: it prunes the AFCs, builds the reader
+and hands back a row plan's blocks, or an aggregate plan's per-AFC
+partial state frames, serially or on ``intra_node_workers`` threads one
+AFC per job.  :func:`combine_parts` makes them one table; a stream cuts
+them into ``batch_rows`` pieces (:func:`~repro.core.table.cut_blocks`).
 
 Two small caches make repeated-chunk workloads efficient without changing
 semantics:
@@ -67,6 +69,7 @@ import os
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import accumulate
 from typing import (
@@ -78,7 +81,6 @@ import numpy as np
 
 from ..errors import ExtractionError
 from ..obs.tracer import NULL_TRACER
-from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from .afc import (
     AfcTable,
     AlignedFileChunkSet,
@@ -90,11 +92,11 @@ from .afc import (
 )
 from .aggregate import merge_partials, partial_aggregate
 from .codegen_runtime import Zone, gather_zones, summary_mask
+from .options import DEFAULT_OPTIONS, ExecOptions
 from .kernels import (
     Block,
     BlockPipeline,
     Evaluator,
-    KernelCache,
     assemble_table,
     block_rows_for,
 )
@@ -770,7 +772,7 @@ class _Resolved:
 
 
 class AfcReader:
-    """One ``execute`` call's table rows -> columns decoder.
+    """One driver call's table rows -> columns decoder.
 
     Holds what is invariant across the call's AFCs — the needed set, the
     implicit attributes' target dtypes and, per group layout, the needed
@@ -859,7 +861,7 @@ class AfcReader:
         meter=None,
     ) -> Columns:
         """The needed columns of rows ``lo .. hi - 1`` of ``part``, in
-        row order, with the per-AFC accounting every execute path shares
+        row order, with the per-AFC accounting every driver call shares
         (AFC, chunk and row counts, remote bytes) and one ``extract_afc``
         span per run, tagged ``views`` when every stored column is a
         slice of a decoded cache entry.  ``meter`` (see
@@ -1106,15 +1108,10 @@ class Extractor:
     def __init__(
         self,
         mount: Mount,
-        functions: Optional[FunctionRegistry] = None,
         segment_cache_bytes: int = 32 * 1024 * 1024,
         handle_cache: int = 64,
     ):
         self.mount = mount
-        self.functions = functions or DEFAULT_REGISTRY
-        #: Compiled predicate kernels, one per distinct WHERE node
-        #: (vectorized execution; see repro.core.kernels).
-        self._kernels = KernelCache(self.functions)
         #: A FaultyMount (repro.faults) carries its injector here; plain
         #: mounts leave it None and the hot path pays one is-None check.
         self._injector = getattr(mount, "injector", None)
@@ -1597,22 +1594,6 @@ class Extractor:
 
     # -- AFC decoding -------------------------------------------------------------
 
-    def extract_afc(
-        self,
-        afc: AlignedFileChunkSet,
-        needed: List[str],
-        stats: IOStats,
-        dtypes: Optional[Dict[str, np.dtype]] = None,
-        tracer=NULL_TRACER,
-        coalesce: Optional[CoalescePlan] = None,
-    ) -> Columns:
-        """Materialise the needed columns of one aligned file chunk set,
-        counted into ``stats`` like an execute path's AFC."""
-        reader = AfcReader(self, needed, dtypes, tracer, coalesce)
-        return reader.extract(
-            (AfcTable.of([afc]).parts[0], 0, afc.num_rows), stats
-        )
-
     # -- plan execution ---------------------------------------------------------
 
     def prune(
@@ -1679,37 +1660,6 @@ class Extractor:
             )
         return AfcReader(self, columns, plan.dtypes, tracer, coalesce, node)
 
-    def execute(
-        self,
-        plan: ExtractionPlan,
-        stats: Optional[IOStats] = None,
-        tracer=NULL_TRACER,
-        coalesce_gap_bytes: int = 0,
-        vectorize: bool = False,
-    ) -> VirtualTable:
-        """Run a full extraction plan: the projected table of a row
-        plan, the folded partial state frame of an aggregate plan.
-
-        ``coalesce_gap_bytes > 0`` merges nearby chunk reads across the
-        whole plan into wide reads (see :meth:`plan_coalesce`); the
-        default 0 reads chunk-at-a-time, the paper's baseline behaviour.
-        ``vectorize`` filters through a compiled predicate kernel with
-        small AFCs fused into shared evaluation blocks — bit-identical
-        rows in identical order, minus the per-chunk interpreter cost.
-        """
-        stats = stats if stats is not None else IOStats()
-        with tracer.span("extract", afcs=len(plan.afcs)) as span:
-            afcs = self.prune(plan, plan.afcs, tracer)
-            parts = self.execute_parts(
-                plan, afcs,
-                self._kernels.evaluator(plan.where, vectorize, tracer, plan.decided),
-                self.reader_for(plan, afcs, tracer, coalesce_gap_bytes),
-                stats,
-            )
-            table = combine_parts(plan, parts, stats)
-            span.tag(rows=table.num_rows, bytes_read=stats.bytes_read)
-        return table
-
     def execute_blocks(
         self,
         plan: ExtractionPlan,
@@ -1733,9 +1683,9 @@ class Extractor:
         — same rows, same order as per-AFC filtering, one
         interpreter-free pass per block; only a run cut short by the end
         of its part is concatenated with the next part's.  ``fuse=False``
-        and every other evaluator step one AFC at a time: consumers
-        whose output depends on AFC boundaries (streamed batches, the
-        aggregate fold), the interpreted oracle, and scans with no
+        and every other evaluator step one AFC at a time: the aggregate
+        fold, whose float sums depend on AFC boundaries, the
+        interpreted oracle, and scans with no
         residual WHERE, whose blocks stay views of the chunks read.
 
         ``meter`` is the scheduler's cooperative cancel/quota state
@@ -1782,16 +1732,69 @@ class Extractor:
         plan: ExtractionPlan,
         afcs: AfcTable,
         evaluator: Evaluator,
+        stats: IOStats,
+        tracer=NULL_TRACER,
+        options: Optional[ExecOptions] = None,
+        node: Optional[str] = None,
+    ) -> Iterable:
+        """The one AFC -> part driver every front door runs: a row plan's
+        fused blocks, an aggregate plan's per-AFC partial state frames,
+        in AFC order.  :func:`combine_parts` finishes either.
+
+        The AFCs the learned chunk bounds refute are dropped first
+        (:meth:`prune`), before the reader and its coalescing plan
+        (``coalesce_gap_bytes``) are built.  ``evaluator`` filters: the
+        caller's kernel cache resolves it, as the extractor compiles no
+        predicate.  ``run_state`` meters the run
+        (:meth:`execute_blocks`); ``node`` is the executing node of a
+        data-source service (:class:`AfcReader`).  Serially, parts are
+        produced as they are consumed, which is how a node server
+        streams a reply while its next block is still being read.  With
+        ``intra_node_workers > 1`` that many threads run the block
+        driver one AFC per job, into per-job stats merged in AFC order,
+        so rows and stats totals are a serial run's whatever the thread
+        interleaving; the parts are then returned as one list.
+        """
+        opts = options if options is not None else DEFAULT_OPTIONS
+        afcs = self.prune(plan, afcs, tracer)
+        reader = self.reader_for(
+            plan, afcs, tracer, opts.coalesce_gap_bytes, node
+        )
+        meter = opts.run_state
+        workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
+        if workers == 1:
+            return self._parts(plan, afcs, evaluator, reader, stats, meter)
+
+        def job(i: int):
+            local = IOStats()
+            parts = self._parts(
+                plan, afcs[i:i + 1], evaluator, reader, local, meter
+            )
+            return list(parts), local
+
+        with ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix=f"intra-{node or 'local'}"
+        ) as pool:
+            outcomes = list(pool.map(job, range(len(afcs))))
+        for _, local in outcomes:
+            stats.merge(local)
+        return [part for parts, _ in outcomes for part in parts]
+
+    def _parts(
+        self,
+        plan: ExtractionPlan,
+        afcs: AfcTable,
+        evaluator: Evaluator,
         reader: AfcReader,
         stats: IOStats,
-        meter=None,
+        meter,
     ) -> Iterator:
         """:meth:`execute_blocks`, consumed the way the plan asks: a row
         plan's fused blocks as they are, an aggregate plan's per-AFC
         blocks each folded into a partial state frame — extracted rows
         die here.  The fold stays per AFC: folding per fused block would
         re-associate float ``SUM``/``AVG`` and break bit-identity with
-        ``vectorize="off"``.  :func:`combine_parts` finishes either.
+        ``vectorize="off"``.
         """
         spec = plan.aggregate
         blocks = self.execute_blocks(
@@ -1807,51 +1810,6 @@ class Extractor:
         for columns, count in blocks:
             stats.rows_aggregated += count
             yield partial_aggregate(plan.aggregate, columns, count, plan.dtypes)
-
-    def execute_iter(
-        self,
-        plan: ExtractionPlan,
-        batch_rows: int = 65536,
-        stats: Optional[IOStats] = None,
-        tracer=NULL_TRACER,
-        coalesce_gap_bytes: int = 0,
-        vectorize: bool = False,
-    ) -> Iterator[VirtualTable]:
-        """Stream a row plan's results as a sequence of VirtualTable batches.
-
-        Batches contain whole aligned chunk sets, so a batch can exceed
-        ``batch_rows`` by at most one AFC's rows; plan with a
-        ``chunk_row_cap`` to bound that too.  Empty plans yield nothing.
-        Streaming keeps peak memory proportional to the batch size, not
-        the result size — the natural mode for the paper's
-        tens-of-gigabytes subsets.
-
-        ``vectorize`` runs the WHERE through the compiled kernel per
-        AFC.  Unlike :meth:`execute` it never fuses AFCs into larger
-        blocks: batch boundaries (whole chunk sets, flushed on filtered
-        row count) must stay identical to the interpreted path, which
-        cross-AFC fusion would shift.
-        """
-        if batch_rows < 1:
-            raise ExtractionError("batch_rows must be positive")
-        stats = stats if stats is not None else IOStats()
-        afcs = self.prune(plan, plan.afcs, tracer)
-        blocks = self.execute_blocks(
-            plan, afcs,
-            self._kernels.evaluator(plan.where, vectorize, tracer, plan.decided),
-            self.reader_for(plan, afcs, tracer, coalesce_gap_bytes),
-            stats, fuse=False,
-        )
-        batch: List[Block] = []
-        buffered = 0
-        for block in blocks:
-            batch.append(block)
-            buffered += block[1]
-            if buffered >= batch_rows:
-                yield assemble_table(plan.output, plan.dtypes, batch)
-                batch, buffered = [], 0
-        if batch:
-            yield assemble_table(plan.output, plan.dtypes, batch)
 
 
 def local_mount(root: Union[str, "os.PathLike"]) -> Mount:

@@ -84,7 +84,7 @@ from ..sql.ast import (
 )
 from ..sql.functions import FunctionRegistry
 from .stats import IOStats
-from .table import VirtualTable, own_column
+from .table import Block, VirtualTable, own_column
 
 #: Target bytes of needed-column data per fused evaluation block.  Small
 #: AFCs are concatenated up to this much before one kernel pass; large
@@ -562,6 +562,44 @@ class KernelCache:
             return self.get(where, tracer)
         return InterpretedPredicate(where, self.functions)
 
+    def refilter(
+        self,
+        where: Optional[Node],
+        table: VirtualTable,
+        output: List[str],
+        stats: Optional[IOStats] = None,
+        tracer=NULL_TRACER,
+        vectorize: bool = False,
+    ) -> VirtualTable:
+        """Re-run a full WHERE over a cached superset table (subsumption).
+
+        The cached table stores every column the original query needed,
+        so the predicate has all its inputs; the result carries exactly
+        ``output`` in order.  The table goes through the same
+        :class:`BlockPipeline` as extracted chunks, in
+        :func:`block_rows_for`-sized slices — never one table-sized
+        kernel evaluation — and :func:`assemble_table` owns the result,
+        so callers get writable columns (the empty result included) and
+        can never mutate the frozen cached arrays through the result.
+        """
+        columns = {name: table.column(name) for name in table.column_names}
+        names = list(columns)
+        dtypes = {name: column.dtype for name, column in columns.items()}
+        step = block_rows_for(names, dtypes)
+        pipeline = BlockPipeline(
+            self.evaluator(where, vectorize, tracer),
+            names, output, step, stats, tracer,
+        )
+        blocks = [
+            pipeline.add(
+                {name: columns[name][lo:lo + step] for name in names},
+                min(step, table.num_rows - lo),
+            )
+            for lo in range(0, table.num_rows, step)
+        ]
+        blocks.append(pipeline.finish())
+        return assemble_table(output, dtypes, blocks)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._kernels)
@@ -597,12 +635,6 @@ INDEX_DECIDED = IndexDecided()
 
 #: What a :class:`BlockPipeline` filters with; ``None`` keeps every row.
 Evaluator = Union[CompiledPredicate, InterpretedPredicate, IndexDecided, None]
-
-#: One finished block: the output columns of its surviving rows, and how
-#: many survived (pure ``COUNT(*)`` plans have no columns).  The columns
-#: may be views of extracted chunks, shared and read-only; whoever hands
-#: them out takes ownership (:func:`assemble_table`).
-Block = Tuple[Dict[str, np.ndarray], int]
 
 
 class BlockPipeline:

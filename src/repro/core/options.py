@@ -33,7 +33,9 @@ class ExecOptions:
     ``parallel``    extract on one thread per node.
     ``num_clients`` destination processors for partition generation.
     ``partitioner`` row-distribution scheme (default round-robin).
-    ``batch_rows``  target rows per batch for streaming execution.
+    ``batch_rows``  rows per batch for streaming execution: exactly
+                    this many in every batch but the last, which may
+                    be shorter.
     ``trace``       ``True`` for a fresh tracer, a :class:`Tracer` to
                     collect into, or ``None``/``False`` for the no-op
                     tracer (the near-zero-overhead default).

@@ -17,9 +17,9 @@ in plan order, or a failure-aware fan-out over a transport's nodes.
 What surrounds the call (the ``query`` span, stats accumulation, mover,
 cost model) stays with the front door.
 
-``core`` imports nothing from ``storm`` at module-import time: the
-``FilteringService`` that re-filters subsumption hits is passed in, or
-imported on first use.
+``core`` imports nothing from ``storm``: what re-filters subsumption
+hits (anything with ``refilter``: a ``FilteringService``, or the
+front door's :class:`~repro.core.kernels.KernelCache`) is passed in.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ..sql.ast import Query
 from ..sql.functions import FunctionRegistry
 from . import aggregate as agg
 from .afc import ExtractionPlan
+from .kernels import KernelCache
 from .options import ExecOptions
 from .stats import IOStats
 from .table import VirtualTable
@@ -89,7 +90,9 @@ class QueryPipeline:
     ):
         self.dataset = dataset
         self.functions = functions
-        self._filtering = filtering
+        self._filtering = (
+            filtering if filtering is not None else KernelCache(functions)
+        )
         #: Result/plan caches, created lazily by the first query whose
         #: options enable caching and shared by every later query, node
         #: and submitting thread.
@@ -121,15 +124,6 @@ class QueryPipeline:
                     opts.result_cache_bytes, opts.plan_cache_entries
                 )
             return self._cache
-
-    def _refilter_service(self):
-        """The FilteringService serving subsumption hits (the storm
-        import stays out of core's module graph; see docs layering)."""
-        if self._filtering is None:
-            from ..storm.filtering import FilteringService
-
-            self._filtering = FilteringService(self.functions)
-        return self._filtering
 
     def drop_cache(self) -> None:
         """Forget cached results and plans, counters included."""
@@ -238,7 +232,7 @@ class QueryPipeline:
             key, needed = cache.key_and_needed(query)
             cache_io = IOStats()
             served = cache.serve(
-                key, query, needed, self._refilter_service(), cache_io,
+                key, query, needed, self._filtering, cache_io,
                 tracer, opts.cache_mode, vectorize=opts.vectorize == "on",
             )
             if served is not None:

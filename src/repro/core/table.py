@@ -8,7 +8,10 @@ materialised lazily only when callers iterate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -181,23 +184,70 @@ def concat_tables(tables: Sequence[VirtualTable]) -> VirtualTable:
     )
 
 
-def batched(table: VirtualTable, batch_rows: int) -> Iterator[VirtualTable]:
-    """Slice a materialised table into ``batch_rows``-sized tables.
+#: One finished block: the output columns of its surviving rows, and how
+#: many survived (pure ``COUNT(*)`` plans have no columns).  The columns
+#: may be views of extracted chunks, shared and read-only; whoever hands
+#: them out takes ownership (``kernels.assemble_table``).
+Block = Tuple[Dict[str, np.ndarray], int]
 
-    The streaming contract for results that already exist (cache hits,
-    aggregates, shipped partials): the same typed error as
-    ``Extractor.execute_iter`` for ``batch_rows < 1``, nothing yielded
-    for an empty table.  The slices are zero-copy views of ``table``'s
-    arrays, hence read-only wherever it is (a frozen cached result).
+
+def cut_blocks(
+    names: Sequence[str], blocks: Iterable[Block], batch_rows: int
+) -> Iterator[List[Block]]:
+    """``blocks`` cut into pieces of exactly ``batch_rows`` rows (the
+    last one shorter), each the zero-copy slices of ``names`` of the
+    blocks it spans, yielded as soon as its last block has been
+    produced — the one batching rule of every stream: wire frames
+    (``wire.table_frames``), :func:`batched` and
+    ``Virtualizer.query_iter``.
+
+    Dtypes follow the stream, not the piece: a lone block's own, or, for
+    several, their concatenation's (native byte order), so every piece
+    carries the dtypes of the one table ``assemble_table`` would make of
+    the blocks.  Blocks with no column, like a table with none, carry no
+    rows.
     """
     if batch_rows < 1:
         raise ExtractionError("batch_rows must be positive")
+    blocks = iter(blocks)
+    head = list(islice(blocks, 2))
+    if not names or not head:
+        return
+    dtypes = [head[0][0][name].dtype for name in names]
+    if len(head) > 1:
+        dtypes = [dtype.newbyteorder("=") for dtype in dtypes]
+    piece: List[Block] = []
+    held = 0
+    for columns, count in chain(head, blocks):
+        start = 0
+        while start < count:
+            take = min(count - start, batch_rows - held)
+            piece.append(({
+                name: np.asarray(columns[name][start:start + take], dtype)
+                for name, dtype in zip(names, dtypes)
+            }, take))
+            start += take
+            held += take
+            if held == batch_rows:
+                yield piece
+                piece, held = [], 0
+    if piece:
+        yield piece
+
+
+def batched(table: VirtualTable, batch_rows: int) -> Iterator[VirtualTable]:
+    """Slice a materialised table into ``batch_rows``-sized tables: the
+    table as one block through :func:`cut_blocks`.
+
+    The streaming contract for results that already exist (cache hits,
+    aggregates, shipped partials): nothing yielded for an empty table.
+    The slices are zero-copy views of ``table``'s arrays, hence
+    read-only wherever it is (a frozen cached result).
+    """
     names = list(table.column_names)
-    for start in range(0, table.num_rows, batch_rows):
-        yield VirtualTable(
-            {n: table.column(n)[start:start + batch_rows] for n in names},
-            order=names,
-        )
+    block = ({name: table.column(name) for name in names}, table.num_rows)
+    for [(columns, _)] in cut_blocks(names, [block], batch_rows):
+        yield VirtualTable(columns, order=names)
 
 
 def empty_table(names: Sequence[str], dtypes: Mapping[str, np.dtype]) -> VirtualTable:

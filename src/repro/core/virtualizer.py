@@ -16,11 +16,15 @@ interpreted reference planner instead.
 A ``Virtualizer`` is the single-process front door of the shared query
 pipeline (:mod:`repro.core.pipeline`): ``query``, ``query_iter`` and
 ``plan`` admit the SQL, open the ``query`` span and hand the pipeline
-the one thing that is theirs — *how a plan is executed*: one
-:class:`~repro.core.extractor.Extractor` over a bare mount, AFCs in plan
-order, no retries, rows truly streamed by ``query_iter``.  Everything
-else (diagnostics, result/plan cache, aggregate strategy) is the same
-code ``QueryService.submit`` runs.
+the one thing that is theirs — *how a plan is executed*: the node
+driver a data-source service runs (``Extractor.execute_parts``), over
+one :class:`~repro.core.extractor.Extractor` on a bare mount, AFCs in
+plan order, no retries, rows truly streamed by ``query_iter`` in
+batches cut like the wire's (:func:`~repro.core.table.cut_blocks`).
+Everything else (diagnostics, result/plan cache, aggregate strategy) is
+the same code ``QueryService.submit`` runs.  It is not a one-node
+``QueryService``: that would bring a mover, a cost model and a fan-out
+pool to a single extractor, and no streaming.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ from ..sql.ast import Query
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from .afc import ExtractionPlan
 from .codegen import GeneratedDataset
-from .extractor import Extractor, Mount, local_mount
+from .extractor import Extractor, Mount, combine_parts, local_mount
+from .kernels import KernelCache, assemble_table
 from .options import DEFAULT_OPTIONS, ExecOptions
 from .pipeline import Answer, QueryPipeline, sql_tag
 from .planner import CompiledDataset
 from .stats import IOStats
-from .table import VirtualTable, batched
+from .table import VirtualTable, batched, cut_blocks
 
 if TYPE_CHECKING:
     from ..index.summaries import MinMaxSummaries
@@ -77,11 +82,14 @@ class Virtualizer:
         else:
             self.dataset = CompiledDataset(descriptor, summaries, chunk_row_cap)
         self.functions = functions or DEFAULT_REGISTRY
-        self.extractor = Extractor(
-            mount, self.functions, segment_cache_bytes=segment_cache_bytes
-        )
+        self.extractor = Extractor(mount, segment_cache_bytes=segment_cache_bytes)
+        #: The one kernel cache: it filters extracted blocks and
+        #: re-filters subsumption hits.
+        self._kernels = KernelCache(self.functions)
         self.stats = IOStats()
-        self._pipeline = QueryPipeline(self.dataset, self.functions)
+        self._pipeline = QueryPipeline(
+            self.dataset, self.functions, self._kernels
+        )
 
     # -- caching --------------------------------------------------------------
 
@@ -113,11 +121,10 @@ class Virtualizer:
     ) -> VirtualTable:
         """Execute a query and return the virtual table.
 
-        ``options`` carries the unified execution knobs (``trace``,
-        ``strict``, ``vectorize``, ``agg_pushdown`` and the ``cache_*``
-        fields apply to this single-extractor path; transport,
-        scheduling and I/O-shape options belong to
-        ``QueryService.submit``).
+        ``options`` carries the unified execution knobs.  Transport and
+        scheduling options belong to ``QueryService.submit``; the rest
+        apply here as on a node, I/O shape (``coalesce_gap_bytes``,
+        ``intra_node_workers``, ``run_state``) included.
         """
         opts = options if options is not None else DEFAULT_OPTIONS
         tracer = opts.tracer()
@@ -128,15 +135,29 @@ class Virtualizer:
             )
         return self._account(answer, stats)
 
+    def _parts(
+        self, plan: ExtractionPlan, opts: ExecOptions, tracer, stats: IOStats
+    ):
+        """The node driver's parts of ``plan`` over this front door's
+        one extractor, in plan order."""
+        evaluator = self._kernels.evaluator(
+            plan.where, opts.vectorize == "on", tracer, plan.decided
+        )
+        return self.extractor.execute_parts(
+            plan, plan.afcs, evaluator, stats, tracer, opts
+        )
+
     def _executor(self, opts: ExecOptions, tracer):
-        """How this front door executes a plan: its one ``Extractor``,
-        plan order, no retries."""
+        """How this front door executes a plan: the driver's parts
+        combined under an ``extract`` span, no retries."""
 
         def execute(plan: ExtractionPlan):
             run = IOStats()
-            table = self.extractor.execute(
-                plan, run, tracer, vectorize=opts.vectorize == "on"
-            )
+            with tracer.span("extract", afcs=len(plan.afcs)) as span:
+                table = combine_parts(
+                    plan, self._parts(plan, opts, tracer, run), run
+                )
+                span.tag(rows=table.num_rows, bytes_read=run.bytes_read)
             return table, {LOCAL_NODE: run}, []
 
         return execute
@@ -150,11 +171,16 @@ class Virtualizer:
     ) -> Iterator[VirtualTable]:
         """Stream query results as VirtualTable batches (bounded memory).
 
-        The batch size comes from ``options.batch_rows``.  Cache hits
-        (when the options enable caching) are served as batch-sized
-        slices of the cached table; streaming executions never
-        *populate* the result cache — that would require buffering the
-        whole result, defeating the bounded-memory contract.
+        Every batch has exactly ``options.batch_rows`` rows but the
+        last, which may be shorter, whatever the AFC or block
+        boundaries: a row plan's blocks are cut by
+        :func:`~repro.core.table.cut_blocks`, the rule the wire's frames
+        follow, and cache hits and aggregates are sliced by
+        :func:`~repro.core.table.batched`.  With
+        ``intra_node_workers > 1`` the driver's parts are buffered
+        before they are cut.  Streaming executions never *populate* the
+        result cache — that would require buffering the whole result,
+        defeating the bounded-memory contract.
         """
         opts = options if options is not None else DEFAULT_OPTIONS
         tracer = opts.tracer()
@@ -162,10 +188,9 @@ class Virtualizer:
         target = stats if stats is not None else self.stats
 
         def stream(plan: ExtractionPlan):
-            return self.extractor.execute_iter(
-                plan, opts.batch_rows, target, tracer,
-                vectorize=opts.vectorize == "on",
-            )
+            blocks = self._parts(plan, opts, tracer, target)
+            for piece in cut_blocks(plan.output, blocks, opts.batch_rows):
+                yield assemble_table(plan.output, plan.dtypes, piece)
 
         def iterate():
             # The span wraps planning AND iteration: spanning only the

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import (
     Any,
     Callable,
@@ -70,7 +69,7 @@ from ..core.kernels import Block
 from ..core.options import ExecOptions
 from ..core.stats import IOStats
 from ..core.strips import LoopDim, Strip
-from ..core.table import VirtualTable
+from ..core.table import VirtualTable, cut_blocks
 from ..errors import (
     ExtractionError,
     InjectedFault,
@@ -480,40 +479,22 @@ def table_frames(
     names: Sequence[str], blocks: Iterable[Block], batch_rows: int
 ) -> Iterator[Tuple[int, list]]:
     """``(rows, buffers)`` of each BATCH payload of a node's reply:
-    ``blocks`` cut into frames of exactly ``batch_rows`` rows (the last
-    one shorter) by zero-copy slices, each frame built as soon as its
-    last block has been produced.
+    ``blocks`` cut by :func:`~repro.core.table.cut_blocks` into frames of
+    exactly ``batch_rows`` rows (the last one shorter), each frame built
+    as soon as its last block has been produced.
 
     Byte for byte, the frames are :func:`encode_table` of the one table
     ``assemble_table`` would have made of the blocks, sliced
     ``batch_rows`` at a time — dtypes included: a lone block's own, or,
-    for several, their concatenation's (native byte order).  Blocks with
-    no column, like a table with none, carry no rows.
+    for several, their concatenation's (native byte order).
     """
-    if batch_rows < 1:
-        raise ExtractionError("batch_rows must be positive")
-    blocks = iter(blocks)
-    head = list(islice(blocks, 2))
-    if not names or not head:
-        return
-    dtypes = [head[0][0][name].dtype for name in names]
-    if len(head) > 1:
-        dtypes = [dtype.newbyteorder("=") for dtype in dtypes]
-    pieces: List[List[np.ndarray]] = [[] for _ in names]
-    held = 0
-    for columns, count in chain(head, blocks):
-        start = 0
-        while start < count:
-            take = min(count - start, batch_rows - held)
-            for column, name in zip(pieces, names):
-                column.append(columns[name][start:start + take])
-            start += take
-            held += take
-            if held == batch_rows:
-                yield held, _buffers(held, names, pieces, dtypes)
-                pieces, held = [[] for _ in names], 0
-    if held:
-        yield held, _buffers(held, names, pieces, dtypes)
+    for piece in cut_blocks(names, blocks, batch_rows):
+        rows = sum(count for _, count in piece)
+        yield rows, _buffers(
+            rows, names,
+            [[columns[name] for columns, _ in piece] for name in names],
+            [piece[0][0][name].dtype for name in names],
+        )
 
 
 def _malformed(what: str) -> TransportError:

@@ -50,7 +50,9 @@ comparisons, folded constants) normalize to the same tree, which is how
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .ast import (
     MIRROR_OP,
@@ -66,7 +68,7 @@ from .ast import (
     Query,
     Value,
 )
-from .ranges import Interval, IntervalSet, _exact_apart
+from .ranges import Interval, IntervalSet, _exact_apart, _float32_equal
 
 __all__ = ["Rewrite", "RewriteStep", "rewrite_of", "rewrite_where", "rewrite_query"]
 
@@ -348,6 +350,21 @@ def _set_to_terms(operand: Node, ivs: IntervalSet) -> Optional[List[Node]]:
     return None
 
 
+def _tied(sets: Iterable[IntervalSet]) -> bool:
+    """Whether a column may order the ends of ``sets`` unlike Python
+    does: two distinct ends on one side round to one float32, or the
+    ends are :func:`~repro.sql.ranges._exact_apart`.  Merged to the end
+    Python orders tightest, such a group can keep rows its conjuncts
+    drop (``V > 0.1 AND V >= 0.10000000149011612`` over float32 keeps
+    float32(0.1)), so it is kept as written."""
+    intervals = [iv for ivs in sets for iv in ivs.intervals]
+    for side in ({iv.lo for iv in intervals}, {iv.hi for iv in intervals}):
+        ends = sorted(v for v in side if v == v and abs(v) != float("inf"))
+        if any(_float32_equal(a, b) for a, b in zip(ends, ends[1:])):
+            return True
+    return _exact_apart(v for iv in intervals for v in (iv.lo, iv.hi))
+
+
 def _merge_range_conjuncts(
     terms: Sequence[Node], spelled: Sequence[str], steps: List[RewriteStep]
 ) -> Optional[List[Tuple[Node, str]]]:
@@ -385,7 +402,9 @@ def _merge_range_conjuncts(
                 )
             )
             return None
-        synthesized = None if acc.is_full() else _set_to_terms(atom[1], acc)
+        synthesized = None
+        if not (acc.is_full() or _tied(atoms[i][2] for i in group)):
+            synthesized = _set_to_terms(atom[1], acc)
         if synthesized is not None:
             rendered = [str(t) for t in synthesized]
             if sorted(rendered) == sorted(spelled[i] for i in group):

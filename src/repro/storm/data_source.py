@@ -23,7 +23,6 @@ deterministically in that same order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
 from ..core.afc import AfcTable, ExtractionPlan
@@ -49,7 +48,6 @@ class DataSourceService:
         self.node = node
         self.extractor = Extractor(
             mount,
-            filtering.functions,
             segment_cache_bytes=segment_cache_bytes,
             handle_cache=handle_cache,
         )
@@ -93,64 +91,25 @@ class DataSourceService:
         as they are consumed on one worker, which is how a node server
         streams a reply while its next block is still being read.
 
-        ``options`` supplies the I/O shape: ``coalesce_gap_bytes`` merges
-        nearby chunk reads across all of this node's AFCs into wide
-        reads, ``vectorize`` picks the compiled kernel or the
-        interpreted oracle, ``run_state`` meters the run (quota bounds:
-        ``Extractor.execute_blocks``), and ``intra_node_workers`` runs
-        the extractor's block driver on that many threads, one AFC per
-        job.  The AFCs this node's segment cache taught it to rule out
-        (``Extractor.prune``) are dropped first, before the reader and
-        its coalescing plan are built.  ``afcs`` may also be a list of
-        AFC objects (the ledger's layer calls pass one): it is
-        tabulated here, the one boundary below the transports.
+        ``options`` supplies the I/O shape the driver honours
+        (``Extractor.execute_parts``: learned-bounds pruning,
+        ``coalesce_gap_bytes``, ``run_state``, ``intra_node_workers``);
+        ``vectorize`` picks the filtering service's compiled kernel or
+        the interpreted oracle.  ``afcs`` may also be a list of AFC
+        objects (the ledger's layer calls pass one): it is tabulated
+        here, the one boundary below the transports.
         """
-        afcs = AfcTable.of(afcs)
-        stats = stats if stats is not None else self.stats
         opts = options if options is not None else DEFAULT_OPTIONS
-        afcs = self.extractor.prune(plan, afcs, tracer)
-        reader = self.extractor.reader_for(
-            plan, afcs, tracer, opts.coalesce_gap_bytes, self.node
-        )
         # Resolved once per call: a per-AFC lookup re-hashes the whole
         # WHERE tree for every chunk set.
         evaluator = self.filtering.evaluator(
             plan.where, opts.vectorize == "on", tracer, plan.decided
         )
-        workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
-        if workers == 1:
-            return self.extractor.execute_parts(
-                plan, afcs, evaluator, reader, stats, opts.run_state
-            )
-        return self._per_afc(
-            plan, afcs, evaluator, reader, stats, opts.run_state, workers
+        return self.extractor.execute_parts(
+            plan, AfcTable.of(afcs), evaluator,
+            stats if stats is not None else self.stats,
+            tracer, opts, self.node,
         )
-
-    def _per_afc(
-        self, plan, afcs: AfcTable, evaluator, reader,
-        stats: IOStats, meter, workers,
-    ) -> list:
-        """The block driver over one AFC (a one-row slice of the table)
-        per job on ``workers`` threads; every job's parts, in AFC order.
-        Workers count into per-job stats merged in that same order, so
-        row order and stats totals are identical to a serial run
-        whatever the thread interleaving was.
-        """
-
-        def job(i: int):
-            local = IOStats()
-            parts = self.extractor.execute_parts(
-                plan, afcs[i:i + 1], evaluator, reader, local, meter
-            )
-            return list(parts), local
-
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"intra-{self.node}"
-        ) as pool:
-            outcomes = list(pool.map(job, range(len(afcs))))
-        for _, local in outcomes:
-            stats.merge(local)
-        return [part for parts, _ in outcomes for part in parts]
 
     def close(self) -> None:
         self.extractor.close()

@@ -11,7 +11,7 @@ The service owns the predicate *evaluators*; the loop that applies one
 to columns is :class:`repro.core.kernels.BlockPipeline`, the same for
 extracted chunks, for one hand-fed block (:meth:`FilteringService.apply`)
 and for a cached table re-filtered on a subsumption hit
-(:meth:`FilteringService.refilter`).  Two evaluators produce
+(:meth:`FilteringService.refilter`, ``KernelCache.refilter``).  Two evaluators produce
 bit-identical masks (see docs/architecture.md, "Vectorized execution"):
 
 * ``vectorize=True`` compiles the WHERE once per distinct predicate into
@@ -32,8 +32,6 @@ from ..core.kernels import (
     CompiledPredicate,
     Evaluator,
     KernelCache,
-    assemble_table,
-    block_rows_for,
 )
 from ..core.stats import IOStats
 from ..core.table import VirtualTable, own_column
@@ -102,31 +100,9 @@ class FilteringService:
         tracer=NULL_TRACER,
         vectorize: bool = False,
     ) -> VirtualTable:
-        """Re-run a full WHERE over a cached superset table (subsumption).
-
-        The cached table stores every column the original query needed,
-        so the predicate has all its inputs; the result carries exactly
-        ``output`` in order.  The table goes through the same
-        :class:`BlockPipeline` as extracted chunks, in
-        :func:`block_rows_for`-sized slices — never one table-sized
-        kernel evaluation — and :func:`assemble_table` owns the result,
-        so callers get writable columns (the empty result included) and
-        can never mutate the frozen cached arrays through the result.
-        """
-        columns = {name: table.column(name) for name in table.column_names}
-        names = list(columns)
-        dtypes = {name: column.dtype for name, column in columns.items()}
-        step = block_rows_for(names, dtypes)
-        pipeline = BlockPipeline(
-            self.evaluator(where, vectorize, tracer),
-            names, output, step, stats, tracer,
+        """Re-run a full WHERE over a cached superset table
+        (subsumption): ``KernelCache.refilter`` with this service's
+        kernels."""
+        return self._kernels.refilter(
+            where, table, output, stats, tracer, vectorize
         )
-        blocks = [
-            pipeline.add(
-                {name: columns[name][lo:lo + step] for name in names},
-                min(step, table.num_rows - lo),
-            )
-            for lo in range(0, table.num_rows, step)
-        ]
-        blocks.append(pipeline.finish())
-        return assemble_table(output, dtypes, blocks)

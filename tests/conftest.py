@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompiledDataset, GeneratedDataset, Virtualizer, local_mount
+from repro.core import (
+    CompiledDataset, ExecOptions, GeneratedDataset, IOStats, Virtualizer,
+    local_mount,
+)
+from repro.core.extractor import combine_parts
+from repro.core.kernels import KernelCache, assemble_table
+from repro.core.table import cut_blocks
 from repro.datasets import IparsConfig, TitanConfig, ipars, titan
 from repro.index import build_summaries
+from repro.sql.functions import DEFAULT_REGISTRY
 
 # ---------------------------------------------------------------------------
 # The paper's running example (Figure 4), scaled down
@@ -82,6 +89,32 @@ def assert_tables_equal(a, b, approx=False):
             )
         else:
             np.testing.assert_array_equal(va, vb)
+
+
+def run_plan(extractor, plan, stats=None, batch_rows=None, **options):
+    """``plan`` through the node driver every front door runs:
+    ``combine_parts`` of ``Extractor.execute_parts``, filtered by a
+    fresh kernel cache of the default functions — or, given
+    ``batch_rows``, the list of batches ``Virtualizer.query_iter`` cuts
+    of the same parts.  ``options`` are ``ExecOptions`` fields; chunks
+    are read one at a time and the interpreted oracle filters unless
+    they say otherwise."""
+    opts = ExecOptions(
+        **{"coalesce_gap_bytes": 0, "vectorize": "off", **options}
+    )
+    stats = stats if stats is not None else IOStats()
+    evaluator = KernelCache(DEFAULT_REGISTRY).evaluator(
+        plan.where, opts.vectorize == "on", decided=plan.decided
+    )
+    parts = extractor.execute_parts(
+        plan, plan.afcs, evaluator, stats, options=opts
+    )
+    if batch_rows is None:
+        return combine_parts(plan, parts, stats)
+    return [
+        assemble_table(plan.output, plan.dtypes, piece)
+        for piece in cut_blocks(plan.output, parts, batch_rows)
+    ]
 
 
 def cached_buffers(extractor):

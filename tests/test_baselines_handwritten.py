@@ -7,7 +7,9 @@ from repro.baselines import HandwrittenIparsL0, HandwrittenTitan
 from repro.core import Extractor, Virtualizer
 from repro.datasets import figure7_queries, figure8_queries
 from repro.errors import QueryValidationError
-from tests.conftest import SMALL_IPARS, SMALL_TITAN, assert_tables_equal
+from tests.conftest import (
+    SMALL_IPARS, SMALL_TITAN, assert_tables_equal, run_plan,
+)
 
 IPARS_QUERIES = [
     "SELECT * FROM IparsData",
@@ -32,14 +34,14 @@ class TestHandwrittenIpars:
     def test_matches_generated(self, env, sql):
         generated, hand, extractor = env
         expected = generated.query(sql)
-        got = extractor.execute(hand.plan(sql))
+        got = run_plan(extractor, hand.plan(sql))
         assert_tables_equal(got, expected)
 
     def test_figure8_queries(self, env):
         generated, hand, extractor = env
         for sql in figure8_queries(SMALL_IPARS):
             expected = generated.query(sql)
-            got = extractor.execute(hand.plan(sql))
+            got = run_plan(extractor, hand.plan(sql))
             assert_tables_equal(got, expected)
 
     def test_afc_shape_matches_paper(self, env):
@@ -72,7 +74,7 @@ class TestHandwrittenTitan:
         generated, hand, extractor = env
         sql = figure7_queries(SMALL_TITAN)[qi]
         expected = generated.query(sql)
-        got = extractor.execute(hand.plan(sql))
+        got = run_plan(extractor, hand.plan(sql))
         assert_tables_equal(got, expected)
 
     def test_prunes_with_summaries(self, env):

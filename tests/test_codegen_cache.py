@@ -8,7 +8,7 @@ import pytest
 from repro.core import GeneratedDataset
 from repro.core.codegen import _cache_path
 from repro.metadata import parse_descriptor
-from tests.conftest import PAPER_DESCRIPTOR, assert_tables_equal
+from tests.conftest import PAPER_DESCRIPTOR, assert_tables_equal, run_plan
 
 
 class TestCodegenCache:
@@ -71,7 +71,7 @@ class TestCodegenCache:
         cached = GeneratedDataset(text, cache_dir=cache)
         with Extractor(mount) as extractor:
             sql = "SELECT REL, SOIL FROM IparsData WHERE TIME <= 2"
-            got = extractor.execute(cached.plan(sql))
+            got = run_plan(extractor, cached.plan(sql))
         with Virtualizer(text, mount) as v:
             assert_tables_equal(got, v.query(sql))
 

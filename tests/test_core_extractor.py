@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import CompiledDataset, Extractor, IOStats, local_mount
-from repro.core.extractor import _SegmentCache
+from repro.core.afc import AfcTable
+from repro.core.extractor import AfcReader, _SegmentCache
 from repro.errors import ExtractionError
-from tests.conftest import PAPER_DESCRIPTOR, cached_buffers, paper_value_fn
+from tests.conftest import (
+    PAPER_DESCRIPTOR, cached_buffers, paper_value_fn, run_plan,
+)
 
 
 def write_node_file(root, node, name, payload):
@@ -35,7 +38,7 @@ class TestExecute:
     def test_full_scan_values(self, env):
         dataset, mount, _ = env
         with Extractor(mount) as extractor:
-            table = extractor.execute(dataset.plan("SELECT * FROM IparsData"))
+            table = run_plan(extractor, dataset.plan("SELECT * FROM IparsData"))
         assert table.num_rows == 4 * 4 * 20 * 10
         # Spot-check: X column equals the GRID id by construction.
         idx = table.sort_key()
@@ -45,33 +48,33 @@ class TestExecute:
     def test_predicate_filtering(self, env):
         dataset, mount, _ = env
         with Extractor(mount) as extractor:
-            table = extractor.execute(
-                dataset.plan("SELECT SOIL FROM IparsData WHERE SOIL > 0.75")
+            table = run_plan(
+                extractor, dataset.plan("SELECT SOIL FROM IparsData WHERE SOIL > 0.75")
             )
         assert (table["SOIL"] > 0.75).all()
 
     def test_projection_order(self, env):
         dataset, mount, _ = env
         with Extractor(mount) as extractor:
-            table = extractor.execute(
-                dataset.plan("SELECT Z, REL, SOIL FROM IparsData WHERE TIME = 1")
-            )
+            table = run_plan(extractor, dataset.plan(
+                "SELECT Z, REL, SOIL FROM IparsData WHERE TIME = 1"
+            ))
         assert table.column_names == ("Z", "REL", "SOIL")
 
     def test_implicit_dtype_matches_schema(self, env):
         dataset, mount, _ = env
         with Extractor(mount) as extractor:
-            table = extractor.execute(
-                dataset.plan("SELECT REL, TIME FROM IparsData WHERE TIME = 2")
-            )
+            table = run_plan(extractor, dataset.plan(
+                "SELECT REL, TIME FROM IparsData WHERE TIME = 2"
+            ))
         assert table["REL"].dtype == np.dtype("<i2")
         assert table["TIME"].dtype == np.dtype("<i4")
 
     def test_empty_result_keeps_schema_dtypes(self, env):
         dataset, mount, _ = env
         with Extractor(mount) as extractor:
-            table = extractor.execute(
-                dataset.plan("SELECT X FROM IparsData WHERE TIME > 999")
+            table = run_plan(
+                extractor, dataset.plan("SELECT X FROM IparsData WHERE TIME > 999")
             )
         assert table.num_rows == 0
         assert table["X"].dtype == np.dtype("<f4")
@@ -79,8 +82,8 @@ class TestExecute:
     def test_scalar_false_predicate(self, env):
         dataset, mount, _ = env
         with Extractor(mount) as extractor:
-            table = extractor.execute(
-                dataset.plan("SELECT X FROM IparsData WHERE FALSE")
+            table = run_plan(
+                extractor, dataset.plan("SELECT X FROM IparsData WHERE FALSE")
             )
         assert table.num_rows == 0
 
@@ -90,7 +93,7 @@ class TestStats:
         dataset, mount, _ = env
         stats = IOStats()
         with Extractor(mount, segment_cache_bytes=0) as extractor:
-            extractor.execute(dataset.plan("SELECT * FROM IparsData"), stats)
+            run_plan(extractor, dataset.plan("SELECT * FROM IparsData"), stats)
         assert stats.afcs_processed == 16 * 20
         assert stats.chunks_read == 16 * 20 * 2
         assert stats.rows_extracted == 3200
@@ -105,9 +108,9 @@ class TestStats:
         dataset, mount, _ = env
         stats = IOStats()
         with Extractor(mount, segment_cache_bytes=0) as extractor:
-            extractor.execute(
-                dataset.plan("SELECT SOIL FROM IparsData WHERE REL = 0"), stats
-            )
+            run_plan(extractor, dataset.plan(
+                "SELECT SOIL FROM IparsData WHERE REL = 0"
+            ), stats)
         # Reading one DATA file beginning-to-end costs ~1 repositioning per
         # file, not one per chunk.
         assert stats.seeks <= 2 * 4 + 4
@@ -116,7 +119,7 @@ class TestStats:
         dataset, mount, _ = env
         stats = IOStats()
         with Extractor(mount) as extractor:
-            extractor.execute(dataset.plan("SELECT * FROM IparsData"), stats)
+            run_plan(extractor, dataset.plan("SELECT * FROM IparsData"), stats)
         assert stats.cache_hits > 0
 
     def test_drop_caches(self, env):
@@ -124,11 +127,11 @@ class TestStats:
         extractor = Extractor(mount)
         s1, s2, s3 = IOStats(), IOStats(), IOStats()
         plan = dataset.plan("SELECT X FROM IparsData WHERE TIME = 1")
-        extractor.execute(plan, s1)
-        extractor.execute(plan, s2)
+        run_plan(extractor, plan, s1)
+        run_plan(extractor, plan, s2)
         assert s2.bytes_read == 0  # fully cached
         extractor.drop_caches()
-        extractor.execute(plan, s3)
+        run_plan(extractor, plan, s3)
         assert s3.bytes_read == s1.bytes_read
         extractor.close()
 
@@ -142,7 +145,7 @@ class TestFailures:
 
         with Extractor(broken_mount) as extractor:
             with pytest.raises(ExtractionError, match="cannot open"):
-                extractor.execute(dataset.plan("SELECT * FROM IparsData"))
+                run_plan(extractor, dataset.plan("SELECT * FROM IparsData"))
 
     def test_short_read_reports_layout_mismatch(self, env, tmp_path):
         dataset, mount, root = env
@@ -156,7 +159,7 @@ class TestFailures:
             handle.truncate(100)
         with Extractor(local_mount(str(copy_root))) as extractor:
             with pytest.raises(ExtractionError, match="short read"):
-                extractor.execute(dataset.plan("SELECT * FROM IparsData"))
+                run_plan(extractor, dataset.plan("SELECT * FROM IparsData"))
 
     def test_failed_read_does_not_advance_head(self, tmp_path):
         """A short read must not move the simulated head to undelivered
@@ -180,7 +183,7 @@ class TestFailures:
         # With a single handle, the COORDS/DATA alternation of every AFC
         # evicts and reopens constantly (the paper's many-files effect).
         with Extractor(mount, handle_cache=1, segment_cache_bytes=0) as ex:
-            ex.execute(dataset.plan("SELECT * FROM IparsData"), stats)
+            run_plan(ex, dataset.plan("SELECT * FROM IparsData"), stats)
         assert stats.files_opened > 20
 
 
@@ -225,7 +228,9 @@ class TestResultOwnership:
         plan = dataset.plan("SELECT REL, TIME, X, SOIL FROM IparsData")
         stats = IOStats()
         afc = plan.afcs[0]
-        raw = extractor.extract_afc(afc, plan.needed, stats, plan.dtypes)
+        raw = AfcReader(extractor, plan.needed, plan.dtypes).extract(
+            (AfcTable.of([afc]).parts[0], 0, afc.num_rows), stats
+        )
         selected = FilteringService().apply(
             plan.where, raw, plan.output, afc.num_rows, stats
         )
@@ -255,9 +260,9 @@ class TestResultOwnership:
         dataset, mount, _ = env
         plan = dataset.plan("SELECT SOIL FROM IparsData WHERE TIME = 1")
         with Extractor(mount) as extractor:
-            first = extractor.execute(plan)
+            first = run_plan(extractor, plan)
             first["SOIL"][:] = -1.0
-            second = extractor.execute(plan)  # served from the segment cache
+            second = run_plan(extractor, plan)  # served from the segment cache
         assert not (second["SOIL"] == -1.0).any()
 
 
@@ -330,9 +335,9 @@ class TestCoalescing:
         plan = dataset.plan("SELECT REL, TIME, X, SOIL FROM IparsData")
         plain_stats, coal_stats = IOStats(), IOStats()
         with Extractor(mount, segment_cache_bytes=0) as ex:
-            plain = ex.execute(plan, plain_stats)
+            plain = run_plan(ex, plan, plain_stats)
         with Extractor(mount) as ex:
-            coalesced = ex.execute(plan, coal_stats, coalesce_gap_bytes=64 * 1024)
+            coalesced = run_plan(ex, plan, coal_stats, coalesce_gap_bytes=64 * 1024)
         assert plain.num_rows == coalesced.num_rows
         for name in plain.column_names:
             np.testing.assert_array_equal(plain[name], coalesced[name])
@@ -423,13 +428,13 @@ class TestDecodeStateIsPerCall:
 
         def fresh(ds, sql, vectorize):
             with Extractor(mount) as one_shot:
-                return one_shot.execute(ds.plan(sql), vectorize=vectorize)
+                return run_plan(one_shot, ds.plan(sql), vectorize=vectorize)
 
         with Extractor(mount) as shared:
-            for vectorize in (True, False):
+            for vectorize in ("on", "off"):
                 for sql in self.QUERIES + self.QUERIES[::-1]:
                     tables = [
-                        shared.execute(ds.plan(sql), vectorize=vectorize)
+                        run_plan(shared, ds.plan(sql), vectorize=vectorize)
                         for ds in (dataset, alt, dataset)
                     ]
                     assert tables[0].num_rows > 0

@@ -194,12 +194,10 @@ class FrontDoors:
             door.drop_caches()
         self.client.drop_caches()
 
-    def calls(self, workers=1):
+    def calls(self):
         """(label, callable(sql, opts)) per front door; ``query`` comes
-        before ``query_iter``, which never fills the result cache.  The
-        virtualizer ignores ``intra_node_workers``, so it sits out the
-        combinations that only differ in it."""
-        for kind, v in self.virtualizers.items() if workers == 1 else ():
+        before ``query_iter``, which never fills the result cache."""
+        for kind, v in self.virtualizers.items():
             yield f"Virtualizer.query[{kind}]", self._query(v)
             yield f"Virtualizer.query_iter[{kind}]", self._query_iter(v)
         for kind, service in self.services.items():
@@ -264,12 +262,13 @@ def test_every_front_door_under_every_knob(doors, draw):
     assert expected["empty"].num_rows == 0
     assert expected["group"].num_rows == 2
 
-    for vectorize, cache_mode, pushdown, workers in itertools.product(
-        ("on", "off"), ("off", "exact", "subsume"), (True, False), (1, 3)
+    for vectorize, cache_mode, pushdown, workers, gap in itertools.product(
+        ("on", "off"), ("off", "exact", "subsume"), (True, False), (1, 3),
+        (0, 64 * 1024),
     ):
         opts = ExecOptions(
             remote=False,
-            coalesce_gap_bytes=0,  # the virtualizer ignores coalescing
+            coalesce_gap_bytes=gap,
             vectorize=vectorize,
             cache_mode=cache_mode,
             agg_pushdown=pushdown,
@@ -278,7 +277,7 @@ def test_every_front_door_under_every_knob(doors, draw):
         doors.drop_caches()
         for warm in (False, True) if cache_mode != "off" else (False,):
             for (shape, sql), (label, call) in itertools.product(
-                queries.items(), list(doors.calls(workers))
+                queries.items(), list(doors.calls())
             ):
                 context = f"{label} {shape} warm={warm} {opts!r}"
                 table, stats = call(sql, opts)
@@ -300,9 +299,7 @@ def test_front_doors_read_the_same_bytes_from_cold(doors, kind, pushdown):
     may race two misses of the COORDS chunk several AFCs share, so the
     read counters are only pinned for the serial driver.)"""
     v, service = doors.virtualizers[kind], doors.services[kind]
-    opts = ExecOptions(
-        remote=False, coalesce_gap_bytes=0, agg_pushdown=pushdown
-    )
+    opts = ExecOptions(remote=False, agg_pushdown=pushdown)
     for shape, sql in draw_queries(7).items():
         doors.drop_caches()
         mine = IOStats()

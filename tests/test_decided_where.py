@@ -44,7 +44,7 @@ from repro.sql import parse_where
 from repro.storm.cost import STORM_COST
 from repro.storm.data_source import DataSourceService
 from repro.storm.filtering import FilteringService
-from tests.conftest import cached_buffers
+from tests.conftest import cached_buffers, run_plan
 
 # ---------------------------------------------------------------------------
 # Datasets: (descriptor text, mount, summaries) plus what queries may use
@@ -201,9 +201,10 @@ def _execute(spec: Spec, plan, opts: ExecOptions, stream_rows):
     if stream_rows:
         stats = IOStats()
         with Extractor(spec.mount) as extractor:
-            batches = list(extractor.execute_iter(
-                plan, stream_rows, stats, vectorize=opts.vectorize == "on"
-            ))
+            batches = run_plan(
+                extractor, plan, stats, stream_rows, vectorize=opts.vectorize,
+                intra_node_workers=opts.intra_node_workers,
+            )
         return batches, {"local": stats}
     tables, per_node = [], {}
     for node, afcs in group_by_home_node(plan.afcs).items():
@@ -458,12 +459,10 @@ class TestOwnership:
     def test_extractor_execute_and_execute_iter(self, specs, ipars_ds, sql):
         spec = specs["ipars-L0"]
         plan = ipars_ds.plan(sql)
-        for vectorize in (True, False):
+        for vectorize in ("on", "off"):
             with Extractor(spec.mount) as extractor:
-                table = extractor.execute(plan, vectorize=vectorize)
-                batches = list(
-                    extractor.execute_iter(plan, 5, vectorize=vectorize)
-                )
+                table = run_plan(extractor, plan, vectorize=vectorize)
+                batches = run_plan(extractor, plan, batch_rows=5, vectorize=vectorize)
                 payloads = cached_buffers(extractor)
                 assert payloads
                 assert_owned([table.column(n) for n in table.column_names],

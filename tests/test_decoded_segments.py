@@ -50,6 +50,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sql.functions import DEFAULT_REGISTRY
 from repro.storm.data_source import DataSourceService
 from repro.storm.filtering import FilteringService
+from tests.conftest import run_plan
 from tests.test_run_decode import Spec, draw_query, specs  # noqa: F401
 
 MIXED_TEXT = """
@@ -600,13 +601,13 @@ def test_threads_sharing_a_tiny_cache_keep_its_accounting(specs):
     plan = CompiledDataset(spec.text).plan("SELECT X, S1 FROM TitanData")
     expected = None
     with Extractor(spec.mount) as extractor:
-        expected = extractor.execute(plan, coalesce_gap_bytes=64 * 1024)
+        expected = run_plan(extractor, plan, coalesce_gap_bytes=64 * 1024)
     errors = []
 
     def work(extractor):
         try:
             for _ in range(40):
-                table = extractor.execute(plan, coalesce_gap_bytes=64 * 1024)
+                table = run_plan(extractor, plan, coalesce_gap_bytes=64 * 1024)
                 for name in table.column_names:
                     assert table.column(name).tobytes() == (
                         expected.column(name).tobytes()

@@ -25,17 +25,21 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines import HandwrittenTitan
 from repro.core import (
     CompiledDataset, ExecOptions, Extractor, GeneratedDataset, Virtualizer,
     local_mount, summary_answer,
 )
+from repro.core.afc import AfcTable
+from repro.core.extractor import AfcReader
 from repro.core.stats import IOStats
 from repro.datasets.writers import write_dataset
 from repro.errors import ReproError
 from repro.index import MinMaxSummaries, build_summaries
 from repro.sql import parse_where
 from repro.sql.ranges import extract_ranges
+from tests.conftest import run_plan
 from tests.matrix import (
     BOUND_DTYPES, chunk_columns, chunk_literals, where_over, where_terms,
 )
@@ -148,8 +152,8 @@ class TestBuild:
         with Extractor(mount) as extractor:
             for afc in dataset.index({})[:5]:
                 chunk = afc.chunks[0]
-                cols = extractor.extract_afc(
-                    afc, ["X", "Y", "TIME"], IOStats()
+                cols = AfcReader(extractor, ["X", "Y", "TIME"]).extract(
+                    (AfcTable.of([afc]).parts[0], 0, afc.num_rows), IOStats()
                 )
                 bounds = summaries.bounds(chunk.key)
                 for attr in ("X", "TIME"):
@@ -324,9 +328,9 @@ class TestBoundaries:
             + np.format_float_positional(literal)
         )
         with Extractor(mount) as extractor:
-            got = extractor.execute(hand.plan(sql))
-            everything = extractor.execute(
-                HandwrittenTitan(config, None).plan(sql)
+            got = run_plan(extractor, hand.plan(sql))
+            everything = run_plan(
+                extractor, HandwrittenTitan(config, None).plan(sql)
             )
         assert got.num_rows == everything.num_rows >= 1
 
@@ -437,6 +441,39 @@ class TestBoundaries:
         self.test_an_or_of_tied_ends_keeps_its_rows_with_learned_bounds(
             tmp_path, type_name, chunks, where
         )
+
+    #: An AND of two ends on one side that a column orders unlike
+    #: Python, over values only one of the ends keeps.  Merged to the end
+    #: Python orders tightest, the AND kept more rows than either
+    #: conjunct's intersection: float32(0.1) for the float32 ends, and
+    #: 2**53 + 1, which is 2**53 in float64, for the int64 ones.
+    MERGED_ENDS = [
+        pytest.param(
+            "float", [[_TINY, np.float32(0.2)]],
+            ("V > 0.1", "V >= 0.10000000149011612"), 1, id="float32",
+        ),
+        pytest.param(
+            "long", [[_BIG + 1, 7]], (f"V >= {_BIG + 1}", f"V > {_BIG}.0"),
+            0, id="int64-past-2**53",
+        ),
+    ]
+
+    @pytest.mark.parametrize("type_name, chunks, conjuncts, rows", MERGED_ENDS)
+    def test_an_and_of_tied_ends_is_the_intersection_of_its_conjuncts(
+        self, tmp_path, type_name, chunks, conjuncts, rows
+    ):
+        text, mount = one_column_dataset(tmp_path, type_name, chunks)
+        wheres = (*conjuncts, " AND ".join(conjuncts))
+        with Virtualizer(text, mount) as v, repro.connect(
+            f"local://{tmp_path}", descriptor=text
+        ) as db:
+            for door in (v.query, db.query):
+                *alone, both = [
+                    sorted(door(f"SELECT V FROM D WHERE {where}")["V"].tolist())
+                    for where in wheres
+                ]
+                assert both == [x for x in alone[0] if x in alone[1]]
+                assert len(both) == rows
 
     @pytest.mark.parametrize("codegen", [True, False])
     def test_int64_beyond_2_53_min_max_are_exact(self, tmp_path, codegen):

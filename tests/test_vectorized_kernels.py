@@ -317,7 +317,7 @@ class TestEngineOnOffIdentity:
         with Virtualizer(text, mount) as virt:
             on_stats, off_stats = IOStats(), IOStats()
             fast = virt.query(sql, stats=on_stats, options=ON)
-            assert len(virt.extractor._kernels) == 0
+            assert len(virt._kernels) == 0
             assert on_stats.rows_vectorized == on_stats.rows_extracted > 0
             slow = virt.query(sql, stats=off_stats, options=OFF)
             assert off_stats.rows_vectorized == 0
