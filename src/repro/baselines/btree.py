@@ -107,10 +107,6 @@ class BTreeIndex:
             stats.bytes_read += (pages_touched + self.height) * PAGE_SIZE
         if not hits:
             return np.empty(0, dtype=np.uint64)
-        if len(hits) > 1:
-            # A set's intervals may overlap (ints and floats past 2**53):
-            # each tid once.
-            return np.unique(np.concatenate(hits))
-        out = hits[0].copy()
+        out = np.concatenate(hits) if len(hits) > 1 else hits[0].copy()
         out.sort()
         return out

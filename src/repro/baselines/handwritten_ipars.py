@@ -26,6 +26,7 @@ from ..errors import QueryValidationError
 from ..sql.ast import Query
 from ..sql.parser import parse_query
 from ..sql.ranges import RangeMap, extract_ranges, query_is_unsatisfiable
+from ..sql.typecheck import bind_where
 
 _FLOAT = "<f4"
 
@@ -147,13 +148,12 @@ class HandwrittenIparsL0:
                 raise QueryValidationError(f"unknown attribute {name!r}")
             if name not in needed:
                 needed.append(name)
-        ranges = extract_ranges(query.where)
         dtypes = self._dtypes()
+        where, _ = bind_where(query.where, dtypes)
+        ranges = extract_ranges(where)
         if query_is_unsatisfiable(ranges):
-            return ExtractionPlan([], needed, output, query.where, dtypes)
-        return ExtractionPlan(
-            self.index(ranges), needed, output, query.where, dtypes
-        )
+            return ExtractionPlan([], needed, output, where, dtypes)
+        return ExtractionPlan(self.index(ranges), needed, output, where, dtypes)
 
     @staticmethod
     def _dtypes() -> Dict[str, np.dtype]:

@@ -21,6 +21,7 @@ from ..index.summaries import MinMaxSummaries
 from ..sql.ast import Query
 from ..sql.parser import parse_query
 from ..sql.ranges import Interval, RangeMap, extract_ranges, query_is_unsatisfiable
+from ..sql.typecheck import bind_where
 
 _RECORD = 4 + 4 * (3 + len(SENSORS))  # TIME + X/Y/Z + sensors, packed
 
@@ -103,12 +104,11 @@ class HandwrittenTitan:
                 raise QueryValidationError(f"unknown attribute {name!r}")
             if name not in needed:
                 needed.append(name)
-        ranges = extract_ranges(query.where)
         dtypes: Dict[str, np.dtype] = {"TIME": np.dtype("<i4")}
         for name in self.COLUMNS[1:]:
             dtypes[name] = np.dtype("<f4")
+        where, _ = bind_where(query.where, dtypes)
+        ranges = extract_ranges(where)
         if query_is_unsatisfiable(ranges):
-            return ExtractionPlan([], needed, output, query.where, dtypes)
-        return ExtractionPlan(
-            self.index(ranges), needed, output, query.where, dtypes
-        )
+            return ExtractionPlan([], needed, output, where, dtypes)
+        return ExtractionPlan(self.index(ranges), needed, output, where, dtypes)

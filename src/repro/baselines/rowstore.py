@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,6 +32,7 @@ from ..sql.ast import Query
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..sql.parser import parse_query
 from ..sql.ranges import extract_ranges, query_is_unsatisfiable
+from ..sql.typecheck import bind_where
 from .btree import BTreeIndex
 from .pages import PAGE_SIZE, HeapLayout, encode_pages, tid, tid_page, tid_slot
 
@@ -196,7 +197,7 @@ class MiniRowStore:
         best: Optional[Tuple[float, str]] = None
         for column, allowed in ranges.items():
             index = info.indexes.get(column)
-            if index is None or allowed.is_full():
+            if index is None or allowed.nan:  # the index holds no NaN key
                 continue
             selectivity = index.estimate_selectivity(allowed)
             if best is None or selectivity < best[0]:
@@ -206,17 +207,23 @@ class MiniRowStore:
         return ScanChoice("seqscan")
 
     def explain(self, sql: Union[Query, str]) -> str:
+        query, info = self._resolve(sql)
+        return str(self.choose_scan(info, query))
+
+    def _resolve(self, sql: Union[Query, str]) -> Tuple[Query, TableInfo]:
+        """The query, its WHERE bound to the table's float64 datums,
+        and its table."""
         query = parse_query(sql) if isinstance(sql, str) else sql
         info = self.table(query.table)
-        return str(self.choose_scan(info, query))
+        dtypes = dict.fromkeys(info.columns, np.dtype("<f8"))
+        return replace(query, where=bind_where(query.where, dtypes)[0]), info
 
     # -- execution ------------------------------------------------------------------
 
     def query(
         self, sql: Union[Query, str], stats: Optional[IOStats] = None
     ) -> VirtualTable:
-        query = parse_query(sql) if isinstance(sql, str) else sql
-        info = self.table(query.table)
+        query, info = self._resolve(sql)
         stats = stats if stats is not None else IOStats()
         output = query.projected_names(info.columns)
         needed = list(output)

@@ -10,7 +10,8 @@ The normal form is a :class:`QueryKey`:
 * the **canonical range map** — the WHERE conjuncts that are *exactly*
   representable as per-attribute interval sets (``TIME > 100``,
   ``REL IN (0, 2)``, ``X BETWEEN 1 AND 5``, …), intersected per
-  attribute, sorted by attribute name;
+  attribute, sorted by attribute name.  Each set says whether NaN rows
+  satisfy it, so ``X != 7`` and ``X < 7 OR X > 7`` key apart;
 * the **residual fingerprint** — the remaining conjuncts (function
   calls, column-to-column comparisons, OR trees spanning several
   attributes), rendered canonically and sorted.
@@ -36,26 +37,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..sql.ast import (
-    And,
-    Between,
-    BoolLiteral,
-    Column,
-    Comparison,
-    InList,
-    Literal,
-    Node,
-    Not,
-    Or,
-    Query,
-    MIRROR_OP,
-    NEGATE_OP,
-)
-from ..sql.ranges import IntervalSet, Interval, RangeMap
+from ..sql.ast import And, BoolLiteral, Node, Not, Or, Query
+from ..sql.ranges import IntervalSet, RangeMap, leaf_range
 from ..sql.rewrite import rewrite_of
 
-#: Sorted ((attribute, intervals), ...) — the hashable form of a RangeMap.
-CanonicalRanges = Tuple[Tuple[str, Tuple[Interval, ...]], ...]
+#: Sorted ((attribute, set), ...) — the hashable form of a RangeMap.
+CanonicalRanges = Tuple[Tuple[str, IntervalSet], ...]
 
 
 @dataclass(frozen=True)
@@ -104,24 +91,6 @@ def _flatten_and(node: Node) -> List[Node]:
     return [node]
 
 
-def _comparison_range(node: Comparison) -> Optional[Tuple[str, IntervalSet]]:
-    op = node.op
-    if isinstance(node.left, Column) and isinstance(node.right, Literal):
-        column, value = node.left, node.right.value
-    elif isinstance(node.right, Column) and isinstance(node.left, Literal):
-        column, value = node.right, node.left.value
-        op = MIRROR_OP[op]
-    else:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if op in ("!=", "<>"):
-        return column.name, IntervalSet(
-            [Interval(hi=value, hi_open=True), Interval(lo=value, lo_open=True)]
-        )
-    return column.name, IntervalSet([Interval.from_comparison(op, value)])
-
-
 def exact_range(term: Node, negated: bool = False) -> Optional[Tuple[str, IntervalSet]]:
     """``(attribute, intervals)`` when ``term`` is *exactly* an interval
     condition on one attribute; ``None`` otherwise.
@@ -129,32 +98,11 @@ def exact_range(term: Node, negated: bool = False) -> Optional[Tuple[str, Interv
     Unlike :func:`repro.sql.ranges.extract_ranges` — which returns a safe
     over-approximation for pruning — this refuses anything inexact, so a
     returned set is logically equivalent to the term, not merely implied
-    by it.
+    by it.  Its leaves are :func:`~repro.sql.ranges.leaf_range`'s, which
+    is exact over a bound WHERE, NaN rows included.
     """
     if isinstance(term, Not):
         return exact_range(term.term, not negated)
-    if isinstance(term, Comparison):
-        node = term
-        if negated:
-            node = Comparison(NEGATE_OP[term.op], term.left, term.right)
-        return _comparison_range(node)
-    if isinstance(term, Between):
-        if not isinstance(term.operand, Column):
-            return None
-        lo, hi = term.lo, term.hi
-        if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)):
-            return None
-        if negated:
-            return term.operand.name, IntervalSet(
-                [Interval(hi=lo, hi_open=True), Interval(lo=hi, lo_open=True)]
-            )
-        return term.operand.name, IntervalSet.of(lo, hi)
-    if isinstance(term, InList) and not negated:
-        if not isinstance(term.operand, Column):
-            return None
-        if not all(isinstance(v, (int, float)) for v in term.values):
-            return None
-        return term.operand.name, IntervalSet.points(term.values)
     if isinstance(term, (And, Or)):
         # AND/OR over exact conditions on ONE shared attribute stays exact
         # (intersection/union); across attributes it does not.
@@ -169,7 +117,7 @@ def exact_range(term: Node, negated: bool = False) -> Optional[Tuple[str, Interv
         for _, ivs in parts[1:]:  # type: ignore[misc]
             acc = acc.union(ivs) if combine_union else acc.intersect(ivs)
         return names.pop(), acc
-    return None
+    return leaf_range(term, negated)
 
 
 def split_where(where: Optional[Node]) -> Tuple[RangeMap, Tuple[str, ...]]:
@@ -217,17 +165,10 @@ def query_key(
     """
     where = rewrite_of(query).canonical_where
     ranges, residual = split_where(where)
-    canonical: CanonicalRanges = tuple(
-        sorted((name, ivs.intervals) for name, ivs in ranges.items())
-    )
+    canonical: CanonicalRanges = tuple(sorted(ranges.items()))
     return QueryKey(
         fingerprint, tuple(output), canonical, residual, tuple(aggregate)
     )
-
-
-def ranges_of(key: QueryKey) -> RangeMap:
-    """Reconstruct the interval sets of a key's canonical range map."""
-    return {name: IntervalSet(intervals) for name, intervals in key.ranges}
 
 
 def key_subsumes(cached: QueryKey, new: QueryKey) -> bool:
@@ -249,11 +190,8 @@ def key_subsumes(cached: QueryKey, new: QueryKey) -> bool:
     if not set(cached.residual) <= set(new.residual):
         return False
     new_ranges = dict(new.ranges)
-    for name, cached_intervals in cached.ranges:
-        new_intervals = new_ranges.get(name)
-        if new_intervals is None:
-            return False
-        narrow = IntervalSet(new_intervals)
-        if narrow.intersect(IntervalSet(cached_intervals)) != narrow:
+    for name, wide in cached.ranges:
+        narrow = new_ranges.get(name)
+        if narrow is None or narrow.intersect(wide) != narrow:
             return False
     return True

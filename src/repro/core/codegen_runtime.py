@@ -116,9 +116,8 @@ def allowed_ordinals(
             runs.append(np.arange(lo, hi + 1, dtype=np.int64))
     if len(runs) == 1:
         return runs[0]
-    # Normalised intervals are disjoint and sorted, their runs too; the
-    # union keeps NaN-ended intervals (which normalise loosely) honest.
-    return np.unique(np.concatenate(runs)) if runs else np.empty(0, dtype=np.int64)
+    # Normalised intervals are disjoint and sorted, their runs too.
+    return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
 
 
 def ranges_match(ranges: RangeMap, implicit: Sequence[Tuple[str, int, int]]) -> bool:

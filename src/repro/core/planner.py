@@ -15,8 +15,7 @@ against.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple, Union,
 )
@@ -30,11 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycles
 from ..errors import PlanningError, QueryValidationError
 from ..metadata.descriptor import Descriptor, parse_descriptor
 from ..obs.tracer import NULL_TRACER
-from ..sql.ast import And, Column, Comparison, InList, Literal, Node, Query
+from ..sql.ast import And, Node, Query
 from ..sql.parser import parse_query
-from ..sql.ranges import RangeMap, extract_ranges, query_is_unsatisfiable
+from ..sql.ranges import (
+    RangeMap, extract_ranges, leaf_range, query_is_unsatisfiable,
+)
 from ..sql.rewrite import rewrite_of
 from ..sql.textcache import QueryTextCache
+from ..sql.typecheck import bind_where
 from .afc import AfcTable, ExtractionPlan
 from .analysis import (
     Alignment,
@@ -262,21 +264,38 @@ class CompiledDataset:
     # -- query-time ---------------------------------------------------------------
 
     def resolve_query(self, query: Union[Query, str]) -> Query:
-        """The query as written, validated against this dataset.
+        """The query as written, validated against this dataset, its
+        WHERE bound to the schema's dtypes
+        (:func:`~repro.sql.typecheck.bind_where`).
 
         A text goes through the query-text cache
         (:mod:`repro.sql.textcache`): one resolved before is copied
-        without lexing, parsing or rewriting, and carries its canonical
-        form and column lists for :meth:`plan`.
+        without lexing, parsing, binding or rewriting, and carries its
+        canonical form and column lists for :meth:`plan`.  A
+        :class:`Query` comes back as it is when binding changes
+        nothing, else as a bound copy.
         """
         if isinstance(query, str):
-            return self.query_texts.resolve(query, self._parse)
-        self._check_table(query)
-        return query
+            return self.query_texts.resolve(query, self._bind)
+        return self._bind(query)
 
-    def _parse(self, text: str) -> Query:
-        query = parse_query(text)
+    def _bind(self, query: Union[Query, str]) -> Query:
+        """``query`` (parsed, if a text), or a copy with its WHERE bound;
+        its rewrite memo keeps this dataset's token, so a query bound
+        here is not bound again, and what binding decided, for
+        RT306/RT307."""
+        if isinstance(query, str):
+            query = parse_query(query)
+        else:
+            memo = query.__dict__.get("_rewrite")
+            bound = memo and memo.matches(query) and memo.bound
+            if bound and bound[0] is self._token:
+                return query
         self._check_table(query)
+        where, verdicts = bind_where(query.where, self.dtypes)
+        if where is not query.where:
+            query = replace(query, where=where)
+        rewrite_of(query).bound = (self._token, verdicts)
         return query
 
     def _check_table(self, query: Query) -> None:
@@ -443,27 +462,23 @@ class CompiledDataset:
         return sum(f.expected_size for f in self.files)
 
 
-#: Integers up to this magnitude are exact in float64, so comparing one
-#: with an int or a float literal gives the same answer in Python as in
-#: numpy, which compares an integer column with a float in float64.
+#: Integers up to this magnitude are exact in float64, so a ``double``
+#: column materialised from them holds them exactly.
 _EXACT = 2 ** 53
-
-_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
 
 def decidable_ranges(dtypes: Mapping[str, np.dtype]) -> Dict[str, Tuple[int, int]]:
     """Per implicit attribute, the value range inside which a hull check
     in Python answers exactly what numpy's comparison of the
-    materialised column would: the declared integer type's range (a
-    wider hull wraps in that type — lint RV124), capped at ±2**53, or
-    ±2**53 for ``double``.  Narrower float types are left out: numpy
-    rounds a literal to the column's type before comparing."""
+    materialised column with its bound literal would: the declared
+    integer type's range (a wider hull wraps in that type — lint
+    RV124), or ±2**53 for ``double``.  Narrower float types are left
+    out: they round the values they hold."""
     out: Dict[str, Tuple[int, int]] = {}
     for name, dtype in dtypes.items():
         dtype = np.dtype(dtype)
         if dtype.kind in "iu":
             info = np.iinfo(dtype)
-            out[name] = (max(int(info.min), -_EXACT), min(int(info.max), _EXACT))
+            out[name] = (int(info.min), int(info.max))
         elif dtype.kind == "f" and dtype.itemsize == 8:
             out[name] = (-_EXACT, _EXACT)
     return out
@@ -477,16 +492,15 @@ def decide_conjuncts(
     """``(residual, decided)``: the top-level conjuncts of a rewritten
     WHERE split by whether they hold for every row of ``afcs``.
 
-    A conjunct is decided only in exact cases: ``attr op literal`` with
-    ``op`` one of ``< <= > >=`` whose comparison holds at both ends of
-    the attribute's hull over every part, ``attr = literal`` over a
-    one-value hull equal to it, and ``attr IN (...)`` over a one-value
-    hull in the list — where ``attr`` is implicit in every part (never
-    stored), the hull fits ``decidable[attr]`` and every literal is a
-    finite number inside ±2**53.  Stored attributes, functions, OR, NOT,
-    ``!=`` and NaN stay in the residual; so does everything when
-    ``afcs`` is empty.  Dropping a decided conjunct changes no row: each
-    one is true of every row extraction produces.
+    A conjunct is decided only in exact cases: a comparison (``=``,
+    ``<``, ``<=``, ``>``, ``>=``) or IN of ``attr`` with literals bound
+    to its dtype, whose exact range (:func:`~repro.sql.ranges.leaf_range`)
+    holds the attribute's whole hull over every part — where ``attr`` is
+    implicit in every part (never stored) and the hull fits
+    ``decidable[attr]``.  Stored attributes, functions, OR, NOT, ``!=``
+    and NaN stay in the residual; so does everything when ``afcs`` is
+    empty.  Dropping a decided conjunct changes no row: each one is true
+    of every row extraction produces.
     """
     if where is None or not len(afcs):
         return where, ()
@@ -504,43 +518,24 @@ def decide_conjuncts(
     return (residual[0] if residual else None), tuple(decided)
 
 
-def _exact_number(value: object) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and -_EXACT <= value <= _EXACT  # False for NaN
-    )
-
-
 def _decides(
     term: Node,
     afcs: AfcTable,
     decidable: Mapping[str, Tuple[int, int]],
     hulls: Dict[str, Optional[Tuple[int, int]]],
 ) -> bool:
-    if isinstance(term, Comparison) and isinstance(term.right, Literal):
-        column, values = term.left, (term.right.value,)
-    elif isinstance(term, InList):
-        column, values = term.operand, term.values
-    else:
+    leaf = leaf_range(term)
+    if leaf is None or getattr(term, "op", "=") in ("!=", "<>"):
         return False
-    if not isinstance(column, Column) or column.name not in decidable:
+    name, allowed = leaf
+    if name not in decidable:
         return False
-    if not all(_exact_number(value) for value in values):
-        return False
-    name = column.name
     if name not in hulls:
         hulls[name] = _hull(afcs, name, decidable[name])
     hull = hulls[name]
-    if hull is None:
-        return False
-    lo, hi = hull
-    if isinstance(term, InList):
-        return lo == hi and lo in values
-    holds = _ORDERED.get(term.op)
-    if holds is not None:
-        return holds(lo, values[0]) and holds(hi, values[0])
-    return term.op in ("=", "==") and lo == hi == values[0]
+    return hull is not None and any(
+        iv.contains(hull[0]) and iv.contains(hull[1]) for iv in allowed.intervals
+    )
 
 
 def _hull(

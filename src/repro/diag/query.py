@@ -16,6 +16,7 @@ approximate, but good enough to carry line/column into editors.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple, Union
 
 from ..errors import QueryError, QuerySyntaxError
@@ -40,7 +41,7 @@ from ..sql.ranges import (
     extract_ranges,
 )
 from ..sql.rewrite import rewrite_of
-from ..sql.typecheck import typecheck_query
+from ..sql.typecheck import bind_where, typecheck_query
 from .core import Collector
 from .linter import _const_range, _iter_loops
 
@@ -57,8 +58,11 @@ def analyze_query(
 ) -> Collector:
     """Run every query analyzer; never raises on findings.
 
-    Analyzers run over the query as written (span fidelity), then the
-    equivalence-preserving rewrite pass normalizes it: a canonical form
+    Analyzers run over the query as written (span fidelity); the
+    satisfiability check and the equivalence-preserving rewrite pass run
+    over its WHERE bound to the schema
+    (:func:`~repro.sql.typecheck.bind_where`), as planning does: a
+    canonical form
     that folds to FALSE is reported as RQ207 even when the contradiction
     is invisible to plain interval extraction (e.g. it involves function
     operands).  With ``explain=True``, every applied rewrite is emitted
@@ -92,7 +96,9 @@ def analyze_query(
     _check_where_columns(descriptor, query, text, collector)
     _check_functions(query, functions, text, collector)
     _check_literal_types(descriptor, query, text, collector)
-    _check_satisfiability(descriptor, query, text, collector)
+    where = bind_where(query.where, {a.name: a.dtype for a in descriptor.schema})[0]
+    bound = query if where is query.where else replace(query, where=where)
+    _check_satisfiability(descriptor, bound, text, collector)
     _check_index_pruning(descriptor, query, text, collector)
     typecheck_query(
         descriptor,
@@ -102,7 +108,7 @@ def analyze_query(
         span_of=lambda token: _sql_span(text, token),
     )
 
-    memo = rewrite_of(query)
+    memo = rewrite_of(bound)
     if (
         isinstance(memo.canonical_where, BoolLiteral)
         and not memo.canonical_where.value

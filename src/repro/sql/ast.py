@@ -8,6 +8,7 @@ predicate to extracted rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -20,40 +21,54 @@ Value = Union[int, float, str]
 
 
 def _render_value(value: Value) -> str:
-    """A literal value as query text (strings quoted, so the rendered
-    form lexes back to the same value)."""
+    """A literal value as query text (strings quoted, infinities as
+    ``1e999``), so the rendered form lexes back to the same value."""
     if isinstance(value, str):
         return f"'{value}'"
+    if value in (math.inf, -math.inf):
+        return "1e999" if value > 0 else "-1e999"
     return str(value)
 
 
 def in_list_mask(data: np.ndarray, values: Sequence[Value]) -> np.ndarray:
-    """Membership mask over ``data`` in one ``np.isin`` pass.
-
-    Bit-identical to the per-value equality loop (``mask |= data == v``)
-    it replaces, at O(n log k) instead of O(n·k) full-column passes:
+    """Membership mask over ``data``: the OR of ``data == v`` over the
+    values, each compared as the binary ``==`` compares it (NumPy 2's
+    NEP 50, value by value), in one ``np.isin`` pass where it can:
 
     * values whose kind cannot match the column (a string against a
-      numeric column, a number against a string column) are dropped
-      before the comparison — elementwise ``==`` across kinds is False
-      everywhere, so they never contributed a match;
-    * the surviving values promote through ``np.asarray`` exactly as
-      the binary ``==`` would (an int column against a float value
-      compares in float64 either way);
-    * NaN matches nothing in both formulations (``NaN == NaN`` is
-      False, and ``np.isin``'s sort-based path detects equality with
-      ``==`` on adjacent elements).
+      numeric column, a number against a string column) are dropped —
+      elementwise ``==`` across kinds is False everywhere;
+    * on a float column each value is cast to the column's dtype, as
+      ``==`` casts it (``0.1`` is float32(0.1) on float32), and on an
+      integer column an int value stays exact, or is dropped outside
+      the dtype's range, where it matches nothing; those go through
+      ``np.isin`` in the column's dtype;
+    * a float value on an integer column (or any value on another
+      kind) is compared on its own, as ``==`` does: in float64, where
+      ``2**53 + 1`` is ``2**53``;
+    * NaN matches nothing either way (``NaN == NaN`` is False, and
+      ``np.isin``'s sort-based path detects equality with ``==`` on
+      adjacent elements).
 
     Shared by the interpreted :meth:`InList.evaluate` and the compiled
     predicate kernels, so both paths agree by construction.
     """
-    if data.dtype.kind in "US":
-        usable = [v for v in values if isinstance(v, str)]
-    else:
-        usable = [v for v in values if isinstance(v, (int, float))]
-    if not usable:
-        return np.zeros(data.shape, dtype=bool)
-    return np.isin(data, np.asarray(usable))
+    kind = data.dtype.kind
+    if kind in "US":
+        return np.isin(data, [v for v in values if isinstance(v, str)])
+    mask = np.zeros(data.shape, dtype=bool)
+    same: List[Value] = []
+    for value in values:
+        if isinstance(value, (str, bool)):
+            continue
+        if kind == "f":
+            with np.errstate(over="ignore"):
+                same.append(data.dtype.type(value))
+        elif kind not in "iu" or not isinstance(value, int):
+            mask |= data == value
+        elif np.iinfo(data.dtype).min <= value <= np.iinfo(data.dtype).max:
+            same.append(value)
+    return mask | np.isin(data, np.array(same, dtype=data.dtype))
 
 
 class Node:
@@ -103,9 +118,7 @@ class Literal(Node):
         return ()
 
     def __str__(self) -> str:
-        if isinstance(self.value, str):
-            return f"'{self.value}'"
-        return str(self.value)
+        return _render_value(self.value)
 
 
 @dataclass(frozen=True)

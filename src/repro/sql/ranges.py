@@ -9,20 +9,29 @@ cache taught it (``ExtractionPlan.ranges``).  Pruning with an
 over-approximation is always safe because the full predicate is still
 applied to extracted rows by the filtering service.
 
-Derivation rules:
+The ranges are derived from a WHERE *bound* to the schema
+(:func:`~repro.sql.typecheck.bind_where`): every literal there is
+written exactly in its column's dtype, so comparing range ends in Python
+orders them as the column's own comparison does, and intersections,
+hulls and emptiness need no second guess.
+
+Derivation rules (:func:`leaf_range` translates one leaf):
 
 * ``attr op literal``      -> a single (half-)interval,
 * ``attr IN (v1, ...)``    -> union of points,
 * ``attr BETWEEN lo AND hi`` -> one closed interval,
-* ``AND``                  -> per-attribute intersection; ends that
-  cross in Python but may tie as a column compares them keep a
-  non-empty interval (:meth:`Interval.is_empty`),
+* ``AND``                  -> per-attribute intersection,
 * ``OR``                   -> per-attribute union; an attribute
   unconstrained on either branch becomes unconstrained,
 * ``NOT``                  -> pushed inward through connectives and
-  comparisons (De Morgan); unsupported negations fall back to "no
+  leaves (De Morgan); a negated ``NOT IN`` falls back to "no
   constraint", which is conservative and therefore safe,
 * function calls and column-to-column comparisons contribute nothing.
+
+Each set also says whether NaN rows satisfy it
+(:attr:`IntervalSet.nan`): a NaN row fails every comparison but ``!=``,
+so a negated leaf and ``!=`` admit it, and a set whose intervals are
+empty still selects the NaN rows then.
 """
 
 from __future__ import annotations
@@ -30,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from .ast import (
     And,
@@ -45,6 +52,7 @@ from .ast import (
     Not,
     Or,
     MIRROR_OP,
+    NEGATE_OP,
 )
 
 _INF = math.inf
@@ -60,20 +68,9 @@ class Interval:
     hi_open: bool = False
 
     def is_empty(self) -> bool:
-        """Whether no column compares inside it as the kernel compares.
-        Ends that cross in Python (``lo > hi``, or equal with an open
-        end) may still admit a value: a float32 column compares both
-        rounded, so ``[0.10000000149011612, 0.1]`` holds float32(0.1),
-        and an int64 one compares an int end exactly and a float end in
-        float64, so ``(2**53, 2**53.0]`` holds 2**53 + 1."""
-        if not (self.lo > self.hi or self.lo == self.hi and (
+        return self.lo > self.hi or self.lo == self.hi and (
             self.lo_open or self.hi_open
-        )):
-            return False
-        if not _float32_equal(self.lo, self.hi):
-            return True
-        closed = not (self.lo_open or self.hi_open)
-        return not (closed or _exact_apart((self.lo, self.hi)))
+        )
 
     def contains(self, value: float) -> bool:
         if value < self.lo or (value == self.lo and self.lo_open):
@@ -108,23 +105,15 @@ class Interval:
         return False
 
     def hull(self, other: "Interval") -> "Interval":
-        """The smallest interval holding both.  An end stays open only
-        if the other interval's end on that side is open too, or the two
-        differ as float32: a float32 column compares both literals
-        rounded, so ``V > 0.1 OR V >= 0.10000000149011612`` admits the
-        float32 nearest 0.1."""
+        """The smallest interval holding both."""
         if self.lo < other.lo or (self.lo == other.lo and not self.lo_open):
             lo, lo_open = self.lo, self.lo_open
         else:
             lo, lo_open = other.lo, other.lo_open
-        if lo_open and not (self.lo_open and other.lo_open):
-            lo_open = not _float32_equal(self.lo, other.lo)
         if self.hi > other.hi or (self.hi == other.hi and not self.hi_open):
             hi, hi_open = self.hi, self.hi_open
         else:
             hi, hi_open = other.hi, other.hi_open
-        if hi_open and not (self.hi_open and other.hi_open):
-            hi_open = not _float32_equal(self.hi, other.hi)
         return Interval(lo, hi, lo_open, hi_open)
 
     @staticmethod
@@ -152,17 +141,18 @@ class Interval:
 
 
 class IntervalSet:
-    """A normalised union of intervals: sorted, and disjoint unless
-    int and float ends past 2**53 kept two apart (:func:`_normalise`).
+    """A normalised union of intervals (sorted, disjoint), and whether
+    NaN rows satisfy it (``nan``).
 
     Immutable; ``FULL`` means "no constraint" and ``EMPTY`` means
     "no value can qualify" (the chunk/file can be skipped outright).
     """
 
-    __slots__ = ("intervals",)
+    __slots__ = ("intervals", "nan")
 
-    def __init__(self, intervals: Iterable[Interval] = ()):
+    def __init__(self, intervals: Iterable[Interval] = (), nan: bool = False):
         self.intervals: Tuple[Interval, ...] = _normalise(intervals)
+        self.nan = nan
 
     # -- constructors ----------------------------------------------------------
 
@@ -185,19 +175,21 @@ class IntervalSet:
     # -- predicates --------------------------------------------------------------
 
     def is_full(self) -> bool:
-        return (
-            len(self.intervals) == 1
-            and self.intervals[0].lo == -_INF
-            and self.intervals[0].hi == _INF
-        )
+        return self.nan and self.intervals == _FULL.intervals
 
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not (self.intervals or self.nan)
 
     def contains(self, value: float) -> bool:
+        if value != value:
+            return self.nan
         return any(iv.contains(value) for iv in self.intervals)
 
     def overlaps_interval(self, interval: Interval) -> bool:
+        """Whether a value of ``interval`` may satisfy the set; an
+        interval with a NaN end (a chunk holding NaN) may hold any."""
+        if interval.lo != interval.lo or interval.hi != interval.hi:
+            return not self.is_empty()
         return any(iv.overlaps(interval) for iv in self.intervals)
 
     def overlaps_range(self, lo: float, hi: float) -> bool:
@@ -217,16 +209,17 @@ class IntervalSet:
                 c = a.intersect(b)
                 if not c.is_empty():
                     out.append(c)
-        return IntervalSet(out)
+        return IntervalSet(out, self.nan and other.nan)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_full() or other.is_full():
             return _FULL
-        return IntervalSet(self.intervals + other.intervals)
+        return IntervalSet(self.intervals + other.intervals, self.nan or other.nan)
 
     @property
     def bounds(self) -> Tuple[float, float]:
-        """(min, max) hull of the set; (+inf, -inf) when empty."""
+        """(min, max) hull of the set's intervals; (+inf, -inf) when it
+        has none."""
         if not self.intervals:
             return (_INF, -_INF)
         return (self.intervals[0].lo, max(iv.hi for iv in self.intervals))
@@ -234,65 +227,27 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self.intervals == other.intervals
+        return self.intervals == other.intervals and self.nan == other.nan
 
     def __hash__(self) -> int:
-        return hash(self.intervals)
+        return hash((self.intervals, self.nan))
 
     def __str__(self) -> str:
-        if self.is_empty():
-            return "{}"
-        return " u ".join(str(iv) for iv in self.intervals)
+        parts = [str(iv) for iv in self.intervals] + ["{NaN}"] * self.nan
+        return " u ".join(parts) or "{}"
 
     def __repr__(self) -> str:
         return f"IntervalSet({self})"
 
 
-def _float32_equal(a: float, b: float) -> bool:
-    """Whether ``a`` and ``b`` round to one float32."""
-    try:
-        with np.errstate(over="ignore"):
-            return bool(np.float32(a) == np.float32(b))
-    except OverflowError:  # an int past float64's range
-        return False
-
-
-#: From this magnitude on, an int end and a float end may order one way
-#: in Python and the other way against an integer column: numpy compares
-#: such a column with an int literal exactly and with a float literal in
-#: float64, where ``2**53 + 1`` is ``2**53``.
-_EXACT = 2 ** 53
-
-
-def _exact_apart(ends: Iterable[float]) -> bool:
-    """Whether the finite ``ends`` mix ints and floats and one of them
-    is at least 2**53 in magnitude: then an integer column may order
-    them unlike Python does."""
-    ends = [v for v in ends if v == v and abs(v) != _INF]
-    kinds = {isinstance(v, (float, np.floating)) for v in ends}
-    return len(kinds) == 2 and any(abs(v) >= _EXACT for v in ends)
-
-
-def _hullable(a: Interval, b: Interval) -> bool:
-    """Whether the hull of ``a`` and ``b`` admits every value either
-    admits as the kernel compares: unless their ends are
-    :func:`_exact_apart`."""
-    return not _exact_apart((a.lo, a.hi, b.lo, b.hi))
-
-
 def _normalise(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
     """Non-empty intervals sorted by their lower end, touching ones
-    merged into their hull — except where :func:`_hullable` says the
-    hull would lose a value: those are kept side by side, so a set's
-    intervals may then overlap."""
+    merged into their hull."""
     live = [iv for iv in intervals if not iv.is_empty()]
     live.sort(key=lambda iv: (iv.lo, iv.lo_open))
     merged: List[Interval] = []
     for iv in live:
-        if (
-            merged and merged[-1].touches_or_overlaps(iv)
-            and _hullable(merged[-1], iv)
-        ):
+        if merged and merged[-1].touches_or_overlaps(iv):
             merged[-1] = merged[-1].hull(iv)
         else:
             merged.append(iv)
@@ -301,8 +256,10 @@ def _normalise(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
 
 _FULL = IntervalSet.__new__(IntervalSet)
 _FULL.intervals = (Interval(),)
+_FULL.nan = True
 _EMPTY = IntervalSet.__new__(IntervalSet)
 _EMPTY.intervals = ()
+_EMPTY.nan = False
 
 
 # ---------------------------------------------------------------------------
@@ -344,37 +301,8 @@ def _extract(node: Node, negated: bool) -> RangeMap:
         # query_is_unsatisfiable().
         return {_FALSE_KEY: IntervalSet.empty()}
 
-    if isinstance(node, Comparison):
-        return _from_comparison(node, negated)
-
-    if isinstance(node, InList):
-        if negated or not isinstance(node.operand, Column):
-            return {}
-        numeric = [v for v in node.values if isinstance(v, (int, float))]
-        if len(numeric) != len(node.values):
-            return {}
-        if any(isinstance(v, float) for v in numeric):
-            # One float makes the kernel compare every value as a float
-            # (``in_list_mask``): 2**53 + 1 matches 2**53 there.
-            numeric = [float(v) for v in numeric]
-        return {node.operand.name: IntervalSet.points(numeric)}
-
-    if isinstance(node, Between):
-        if not isinstance(node.operand, Column):
-            return {}
-        lo, hi = node.lo, node.hi
-        if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)):
-            return {}
-        if negated:
-            return {
-                node.operand.name: IntervalSet(
-                    [Interval(hi=lo, hi_open=True), Interval(lo=hi, lo_open=True)]
-                )
-            }
-        return {node.operand.name: IntervalSet.of(lo, hi)}
-
-    # Function calls or anything else: no derivable constraint.
-    return {}
+    leaf = leaf_range(node, negated)
+    return {} if leaf is None else {leaf[0]: leaf[1]}
 
 
 _FALSE_KEY = "\x00unsatisfiable"
@@ -385,28 +313,60 @@ def query_is_unsatisfiable(ranges: RangeMap) -> bool:
     return any(s.is_empty() for s in ranges.values())
 
 
-def _from_comparison(node: Comparison, negated: bool) -> RangeMap:
-    column: Optional[Column] = None
-    value = None
-    op = node.op
-    if isinstance(node.left, Column) and isinstance(node.right, Literal):
-        column, value = node.left, node.right.value
-    elif isinstance(node.right, Column) and isinstance(node.left, Literal):
-        column, value = node.right, node.left.value
-        op = MIRROR_OP[op]
-    if column is None or not isinstance(value, (int, float)):
-        return {}
-    if negated:
-        from .ast import NEGATE_OP
+def _is_number(value: object) -> bool:
+    """A numeric literal usable as a range end (bools and NaN are not)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value == value
+    )
 
-        op = NEGATE_OP[op]
-    if op in ("!=", "<>"):
-        return {
-            column.name: IntervalSet(
-                [Interval(hi=value, hi_open=True), Interval(lo=value, lo_open=True)]
-            )
-        }
-    return {column.name: IntervalSet([Interval.from_comparison(op, value)])}
+
+def _outside(lo: float, hi: float) -> IntervalSet:
+    """The numbers below ``lo`` or above ``hi``, and NaN."""
+    return IntervalSet(
+        [Interval(hi=lo, hi_open=True), Interval(lo=hi, lo_open=True)], nan=True
+    )
+
+
+def leaf_range(node: Node, negated: bool = False) -> Optional[Tuple[str, IntervalSet]]:
+    """``(attribute, set)``: exactly the values of one attribute (NaN
+    included, :attr:`IntervalSet.nan`) that satisfy the leaf ``node``,
+    or its negation; None when it is not a column compared with number
+    literals, or a negated IN.  Shared by :func:`extract_ranges` and the
+    result cache's keys (:func:`repro.cache.keys.exact_range`)."""
+    if isinstance(node, Comparison):
+        op = node.op
+        if isinstance(node.left, Column) and isinstance(node.right, Literal):
+            column, value = node.left, node.right.value
+        elif isinstance(node.right, Column) and isinstance(node.left, Literal):
+            column, value = node.right, node.left.value
+            op = MIRROR_OP[op]
+        else:
+            return None
+        if not _is_number(value):
+            return None
+        nan = (op in ("!=", "<>")) != negated
+        op = NEGATE_OP[op] if negated else op
+        if op in ("!=", "<>"):
+            return column.name, _outside(value, value)
+        return column.name, IntervalSet([Interval.from_comparison(op, value)], nan)
+    if isinstance(node, Between):
+        lo, hi = node.lo, node.hi
+        if not (
+            isinstance(node.operand, Column) and _is_number(lo) and _is_number(hi)
+        ):
+            return None
+        return node.operand.name, (
+            _outside(lo, hi) if negated else IntervalSet.of(lo, hi)
+        )
+    if isinstance(node, InList):
+        if negated or not isinstance(node.operand, Column):
+            return None
+        if not all(_is_number(v) for v in node.values):
+            return None
+        return node.operand.name, IntervalSet.points(node.values)
+    return None
 
 
 def _merge(branches: List[RangeMap], all_of: bool) -> RangeMap:

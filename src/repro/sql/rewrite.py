@@ -7,12 +7,19 @@ float attributes, where every comparison against NaN is elementwise
 False.  That rules out one classically "obvious" rewrite: an interval
 union that covers the whole number line (``X < 5 OR X >= 5``) is *not*
 folded to TRUE, because a NaN row fails both sides.  Interval algebra is
-therefore only applied to *conjuncts* over one operand — and only to the
+therefore only applied to *conjuncts* over one column — and only to the
 comparisons that are elementwise False on NaN (``=``, ``<``, ``<=``,
 ``>``, ``>=``, positive IN).  ``!=`` is excluded: it is True on NaN, so
 re-rendering its co-finite interval set as ranges would flip NaN rows.
 The reachable outcomes (dropping a subsumed bound, folding an empty
 intersection to FALSE) are then pointwise sound under NaN.
+
+The pass rewrites a WHERE *bound* to the schema
+(:func:`~repro.sql.typecheck.bind_where`), whose literals are written
+exactly in their column's dtype: comparing two ends in Python then
+orders them as the column does, so merged ends select what their
+conjuncts select.  A comparison over a function call is not merged,
+because the dtype it compares in is known only when the function runs.
 
 Filter functions are assumed pure (same inputs, same outputs); the
 result cache and plan memoizer already rely on this, and
@@ -49,16 +56,17 @@ comparisons, folded constants) normalize to the same tree, which is how
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .ast import (
+    _CMP,
     MIRROR_OP,
     And,
     Between,
     BoolLiteral,
+    Column,
     Comparison,
     InList,
     Literal,
@@ -68,7 +76,7 @@ from .ast import (
     Query,
     Value,
 )
-from .ranges import Interval, IntervalSet, _exact_apart, _float32_equal
+from .ranges import Interval, IntervalSet, leaf_range
 
 __all__ = ["Rewrite", "RewriteStep", "rewrite_of", "rewrite_where", "rewrite_query"]
 
@@ -78,15 +86,6 @@ FALSE = BoolLiteral(False)
 #: Upper bound on fixpoint passes; each pass strictly shrinks or
 #: canonicalizes the tree, so real queries converge in 2-3 passes.
 _MAX_PASSES = 16
-
-_PY_CMP: Dict[str, Callable[[Value, Value], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 #: Operator spellings normalized away by RW401.
 _OP_SPELLING = {"==": "=", "<>": "!="}
@@ -125,7 +124,7 @@ def _fold_comparison(op: str, a: Value, b: Value) -> Optional[BoolLiteral]:
         return None
     if isinstance(a, str) != isinstance(b, str):
         return None
-    return TRUE if _PY_CMP[op](a, b) else FALSE
+    return TRUE if _CMP[op](a, b) else FALSE
 
 
 def _rewrite_comparison(node: Comparison, steps: List[RewriteStep]) -> Node:
@@ -271,52 +270,17 @@ def _rewrite_not(node: Not, steps: List[RewriteStep]) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_range(term: Node) -> Optional[Tuple[str, Node, IntervalSet]]:
-    """The interval set an *atomic* conjunct confines its operand to.
-
-    Only atoms participate (a single ordered/equality Comparison against
-    a numeric literal, or a positive all-numeric IN): intersections of
-    atom sets can produce FALSE (sound under NaN: every such atom is
-    elementwise False on a NaN row, so the conjunct already was) or
-    tighter bounds, but never a full set — the NaN-unsound full→TRUE
-    collapse is unreachable.  ``!=`` is deliberately NOT an atom: it is
-    the one comparison that is *True* on NaN, so rendering its co-finite
-    interval set back as ranges (False on NaN) would change results —
-    ``B != 5 AND B != 7`` must survive as written.
-    The key generalizes beyond plain columns: ``f(X) > 1 AND f(X) <= 1``
-    folds to FALSE because both atoms share the operand key ``f(X)``.
-    """
-    if isinstance(term, Comparison):
-        if isinstance(term.left, Literal) or not isinstance(term.right, Literal):
-            return None
-        value = term.right.value
-        if not _is_plain_number(value):
-            return None
-        if term.op not in ("=", "==", "<", "<=", ">", ">="):
-            return None
-        op = "=" if term.op == "==" else term.op
-        ivs = IntervalSet([Interval.from_comparison(op, value)])
-        return str(term.left), term.left, ivs
-    if isinstance(term, InList) and not isinstance(term.operand, Literal):
-        if term.values and all(_is_plain_number(v) for v in term.values):
-            return str(term.operand), term.operand, IntervalSet.points(term.values)
-    return None
-
-
 def _interval_terms(operand: Node, interval: Interval) -> List[Node]:
-    """Synthesize AST terms equivalent to one (non-empty) interval;
-    none for ends that cross in Python yet may tie in the kernel
-    (:meth:`~repro.sql.ranges.Interval.is_empty`)."""
+    """Synthesize AST terms equivalent to one non-empty interval; an
+    open infinite end (``V < inf``) is a term, since it drops a row."""
     lo, hi = interval.lo, interval.hi
-    terms: List[Node] = []
-    if lo > hi or lo == hi and (interval.lo_open or interval.hi_open):
-        return terms
-    if lo == hi and not _exact_apart((lo, hi)):
+    if lo == hi:
         return [Comparison("=", operand, Literal(_numeric(lo)))]
-    if lo != float("-inf"):
+    terms: List[Node] = []
+    if lo != -math.inf or interval.lo_open:
         op = ">" if interval.lo_open else ">="
         terms.append(Comparison(op, operand, Literal(_numeric(lo))))
-    if hi != float("inf"):
+    if hi != math.inf or interval.hi_open:
         op = "<" if interval.hi_open else "<="
         terms.append(Comparison(op, operand, Literal(_numeric(hi))))
     return terms
@@ -350,21 +314,6 @@ def _set_to_terms(operand: Node, ivs: IntervalSet) -> Optional[List[Node]]:
     return None
 
 
-def _tied(sets: Iterable[IntervalSet]) -> bool:
-    """Whether a column may order the ends of ``sets`` unlike Python
-    does: two distinct ends on one side round to one float32, or the
-    ends are :func:`~repro.sql.ranges._exact_apart`.  Merged to the end
-    Python orders tightest, such a group can keep rows its conjuncts
-    drop (``V > 0.1 AND V >= 0.10000000149011612`` over float32 keeps
-    float32(0.1)), so it is kept as written."""
-    intervals = [iv for ivs in sets for iv in ivs.intervals]
-    for side in ({iv.lo for iv in intervals}, {iv.hi for iv in intervals}):
-        ends = sorted(v for v in side if v == v and abs(v) != float("inf"))
-        if any(_float32_equal(a, b) for a, b in zip(ends, ends[1:])):
-            return True
-    return _exact_apart(v for iv in intervals for v in (iv.lo, iv.hi))
-
-
 def _merge_range_conjuncts(
     terms: Sequence[Node], spelled: Sequence[str], steps: List[RewriteStep]
 ) -> Optional[List[Tuple[Node, str]]]:
@@ -373,7 +322,17 @@ def _merge_range_conjuncts(
     ``spelled`` is ``str`` of each term; the result pairs each kept or
     synthesized term with its spelling.
     """
-    atoms = [_atomic_range(term) for term in terms]
+    # Only atoms merge: an ordered or equality comparison of a column
+    # with a number, or a positive all-number IN.  Each is elementwise
+    # False on a NaN row, so an empty intersection folds to FALSE
+    # soundly, and a full one (NaN-unsound TRUE) is never reached.
+    # ``!=`` is no atom: it is True on NaN, so its co-finite set
+    # rendered back as ranges (False on NaN) would drop NaN rows —
+    # ``B != 5 AND B != 7`` survives as written.
+    atoms = [
+        None if getattr(term, "op", None) in ("!=", "<>") else leaf_range(term)
+        for term in terms
+    ]
     groups: Dict[str, List[int]] = {}
     for i, atom in enumerate(atoms):
         if atom is not None:
@@ -389,9 +348,9 @@ def _merge_range_conjuncts(
             continue
         emitted.add(key)
         group = groups[key]
-        acc = atoms[group[0]][2]
+        acc = atoms[group[0]][1]
         for i in group[1:]:
-            acc = acc.intersect(atoms[i][2])
+            acc = acc.intersect(atoms[i][1])
         originals = " AND ".join(spelled[i] for i in group)
         if acc.is_empty():
             steps.append(
@@ -402,9 +361,7 @@ def _merge_range_conjuncts(
                 )
             )
             return None
-        synthesized = None
-        if not (acc.is_full() or _tied(atoms[i][2] for i in group)):
-            synthesized = _set_to_terms(atom[1], acc)
+        synthesized = _set_to_terms(Column(key), acc)
         if synthesized is not None:
             rendered = [str(t) for t in synthesized]
             if sorted(rendered) == sorted(spelled[i] for i in group):
@@ -584,12 +541,15 @@ class Rewrite:
 
     ``steps`` are the applied :class:`RewriteStep` records.  ``columns``
     is free for the planner: ``(dataset token, needed, output, aggregate
-    spec)``.
+    spec)``.  ``bound`` is free for the dataset that bound ``where``
+    (:func:`~repro.sql.typecheck.bind_where`): ``(dataset token,
+    verdicts)``, so it need not bind it again and RT306/RT307 can read
+    what binding decided.
     """
 
     __slots__ = (
         "where", "table", "select", "group_by", "canonical_where",
-        "steps", "columns",
+        "steps", "columns", "bound",
     )
 
     def __init__(
@@ -605,6 +565,7 @@ class Rewrite:
         self.canonical_where = canonical_where
         self.steps = steps
         self.columns = None
+        self.bound = None
 
     def matches(self, query: Query) -> bool:
         """Whether ``query`` is still what this rewrite was derived from

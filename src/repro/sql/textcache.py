@@ -1,8 +1,9 @@
 """Resolved query texts: the SQL front end runs once per distinct text.
 
 The paper promises that "no code generation or expensive runtime
-processing is required when a new query is submitted".  Lexing, parsing
-and rewriting a text to its canonical form is such processing, and
+processing is required when a new query is submitted".  Lexing, parsing,
+binding (:func:`~repro.sql.typecheck.bind_where`) and rewriting a text
+to its canonical form is such processing, and
 texts come back: a dashboard resubmits its panels, a client retries,
 and a coordinator ships the same canonical text to every ``tcp://`` node
 of a query.  A :class:`QueryTextCache` keeps, per exact text, the
@@ -38,8 +39,8 @@ class QueryTextCache:
 
     :meth:`resolve` turns a text into a :class:`Query` carrying the
     memoized rewrite: a copy of the cached one on a hit, else whatever
-    ``parse`` (lexer, parser and validation) returns, rewritten once and
-    remembered.  ``hits`` and ``misses`` count texts.
+    ``parse`` (lexer, parser, validation and binding) returns, rewritten
+    once and remembered.  ``hits`` and ``misses`` count texts.
     """
 
     def __init__(self, capacity: int = QUERY_TEXT_CACHE_ENTRIES):

@@ -12,10 +12,10 @@ RT302     function argument type mismatch (error)
 RT303     IN/BETWEEN value type mismatch (error)
 RT304     aggregate over a non-numeric attribute (error)
 RT305     SUM over a 64-bit integer attribute may overflow (warning)
-RT306     equality against a literal unrepresentable in the
-          attribute's type — can never (or always) match (warning)
-RT307     comparison bound outside the attribute type's representable
-          range — the comparison is constant (warning)
+RT306     equality against a literal no value of the attribute's
+          type equals — can never (or always) match (warning)
+RT307     comparison bound outside the attribute type's range — the
+          comparison is constant (warning)
 RT308     function result type assumed numeric; no signature
           registered (info)
 RT309     filter function not declared vectorized; the compiled
@@ -25,6 +25,10 @@ RT309     filter function not declared vectorized; the compiled
 Errors block execution under ``ExecOptions(strict=True)`` before any
 node is contacted; warnings flag queries that execute but almost
 certainly do not mean what they say.
+
+RT306 and RT307 are the verdicts of :func:`bind_where`, which writes
+each literal of a WHERE as its column's own comparison reads it (NumPy
+2, NEP 50); every later stage reads the bound tree.
 
 This module also owns the *aggregate dtype policy* — which accumulator
 and output dtypes each reduction uses given the input attribute type —
@@ -42,14 +46,17 @@ resolve to a constant or raise on at runtime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, List, Mapping, Optional, Set, Tuple, Union,
+)
 
 import numpy as np
 
 from .ast import (
+    _CMP,
     MIRROR_OP,
+    NEGATE_OP,
     And,
     Between,
     BoolLiteral,
@@ -60,6 +67,7 @@ from .ast import (
     Literal,
     Node,
     Not,
+    Number,
     Or,
     Query,
     Value,
@@ -77,6 +85,8 @@ __all__ = [
     "STRING",
     "BOOLEAN",
     "UNKNOWN",
+    "Verdict",
+    "bind_where",
     "infer_type",
     "typecheck_query",
     "sum_accumulator_dtype",
@@ -206,6 +216,246 @@ def _incomparable(left: ExprType, right: ExprType) -> bool:
     return left.kind != right.kind
 
 
+# ---------------------------------------------------------------------------
+# Binding: each literal as the column's own comparison reads it
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A column-literal comparison the binding replaced by a constant:
+    ``column op value`` as written (column on the left) ``holds`` on
+    every row.  ``code`` is RT307 for an ordered comparison or a literal
+    outside the dtype's range, RT306 for an equality no value of the
+    dtype can meet (or, with ``!=``, miss)."""
+
+    column: str
+    op: str
+    value: Value
+    holds: bool
+    code: str
+
+
+def bind_where(
+    where: Optional[Node], dtypes: Mapping[str, np.dtype]
+) -> Tuple[Optional[Node], Tuple[Verdict, ...]]:
+    """``where`` with each literal bound to its column's dtype, and the
+    comparisons that binding decided.
+
+    The kernel compares a column with a Python scalar under NumPy 2's
+    NEP 50; the bound tree spells out the comparison it performs, in
+    values a Python comparison orders exactly as the column does:
+
+    * on a float column a literal becomes the value NEP 50 casts it to
+      (``0.1`` on float32 is ``0.10000000149011612``, ``1e300`` is
+      ``inf``), the operator unchanged;
+    * on an integer column an int literal stays, and a float literal,
+      which NumPy compares in float64, becomes the integer threshold
+      (``T > 2.5`` is ``T > 2``), value (``=``) or run (``BETWEEN``)
+      selecting the same values; a comparison every value of the dtype
+      answers alike (``S > 40000`` on int16, ``T = 2.5``) becomes TRUE
+      or FALSE;
+    * a NaN literal is FALSE, and TRUE under ``!=``;
+    * BETWEEN binds both ends, and IN each value as its own ``=``
+      would, dropping the values that never match;
+    * NOT is pushed down to the leaves (De Morgan); a negated leaf on
+      an integer column, which never holds NaN, flips its operator, and
+      elsewhere it stays wrapped.
+
+    Column-to-column comparisons, function operands and literals of
+    another kind are left as written, and so is a tree already bound:
+    binding twice changes nothing.
+    """
+    if where is None:
+        return None, ()
+    binder = _Binder(dtypes)
+    return binder.bind(where), tuple(binder.verdicts)
+
+
+def _first(holds: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least ``v`` in ``[lo, hi]`` for which the monotone ``holds``
+    is true; ``hi + 1`` when there is none."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bind(column: Column, op: str, x: Number, dtype: np.dtype) -> Optional[Node]:
+    """``column op x`` as a column of ``dtype`` compares it (see
+    :func:`bind_where`), ``x`` itself where its value stands; None for
+    an int past float64 on a float column, which NumPy refuses to
+    compare."""
+    equality = op in _EQUALITY_OPS + _INEQUALITY_OPS
+    if x != x:
+        return BoolLiteral(op in _INEQUALITY_OPS)
+    if dtype.kind == "f":
+        try:
+            with np.errstate(over="ignore"):
+                value = float(dtype.type(x))
+        except OverflowError:
+            return None
+        return Comparison(op, column, Literal(x if value == x else value))
+    info = np.iinfo(dtype)
+    lo, hi = int(info.min), int(info.max)
+    if isinstance(x, float):
+        # NumPy compares in float64, which is monotone in the value:
+        # the values equal to x are the run [start, end].
+        start = _first(lambda v: bool(dtype.type(v) >= x), lo, hi)
+        end = _first(lambda v: bool(dtype.type(v) > x), lo, hi) - 1
+        if equality and start != end:
+            if start > end:
+                return BoolLiteral(op in _INEQUALITY_OPS)
+            run = Between(column, start, end)
+            return run if op in _EQUALITY_OPS else _flip(run)
+        x = start if op in ("<", ">=") else end
+    # Constant: an equality outside the dtype, or an order every value
+    # of it answers alike.
+    if not lo <= x <= hi if equality else _CMP[op](lo, x) == _CMP[op](hi, x):
+        return BoolLiteral(_CMP[op](lo, x))
+    return Comparison(op, column, Literal(x))
+
+
+def _stands(bound: Optional[Node], x: Number) -> bool:
+    """Whether ``bound`` still compares with the literal ``x`` as
+    written."""
+    return (
+        isinstance(bound, Comparison) and isinstance(bound.right, Literal)
+        and bound.right.value is x
+    )
+
+
+def _flip(node: Node) -> Node:
+    """The negation of a comparison or BETWEEN of an integer column,
+    by operator."""
+    if isinstance(node, Between):
+        return Or((
+            Comparison("<", node.operand, Literal(node.lo)),
+            Comparison(">", node.operand, Literal(node.hi)),
+        ))
+    assert isinstance(node, Comparison)
+    return Comparison(NEGATE_OP[node.op], node.left, node.right)
+
+
+class _Binder:
+    """One :func:`bind_where` run: the bound tree and its verdicts."""
+
+    def __init__(self, dtypes: Mapping[str, np.dtype]) -> None:
+        self.dtypes = dtypes
+        self.verdicts: List[Verdict] = []
+
+    def bind(self, node: Node) -> Node:
+        if isinstance(node, Not):
+            return self._negate(node)
+        if isinstance(node, (And, Or)):
+            terms = tuple(self.bind(term) for term in node.terms)
+            if all(a is b for a, b in zip(terms, node.terms)):
+                return node
+            return type(node)(terms)
+        return self._leaf(node)[0]
+
+    def _negate(self, node: Not) -> Node:
+        term = node.term
+        if isinstance(term, Not):
+            return self.bind(term.term)
+        if isinstance(term, BoolLiteral):
+            return BoolLiteral(not term.value)
+        if isinstance(term, (And, Or)):
+            dual = Or if isinstance(term, And) else And
+            return dual(tuple(self._negate(Not(t)) for t in term.terms))
+        bound, integral = self._leaf(term)
+        if bound is not term:
+            return self._negate(Not(bound))
+        if integral and not isinstance(term, InList):
+            return _flip(term)
+        return node
+
+    def _column(self, operand: Node) -> Optional[Tuple[Column, np.dtype]]:
+        if isinstance(operand, Column):
+            dtype = self.dtypes.get(operand.name)
+            if dtype is not None and np.dtype(dtype).kind in "iuf":
+                return operand, np.dtype(dtype)
+        return None
+
+    def _bind(
+        self, column: Column, op: str, x: Number, dtype: np.dtype
+    ) -> Optional[Node]:
+        bound = _bind(column, op, x, dtype)
+        if isinstance(bound, BoolLiteral):
+            code = "RT307"
+            if op in _EQUALITY_OPS + _INEQUALITY_OPS and (
+                dtype.kind == "f" or x != x
+                or np.iinfo(dtype).min <= x <= np.iinfo(dtype).max
+            ):
+                code = "RT306"
+            self.verdicts.append(Verdict(column.name, op, x, bound.value, code))
+        return bound
+
+    def _leaf(self, node: Node) -> Tuple[Node, bool]:
+        """The bound leaf, and whether it compares an integer column
+        with numbers (so its negation may flip operators)."""
+        if isinstance(node, Comparison):
+            left, right, op = node.left, node.right, node.op
+            if isinstance(left, Literal):
+                left, right, op = right, left, MIRROR_OP[op]
+            found = self._column(left)
+            if found is None or not isinstance(right, Literal):
+                return node, False
+            x = right.value
+            if isinstance(x, (bool, str)):
+                return node, False
+            bound = self._bind(found[0], op, x, found[1])
+            if bound is None or _stands(bound, x):
+                return node, bound is not None and found[1].kind in "iu"
+            return bound, False
+        found = self._column(getattr(node, "operand", None))
+        if found is None:
+            return node, False
+        column, dtype = found
+        if isinstance(node, Between):
+            lo, hi = node.lo, node.hi
+            if isinstance(lo, (bool, str)) or isinstance(hi, (bool, str)):
+                return node, False
+            low = self._bind(column, ">=", lo, dtype)
+            high = self._bind(column, "<=", hi, dtype)
+            if low is None or high is None or _stands(low, lo) and _stands(high, hi):
+                return node, low is not None and high is not None and (
+                    dtype.kind in "iu"
+                )
+            return And((low, high)), False
+        if not isinstance(node, InList):
+            return node, False
+        values: List[Value] = []
+        runs: List[Node] = []
+        for x in node.values:
+            bound = None if isinstance(x, (bool, str)) else (
+                self._bind(column, "=", x, dtype)
+            )
+            if bound is None:
+                values.append(x)
+            elif isinstance(bound, Comparison) and isinstance(bound.right, Literal):
+                values.append(bound.right.value)
+            elif isinstance(bound, Between):
+                runs.append(bound)
+        distinct = [v for i, v in enumerate(values) if v not in values[:i]]
+        terms: List[Node] = runs
+        if len(distinct) == 1 and not isinstance(distinct[0], str):
+            # One value is its ``=``, as the rewrite spells it (RW404).
+            terms = [Comparison("=", column, Literal(distinct[0]))] + runs
+        elif not runs and all(a is b for a, b in zip(values, node.values)) and (
+            len(values) == len(node.values)
+        ):
+            return node, False
+        elif values:
+            terms = [InList(column, tuple(values))] + runs
+        if not terms:
+            return BoolLiteral(False), False
+        return (terms[0] if len(terms) == 1 else Or(tuple(terms))), False
+
+
 class _Checker:
     """One typecheck run over a single query."""
 
@@ -295,136 +545,64 @@ class _Checker:
                     node.name,
                 )
 
-    # -- literal representability against a typed column ---------------------
+    # -- comparisons the binding decided -------------------------------------
 
-    def _check_column_literal(self, column: Column, value: Value, op: str) -> None:
-        """RT306/RT307: a numeric literal the column's type cannot hold."""
-        if column.name not in self.descriptor.schema:
-            return
-        attr = self.descriptor.schema.attribute(column.name)
-        if not attr.type.is_numeric:
-            return
-        if isinstance(value, (bool, str)):
-            return
-        dtype = attr.dtype
-        if dtype.kind in "iu":
-            if isinstance(value, float) and not value.is_integer():
-                if op in _EQUALITY_OPS + _INEQUALITY_OPS:
-                    outcome = (
-                        "never match" if op in _EQUALITY_OPS else "always match"
-                    )
-                    self._emit(
-                        "RT306",
-                        f"attribute {column.name!r} has integer type "
-                        f"{attr.type.name!r}; comparison with fractional "
-                        f"literal {value!r} can {outcome}",
-                        column.name,
-                    )
-                return
-            info = np.iinfo(dtype)
-            self._check_bounds(
-                column, attr.type.name, value, op, float(info.min), float(info.max)
-            )
-        elif dtype.kind == "f":
-            if not math.isfinite(value):
-                return
-            if dtype.itemsize < 8:
-                finfo = np.finfo(dtype)
-                if (
-                    op in _EQUALITY_OPS + _INEQUALITY_OPS
-                    and abs(value) <= float(finfo.max)
-                    and float(dtype.type(value)) != float(value)
-                ):
-                    outcome = (
-                        "never match" if op in _EQUALITY_OPS else "always match"
-                    )
-                    self._emit(
-                        "RT306",
-                        f"literal {value!r} is not exactly representable in "
-                        f"the {attr.type.name!r} type of attribute "
-                        f"{column.name!r}; equality can {outcome}",
-                        column.name,
-                    )
-                self._check_bounds(
-                    column,
-                    attr.type.name,
-                    value,
-                    op,
-                    -float(finfo.max),
-                    float(finfo.max),
-                )
-
-    def _check_bounds(
-        self,
-        column: Column,
-        type_name: str,
-        value: Value,
-        op: str,
-        lo: float,
-        hi: float,
-    ) -> None:
-        if isinstance(value, str):  # pragma: no cover - filtered by caller
-            return
-        if lo <= value <= hi:
-            return
-        if value > hi:
-            constant = op in ("<", "<=") + _INEQUALITY_OPS
+    def _check_verdicts(self) -> None:
+        """RT306/RT307: each comparison :func:`bind_where` replaced by
+        the constant NumPy answers it with — read off the rewrite memo of
+        a query a dataset bound, else bound here."""
+        memo = self.query.__dict__.get("_rewrite")
+        bound = memo and memo.matches(self.query) and memo.bound
+        if bound:
+            verdicts = bound[1]
         else:
-            constant = op in (">", ">=") + _INEQUALITY_OPS
-        self._emit(
-            "RT307",
-            f"literal {value!r} is outside the representable range "
-            f"[{lo:g}, {hi:g}] of attribute {column.name!r} "
-            f"({type_name!r}); the comparison is always "
-            f"{'true' if constant else 'false'}",
-            column.name,
-        )
+            dtypes = {a.name: a.dtype for a in self.descriptor.schema}
+            verdicts = bind_where(self.query.where, dtypes)[1]
+        for v in verdicts:
+            type_name = self.descriptor.schema.attribute(v.column).type.name
+            if v.code == "RT306":
+                why = (
+                    f"can {'always' if v.holds else 'never'} match: no value of "
+                    f"{type_name!r} attribute {v.column!r} equals literal "
+                )
+            else:
+                why = (
+                    f"is always {'true' if v.holds else 'false'}: it lies at or "
+                    f"past an end of {type_name!r} attribute {v.column!r}'s "
+                    "range, literal "
+                )
+            comparison = f"{v.column} {v.op} {v.value!r}"
+            self._emit(
+                v.code, f"{comparison} {why}{v.value!r} as NumPy compares them",
+                v.column,
+            )
 
     # -- predicate checks ----------------------------------------------------
 
     def _check_comparison(self, node: Comparison) -> None:
         left = self._infer(node.left)
         right = self._infer(node.right)
-        if _incomparable(left, right):
-            if not self._is_rq206_pair(node.left, node.right):
-                self._emit(
-                    "RT301",
-                    f"cannot compare {left} with {right} in {node}",
-                    str(node.left)
-                    if isinstance(node.left, Column)
-                    else str(node),
-                )
-            return
-        if isinstance(node.left, Column) and isinstance(node.right, Literal):
-            self._check_column_literal(node.left, node.right.value, node.op)
-        elif isinstance(node.right, Column) and isinstance(node.left, Literal):
-            self._check_column_literal(
-                node.right, node.left.value, MIRROR_OP[node.op]
+        if _incomparable(left, right) and not self._is_rq206_pair(
+            node.left, node.right
+        ):
+            self._emit(
+                "RT301",
+                f"cannot compare {left} with {right} in {node}",
+                str(node.left) if isinstance(node.left, Column) else str(node),
             )
 
-    def _check_membership(
-        self, operand: Node, value: Value, op: str, clause: str
-    ) -> None:
+    def _check_membership(self, operand: Node, value: Value, clause: str) -> None:
         operand_type = self._infer(operand)
         value_type = _literal_type(value)
-        if _incomparable(operand_type, value_type):
-            if not (
-                isinstance(operand, Column)
-                and isinstance(value, str)
-                and operand.name in self.descriptor.schema
-                and self.descriptor.schema.attribute(
-                    operand.name
-                ).type.is_numeric
-            ):
-                self._emit(
-                    "RT303",
-                    f"{clause} value {value!r} has type {value_type} but "
-                    f"{operand} has type {operand_type}",
-                    str(operand) if isinstance(operand, Column) else clause,
-                )
-            return
-        if isinstance(operand, Column):
-            self._check_column_literal(operand, value, op)
+        if _incomparable(operand_type, value_type) and not self._is_rq206_pair(
+            operand, Literal(value)
+        ):
+            self._emit(
+                "RT303",
+                f"{clause} value {value!r} has type {value_type} but "
+                f"{operand} has type {operand_type}",
+                str(operand) if isinstance(operand, Column) else clause,
+            )
 
     def _check_predicate(self, node: Optional[Node]) -> None:
         if node is None or isinstance(node, BoolLiteral):
@@ -437,11 +615,11 @@ class _Checker:
         elif isinstance(node, Comparison):
             self._check_comparison(node)
         elif isinstance(node, Between):
-            self._check_membership(node.operand, node.lo, ">=", "BETWEEN")
-            self._check_membership(node.operand, node.hi, "<=", "BETWEEN")
+            self._check_membership(node.operand, node.lo, "BETWEEN")
+            self._check_membership(node.operand, node.hi, "BETWEEN")
         elif isinstance(node, InList):
             for value in node.values:
-                self._check_membership(node.operand, value, "=", "IN")
+                self._check_membership(node.operand, value, "IN")
         else:
             # Bare operand used as a predicate: infer for side effects
             # (function signature checks) but leave validity to RQ2xx.
@@ -474,6 +652,7 @@ class _Checker:
 
     def run(self) -> None:
         self._check_predicate(self.query.where)
+        self._check_verdicts()
         self._check_aggregates()
 
 

@@ -15,6 +15,7 @@ from repro.faults import FaultInjector, FaultRule
 from repro.obs.tracer import Tracer
 from repro.sql.parser import parse_query
 from repro.sql.ranges import Interval, IntervalSet
+from repro.sql.typecheck import bind_where
 from repro.storm import QueryService, VirtualCluster
 from repro.storm.query_service import CACHE_NODE
 
@@ -25,6 +26,11 @@ SUBSUME = ExecOptions(remote=False, cache_mode="subsume")
 
 def where(text):
     return parse_query(f"SELECT X FROM T WHERE {text}").where
+
+
+def bound(text, dtype):
+    """``where(text)`` bound with ``TIME`` of ``dtype``."""
+    return bind_where(where(text), {"TIME": np.dtype(dtype)})[0]
 
 
 def assert_bit_identical(got, want):
@@ -57,17 +63,32 @@ class TestSplitWhere:
         )
 
     def test_not_flips_comparison(self):
-        got = exact_range(where("NOT (TIME > 2)"))
+        got = exact_range(bound("NOT (TIME > 2)", "<i4"))
         assert got == ("TIME", IntervalSet([Interval(hi=2)]))
 
     def test_not_equal_is_two_open_intervals(self):
-        got = exact_range(where("TIME != 3"))
+        got = exact_range(bound("TIME != 3", "<i4"))
         assert got == (
             "TIME",
             IntervalSet(
-                [Interval(hi=3, hi_open=True), Interval(lo=3, lo_open=True)]
+                [Interval(hi=3, hi_open=True), Interval(lo=3, lo_open=True)],
+                nan=True,
             ),
         )
+
+    def test_not_over_a_float_column_admits_nan(self):
+        # A NaN row fails TIME > 2, so NOT keeps it: the set says so.
+        got = exact_range(bound("NOT (TIME > 2)", "<f8"))
+        assert got == ("TIME", IntervalSet([Interval(hi=2)], nan=True))
+        assert exact_range(bound("TIME <= 2", "<f8")) == (
+            "TIME", IntervalSet([Interval(hi=2)]),
+        )
+
+    def test_not_equal_over_a_float_column_admits_nan(self):
+        ne = exact_range(bound("TIME != 3", "<f8"))
+        lt_or_gt = exact_range(bound("TIME < 3 OR TIME > 3", "<f8"))
+        assert ne[1].intervals == lt_or_gt[1].intervals
+        assert (ne[1].nan, lt_or_gt[1].nan) == (True, False)
 
     def test_or_on_one_attribute_stays_exact(self):
         got = exact_range(where("TIME < 2 OR TIME > 10"))

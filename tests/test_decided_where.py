@@ -328,8 +328,9 @@ class TestDecisionRules:
         )
 
     def test_between_and_float_literals(self, ipars_ds):
+        # TIME is an int: its bound literals are the integer ends.
         decided, residual = decided_of(ipars_ds, "TIME BETWEEN 1.5 AND 3.5")
-        assert decided == ["TIME <= 3.5", "TIME >= 1.5"] and residual is None
+        assert decided == ["TIME <= 3", "TIME >= 2"] and residual is None
 
     def test_equality_needs_a_one_value_hull(self, ipars_ds):
         assert decided_of(ipars_ds, "TIME = 3") == (["TIME = 3"], None)
@@ -347,19 +348,30 @@ class TestDecisionRules:
 
     def test_literals_outside_the_declared_type(self, ipars_ds):
         # REL is a short int: 40000 lies outside it; numpy compares
-        # exactly, so every row is < 40000.
-        assert decided_of(ipars_ds, "REL < 40000") == (["REL < 40000"], None)
+        # exactly, so every row is < 40000, and binding drops the
+        # conjunct before the index sees it.
+        assert decided_of(ipars_ds, "REL < 40000") == ([], None)
+        assert decided_of(ipars_ds, "REL < 40000 AND TIME = 3") == (
+            ["TIME = 3"], None
+        )
 
     def test_residual_keeps_what_the_index_cannot_settle(self, ipars_ds):
         for where in (
             "SOIL > 0.5",                       # stored
             "TIME != 9",                        # != (true of every row)
             "TIME < 9 OR SOIL > 2",             # OR
-            "NOT (TIME > 9)",                   # NOT
+            "NOT (SOIL > 0.5)",                 # NOT
             "SPEED(OILVX, OILVY, OILVZ) < 30",  # function
             "TIME < 99999999999999999999",      # literal beyond 2**53
         ):
             assert decided_of(ipars_ds, where)[0] == [], where
+
+    def test_a_negated_integer_comparison_is_decided_as_its_flip(self, ipars_ds):
+        # TIME is an int, which never holds NaN: binding flips the NOT.
+        assert decided_of(ipars_ds, "NOT (TIME > 9)") == decided_of(
+            ipars_ds, "TIME <= 9"
+        )
+        assert decided_of(ipars_ds, "NOT (TIME > 9)")[0] == ["TIME <= 9"]
 
     def test_inner_variables_are_not_pruned_only_decided(self, specs):
         # MRI's ROW varies inside every AFC: the index keeps all of them,
@@ -434,7 +446,10 @@ class TestDecisionRules:
         )
         assert plan.needed == ["X", "REL", "SOIL", "TIME"]
         assert plan.extracted == ["X", "SOIL"]
-        assert str(plan.query.where) == "REL = 0 AND SOIL > 0.2 AND TIME <= 3"
+        # SOIL is a float: its literal is shown as float32 compares it.
+        assert str(plan.query.where) == (
+            "REL = 0 AND SOIL > 0.20000000298023224 AND TIME <= 3"
+        )
 
 
 # ---------------------------------------------------------------------------

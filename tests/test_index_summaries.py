@@ -349,14 +349,18 @@ class TestBoundaries:
     def test_an_in_list_with_a_float_compares_as_floats(
         self, tmp_path, codegen, vectorize
     ):
-        # One float makes the kernel compare the list as float64, where
-        # 2**53 + 1 is 2**53: the chunk holding 2**53 keeps its rows.
+        # Each value compares as its own ``=`` would: a float in
+        # float64, where 2**53 + 1 is 2**53, and an int exactly.  The
+        # chunk holding 2**53 keeps its row for the float alone.
         text, mount = one_column_dataset(tmp_path, "long", [[_BIG], [7]])
         summaries = build_summaries(CompiledDataset(text), mount)
-        sql = f"SELECT V FROM D WHERE V IN ({_BIG + 1}, 0.5)"
-        plain = rows_of(text, mount, sql, None, codegen, vectorize)
-        pruned = rows_of(text, mount, sql, summaries, codegen, vectorize)
-        assert plain.num_rows == pruned.num_rows == 1
+        for values, rows in (
+            (f"{_BIG + 1}, 0.5", 0), (f"{_BIG + 1}.0, 0.5", 1),
+        ):
+            sql = f"SELECT V FROM D WHERE V IN ({values})"
+            plain = rows_of(text, mount, sql, None, codegen, vectorize)
+            pruned = rows_of(text, mount, sql, summaries, codegen, vectorize)
+            assert plain.num_rows == pruned.num_rows == rows, values
 
     #: An OR of two ends the interval algebra once merged as one value,
     #: over a chunk holding rows only one of them keeps, and a chunk no

@@ -88,7 +88,7 @@ def cached(dataset, text):
 def uncached(reference, text):
     def run():
         query = reference.resolve_query(parse_query(text))
-        canonical, steps = rewrite_where(parse_query(text).where)
+        canonical, steps = rewrite_where(query.where)
         plan = reference.plan(parse_query(text))
         return summary(
             query,
@@ -130,7 +130,9 @@ def test_only_the_exact_text_hits():
     assert (dataset.query_texts.misses, dataset.query_texts.hits) == (5, 0)
     query = dataset.resolve_query(head + "TIME > 5.0 AND TIME > 3")
     assert dataset.query_texts.hits == 1
-    assert repr(query) == repr(parse_query(head + "TIME > 5.0 AND TIME > 3"))
+    assert repr(query) == repr(
+        dataset.resolve_query(parse_query(head + "TIME > 5.0 AND TIME > 3"))
+    )
 
 
 def test_texts_that_do_not_resolve_are_not_cached():

@@ -203,7 +203,7 @@ class TestProvablyFalseWhere:
             "TIME > 5 AND TIME < 3",  # contradictory ranges
             "TIME BETWEEN 5 AND 3",  # inverted BETWEEN
             "TIME = 1 AND TIME = 2",  # contradictory equalities
-            "SPEED(X, Y, Z) > 1 AND SPEED(X, Y, Z) <= 1",  # function operand
+            "REL = 2.5",  # no short int equals it: bound to FALSE
             "FALSE",
         ],
     )

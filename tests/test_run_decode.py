@@ -99,9 +99,11 @@ def specs(tmp_path_factory):
     ))
     m = mount("mri")
     text, _ = mri.generate(MRI, m)
+    # T1/FLAIR are unsigned: a cut at lo - 1 = -1 would bind to a
+    # constant and never reach the kernel, so lo is 1.
     out.append(Spec(
         "mri", "MriArchive", text, m, ("STUDY", "SLICE", "ROW", "COL"),
-        {"T1": (0, 3000), "FLAIR": (0, 3000)}, (None, 6, 20),
+        {"T1": (1, 3000), "FLAIR": (1, 3000)}, (None, 6, 20),
     ))
     m = mount("crossnode")
 

@@ -58,6 +58,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sql import parse_where
 from repro.sql.functions import DEFAULT_REGISTRY
 from repro.sql.ranges import extract_ranges
+from repro.sql.typecheck import bind_where
 from repro.storm.data_source import DataSourceService
 from repro.storm.filtering import FilteringService
 from tests.matrix import (
@@ -82,9 +83,11 @@ def group_of(chunks, dtype, name="V"):
 
 
 def zone_keep(where_text, chunks, dtype):
-    """The WHERE's ranges, and per chunk whether its bounds meet the
-    range of ``V`` — None when ``V`` has none or no bounds."""
-    ranges = extract_ranges(parse_where(where_text))
+    """The ranges of the WHERE bound to ``V`` of ``dtype``, as planning
+    derives them, and per chunk whether its bounds meet the range of
+    ``V`` — None when ``V`` has none or no bounds."""
+    where, _ = bind_where(parse_where(where_text), {"V": np.dtype(dtype)})
+    ranges = extract_ranges(where)
     bounds = group_of(chunks, dtype).bounds("V")
     if "V" not in ranges or bounds is None:
         return ranges, None
