@@ -19,7 +19,7 @@ the *cost model*, not burned in Python loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -153,38 +153,3 @@ def encode_pages(
         )
         xmin[...] = FROZEN_XID
     return bytes(buf)
-
-
-def decode_pages(
-    payload: bytes,
-    layout: HeapLayout,
-    names: Sequence[str],
-    num_rows: int,
-    first_page: int = 0,
-) -> Dict[str, np.ndarray]:
-    """Decode a run of heap pages back into float64 columns.
-
-    ``num_rows`` is the number of live tuples in the decoded run (the last
-    page of a table may be partial).  ``first_page`` is the page number of
-    ``payload[0]`` within the table, used to compute the partial-page
-    boundary.
-    """
-    per_page = layout.tuples_per_page
-    num_pages = len(payload) // PAGE_SIZE
-    if len(payload) % PAGE_SIZE:
-        raise RowStoreError("heap payload is not page aligned")
-    out: Dict[str, List[np.ndarray]] = {}
-    dtype = layout.tuple_dtype(names)
-    arrays: Dict[str, np.ndarray] = {}
-    for ci, name in enumerate(names):
-        offset = layout.data_start + TUPLE_HEADER + DATUM * ci
-        view = np.ndarray(
-            shape=(num_pages, per_page),
-            dtype="<f8",
-            buffer=payload,
-            offset=offset,
-            strides=(PAGE_SIZE, layout.tuple_bytes),
-        )
-        flat = view.reshape(-1)
-        arrays[name] = flat[:num_rows]
-    return arrays

@@ -483,11 +483,6 @@ def _split_span(
     ]
 
 
-#: One row of an :class:`AfcTable`, as ``AfcReader.extract`` decodes it:
-#: ``(group table, row index, row count)``.
-RowRef = Tuple[GroupTable, int, int]
-
-
 class AfcTable(Sequence[AlignedFileChunkSet]):
     """A plan's aligned file chunk sets, one :class:`GroupTable` per
     file group, concatenated in plan order.

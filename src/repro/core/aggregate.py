@@ -124,7 +124,8 @@ class AggregateSpec:
     def output_dtypes(
         self, dtypes: Mapping[str, np.dtype]
     ) -> Dict[str, np.dtype]:
-        """dtype of every final output column, by label."""
+        """dtype of every final output column, by label: in native byte
+        order, like every result column."""
         out: Dict[str, np.dtype] = {}
         for name in self.group_by:
             out[name] = np.dtype(dtypes.get(name, np.float64))
@@ -135,7 +136,7 @@ class AggregateSpec:
                 else np.dtype(dtypes.get(item.column, np.float64))
             )
             out[item.label] = aggregate_output_dtype(item.func, col_dtype)
-        return {name: out[name] for name in self.output}
+        return {name: out[name].newbyteorder("=") for name in self.output}
 
 
 def aggregate_spec(query: Query, schema_names: Sequence[str]) -> AggregateSpec:

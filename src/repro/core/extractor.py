@@ -87,7 +87,6 @@ from .afc import (
     ExtractionPlan,
     GroupLayout,
     GroupTable,
-    RowRef,
     constant_column,
 )
 from .aggregate import merge_partials, partial_aggregate
@@ -785,12 +784,12 @@ class AfcReader:
     (one AFC per row).  Reads are per AFC whatever the run: one
     segment-cache entry (``Extractor._entry``) per needed member, in
     plan order, so the segment cache, coalescing and every I/O counter
-    see the same reads; untraced, a run whose entries are all cached is
+    see the same reads; a longer run whose entries are all cached is
     looked up under one lock instead, with the same LRU promotions and
-    counts.  A record strip's entry is decoded columns
+    counts, traced or not.  A record strip's entry is decoded columns
     (``_Decoded``), a single-field strip's its payload as read.  A
-    one-row run (:meth:`extract`) returns each field as a view: a slice
-    of the decoded columns, or of one ``frombuffer`` of the payload;
+    one-row run returns each field as a view: a slice of the decoded
+    columns, or of one ``frombuffer`` of the payload;
     constants come from the row's values and the inner variables'
     columns are computed once per distinct row span and shared
     (read-only, so ``assemble_table`` copies what it emits of them).  A
@@ -885,10 +884,28 @@ class AfcReader:
                 return columns
         return decode(resolved, part, lo, hi, stats, meter)[0]
 
-    def extract(self, row: RowRef, stats: IOStats) -> Columns:
-        """One table row (one AFC) decoded: :meth:`columns` of a
-        one-row run."""
-        return self.columns(row[0], row[1], row[1] + 1, stats)
+    def _read(
+        self, resolved: _Resolved, offsets, num_rows: int, stats: IOStats,
+        meter,
+    ) -> List[Entry]:
+        """One AFC's needed members' entries, in plan order, with its
+        accounting: AFC, chunk and row counts, remote bytes, and the
+        meter charged the bytes it read."""
+        before = stats.bytes_read
+        stats.afcs_processed += 1
+        stats.remote_bytes_read += num_rows * resolved.remote_bytes_per_row
+        read = self.extractor._entry
+        entries: List[Entry] = []
+        for j, node, path, bpr, _, _, decoded in resolved.reads:
+            entries.append(read(
+                node, path, offsets[j], num_rows * bpr, stats,
+                self.tracer, self.coalesce, decoded, self.flights,
+            ))
+            stats.chunks_read += 1
+        stats.rows_extracted += num_rows
+        if meter is not None:
+            meter.charge(nbytes=stats.bytes_read - before)
+        return entries
 
     def _row(
         self, resolved: _Resolved, part: GroupTable, i: int, _: int,
@@ -897,10 +914,7 @@ class AfcReader:
         """Row ``i`` alone: its fields as views of its entries."""
         values, offsets, first, counts = part.lists()
         num_rows = counts[i]
-        before = stats.bytes_read
-        stats.afcs_processed += 1
-        if self.node is not None:
-            stats.remote_bytes_read += num_rows * resolved.remote_bytes_per_row
+        entries = self._read(resolved, offsets[i], num_rows, stats, meter)
         columns: Columns = {}
         for name, value, want in resolved.env:
             columns[name] = constant_column(num_rows, value, want)
@@ -910,15 +924,8 @@ class AfcReader:
                 columns[name] = constant_column(num_rows, row_values[pos], want)
         if resolved.inner:
             columns.update(self._inner_columns(resolved, first[i], num_rows))
-        read = self.extractor._entry
-        row_offsets = offsets[i]
         views = True
-        for j, node, path, bpr, dtype, wanted, decoded in resolved.reads:
-            entry = read(
-                node, path, row_offsets[j], num_rows * bpr, stats,
-                self.tracer, self.coalesce, decoded, self.flights,
-            )
-            stats.chunks_read += 1
+        for entry, (_, _, _, _, dtype, wanted, _) in zip(entries, resolved.reads):
             if type(entry) is _Decoded:
                 start, stop = entry.start, entry.stop
                 group = entry.group.columns
@@ -929,63 +936,45 @@ class AfcReader:
                 records = np.frombuffer(entry, dtype=dtype)
                 for name in wanted:
                     columns[name] = records[name]
-        stats.rows_extracted += num_rows
-        if meter is not None:
-            meter.charge(nbytes=stats.bytes_read - before)
         return columns, views
 
     def _run(
         self, resolved: _Resolved, part: GroupTable, lo: int, hi: int,
         stats: IOStats, meter,
     ) -> Tuple[Columns, bool]:
-        """Rows ``lo .. hi - 1`` read AFC by AFC — or, untraced, looked
-        up at once when every chunk is cached — decoded as one table: a
-        column per attribute, contiguous."""
+        """Rows ``lo .. hi - 1`` — looked up at once when every chunk is
+        cached, else read AFC by AFC — decoded as one table: a column
+        per attribute, contiguous."""
         _, offsets, first, counts = part.lists()
         reads = resolved.reads
-        remote = resolved.remote_bytes_per_row if self.node is not None else 0
         # Every needed member's entry, AFC by AFC: member m's entries
         # are entries[m::len(reads)].  A run of hits is looked up under
         # one lock and its hits counted in bulk; the meter is still
         # charged once per AFC.
-        entries = None
-        if not self.tracer.enabled:
-            entries = self.extractor._segments.get_run(
-                [
-                    (node, path, offsets[k][j], counts[k] * bpr)
-                    for k in range(lo, hi)
-                    for j, node, path, bpr in resolved.geometry
-                ],
-                resolved.decoded * (hi - lo),
-            )
+        entries = self.extractor._segments.get_run(
+            [
+                (node, path, offsets[k][j], counts[k] * bpr)
+                for k in range(lo, hi)
+                for j, node, path, bpr in resolved.geometry
+            ],
+            resolved.decoded * (hi - lo),
+        )
         if entries is not None:
             stats.cache_hits += len(entries)
             stats.chunks_read += len(entries)
             stats.afcs_processed += hi - lo
             rows = sum(counts[lo:hi])
             stats.rows_extracted += rows
-            stats.remote_bytes_read += rows * remote
+            stats.remote_bytes_read += rows * resolved.remote_bytes_per_row
             if meter is not None:
                 for _ in range(lo, hi):
                     meter.charge(nbytes=0)
         else:
             entries = []
-            read = self.extractor._entry
             for k in range(lo, hi):
-                num_rows = counts[k]
-                before = stats.bytes_read
-                stats.afcs_processed += 1
-                stats.remote_bytes_read += num_rows * remote
-                row_offsets = offsets[k]
-                for j, node, path, bpr, _, _, decoded in reads:
-                    entries.append(read(
-                        node, path, row_offsets[j], num_rows * bpr, stats,
-                        self.tracer, self.coalesce, decoded, self.flights,
-                    ))
-                    stats.chunks_read += 1
-                stats.rows_extracted += num_rows
-                if meter is not None:
-                    meter.charge(nbytes=stats.bytes_read - before)
+                entries += self._read(
+                    resolved, offsets[k], counts[k], stats, meter
+                )
         # The run decoded AFC by AFC from its needed members' entries.
         columns: Columns = {}
         run_rows = part.rows[lo:hi]
@@ -1507,7 +1496,9 @@ class Extractor:
         and takes its entry, counted as a hit, so how often a chunk is
         read does not depend on thread timing; and what it reads is
         cached only while the cache has not been dropped since the call
-        began.
+        began.  Nothing is traced per chunk: hits and misses are counted
+        in ``stats`` (``cache_hits``), which a node's ``extract`` span
+        carries as its ``cache_hits`` tag.
         """
         key = (node, path, offset, nbytes)
         generation = None if flights is None else flights.generation
@@ -1516,11 +1507,7 @@ class Extractor:
             type(cached) is not _Decoded or cached.dtype is dtype
         ):
             stats.cache_hits += 1
-            if tracer.enabled:
-                tracer.event("segment_cache_hit", node=node, path=path, bytes=nbytes)
             return cached
-        if tracer.enabled:
-            tracer.event("segment_cache_miss", node=node, path=path, bytes=nbytes)
         if coalesce is not None and cached is None:
             run = coalesce.run_for(key)
             if run is not None:

@@ -766,8 +766,10 @@ def assemble_table(
     """Finished blocks (``None`` entries skipped) as one table of
     ``output``, taking ownership: the concatenation of several pieces is
     the one copy; a lone piece is copied only when it is read-only (a
-    view of a segment-cache payload or of a shared inner column) or not
-    contiguous."""
+    view of a segment-cache payload or of a shared inner column), not
+    contiguous or big-endian.  Every column is in native byte order,
+    however many blocks made it — so a result's dtypes do not depend on
+    block sizes, ``vectorize``, pruning or worker counts."""
     pieces: Dict[str, List[np.ndarray]] = {name: [] for name in output}
     for block in blocks:
         if block is not None:
@@ -780,5 +782,7 @@ def assemble_table(
         elif parts:
             final[name] = np.concatenate(parts)
         else:
-            final[name] = np.empty(0, dtype=dtypes.get(name, np.float64))
+            final[name] = np.empty(
+                0, np.dtype(dtypes.get(name, np.float64)).newbyteorder("=")
+            )
     return VirtualTable(final, order=output)

@@ -17,9 +17,10 @@ in plan order, or a failure-aware fan-out over a transport's nodes.
 What surrounds the call (the ``query`` span, stats accumulation, mover,
 cost model) stays with the front door.
 
-``core`` imports nothing from ``storm``: what re-filters subsumption
-hits (anything with ``refilter``: a ``FilteringService``, or the
-front door's :class:`~repro.core.kernels.KernelCache`) is passed in.
+``core`` imports nothing from ``storm``: the front door's
+:class:`~repro.core.kernels.KernelCache` (a query service's
+``FilteringService`` is one), which re-filters subsumption hits, is
+passed in.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import QueryValidationError
 from ..sql.ast import Query
-from ..sql.functions import FunctionRegistry
 from . import aggregate as agg
 from .afc import ExtractionPlan
 from .kernels import KernelCache
@@ -82,17 +82,11 @@ class Answer:
 class QueryPipeline:
     """One dataset's query stages and the result/plan caches they share."""
 
-    def __init__(
-        self,
-        dataset,
-        functions: FunctionRegistry,
-        filtering=None,
-    ):
+    def __init__(self, dataset, kernels: KernelCache):
         self.dataset = dataset
-        self.functions = functions
-        self._filtering = (
-            filtering if filtering is not None else KernelCache(functions)
-        )
+        #: Re-filters subsumption hits; its function registry is the
+        #: one static analysis checks calls against.
+        self._kernels = kernels
         #: Result/plan caches, created lazily by the first query whose
         #: options enable caching and shared by every later query, node
         #: and submitting thread.
@@ -169,7 +163,7 @@ class QueryPipeline:
         findings = list(getattr(self.dataset, "diagnostics", None) or ())
         descriptor = getattr(self.dataset, "descriptor", None)
         if descriptor is not None:
-            findings.extend(analyze_query(descriptor, query, self.functions))
+            findings.extend(analyze_query(descriptor, query, self._kernels.functions))
         findings.extend(analyze_options(opts))
         if tracer.enabled:
             for diag in findings:
@@ -232,7 +226,7 @@ class QueryPipeline:
             key, needed = cache.key_and_needed(query)
             cache_io = IOStats()
             served = cache.serve(
-                key, query, needed, self._filtering, cache_io,
+                key, query, needed, self._kernels, cache_io,
                 tracer, opts.cache_mode, vectorize=opts.vectorize == "on",
             )
             if served is not None:

@@ -8,7 +8,6 @@ materialised lazily only when callers iterate.
 
 from __future__ import annotations
 
-from itertools import chain, islice
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -148,15 +147,19 @@ def _csv_cell(value) -> str:
 
 
 def own_column(arr: np.ndarray) -> np.ndarray:
-    """A contiguous column that is safe to hand to callers.
+    """A contiguous column in native byte order that is safe to hand to
+    callers.
 
     ``np.frombuffer`` decodes over cached chunk payloads are read-only,
     and for single-attribute strips ``np.ascontiguousarray`` passes such
     views through unchanged — emitting them would hand out immutable
     aliases of segment-cache memory.  This copies exactly when that
-    happens (the array is still read-only after the contiguity pass) and
-    is otherwise as cheap as ``np.ascontiguousarray``.
+    happens (the array is still read-only after the contiguity pass) or
+    when the column is big-endian, and is otherwise as cheap as
+    ``np.ascontiguousarray``.
     """
+    if not arr.dtype.isnative:
+        return arr.astype(arr.dtype.newbyteorder("="))
     out = np.ascontiguousarray(arr)
     if not out.flags.writeable:
         out = out.copy()
@@ -201,24 +204,21 @@ def cut_blocks(
     (``wire.table_frames``), :func:`batched` and
     ``Virtualizer.query_iter``.
 
-    Dtypes follow the stream, not the piece: a lone block's own, or, for
-    several, their concatenation's (native byte order), so every piece
-    carries the dtypes of the one table ``assemble_table`` would make of
-    the blocks.  Blocks with no column, like a table with none, carry no
-    rows.
+    Every piece is in native byte order, the first block's dtypes, like
+    the one table ``assemble_table`` would make of the blocks: a
+    big-endian column is copied, the rest are views.  Blocks with no
+    column, like a table with none, carry no rows.
     """
     if batch_rows < 1:
         raise ExtractionError("batch_rows must be positive")
-    blocks = iter(blocks)
-    head = list(islice(blocks, 2))
-    if not names or not head:
+    if not names:
         return
-    dtypes = [head[0][0][name].dtype for name in names]
-    if len(head) > 1:
-        dtypes = [dtype.newbyteorder("=") for dtype in dtypes]
+    dtypes: List[np.dtype] = []
     piece: List[Block] = []
     held = 0
-    for columns, count in chain(head, blocks):
+    for columns, count in blocks:
+        if not dtypes:
+            dtypes = [columns[name].dtype.newbyteorder("=") for name in names]
         start = 0
         while start < count:
             take = min(count - start, batch_rows - held)

@@ -87,9 +87,7 @@ class Virtualizer:
         #: re-filters subsumption hits.
         self._kernels = KernelCache(self.functions)
         self.stats = IOStats()
-        self._pipeline = QueryPipeline(
-            self.dataset, self.functions, self._kernels
-        )
+        self._pipeline = QueryPipeline(self.dataset, self._kernels)
 
     # -- caching --------------------------------------------------------------
 
@@ -157,7 +155,10 @@ class Virtualizer:
                 table = combine_parts(
                     plan, self._parts(plan, opts, tracer, run), run
                 )
-                span.tag(rows=table.num_rows, bytes_read=run.bytes_read)
+                span.tag(
+                    rows=table.num_rows, bytes_read=run.bytes_read,
+                    cache_hits=run.cache_hits,
+                )
             return table, {LOCAL_NODE: run}, []
 
         return execute

@@ -19,7 +19,7 @@ layouts to encode the same virtual table.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -110,15 +110,3 @@ def hash01(values: np.ndarray, salt: int) -> np.ndarray:
         x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x = x ^ (x >> np.uint64(31))
     return (x >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
-def combine_coords(
-    coords: Dict[str, np.ndarray], names, weights
-) -> np.ndarray:
-    """Linear integer combination of loop variables (broadcasts)."""
-    acc: Optional[np.ndarray] = None
-    for name, weight in zip(names, weights):
-        term = coords[name].astype(np.int64) * int(weight)
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc

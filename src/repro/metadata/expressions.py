@@ -349,18 +349,6 @@ def parse_range(text: str, span: Optional[Span] = None) -> RangeExpr:
     )
 
 
-def const_fold(expr: Expr) -> Optional[int]:
-    """Value of a variable-free expression, or None when it has free vars.
-
-    Evaluation errors (division by zero) propagate as
-    :class:`~repro.errors.MetadataEvaluationError` — the linter turns them
-    into diagnostics.
-    """
-    if expr.free_vars():
-        return None
-    return expr.evaluate({})
-
-
 def _split_top_level(text: str, sep: str) -> list:
     """Split ``text`` on ``sep`` occurrences outside parentheses."""
     parts, depth, start = [], 0, 0

@@ -262,17 +262,6 @@ class DatasetNode:
                     chain.append(attr)
         return tuple(chain)
 
-    def effective_extra_attrs(self) -> List[Attribute]:
-        out: List[Attribute] = []
-        stack = []
-        node: Optional[DatasetNode] = self
-        while node is not None:
-            stack.append(node)
-            node = node.parent
-        for ancestor in reversed(stack):
-            out.extend(ancestor.extra_attrs)
-        return out
-
     def leaves(self) -> List["DatasetNode"]:
         """All leaf datasets under (and including) this node, in order."""
         if self.is_leaf:

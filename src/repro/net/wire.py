@@ -64,7 +64,6 @@ from ..core.afc import (
     InnerVar,
 )
 from ..core.aggregate import AggregateSpec
-from ..core.extractor import empty_result
 from ..core.kernels import Block
 from ..core.options import ExecOptions
 from ..core.stats import IOStats
@@ -407,14 +406,22 @@ def decode_execute(data: Any) -> ExecuteRequest:
 
 # -- execution options ------------------------------------------------------
 
-#: The only fields a node server acts on; everything else (retries,
-#: caching, partitioning, admission control) is coordinator business.
-_NODE_OPTION_FIELDS = (
-    "coalesce_gap_bytes",
-    "intra_node_workers",
-    "batch_rows",
-    "vectorize",
-)
+def _is_positive(value: Any) -> bool:
+    return type(value) is int and value > 0
+
+
+#: The only fields a node server acts on, each with the values it
+#: accepts; everything else (retries, caching, partitioning, admission
+#: control) is coordinator business.
+_NODE_OPTION_FIELDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "coalesce_gap_bytes": (
+        lambda value: type(value) is int and value >= 0,
+        "a non-negative integer",
+    ),
+    "intra_node_workers": (_is_positive, "a positive integer"),
+    "batch_rows": (_is_positive, "a positive integer"),
+    "vectorize": (lambda value: value in ("on", "off"), "'on' or 'off'"),
+}
 
 
 def encode_options(options: ExecOptions) -> Dict[str, Any]:
@@ -422,7 +429,19 @@ def encode_options(options: ExecOptions) -> Dict[str, Any]:
 
 
 def decode_options(data: Dict[str, Any]) -> ExecOptions:
-    known = {k: v for k, v in data.items() if k in _NODE_OPTION_FIELDS}
+    """The node fields of an EXECUTE's options (others are ignored);
+    a value a node cannot run with is a TransportError, raised before
+    anything is planned."""
+    known: Dict[str, Any] = {}
+    for name, (ok, what) in _NODE_OPTION_FIELDS.items():
+        if name in data:
+            value = data[name]
+            if not ok(value):
+                raise TransportError(
+                    f"malformed EXECUTE: option {name!r} must be {what}, "
+                    f"got {value!r}"
+                )
+            known[name] = value
     return ExecOptions(remote=False, parallel=False, **known)
 
 
@@ -485,8 +504,7 @@ def table_frames(
 
     Byte for byte, the frames are :func:`encode_table` of the one table
     ``assemble_table`` would have made of the blocks, sliced
-    ``batch_rows`` at a time — dtypes included: a lone block's own, or,
-    for several, their concatenation's (native byte order).
+    ``batch_rows`` at a time — dtypes included: native byte order.
     """
     for piece in cut_blocks(names, blocks, batch_rows):
         rows = sum(count for _, count in piece)
@@ -570,8 +588,10 @@ class TableReceiver:
     receiver's own: per ``expected`` column, in its order, a writable
     byte view of ``bound`` rows in native byte order (a node's region of
     the coordinator's result buffer).  A reply whose first payload's
-    dtypes are those lands there (:attr:`landed`); one that keeps a
-    column big-endian is read into buffers of its own, as without it.
+    dtypes are those lands there (:attr:`landed`); one that sends a
+    column big-endian (no node of this version does: see
+    :func:`table_frames`) is read into buffers of its own, as without
+    it.
     """
 
     def __init__(
@@ -712,11 +732,6 @@ def decode_table(payload: bytes) -> VirtualTable:
     return receiver.table()
 
 
-#: The zero-batch result shape, under the name this module has always
-#: exported it by.
-empty_table = empty_result
-
-
 # -- stats and errors -------------------------------------------------------
 
 
@@ -769,7 +784,6 @@ __all__ = [
     "decode_stats",
     "decode_table",
     "decode_where",
-    "empty_table",
     "encode_error",
     "encode_execute",
     "encode_options",

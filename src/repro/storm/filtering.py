@@ -7,11 +7,12 @@ residual WHERE here — every conjunct the index did not decide true for
 all planned rows, user-defined filter functions included — so pruning can
 never change results.
 
-The service owns the predicate *evaluators*; the loop that applies one
-to columns is :class:`repro.core.kernels.BlockPipeline`, the same for
-extracted chunks, for one hand-fed block (:meth:`FilteringService.apply`)
-and for a cached table re-filtered on a subsumption hit
-(:meth:`FilteringService.refilter`, ``KernelCache.refilter``).  Two evaluators produce
+The service is a :class:`repro.core.kernels.KernelCache`: it owns the
+predicate *evaluators*; the loop that applies one to columns is
+:class:`repro.core.kernels.BlockPipeline`, the same for extracted
+chunks, for one hand-fed block (:meth:`FilteringService.apply`) and for
+a cached table re-filtered on a subsumption hit
+(``KernelCache.refilter``).  Two evaluators produce
 bit-identical masks (see docs/architecture.md, "Vectorized execution"):
 
 * ``vectorize=True`` compiles the WHERE once per distinct predicate into
@@ -23,46 +24,32 @@ bit-identical masks (see docs/architecture.md, "Vectorized execution"):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.kernels import (
     BlockPipeline,
     CompiledPredicate,
-    Evaluator,
     KernelCache,
 )
 from ..core.stats import IOStats
-from ..core.table import VirtualTable, own_column
+from ..core.table import own_column
 from ..obs.tracer import NULL_TRACER
 from ..sql.ast import Node
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 
 
-class FilteringService:
-    """Applies a query's residual predicate to extracted column blocks."""
+class FilteringService(KernelCache):
+    """Applies a query's residual predicate to extracted column blocks:
+    the node services' :class:`~repro.core.kernels.KernelCache`, over
+    the default function registry unless given one."""
 
     def __init__(self, functions: Optional[FunctionRegistry] = None):
-        self.functions = functions or DEFAULT_REGISTRY
-        self._kernels = KernelCache(self.functions)
+        super().__init__(functions or DEFAULT_REGISTRY)
 
-    def kernel_for(self, where: Node, tracer=NULL_TRACER):
-        """The compiled kernel for a WHERE node (cached per predicate)."""
-        return self._kernels.get(where, tracer)
-
-    def evaluator(
-        self,
-        where: Optional[Node],
-        vectorize: bool,
-        tracer=NULL_TRACER,
-        decided: Sequence[Node] = (),
-    ) -> Evaluator:
-        """What filters ``where``: its cached kernel, the interpreted
-        oracle (``vectorize=False``), or None for no WHERE at all
-        (``KernelCache.evaluator``; ``decided``: the plan's conjuncts the
-        index settled)."""
-        return self._kernels.evaluator(where, vectorize, tracer, decided)
+    #: The compiled kernel for a WHERE node (cached per predicate).
+    kernel_for = KernelCache.get
 
     def apply(
         self,
@@ -90,19 +77,3 @@ class FilteringService:
         if block is None:
             return None
         return {name: own_column(column) for name, column in block[0].items()}
-
-    def refilter(
-        self,
-        where: Optional[Node],
-        table: VirtualTable,
-        output: List[str],
-        stats: Optional[IOStats] = None,
-        tracer=NULL_TRACER,
-        vectorize: bool = False,
-    ) -> VirtualTable:
-        """Re-run a full WHERE over a cached superset table
-        (subsumption): ``KernelCache.refilter`` with this service's
-        kernels."""
-        return self._kernels.refilter(
-            where, table, output, stats, tracer, vectorize
-        )

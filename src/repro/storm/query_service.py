@@ -166,7 +166,7 @@ def _landing(
     empty = empty_result(plan)
     counts = [afcs.total_rows for afcs in by_node.values()]
     buffers = {
-        name: np.empty(sum(counts), empty.column(name).dtype.newbyteorder("="))
+        name: np.empty(sum(counts), empty.column(name).dtype)
         for name in empty.column_names
     }
     landing: Dict[str, Dict[str, np.ndarray]] = {}
@@ -214,7 +214,6 @@ class QueryService:
         cluster: Optional[VirtualCluster] = None,
         functions: Optional[FunctionRegistry] = None,
         cost_model: CostModel = STORM_COST,
-        max_workers: Optional[int] = None,
         segment_cache_bytes: int = 32 * 1024 * 1024,
         handle_cache: int = 64,
         fault_injector=None,
@@ -245,14 +244,11 @@ class QueryService:
                 fault_injector=fault_injector,
             )
         self.transport = transport
-        self.max_workers = max_workers
         self.segment_cache_bytes = segment_cache_bytes
         self.handle_cache = handle_cache
         #: The stages both front doors run (and the result/plan caches
         #: they share); this service supplies ``_extract_nodes``.
-        self._pipeline = QueryPipeline(
-            dataset, self.filtering.functions, self.filtering
-        )
+        self._pipeline = QueryPipeline(dataset, self.filtering)
         #: Long-lived node fan-out pool shared by every submit (built
         #: lazily by the first parallel extraction; threads spawn on
         #: demand, so an idle service costs nothing).  Replaces the old
@@ -280,17 +276,15 @@ class QueryService:
     def _pool(self, opts: ExecOptions) -> ThreadPoolExecutor:
         """The shared node fan-out pool, built on first parallel use.
 
-        Sized once, by ``max_workers`` or the first submit's
-        ``scheduler_workers`` auto-resolution; later submits reuse the
-        same threads whatever their node count.
+        Sized once, by the first submit's ``scheduler_workers``
+        auto-resolution; later submits reuse the same threads whatever
+        their node count.
         """
         with self._node_pool_lock:
             if self._node_pool is None:
-                size = self.max_workers or resolve_workers(
-                    opts.scheduler_workers
-                )
                 self._node_pool = ThreadPoolExecutor(
-                    max_workers=size, thread_name_prefix="storm-node"
+                    max_workers=resolve_workers(opts.scheduler_workers),
+                    thread_name_prefix="storm-node",
                 )
             return self._node_pool
 
@@ -578,6 +572,7 @@ class QueryService:
                     span.tag(
                         rows=_rows(partial),
                         bytes_read=per_node_stats[node].bytes_read,
+                        cache_hits=per_node_stats[node].cache_hits,
                         attempts=attempts[node],
                     )
                     return partial

@@ -228,8 +228,8 @@ class TestResultOwnership:
         plan = dataset.plan("SELECT REL, TIME, X, SOIL FROM IparsData")
         stats = IOStats()
         afc = plan.afcs[0]
-        raw = AfcReader(extractor, plan.needed, plan.dtypes).extract(
-            (AfcTable.of([afc]).parts[0], 0, afc.num_rows), stats
+        raw = AfcReader(extractor, plan.needed, plan.dtypes).columns(
+            AfcTable.of([afc]).parts[0], 0, 1, stats
         )
         selected = FilteringService().apply(
             plan.where, raw, plan.output, afc.num_rows, stats

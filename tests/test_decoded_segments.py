@@ -12,9 +12,9 @@ whole number of its records — under every cache shape: segment cache
 coalesced-run cap small enough that blocks cross sharing groups, chunk
 row caps (short tails), block sizes and ``intra_node_workers``.  Each
 draw runs a cold pass then a warm pass three ways: decoded, decoded and
-traced (which reads chunk by chunk, never through the one-lock lookup
-of a run of hits), and with every chunk cached as read (the decode
-before columnar entries).  Every pass's tables must be bit-identical,
+traced (which must look a run of hits up under one lock like the
+untraced way, not chunk by chunk), and with every chunk cached as read
+(the decode before columnar entries).  Every pass's tables must be bit-identical,
 and a single-worker pass's ``IOStats`` equal field for field across the
 three ways — same reads, same hits, same evictions.  (Learned chunk
 bounds, which only decoded chunks teach, are off in that matrix.)
@@ -203,15 +203,16 @@ def test_decoded_cache_reads_like_payloads_as_read(
         extractor_module, "block_rows_for",
         lambda needed, dtypes: block_rows["now"],
     )
-    # How often the paths under test ran: a run of hits served at once,
-    # a fused block as one view, and one stitched across groups.  (A
-    # ragged group copied out: test_a_hot_chunk_pinning_...)
+    # How often the paths under test ran: a run of hits served at once
+    # (per way), a fused block as one view, and one stitched across
+    # groups.  (A ragged group copied out: test_a_hot_chunk_pinning_...)
     seen = collections.Counter()
+    way_now = {}
     get_run, stitch = _SegmentCache.get_run, extractor_module._stitch
 
     def counting_get_run(cache, keys, dtypes):
         entries = get_run(cache, keys, dtypes)
-        seen["runs of hits"] += entries is not None
+        seen[f"runs of hits {way_now['way']}"] += entries is not None
         return entries
 
     def counting_stitch(entries, dtype, wanted, columns):
@@ -244,9 +245,11 @@ def test_decoded_cache_reads_like_payloads_as_read(
         ways = {}
         with monkeypatch.context() as patch:
             patch.setattr(extractor_module, "MAX_COALESCED_BYTES", run_cap)
-            ways["decoded"] = run_passes(spec, plan, cache_bytes, opts, False)
-            ways["traced"] = run_passes(spec, plan, cache_bytes, opts, True)
+            for way, traced in (("decoded", False), ("traced", True)):
+                way_now["way"] = way
+                ways[way] = run_passes(spec, plan, cache_bytes, opts, traced)
             patch.setattr(Extractor, "_decoded_dtype", lambda self, strip: None)
+            way_now["way"] = "as read"
             ways["as read"] = run_passes(spec, plan, cache_bytes, opts, False)
         want = ways["as read"][0][0]
         for way, passes in ways.items():
@@ -256,7 +259,10 @@ def test_decoded_cache_reads_like_payloads_as_read(
                     assert stats == ways["as read"][number][1], (
                         f"{context} {way} pass {number}"
                     )
-    assert min(seen.values()) > 0 and len(seen) == 3, seen
+    # Traced runs take the one-lock lookup of a run of hits as often as
+    # untraced ones: tracing never forks the read path.
+    assert seen["runs of hits traced"] == seen["runs of hits decoded"], seen
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +362,7 @@ def test_a_coalesced_run_shares_columns_and_a_run_of_hits_is_a_view(specs):
             assert warm[name].flags.c_contiguous
             assert not warm[name].flags.writeable
             # A lone row is a view as well — contiguous, not strided.
-            row = reader.extract((part, 1, int(part.rows[1])), stats)[name]
+            row = reader.columns(part, 1, 2, stats)[name]
             assert row.flags.c_contiguous and np.shares_memory(row, group.columns[name])
 
 
@@ -375,8 +381,8 @@ def test_a_hot_chunk_pinning_an_evicted_run_is_copied_out(
     assert len(part) == 12
     with Extractor(spec.mount) as extractor:
         expected = [
-            extractor.reader_for(plan, plan.afcs).extract(
-                (part, i, int(part.rows[i])), IOStats()
+            extractor.reader_for(plan, plan.afcs).columns(
+                part, i, i + 1, IOStats()
             )
             for i in range(len(part))
         ]
@@ -386,7 +392,7 @@ def test_a_hot_chunk_pinning_an_evicted_run_is_copied_out(
         reader = extractor.reader_for(plan, plan.afcs, coalesce_gap_bytes=64)
         for i in range(len(part)):
             for k in (i, hot):
-                got = reader.extract((part, k, int(part.rows[k])), stats)
+                got = reader.columns(part, k, k + 1, stats)
                 for name in ("A", "C", "E"):
                     assert got[name].tobytes() == expected[k][name].tobytes()
             assert_bounded(extractor)
@@ -404,7 +410,7 @@ def test_a_raw_read_never_sees_a_decoded_entry(specs):
     with Extractor(spec.mount) as extractor:
         plan, afcs, reader = titan_reader(spec, extractor, 0)
         part = afcs.parts[0]
-        reader.extract((part, 0, int(part.rows[0])), IOStats())
+        reader.columns(part, 0, 1, IOStats())
         ((key, entry),) = extractor._segments._segments.items()
         assert isinstance(entry, _Decoded)
         stats = IOStats()
@@ -571,9 +577,8 @@ class CountingMeter:
 
 
 def test_a_run_of_hits_charges_the_meter_once_per_afc(specs):
-    # Untraced, a warm run is looked up at once; traced, chunk by chunk.
-    # The meter sees the same charges either way: one per AFC, then one
-    # per block.
+    # A warm run is looked up at once, traced or not.  The meter sees
+    # the same charges either way: one per AFC, then one per block.
     spec = specs["titan"]
     plan = CompiledDataset(spec.text).plan("SELECT X, S1 FROM TitanData WHERE S1 > 0.5")
     evaluator = KernelCache(DEFAULT_REGISTRY).evaluator(plan.where, True)

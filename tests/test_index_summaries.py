@@ -152,8 +152,8 @@ class TestBuild:
         with Extractor(mount) as extractor:
             for afc in dataset.index({})[:5]:
                 chunk = afc.chunks[0]
-                cols = AfcReader(extractor, ["X", "Y", "TIME"]).extract(
-                    (AfcTable.of([afc]).parts[0], 0, afc.num_rows), IOStats()
+                cols = AfcReader(extractor, ["X", "Y", "TIME"]).columns(
+                    AfcTable.of([afc]).parts[0], 0, 1, IOStats()
                 )
                 bounds = summaries.bounds(chunk.key)
                 for attr in ("X", "TIME"):

@@ -198,14 +198,12 @@ class NodeTables:
         return table, stats, [node for node in by_node if node in self.lost]
 
 
-def assert_same_table(got, want, lone=None):
-    """Equal columns, values and dtypes — ``lone``'s dtypes, if given
-    (see :func:`lone_table`)."""
+def assert_same_table(got, want):
+    """Equal columns, values and dtypes."""
     assert got.column_names == want.column_names
     assert got.num_rows == want.num_rows
     for name in want.column_names:
-        dtype = want[name].dtype if lone is None else lone[name].dtype
-        assert got[name].dtype == dtype, name
+        assert got[name].dtype == want[name].dtype, name
         np.testing.assert_array_equal(got[name], want[name])
 
 
@@ -217,18 +215,6 @@ def timed(stats, workers):
     if workers == 1:
         return stats
     return dataclasses.replace(stats, cache_hits=0, seeks=0)
-
-
-def lone_table(tables):
-    """The node table whose dtypes a row result has where one merge and
-    ``concat_tables`` of several node tables differ: the one that kept
-    rows, if only one did — its lone block kept its byte order — or,
-    if none did, any: the plan's dtypes, which ``concat_tables`` made
-    native."""
-    kept = [table for table in tables.values() if table.num_rows]
-    if len(kept) == 1:
-        return kept[0]
-    return next(iter(tables.values()), None) if not kept else None
 
 
 class ResetOnce(FaultInjector):
@@ -328,19 +314,14 @@ def test_one_merge_makes_the_table_node_tables_made(clusters, data):
     assert bool(lost) <= (axes.fault == "lost")
     with faulty_connection(clusters, axes) as db:
         service = db.service
-        pipeline = QueryPipeline(
-            service.dataset, service.filtering.functions, service.filtering
-        )
+        pipeline = QueryPipeline(service.dataset, service.filtering)
         execute = NodeTables(service, options, lost)
         for result in got:
             want = pipeline.run(
                 pipeline.admit(sql, options, NULL_TRACER), options,
                 NULL_TRACER, execute,
             )
-            lone = None if axes.plan == "aggregate" else lone_table(
-                execute.tables
-            )
-            assert_same_table(result.table, want.table, lone)
+            assert_same_table(result.table, want.table)
             assert result.failed_nodes == want.failed_nodes
             clean = set(want.per_node_stats) - {f"osu{axes.faulty}"}
             assert set(result.per_node_stats) >= clean
@@ -531,6 +512,37 @@ def test_a_reply_short_of_its_region_is_a_block_of_its_own(clusters, order):
     assert np.shares_memory(columns["X"], landing["X"]) is landed
     assert columns["SOIL"].dtype == soil.dtype
     assert (landing["X"][2:] == -1).all() and (landing["X"][:2] == -1).all() != landed
+
+
+@pytest.mark.parametrize("door", ["virtualizer", "local", "tcp"])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        # Only REL = 1's AFC keeps rows: interpreted, its block is the
+        # lone one; vectorized, it is fused with REL = 0's.
+        "SELECT X, SOIL, CODE FROM MData WHERE TIME = 3 AND (REL = 1 OR SOIL > 5)",
+        "SELECT REL, MIN(X), MAX(CODE), SUM(SOIL) FROM MData GROUP BY REL",
+    ],
+    ids=["rows", "aggregate"],
+)
+def test_a_big_endian_column_is_native_whatever_the_kernel(clusters, door, sql):
+    # Every result column is in native byte order, so its dtype follows
+    # neither the block count nor the kernel.
+    text, root, _, _ = clusters.get(1, True)
+    dtypes = {}
+    for vectorize in ("on", "off"):
+        if door == "virtualizer":
+            with repro.Virtualizer(text, local_mount(root)) as v:
+                table = v.query(sql, options=ExecOptions(vectorize=vectorize))
+        else:
+            with connect(
+                clusters, door, 1, big_endian=True, vectorize=vectorize
+            ) as db:
+                table = db.query(sql)
+        assert table.num_rows > 1
+        dtypes[vectorize] = [table[name].dtype for name in table.column_names]
+    assert dtypes["on"] == dtypes["off"]
+    assert all(dtype.isnative for dtype in dtypes["on"]), dtypes
 
 
 # ---------------------------------------------------------------------------

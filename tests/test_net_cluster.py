@@ -638,8 +638,9 @@ class TestHostileExecuteFrames:
         "count-disagrees": ({"afcs": 99}, "PlanMismatchError"),
         "negative-cap": ({"chunk_row_cap": -4}, "TransportError"),
         "bad-option-value": (
-            {"options": {"vectorize": "maybe"}}, "ValueError"
+            {"options": {"vectorize": "maybe"}}, "TransportError"
         ),
+        "bad-option-type": ({"options": {"batch_rows": "x"}}, "TransportError"),
         "bad-aggregate": ({"agg": {"items": 3}}, "TransportError"),
     }
 

@@ -360,6 +360,32 @@ class TestExecuteRequest:
         with pytest.raises(TransportError, match="malformed EXECUTE"):
             wire.decode_execute(payload)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"batch_rows": "x"},
+            {"batch_rows": 0},
+            {"batch_rows": -3},
+            {"batch_rows": 2.0},
+            {"batch_rows": True},
+            {"intra_node_workers": 0},
+            {"intra_node_workers": "2"},
+            {"intra_node_workers": False},
+            {"coalesce_gap_bytes": -5},
+            {"coalesce_gap_bytes": 1.5},
+            {"coalesce_gap_bytes": None},
+            {"coalesce_gap_bytes": True},
+            {"vectorize": "maybe"},
+            {"vectorize": True},
+            {"vectorize": None},
+        ],
+    )
+    def test_malformed_node_options_are_refused_before_planning(self, options):
+        with pytest.raises(TransportError, match="malformed EXECUTE"):
+            wire.decode_options(options)
+        with pytest.raises(TransportError, match="malformed EXECUTE"):
+            wire.decode_execute(_request(options=options))
+
     def test_plan_mismatch_keeps_its_type_across_the_wire(self):
         err = wire.decode_error(
             wire.encode_error(PlanMismatchError("planned 3, expected 4")),
@@ -511,8 +537,8 @@ def _strided_blocks():
 
 
 def _bytes_blocks():
-    """One block: an ``S`` column, a big-endian column (a lone block
-    keeps its byte order) and a short."""
+    """One block: an ``S`` column, a big-endian column (sent native,
+    as every result column is) and a short."""
     names = np.array([b"ab", b"cdef", b"", b"ghijk", b"l"] * 5, dtype="S5")
     return ["NAME", "BE", "REL"], [(
         {
@@ -563,15 +589,16 @@ GOLDEN_BLOCKS = {
 
 #: sha256 (see ``_digest``) of ``encode_table`` of ``assemble_table`` of
 #: each case's blocks — whole, then ``batched`` by 8 rows — captured
-#: from the encoder that joined an assembled table.
+#: from the encoder that joined an assembled table; ``bytes`` recaptured
+#: once every result column became native byte order.
 GOLDEN = {
     "strided": (
         "4fcbacd555be9b4af7dd56737c479d17b13346780d64f8ad3eb86b6df73efa5d",
         "f45b5e2a6b1071ca6a9e0d57f1a3073b131c19c77c754e683ca3d5247c04dd4c",
     ),
     "bytes": (
-        "8a29d6f8bdd19c276c9bec03ae13a577cb9660108c592214c8c5aa3ea9a6539d",
-        "1a5d045c4367699f3c7a1f5f856bbd7846fa83a3d7b10d94e403cf25782f860f",
+        "a28cd4488830eff6bc61f8039ca0c22df37e11e2fdf7cc83f04280e086f539bd",
+        "6596e782f9d014a15a784a8ac0683671863e9430fbc6645c6bff0772c3821006",
     ),
     "mixed": (
         "d0e2b90e385a5494ba7a8310657dadfb426e7cc8b2b043f8ab0241ed39dcb608",

@@ -212,7 +212,7 @@ def test_run_columns_own_contiguous_memory_and_rows_stay_views(specs, name):
         for part in parts:
             run = reader.columns(part, 0, len(part), stats)
             rows = [
-                reader.extract((part, i, int(part.rows[i])), stats)
+                reader.columns(part, i, i + 1, stats)
                 for i in range(len(part))
             ]
             for column in plan.extracted:

@@ -887,7 +887,13 @@ class TestFirstNodeOnCaller:
         _, text, root = env
         tracer = Tracer()
         with repro.connect(f"local://{root}", descriptor=text) as db:
-            db.submit(SCAN + " WHERE SOIL > 0.2", ExecOptions(trace=tracer))
+            result = db.submit(
+                SCAN + " WHERE SOIL > 0.2", ExecOptions(trace=tracer)
+            )
+        hits = {
+            node: result.per_node_stats[node].cache_hits
+            for node in ("osu0", "osu1")
+        }
         by_id = {span.span_id: span for span in tracer.spans}
 
         def parent(span):
@@ -917,9 +923,9 @@ class TestFirstNodeOnCaller:
         )
         assert extracts == [
             {"node": "osu0", "afcs": 12, "rows": 162, "bytes_read": 960,
-             "attempts": 1},
+             "cache_hits": hits["osu0"], "attempts": 1},
             {"node": "osu1", "afcs": 12, "rows": 157, "bytes_read": 960,
-             "attempts": 1},
+             "cache_hits": hits["osu1"], "attempts": 1},
         ]
         # Every span that names a node sits under that node's extract.
         for span in tracer.spans:

@@ -454,7 +454,7 @@ def test_zoned_equals_unzoned_equals_interpreted(matrix_specs, data):
     for way, runs in ways.items():
         for number, (tables, stats, count) in enumerate(runs):
             at = f"{context} {way} run {number}"
-            assert_same_rows(tables, want, at)
+            assert_same_tables(tables, want, at)
             # Cold runs (the first, and the first after drop_caches)
             # prune nothing; every run reads the AFCs it did not prune.
             if number in (0, 2):
@@ -467,25 +467,6 @@ def test_zoned_equals_unzoned_equals_interpreted(matrix_specs, data):
                     assert stats == ways["learned"][number][1], at
 
 
-def native(column):
-    return column.astype(column.dtype.newbyteorder("="), copy=False)
-
-
-def assert_same_rows(got, want, context):
-    """Tables equal bit for bit once in native byte order.  A big-endian
-    output column keeps its byte order from a lone block and is native
-    when several are joined (``assemble_table``, ``wire.table_frames``),
-    so it follows how many blocks kept rows — which block sizes,
-    ``vectorize`` and pruning all change."""
-    assert len(got) == len(want), context
-    for a, b in zip(got, want):
-        assert a.column_names == b.column_names, context
-        for name in a.column_names:
-            x, y = native(a.column(name)), native(b.column(name))
-            assert x.dtype == y.dtype, f"{context}: {name}"
-            assert x.tobytes() == y.tobytes(), f"{context}: {name}"
-
-
 # ---------------------------------------------------------------------------
 # The conditions
 # ---------------------------------------------------------------------------
@@ -493,19 +474,17 @@ def assert_same_rows(got, want, context):
 TITAN_ZONED = "SELECT X, S1 FROM TitanData WHERE X < 20000 AND S1 > 0.2"
 
 
-def titan_runs(spec, tracers, sql=TITAN_ZONED, cap=32, **service):
-    """``sql`` on one osu0 service, once per tracer, each call inside
-    the node's ``extract`` span: the node's AFC count and, per run, the
-    table and stats."""
+def titan_runs(spec, runs, sql=TITAN_ZONED, cap=32, **service):
+    """``sql`` ``runs`` times on one osu0 service: the node's AFC count
+    and, per run, the table and stats."""
     plan = CompiledDataset(spec.text, chunk_row_cap=cap).plan(sql)
     afcs = group_by_home_node(plan.afcs)["osu0"]
     source = DataSourceService("osu0", spec.mount, FilteringService(), **service)
     out = []
     try:
-        for tracer in tracers:
+        for _ in range(runs):
             stats = IOStats()
-            with tracer.span("extract", node="osu0"):
-                table = source.execute(plan, afcs, stats, tracer, ExecOptions())
+            table = source.execute(plan, afcs, stats, NULL_TRACER, ExecOptions())
             out.append((table, stats))
     finally:
         source.close()
@@ -523,7 +502,7 @@ def test_refuted_afcs_are_settled_not_filtered(specs, monkeypatch):
         return add(pipeline, columns, num_rows)
 
     monkeypatch.setattr(BlockPipeline, "add", counting_add)
-    total, [(table, cold), (again, warm)] = titan_runs(spec, [NULL_TRACER] * 2)
+    total, [(table, cold), (again, warm)] = titan_runs(spec, 2)
     assert_same_tables([again], [table], "warm")
     # Warm, the AFCs the learned bounds refute are never read, counted
     # or handed to the kernel; the rest are read from the cache.
@@ -537,21 +516,26 @@ def test_refuted_afcs_are_settled_not_filtered(specs, monkeypatch):
     assert warm.bytes_read == 0
 
 
-def test_zoned_tags_and_metric_only_when_tracing(specs):
-    spec = specs["titan"]
+def test_zoned_tags_and_metric_only_when_tracing(titan_root):
+    text, root = titan_root
     cold, warm = Tracer(), Tracer()
-    total, [(table, _), (again, stats), _] = titan_runs(
-        spec, [cold, warm, NULL_TRACER]
-    )
-    assert_same_tables([again], [table], "traced warm")
+    with repro.connect(f"local://{root}", descriptor=text) as db:
+        first = db.submit(TITAN_ZONED, db.options.replace(trace=cold))
+        again = db.submit(TITAN_ZONED, db.options.replace(trace=warm))
+        untraced = db.submit(TITAN_ZONED)
+    assert_same_tables([again.table, untraced.table], [first.table] * 2, "warm")
     assert "index.learned_pruned_afcs" not in cold.metrics.counters
     pruned = warm.metrics.counters["index.learned_pruned_afcs"].value
-    assert pruned > 0 and pruned + stats.afcs_processed == total
-    (extract,) = [s for s in warm.spans if s.name == "extract"]
-    assert extract.tags["learned_pruned"] == pruned
-    # A pruned AFC's chunks are never looked up: one hit event per read.
-    hits = [s for s in warm.spans if s.name == "segment_cache_hit"]
-    assert len(hits) == stats.cache_hits == stats.chunks_read
+    total = again.afc_count
+    assert pruned > 0 and pruned + again.total_stats.afcs_processed == total
+    extracts = [s for s in warm.spans if s.name == "extract"]
+    assert sum(s.tags.get("learned_pruned", 0) for s in extracts) == pruned
+    # A pruned AFC's chunks are never looked up; every chunk the warm
+    # run reads is a hit, counted once, on its node's extract span.
+    for span in extracts:
+        stats = again.per_node_stats[span.tags["node"]]
+        assert span.tags["cache_hits"] == stats.cache_hits == stats.chunks_read
+    assert sum(s.tags["cache_hits"] for s in extracts) > 0
     assert all("learned_pruned" not in s.tags for s in cold.spans)
 
 
@@ -640,7 +624,7 @@ def test_learning_is_lazy_per_constrained_field(specs, tmp_path):
     finally:
         source.close()
     # Nothing is cached, so nothing is learned.
-    total, runs = titan_runs(spec, [NULL_TRACER] * 3, segment_cache_bytes=0)
+    total, runs = titan_runs(spec, 3, segment_cache_bytes=0)
     assert [stats.afcs_processed for _, stats in runs] == [total] * 3
 
 
@@ -758,7 +742,7 @@ def test_concurrent_calls_with_workers_agree_with_nothing_learned(specs):
             for k in range(3 * len(plans)):
                 i = (seed + k) % len(plans)
                 got = tables(shared, plans[i], 1 + (seed + k) % 3)
-                assert_same_rows(got, want[i], f"thread {seed} query {i}")
+                assert_same_tables(got, want[i], f"thread {seed} query {i}")
         except Exception as exc:  # noqa: BLE001 - reported below
             failures.append(exc)
 
@@ -841,7 +825,7 @@ def test_aggregates_and_rows_over_both_transports(titan_root, transport):
                 db.drop_caches()
                 results = [db.submit(sql) for _ in range(3)]
                 for result in results:
-                    assert_same_rows([result.table], [expected], sql)
+                    assert_same_tables([result.table], [expected], sql)
                     # Planning never sees the prune: the AFC count stays.
                     assert result.afc_count == results[0].afc_count > 0
                 read = [r.total_stats.afcs_processed for r in results]
@@ -875,7 +859,7 @@ def test_concurrent_submits_agree_with_nothing_learned(titan_root):
                 for k in range(2 * len(queries)):
                     i = (seed + k) % len(queries)
                     got = db.submit(queries[i]).table
-                    assert_same_rows([got], [want[i]], queries[i])
+                    assert_same_tables([got], [want[i]], queries[i])
             except Exception as exc:  # noqa: BLE001 - reported below
                 failures.append(exc)
 
@@ -916,7 +900,7 @@ def test_a_dropped_service_frees_its_extractor_at_once(specs):
     spec = specs["titan"]
     gc.disable()
     try:
-        _, runs = titan_runs(spec, [NULL_TRACER] * 2)
+        _, runs = titan_runs(spec, 2)
         assert runs[1][1].afcs_processed < runs[0][1].afcs_processed
         source = DataSourceService("osu0", spec.mount, FilteringService())
         plan = CompiledDataset(spec.text).plan(TITAN_ZONED)
