@@ -158,12 +158,11 @@ class QueryPipeline:
         (hand-written planners) only get option analysis.
         """
         from ..diag.options import analyze_options
-        from ..diag.query import analyze_query
 
         findings = list(getattr(self.dataset, "diagnostics", None) or ())
         descriptor = getattr(self.dataset, "descriptor", None)
         if descriptor is not None:
-            findings.extend(analyze_query(descriptor, query, self._kernels.functions))
+            findings.extend(self._query_findings(descriptor, query))
         findings.extend(analyze_options(opts))
         if tracer.enabled:
             for diag in findings:
@@ -185,6 +184,26 @@ class QueryPipeline:
                     f"strict mode: {len(blocking)} static-analysis finding(s) "
                     f"block execution: {details}"
                 )
+
+    def _query_findings(self, descriptor, query):
+        """:func:`~repro.diag.query.analyze_query` of ``query``, run once
+        per text.  The findings depend only on the descriptor, the bound
+        query and the function registry, so they are kept on the query's
+        rewrite memo, which the query-text cache hands out with every
+        copy of the text."""
+        from ..diag.query import analyze_query
+
+        functions = self._kernels.functions
+        memo = query.__dict__.get("_rewrite") if isinstance(query, Query) else None
+        if memo is None or not memo.matches(query):
+            return analyze_query(descriptor, query, functions)
+        key = (descriptor, functions, functions.generation)
+        kept = memo.analysis
+        if kept is None or kept[0] != key:
+            kept = memo.analysis = (
+                key, tuple(analyze_query(descriptor, query, functions))
+            )
+        return kept[1]
 
     def plan(self, query, opts: ExecOptions, tracer) -> ExtractionPlan:
         """The admitted query's plan, memoized when ``opts`` cache."""

@@ -209,17 +209,28 @@ class PhysicalFile:
 # ---------------------------------------------------------------------------
 
 
+def attr_layouts(schema) -> Tuple[Dict[str, int], Dict[str, str]]:
+    """(byte size, dtype format) maps of a schema's attributes: what
+    :func:`build_strips` reads of the schema, built once per descriptor
+    by :func:`enumerate_files`."""
+    return (
+        {a.name: a.size for a in schema},
+        {a.name: a.dtype.str for a in schema},
+    )
+
+
 def build_strips(
     leaf: DatasetNode,
     schema,
     env: Dict[str, int],
+    layouts: Optional[Tuple[Dict[str, int], Dict[str, str]]] = None,
 ) -> Tuple[Tuple[Strip, ...], int]:
     """Instantiate the strips of ``leaf`` under a binding environment.
 
-    Returns (strips, total file size in bytes).
+    ``layouts`` is :func:`attr_layouts` of ``schema``, when the caller
+    has it.  Returns (strips, total file size in bytes).
     """
-    attr_size = {a.name: a.size for a in schema}
-    attr_format = {a.name: a.dtype.str for a in schema}
+    attr_size, attr_format = layouts or attr_layouts(schema)
 
     def item_size(item: SpaceItem) -> int:
         if isinstance(item, AttrGroup):
@@ -281,12 +292,15 @@ def enumerate_files(descriptor: Descriptor) -> List[PhysicalFile]:
     query-time planning only evaluates integer comparisons.
     """
     files: List[PhysicalFile] = []
+    layouts = attr_layouts(descriptor.schema)
     for leaf in descriptor.leaves():
         for env in leaf.data.binding_env_iter():
             for pattern in leaf.data.patterns:
                 dir_index, relpath = pattern.expand(env)
                 entry = descriptor.storage.dir(dir_index)
-                strips, size = build_strips(leaf, descriptor.schema, env)
+                strips, size = build_strips(
+                    leaf, descriptor.schema, env, layouts
+                )
                 files.append(
                     PhysicalFile(
                         leaf_name=leaf.name,

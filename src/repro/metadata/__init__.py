@@ -20,7 +20,7 @@ from .layout import (
 from .schema import Attribute, Schema, parse_schemas
 from .storage import DirEntry, StorageDescriptor, parse_storage
 from .types import ScalarType, parse_type, type_from_dtype
-from .xml_io import descriptor_to_xml, xml_to_descriptor
+from .xml_io import descriptor_to_xml, read_descriptor, xml_to_descriptor
 
 __all__ = [
     "Attribute",
@@ -47,6 +47,7 @@ __all__ = [
     "parse_schemas",
     "parse_storage",
     "parse_type",
+    "read_descriptor",
     "type_from_dtype",
     "xml_to_descriptor",
 ]

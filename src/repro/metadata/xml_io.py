@@ -45,7 +45,7 @@ import xml.etree.ElementTree as ET
 from typing import Dict, List, Optional
 
 from ..errors import MetadataSyntaxError, MetadataValidationError
-from .descriptor import Descriptor, build_descriptor
+from .descriptor import Descriptor, build_descriptor, parse_descriptor
 from .expressions import parse_expr, parse_range, RangeExpr
 from .layout import (
     AttrGroup,
@@ -166,6 +166,14 @@ def _indent(el: ET.Element, depth: int = 0) -> None:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+
+def read_descriptor(text: str, dataset_name: Optional[str] = None) -> Descriptor:
+    """Parse descriptor text in either form: an XML document (starting
+    with ``<``) or the combined schema/storage/layout text."""
+    if text.lstrip().startswith("<"):
+        return xml_to_descriptor(text, dataset_name)
+    return parse_descriptor(text, dataset_name)
 
 
 def xml_to_descriptor(text: str, dataset_name: Optional[str] = None) -> Descriptor:

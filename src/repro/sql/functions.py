@@ -31,6 +31,7 @@ function on any subset of its rows, sound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -63,8 +64,15 @@ class FunctionSignature:
     result_kind: str = "numeric"
 
 
+_REGISTRATIONS = itertools.count(1)
+
+
 class FunctionRegistry:
     """Case-insensitive name -> vectorised function mapping."""
+
+    #: Moves on every registration in any registry: what was derived
+    #: from a registry (static analysis findings) is stale once it has.
+    generation = 0
 
     def __init__(self, parent: Optional["FunctionRegistry"] = None):
         self._functions: Dict[str, FilterFunction] = {}
@@ -86,6 +94,8 @@ class FunctionRegistry:
         self._vectorized[key] = vectorized
         if signature is not None:
             self._signatures[key] = signature
+        # Drawn, not incremented: racing registrations never share a value.
+        FunctionRegistry.generation = next(_REGISTRATIONS)
 
     def get(self, name: str) -> FilterFunction:
         key = name.upper()

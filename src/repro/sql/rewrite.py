@@ -544,12 +544,13 @@ class Rewrite:
     spec)``.  ``bound`` is free for the dataset that bound ``where``
     (:func:`~repro.sql.typecheck.bind_where`): ``(dataset token,
     verdicts)``, so it need not bind it again and RT306/RT307 can read
-    what binding decided.
+    what binding decided.  ``analysis`` is free for the query pipeline:
+    ``(key, findings)`` of the static analysis it ran on this query.
     """
 
     __slots__ = (
         "where", "table", "select", "group_by", "canonical_where",
-        "steps", "columns", "bound",
+        "steps", "columns", "bound", "analysis",
     )
 
     def __init__(
@@ -566,6 +567,7 @@ class Rewrite:
         self.steps = steps
         self.columns = None
         self.bound = None
+        self.analysis = None
 
     def matches(self, query: Query) -> bool:
         """Whether ``query`` is still what this rewrite was derived from
