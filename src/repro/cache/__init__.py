@@ -8,7 +8,6 @@ and sql, never storm.  ``Virtualizer`` and ``QueryService`` construct a
 
 from .keys import (
     QueryKey,
-    descriptor_fingerprint,
     exact_range,
     key_subsumes,
     query_key,
@@ -24,7 +23,6 @@ __all__ = [
     "QueryCache",
     "QueryKey",
     "ResultCache",
-    "descriptor_fingerprint",
     "exact_range",
     "key_subsumes",
     "project",

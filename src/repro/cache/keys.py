@@ -4,8 +4,10 @@ The semantic result cache must recognise two queries as "the same" (or
 one as strictly broader than the other) even when their SQL texts differ.
 The normal form is a :class:`QueryKey`:
 
-* the **descriptor fingerprint** — a stable hash of the full meta-data
-  description, so a cache can never serve results across datasets;
+* the **descriptor digest** — the compiled dataset's content hash of
+  the full meta-data description
+  (:func:`~repro.core.codegen.descriptor_digest`), so a cache can never
+  serve results across datasets;
 * the **output columns**, in SELECT order;
 * the **canonical range map** — the WHERE conjuncts that are *exactly*
   representable as per-attribute interval sets (``TIME > 100``,
@@ -33,7 +35,6 @@ subsumption — never produce a wrong answer.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -61,20 +62,6 @@ class QueryKey:
     #: *final result labels* (e.g. ``SUM(SOIL)``), because the cached
     #: value is the finalised result table, not base rows.
     aggregate: Tuple[str, ...] = ()
-
-
-def descriptor_fingerprint(descriptor) -> str:
-    """Stable content hash of a descriptor (schema + storage + layout).
-
-    Uses the XML embedding as the canonical serialisation: it is already
-    deterministic and covers every semantically relevant field, so two
-    descriptors that virtualize identical datasets hash identically
-    regardless of comment/whitespace differences in their source text.
-    """
-    from ..metadata.xml_io import descriptor_to_xml
-
-    text = descriptor_to_xml(descriptor)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

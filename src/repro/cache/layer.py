@@ -28,7 +28,7 @@ from ..core.table import VirtualTable
 from ..obs.tracer import NULL_TRACER
 from ..sql.ast import Query
 from ..sql.rewrite import rewrite_of
-from .keys import QueryKey, descriptor_fingerprint, query_key
+from .keys import QueryKey, query_key
 from .result_cache import PlanCache, ResultCache
 
 
@@ -77,10 +77,9 @@ class QueryCache:
         plan_cache_entries: int = 128,
     ):
         self.dataset = dataset
-        #: Computed once: the descriptor half of every key.  A cache is
-        #: bound to one dataset instance, so re-hashing per query would
-        #: only repeat the same XML serialisation.
-        self.fingerprint = descriptor_fingerprint(dataset.descriptor)
+        #: The descriptor half of every key: the digest the dataset's
+        #: compile hashed once (``CompiledDataset.digest``).
+        self.fingerprint = dataset.digest
         self.results = ResultCache(result_cache_bytes)
         self.plans = PlanCache(plan_cache_entries)
         self._config_lock = threading.Lock()
@@ -95,7 +94,7 @@ class QueryCache:
         """A cache for ``dataset``, or None when it cannot be keyed.
 
         Duck-typed datasets (hand-written planners exposing only
-        ``plan(sql)``) have no descriptor to fingerprint and no
+        ``plan(sql)``) have no descriptor digest to key on and no
         ``needed_columns`` to validate against, so caching silently
         stays off for them.
         """

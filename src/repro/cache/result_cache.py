@@ -74,7 +74,7 @@ class ResultCache:
     """LRU map of normalized query keys to frozen result tables."""
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024):
-        self.max_bytes = max(0, int(max_bytes))
+        self.max_bytes = max_bytes
         self._lock = threading.RLock()
         self._entries: "OrderedDict[QueryKey, CacheEntry]" = OrderedDict()
         self.current_bytes = 0
@@ -158,7 +158,7 @@ class ResultCache:
     def resize(self, max_bytes: int) -> int:
         """Change the byte budget, evicting LRU entries that overflow."""
         with self._lock:
-            self.max_bytes = max(0, int(max_bytes))
+            self.max_bytes = max_bytes
             evicted = 0
             while self.current_bytes > self.max_bytes and self._entries:
                 _, victim = self._entries.popitem(last=False)
@@ -199,7 +199,7 @@ class PlanCache:
     """
 
     def __init__(self, max_entries: int = 128):
-        self.max_entries = max(0, int(max_entries))
+        self.max_entries = max_entries
         self._lock = threading.RLock()
         self._plans: "OrderedDict[QueryKey, object]" = OrderedDict()
         self.hits = 0
@@ -235,7 +235,7 @@ class PlanCache:
 
     def resize(self, max_entries: int) -> int:
         with self._lock:
-            self.max_entries = max(0, int(max_entries))
+            self.max_entries = max_entries
             evicted = 0
             while len(self._plans) > self.max_entries:
                 self._plans.popitem(last=False)

@@ -66,6 +66,63 @@ def _load_descriptor(path: str, dataset: Optional[str]):
     return read_descriptor(_read_text(path), dataset)
 
 
+class _UsageError(Exception):
+    """A command-line value no command can run with (exit 2)."""
+
+
+#: ``ExecOptions`` fields the execution flags set: each flag's ``dest``.
+_EXEC_FIELDS = (
+    "num_clients", "remote", "retries", "retry_backoff", "node_timeout",
+    "allow_partial", "connect_timeout", "agg_pushdown", "vectorize",
+)
+
+
+def _add_exec_flags(p, resilience: bool = False, ablations: bool = False):
+    """The execution flags ``trace``, ``chaos`` and ``cluster`` share;
+    each flag's ``dest`` is the ExecOptions field it sets."""
+    p.add_argument("--clients", dest="num_clients", type=int, default=1,
+                   help="number of destination clients for partitioning")
+    p.add_argument("--local", dest="remote", action="store_false",
+                   help="co-located client: skip partition/mover stages")
+    if resilience:
+        p.add_argument("--retries", type=int, default=2,
+                       help="retries per failed node (default 2)")
+        p.add_argument("--backoff", dest="retry_backoff", type=float,
+                       default=0.01,
+                       help="base retry backoff seconds, doubling per "
+                            "retry (default 0.01)")
+        p.add_argument("--node-timeout", type=float,
+                       help="seconds before one extraction attempt is "
+                            "abandoned as hung")
+        p.add_argument("--no-partial", dest="allow_partial",
+                       action="store_false",
+                       help="fail the query instead of returning a "
+                            "degraded result when a node is lost")
+    if ablations:
+        p.add_argument("--no-agg-pushdown", dest="agg_pushdown",
+                       action="store_false",
+                       help="aggregate at the coordinator instead of per "
+                            "node (ablation; ships every filtered row)")
+        p.add_argument("--no-vectorize", dest="vectorize",
+                       action="store_const", const="off", default="on",
+                       help="interpret the WHERE per block instead of the "
+                            "compiled batch kernel (ablation; identical "
+                            "rows)")
+
+
+def _exec_options(args, **extra):
+    """The ExecOptions the execution flags ask for, plus ``extra``; a
+    value ExecOptions refuses is a usage error."""
+    from .core.options import ExecOptions
+
+    fields = {name: getattr(args, name) for name in _EXEC_FIELDS
+              if hasattr(args, name)}
+    try:
+        return ExecOptions(**fields, **extra)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def cmd_validate(args) -> int:
     descriptor = _load_descriptor(args.descriptor, args.dataset)
     dataset = CompiledDataset(descriptor)
@@ -423,11 +480,12 @@ def cmd_trace(args) -> int:
     Writes a chrome://tracing / Perfetto-loadable JSON file and prints
     the span tree with wall/CPU time per pipeline stage.
     """
-    from .core.options import ExecOptions
     from .obs import Tracer, tree_summary, write_chrome_trace
     from .storm.cluster import VirtualCluster
     from .storm.query_service import QueryService
 
+    tracer = Tracer()
+    options = _exec_options(args, trace=tracer)
     descriptor = _load_descriptor(args.descriptor, args.dataset)
     summaries = _load_summaries(args, descriptor)
     if args.interpreted:
@@ -435,14 +493,6 @@ def cmd_trace(args) -> int:
     else:
         dataset = GeneratedDataset(descriptor, summaries)
     cluster = VirtualCluster.for_storage(args.root, descriptor.storage)
-    tracer = Tracer()
-    options = ExecOptions(
-        trace=tracer,
-        remote=not args.local,
-        num_clients=args.clients,
-        agg_pushdown=not args.no_agg_pushdown,
-        vectorize="off" if args.no_vectorize else "on",
-    )
     with QueryService(dataset, cluster) as service:
         result = service.submit(args.sql, options)
     write_chrome_trace(tracer, args.output)
@@ -457,15 +507,17 @@ def cmd_chaos(args) -> int:
     """Run a query under a named fault profile and report the degradation.
 
     Exit codes: 0 = full result despite faults, 3 = degraded result
-    (some nodes lost), 1 = query failed outright.
+    (some nodes lost), 1 = query failed outright, 2 = no fault rules or
+    an option value ExecOptions refuses.
     """
-    from .core.options import ExecOptions
     from .errors import NodeFailureError
     from .faults import FaultInjector
     from .obs import Tracer
     from .storm.cluster import VirtualCluster
     from .storm.query_service import QueryService
 
+    tracer = Tracer("chaos")
+    options = _exec_options(args, trace=tracer)
     descriptor = _load_descriptor(args.descriptor, args.dataset)
     if args.interpreted:
         dataset: CompiledDataset = CompiledDataset(descriptor)
@@ -478,21 +530,11 @@ def cmd_chaos(args) -> int:
               file=sys.stderr)
         return 2
     injector = FaultInjector(rules, seed=args.seed)
-    tracer = Tracer("chaos")
-    options = ExecOptions(
-        remote=not args.local,
-        num_clients=args.clients,
-        retries=args.retries,
-        retry_backoff=args.backoff,
-        node_timeout=args.node_timeout,
-        allow_partial=not args.no_partial,
-        trace=tracer,
-    )
     named = f" profile {args.profile!r}" if args.profile else ""
     print(f"chaos:{named} {len(rules)} rule(s), seed {args.seed}, "
-          f"retries {args.retries}, backoff {args.backoff:g}s"
-          + (f", node timeout {args.node_timeout:g}s"
-             if args.node_timeout else ""))
+          f"retries {options.retries}, backoff {options.retry_backoff:g}s"
+          + (f", node timeout {options.node_timeout:g}s"
+             if options.node_timeout else ""))
     try:
         with QueryService(dataset, cluster, fault_injector=injector) as service:
             result = service.submit(args.sql, options)
@@ -588,24 +630,12 @@ def cmd_cluster(args) -> int:
     ``chaos``: 0 full result, 3 degraded result, 1 failed query.
     """
     from .client import connect
-    from .core.options import ExecOptions
     from .errors import NodeFailureError
     from .net.procs import ProcessCluster
     from .obs import Tracer, write_chrome_trace
 
     tracer = Tracer("cluster")
-    options = ExecOptions(
-        remote=not args.local,
-        num_clients=args.clients,
-        retries=args.retries,
-        retry_backoff=args.backoff,
-        node_timeout=args.node_timeout,
-        allow_partial=not args.no_partial,
-        connect_timeout=args.connect_timeout,
-        trace=tracer,
-        agg_pushdown=not args.no_agg_pushdown,
-        vectorize="off" if args.no_vectorize else "on",
-    )
+    options = _exec_options(args, trace=tracer)
     cluster = ProcessCluster(
         args.descriptor if args.descriptor != "-" else _read_text("-"),
         args.root,
@@ -792,10 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sql", help="SELECT ... FROM ... [WHERE ...]")
     p.add_argument("-o", "--output", default="trace.json",
                    help="chrome-trace JSON output path (default trace.json)")
-    p.add_argument("--clients", type=int, default=1,
-                   help="number of destination clients for partitioning")
-    p.add_argument("--local", action="store_true",
-                   help="co-located client: skip partition/mover stages")
+    _add_exec_flags(p, ablations=True)
     p.add_argument("--min-percent", type=float, default=1.0,
                    help="hide spans below this %% of total time in the "
                         "printed tree (0 shows everything; the JSON always "
@@ -803,12 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summaries", help="chunk summary file to prune with")
     p.add_argument("--interpreted", action="store_true",
                    help="use the interpreted planner instead of codegen")
-    p.add_argument("--no-agg-pushdown", action="store_true",
-                   help="aggregate at the coordinator instead of per node "
-                        "(ablation; ships every filtered row)")
-    p.add_argument("--no-vectorize", action="store_true",
-                   help="interpret the WHERE per block instead of the "
-                        "compiled batch kernel (ablation; identical rows)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
@@ -825,21 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection RNG seed (default 0)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retries per failed node (default 2)")
-    p.add_argument("--backoff", type=float, default=0.01,
-                   help="base retry backoff seconds, doubling per retry "
-                        "(default 0.01)")
-    p.add_argument("--node-timeout", type=float,
-                   help="seconds before one extraction attempt is "
-                        "abandoned as hung")
-    p.add_argument("--no-partial", action="store_true",
-                   help="fail the query instead of returning a degraded "
-                        "result when a node is lost")
-    p.add_argument("--clients", type=int, default=1,
-                   help="number of destination clients for partitioning")
-    p.add_argument("--local", action="store_true",
-                   help="co-located client: skip partition/mover stages")
+    _add_exec_flags(p, resilience=True)
     p.add_argument("--interpreted", action="store_true",
                    help="use the interpreted planner instead of codegen")
     p.set_defaults(func=cmd_chaos)
@@ -885,34 +892,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection RNG seed (default 0)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retries per failed node (default 2)")
-    p.add_argument("--backoff", type=float, default=0.01,
-                   help="base retry backoff seconds, doubling per retry "
-                        "(default 0.01)")
-    p.add_argument("--node-timeout", type=float,
-                   help="seconds before one extraction attempt is "
-                        "abandoned as hung")
+    _add_exec_flags(p, resilience=True, ablations=True)
     p.add_argument("--connect-timeout", type=float, default=5.0,
                    help="seconds one TCP dial may take (default 5)")
-    p.add_argument("--no-partial", action="store_true",
-                   help="fail the query instead of returning a degraded "
-                        "result when a node is lost")
-    p.add_argument("--clients", type=int, default=1,
-                   help="number of destination clients for partitioning")
-    p.add_argument("--local", action="store_true",
-                   help="co-located client: skip partition/mover stages")
     p.add_argument("--startup-timeout", type=float, default=30.0,
                    help="seconds to wait for all node servers to bind "
                         "(default 30)")
     p.add_argument("--trace-out",
                    help="also write a chrome-trace JSON of the run here")
-    p.add_argument("--no-agg-pushdown", action="store_true",
-                   help="aggregate at the coordinator instead of per node "
-                        "(ablation; ships every filtered row)")
-    p.add_argument("--no-vectorize", action="store_true",
-                   help="interpret the WHERE per block instead of the "
-                        "compiled batch kernel (ablation; identical rows)")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("explain", help="show the plan for a query")
@@ -936,6 +923,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

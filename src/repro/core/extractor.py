@@ -1748,7 +1748,7 @@ class Extractor:
             plan, afcs, tracer, opts.coalesce_gap_bytes, node
         )
         meter = opts.run_state
-        workers = min(max(1, opts.intra_node_workers), len(afcs) or 1)
+        workers = min(opts.intra_node_workers, len(afcs) or 1)
         if workers == 1:
             return self._parts(plan, afcs, evaluator, reader, stats, meter)
 

@@ -9,18 +9,97 @@ is a ``TypeError`` like any other unknown argument.
 
 The dataclass is frozen: derive variants with :meth:`replace`, e.g.
 ``LOCAL = ExecOptions(remote=False); LOCAL.replace(trace=True)``.
+
+Every numeric and enum field accepts the values :data:`OPTION_RULES`
+states for it, and nothing else: the constructor and :meth:`replace`
+raise ``ValueError`` naming the field, what it accepts and what it got.
+So an options object that exists can run on every transport — a
+``tcp://`` node server decodes the fields it acts on through the same
+table (``repro.net.wire.decode_options``) — and code that reads a field
+never clamps or re-checks it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 
 if TYPE_CHECKING:  # storm imports core; never the other way around
     from ..storm.partition import Partitioner
+
+
+def _integer(value: Any) -> bool:
+    """An ``Integral`` that is not a ``bool`` (``True`` is no count)."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
+def _number(value: Any) -> bool:
+    """A ``Real`` that is not a ``bool``."""
+    return type(value) in (int, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
+#: A rule: a test of one value and the phrase that says what it accepts.
+Rule = Tuple[Callable[[Any], bool], str]
+
+_POSITIVE: Rule = (lambda v: _integer(v) and v > 0, "a positive integer")
+_COUNT: Rule = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
+_SECONDS: Rule = (lambda v: _number(v) and v > 0, "a positive number")
+
+
+def _or_none(rule: Rule) -> Rule:
+    test, phrase = rule
+    return (lambda v: v is None or test(v)), f"{phrase} or None"
+
+
+def _one_of(*choices: str) -> Rule:
+    return (
+        lambda v: isinstance(v, str) and v in choices,
+        " or ".join(map(repr, choices)),
+    )
+
+
+#: The values each numeric and enum field of :class:`ExecOptions`
+#: accepts.  The constructor, :meth:`ExecOptions.replace` and the wire
+#: (``repro.net.wire.decode_options``) judge values by this table and
+#: by nothing else.
+OPTION_RULES: Dict[str, Rule] = {
+    "num_clients": _POSITIVE,
+    "batch_rows": _POSITIVE,
+    "coalesce_gap_bytes": _COUNT,
+    "intra_node_workers": _POSITIVE,
+    "retries": _COUNT,
+    "retry_backoff": (lambda v: _number(v) and v >= 0, "a non-negative number"),
+    "node_timeout": _or_none(_SECONDS),
+    "vectorize": _one_of("on", "off"),
+    "connect_timeout": _or_none(_SECONDS),
+    "max_connections_per_node": _POSITIVE,
+    "inflight_limit": _POSITIVE,
+    "cache_mode": _one_of("off", "exact", "subsume"),
+    "result_cache_bytes": _COUNT,
+    "plan_cache_entries": _COUNT,
+    "priority": (_integer, "an integer"),
+    "scheduler": _one_of("fair", "fifo", "off"),
+    "scheduler_workers": _COUNT,
+    "admission": _one_of("reject", "queue"),
+    "admission_budget": _or_none(_SECONDS),
+    "row_quota": _or_none(_POSITIVE),
+    "byte_quota": _or_none(_POSITIVE),
+    "deadline": _or_none(_SECONDS),
+}
+
+
+def _refuse(name: str, value: Any) -> ValueError:
+    return ValueError(
+        f"option {name!r} must be {OPTION_RULES[name][1]}, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -213,33 +292,25 @@ class ExecOptions:
     )
 
     def __post_init__(self) -> None:
-        if self.vectorize not in ("off", "on"):
-            raise ValueError(
-                f"vectorize must be 'off' or 'on', not {self.vectorize!r}"
-            )
-        if self.cache_mode not in ("off", "exact", "subsume"):
-            raise ValueError(
-                f"cache_mode must be 'off', 'exact', or 'subsume', "
-                f"not {self.cache_mode!r}"
-            )
-        if self.result_cache_bytes < 0:
-            raise ValueError("result_cache_bytes must be >= 0")
-        if self.plan_cache_entries < 0:
-            raise ValueError("plan_cache_entries must be >= 0")
-        if self.scheduler not in ("fair", "fifo", "off"):
-            raise ValueError(
-                f"scheduler must be 'fair', 'fifo', or 'off', "
-                f"not {self.scheduler!r}"
-            )
-        if self.admission not in ("reject", "queue"):
-            raise ValueError(
-                f"admission must be 'reject' or 'queue', "
-                f"not {self.admission!r}"
-            )
+        for name, (test, _) in OPTION_RULES.items():
+            if not test(getattr(self, name)):
+                raise _refuse(name, getattr(self, name))
 
     def replace(self, **changes) -> "ExecOptions":
-        """A copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)
+        """A copy with the given fields changed.
+
+        Only the changed values are judged (the others were when this
+        object was built), and the copy skips ``__init__``: the
+        scheduler derives one per query.
+        """
+        for name, value in changes.items():
+            if name not in _FIELDS:
+                raise TypeError(f"ExecOptions has no field {name!r}")
+            if name in OPTION_RULES and not OPTION_RULES[name][0](value):
+                raise _refuse(name, value)
+        copy = object.__new__(ExecOptions)
+        copy.__dict__.update(self.__dict__, **changes)
+        return copy
 
     def tracer(self) -> Union[Tracer, NullTracer]:
         """Resolve :attr:`trace` to a tracer instance (see ``as_tracer``)."""
@@ -259,6 +330,8 @@ def resolve_workers(requested: int) -> int:
 
     return min(32, 4 * (os.cpu_count() or 2))
 
+
+_FIELDS = frozenset(field.name for field in dataclasses.fields(ExecOptions))
 
 #: Shared defaults, so call sites can write ``DEFAULT_OPTIONS.replace(...)``.
 DEFAULT_OPTIONS = ExecOptions()

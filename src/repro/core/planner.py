@@ -126,7 +126,7 @@ class CompiledDataset:
         #: entry never keeps its dataset alive through a cycle.
         self._token = object()
         self._groups: Optional[List[StaticGroup]] = None
-        #: Warnings, diagnostics and digest, derived on first use and
+        #: Warnings and digest, derived on first use and
         #: shared with every dataset :meth:`over` this one.
         self._derived: Dict[str, object] = {}
         if not lazy_groups:
@@ -166,15 +166,17 @@ class CompiledDataset:
     @property
     def diagnostics(self) -> "Collector":
         """Static-analysis findings for the descriptor (a
-        :class:`repro.diag.Collector`), computed lazily.  The descriptor
-        already validated at load, so these are warnings/infos in
-        practice; ``ExecOptions(strict=True)`` refuses queries when any
-        are present."""
-        if "diagnostics" not in self._derived:
+        :class:`repro.diag.Collector`): the ones its validation at load
+        kept, or — for a descriptor built with ``validate=False`` —
+        linted on first use.  Validation raised any error, so these are
+        warnings/infos in practice; ``ExecOptions(strict=True)`` refuses
+        queries when any are present."""
+        descriptor = self.descriptor
+        if descriptor.findings is None:
             from ..diag.linter import lint_descriptor
 
-            self._derived["diagnostics"] = lint_descriptor(self.descriptor)
-        return self._derived["diagnostics"]
+            descriptor.findings = lint_descriptor(descriptor)
+        return descriptor.findings
 
     @property
     def digest(self) -> str:

@@ -38,7 +38,9 @@ class Severity(enum.Enum):
 #: RV0xx: the descriptor could not be analysed at all.
 #: RV1xx: descriptor (schema/storage/layout) lints.
 #: RQ2xx: query-vs-descriptor analyses.
-#: RO3xx: execution-option (ExecOptions) analyses.
+#: RO3xx: execution-option (ExecOptions) analyses.  RO300–RO302, RO304,
+#:        RO305, RO307 and RO309–RO312 are retired (the constructor
+#:        refuses those values now) and must not be reused.
 #: RT3xx: query type inference/checking (repro.sql.typecheck).
 #: RW4xx: equivalence-preserving rewrite explain entries
 #:        (repro.sql.rewrite; informational audit trail).
@@ -87,19 +89,9 @@ CODES: Dict[str, Tuple["Severity", str]] = {
     "RQ212": (Severity.ERROR, "GROUP BY references an unknown attribute"),
     "RQ213": (Severity.ERROR, "aggregate of an unknown attribute"),
     "RQ214": (Severity.INFO, "GROUP BY without aggregates (DISTINCT)"),
-    "RO300": (Severity.ERROR, "inflight_limit must be positive"),
-    "RO301": (Severity.ERROR, "max_connections_per_node must be positive"),
-    "RO302": (Severity.ERROR, "connect_timeout must be positive"),
     "RO303": (Severity.WARNING, "retry_backoff without retries"),
-    "RO304": (Severity.ERROR, "retries must be non-negative"),
-    "RO305": (Severity.ERROR, "batch_rows must be positive"),
     "RO306": (Severity.WARNING, "inflight_limit below per-node pool size"),
-    "RO307": (Severity.ERROR, "node_timeout must be positive"),
     "RO308": (Severity.INFO, "aggregate pushdown disabled"),
-    "RO309": (Severity.ERROR, "scheduler_workers must be non-negative"),
-    "RO310": (Severity.ERROR, "admission_budget admits nothing"),
-    "RO311": (Severity.ERROR, "quota must be positive"),
-    "RO312": (Severity.ERROR, "deadline must be positive"),
     "RO313": (Severity.WARNING, "scheduling knobs with scheduler off"),
     "RO314": (Severity.INFO, "vectorized execution disabled"),
     "RT301": (Severity.ERROR, "incomparable operand types"),

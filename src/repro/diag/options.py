@@ -1,12 +1,13 @@
 """Execution-option analysis: the RO3xx diagnostics.
 
-:class:`~repro.core.options.ExecOptions` keeps its constructor
-permissive — a frozen dataclass you can build anywhere, including with
-values that make no operational sense (``inflight_limit=0`` would
-admit no request ever).  The judgement lives here instead, in the same
-diagnostic vocabulary as the descriptor and query analyses, so
-``ExecOptions(strict=True)`` refuses nonsense configurations at submit
-time and ``repro check`` can explain them.
+A value no query can run with never reaches this module:
+:class:`~repro.core.options.ExecOptions` refuses it at construction
+(``OPTION_RULES``), on every transport alike.  What is left to judge
+is how the fields combine — knobs that silently do nothing beside
+another's value — and the ablation modes, in the same diagnostic
+vocabulary as the descriptor and query analyses, so
+``ExecOptions(strict=True)`` refuses the warnings at submit time and a
+traced query records them.
 """
 
 from __future__ import annotations
@@ -19,33 +20,10 @@ from .core import Collector, Diagnostic
 def analyze_options(options) -> List[Diagnostic]:
     """Findings about one :class:`~repro.core.options.ExecOptions`.
 
-    The default options produce no findings; every RO3xx error marks a
-    configuration that cannot execute sensibly (a query would hang,
-    never be admitted, or retry forever), warnings mark knob
-    combinations that silently do nothing.
+    The default options produce no findings; warnings mark knob
+    combinations that silently do nothing, infos the ablation modes.
     """
     out = Collector(source="options")
-    if options.inflight_limit < 1:
-        out.emit(
-            "RO300",
-            f"inflight_limit={options.inflight_limit} admits no request; "
-            "it must be >= 1",
-            fix="set inflight_limit to a positive request budget",
-        )
-    if options.max_connections_per_node < 1:
-        out.emit(
-            "RO301",
-            f"max_connections_per_node={options.max_connections_per_node} "
-            "leaves the per-node pool empty; it must be >= 1",
-            fix="set max_connections_per_node to a positive pool size",
-        )
-    if options.connect_timeout is not None and options.connect_timeout <= 0:
-        out.emit(
-            "RO302",
-            f"connect_timeout={options.connect_timeout} fails every dial "
-            "immediately; it must be > 0",
-            fix="set connect_timeout to a positive number of seconds",
-        )
     if options.retry_backoff > 0 and options.retries == 0:
         out.emit(
             "RO303",
@@ -53,38 +31,13 @@ def analyze_options(options) -> List[Diagnostic]:
             "retries=0 (no retry ever sleeps)",
             fix="set retries >= 1 or drop retry_backoff",
         )
-    if options.retries < 0:
-        out.emit(
-            "RO304",
-            f"retries={options.retries} is negative; use 0 for "
-            "no retries",
-            fix="set retries to 0 or more",
-        )
-    if options.batch_rows < 1:
-        out.emit(
-            "RO305",
-            f"batch_rows={options.batch_rows} can never emit a batch; "
-            "it must be >= 1",
-            fix="set batch_rows to a positive row count",
-        )
-    if (
-        options.inflight_limit >= 1
-        and options.max_connections_per_node >= 1
-        and options.inflight_limit < options.max_connections_per_node
-    ):
+    if options.inflight_limit < options.max_connections_per_node:
         out.emit(
             "RO306",
             f"inflight_limit={options.inflight_limit} is below "
             f"max_connections_per_node={options.max_connections_per_node}; "
             "the extra pooled connections can never be used",
             fix="raise inflight_limit or shrink the per-node pool",
-        )
-    if options.node_timeout is not None and options.node_timeout <= 0:
-        out.emit(
-            "RO307",
-            f"node_timeout={options.node_timeout} abandons every attempt "
-            "instantly; use None for no timeout",
-            fix="set node_timeout to a positive number of seconds or None",
         )
     if not options.agg_pushdown:
         out.emit(
@@ -102,40 +55,6 @@ def analyze_options(options) -> List[Diagnostic]:
             "kernel (ablation/debugging mode; results are identical, "
             "only slower)",
             fix="leave vectorize at its default of 'on'",
-        )
-    if options.scheduler_workers < 0:
-        out.emit(
-            "RO309",
-            f"scheduler_workers={options.scheduler_workers} is negative; "
-            "use 0 for automatic sizing",
-            fix="set scheduler_workers to 0 (auto) or a positive count",
-        )
-    if options.admission_budget is not None and options.admission_budget <= 0:
-        out.emit(
-            "RO310",
-            f"admission_budget={options.admission_budget} admits no query "
-            "ever (every plan costs more than nothing); use None to "
-            "disable admission control",
-            fix="set admission_budget to a positive number of simulated "
-            "seconds or None",
-        )
-    for name, quota in (
-        ("row_quota", options.row_quota),
-        ("byte_quota", options.byte_quota),
-    ):
-        if quota is not None and quota <= 0:
-            out.emit(
-                "RO311",
-                f"{name}={quota} trips on the first partial produced; "
-                "use None for no quota",
-                fix=f"set {name} to a positive budget or None",
-            )
-    if options.deadline is not None and options.deadline <= 0:
-        out.emit(
-            "RO312",
-            f"deadline={options.deadline} cancels the query before it "
-            "starts; use None for no deadline",
-            fix="set deadline to a positive number of seconds or None",
         )
     if options.scheduler == "off" and (
         options.tenant != "default"

@@ -10,12 +10,15 @@ the components can be supplied separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import MetadataValidationError
 from .layout import DatasetNode, parse_layout, root_datasets
 from .schema import Schema, parse_schemas
 from .storage import StorageDescriptor, parse_storage
+
+if TYPE_CHECKING:  # diag imports metadata
+    from ..diag.core import Collector
 
 
 @dataclass
@@ -37,6 +40,11 @@ class Descriptor:
     storage: StorageDescriptor
     layout: DatasetNode
     all_schemas: Dict[str, Schema] = field(default_factory=dict)
+    #: The linter's findings (a :class:`repro.diag.Collector`) from the
+    #: last :meth:`validate`; ``None`` until then.
+    findings: Optional["Collector"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -62,11 +70,13 @@ class Descriptor:
         *every* finding (``repro check`` lists them).  Loading keeps the
         fail-fast contract: the first error's message is raised — the
         linter runs its checks in the original order, so which error
-        surfaces first, and its text, never changed.
+        surfaces first, and its text, never changed.  Every finding is
+        kept on :attr:`findings`.
         """
         from ..diag.linter import lint_descriptor
 
-        first = lint_descriptor(self).first_error()
+        self.findings = lint_descriptor(self)
+        first = self.findings.first_error()
         if first is not None:
             raise MetadataValidationError(first.message)
 

@@ -151,7 +151,7 @@ class _NodePool:
         self._expected = {**expected, "node": node}
         #: One slot per connection that may exist; a request holds its
         #: slot throughout, so waiting here is per-node backpressure.
-        self._slots = threading.BoundedSemaphore(max(1, limit))
+        self._slots = threading.BoundedSemaphore(limit)
         #: Guards everything below.
         self._lock = threading.Lock()
         self._idle: deque = deque([first])
@@ -270,9 +270,7 @@ class TcpTransport(Transport):
         """
         self.fault_injector = fault_injector
         self._options = options
-        self._inflight = threading.BoundedSemaphore(
-            max(1, options.inflight_limit)
-        )
+        self._inflight = threading.BoundedSemaphore(options.inflight_limit)
         self._pools: Dict[str, _NodePool] = {}
         self.addresses: Dict[str, Tuple[str, int]] = {}
         wanted = {"protocol": framing.PROTOCOL_VERSION, **(expected or {})}

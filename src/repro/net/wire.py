@@ -406,22 +406,11 @@ def decode_execute(data: Any) -> ExecuteRequest:
 
 # -- execution options ------------------------------------------------------
 
-def _is_positive(value: Any) -> bool:
-    return type(value) is int and value > 0
-
-
-#: The only fields a node server acts on, each with the values it
-#: accepts; everything else (retries, caching, partitioning, admission
-#: control) is coordinator business.
-_NODE_OPTION_FIELDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
-    "coalesce_gap_bytes": (
-        lambda value: type(value) is int and value >= 0,
-        "a non-negative integer",
-    ),
-    "intra_node_workers": (_is_positive, "a positive integer"),
-    "batch_rows": (_is_positive, "a positive integer"),
-    "vectorize": (lambda value: value in ("on", "off"), "'on' or 'off'"),
-}
+#: The only fields a node server acts on; everything else (retries,
+#: caching, partitioning, admission control) is coordinator business.
+_NODE_OPTION_FIELDS = (
+    "coalesce_gap_bytes", "intra_node_workers", "batch_rows", "vectorize",
+)
 
 
 def encode_options(options: ExecOptions) -> Dict[str, Any]:
@@ -429,20 +418,15 @@ def encode_options(options: ExecOptions) -> Dict[str, Any]:
 
 
 def decode_options(data: Dict[str, Any]) -> ExecOptions:
-    """The node fields of an EXECUTE's options (others are ignored);
-    a value a node cannot run with is a TransportError, raised before
+    """The node fields of an EXECUTE's options (others are ignored),
+    judged by :data:`~repro.core.options.OPTION_RULES` like any
+    ExecOptions; a value it refuses is a TransportError, raised before
     anything is planned."""
-    known: Dict[str, Any] = {}
-    for name, (ok, what) in _NODE_OPTION_FIELDS.items():
-        if name in data:
-            value = data[name]
-            if not ok(value):
-                raise TransportError(
-                    f"malformed EXECUTE: option {name!r} must be {what}, "
-                    f"got {value!r}"
-                )
-            known[name] = value
-    return ExecOptions(remote=False, parallel=False, **known)
+    known = {name: data[name] for name in _NODE_OPTION_FIELDS if name in data}
+    try:
+        return ExecOptions(remote=False, parallel=False, **known)
+    except ValueError as exc:
+        raise TransportError(f"malformed EXECUTE: {exc}") from None
 
 
 # -- result tables ----------------------------------------------------------

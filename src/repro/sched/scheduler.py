@@ -53,7 +53,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.options import ExecOptions, resolve_workers
+from ..core.options import DEFAULT_OPTIONS, ExecOptions, resolve_workers
 from ..errors import (
     AdmissionError,
     QueryCancelledError,
@@ -272,7 +272,7 @@ class Scheduler:
         — and the returned handle is already finished (the ablation
         path the benchmarks compare against).
         """
-        opts = options if options is not None else ExecOptions()
+        opts = options if options is not None else DEFAULT_OPTIONS
         if opts.scheduler == "off":
             self._check_open()
             return self._run_bypassed(sql, opts)
@@ -289,7 +289,7 @@ class Scheduler:
         that slot; otherwise it queues as :meth:`submit` would and this
         thread waits for its result.
         """
-        opts = options if options is not None else ExecOptions()
+        opts = options if options is not None else DEFAULT_OPTIONS
         if opts.scheduler == "off":
             return self.submit(sql, opts).result()
         handle = self._admit(sql, opts)

@@ -327,7 +327,7 @@ class QueryService:
         query = self._pipeline.admit(sql, opts, tracer)
         injector = self.fault_injector
         faults_before = injector.injected if injector is not None else 0
-        attempts_allowed = max(0, opts.retries) + 1
+        attempts_allowed = opts.retries + 1
         start = time.perf_counter()
 
         with tracer.span("query", sql=sql_tag(query, tracer)) as query_span:

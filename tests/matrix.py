@@ -26,7 +26,11 @@ draws from these instead of growing its own ``random.Random`` generator:
   index decides, a residual one, an aggregate, no AFC at all), a node
   lost under ``allow_partial`` or retried after its reply failed
   midway, intra-node workers, result-cache mode (widened plans),
-  big-endian columns and reply frame size.
+  big-endian columns and reply frame size;
+* :func:`option_values` — one judged ``ExecOptions`` field, a value for
+  it (in range, on and past its boundary, a ``bool``, a float for an
+  integer field, a string, ``None``) and whether the constructor must
+  accept it.
 """
 
 from __future__ import annotations
@@ -420,3 +424,101 @@ def merge_axes(draw) -> MergeAxes:
         draw(st.booleans()),
         draw(st.sampled_from(FRAME_ROWS)),
     )
+
+
+# ---------------------------------------------------------------------------
+# ExecOptions values
+# ---------------------------------------------------------------------------
+
+#: Each ExecOptions field with a value rule, and the kind of values it
+#: accepts; a trailing ``?`` also accepts ``None``.  Stated here apart
+#: from the product's table, so a rule loosened there shows.
+OPTION_KINDS: Dict[str, str] = {
+    "num_clients": "positive",
+    "batch_rows": "positive",
+    "coalesce_gap_bytes": "count",
+    "intra_node_workers": "positive",
+    "retries": "count",
+    "retry_backoff": "non-negative number",
+    "node_timeout": "positive number?",
+    "vectorize": "enum",
+    "connect_timeout": "positive number?",
+    "max_connections_per_node": "positive",
+    "inflight_limit": "positive",
+    "cache_mode": "enum",
+    "result_cache_bytes": "count",
+    "plan_cache_entries": "count",
+    "priority": "integer",
+    "scheduler": "enum",
+    "scheduler_workers": "count",
+    "admission": "enum",
+    "admission_budget": "positive number?",
+    "row_quota": "positive?",
+    "byte_quota": "positive?",
+    "deadline": "positive number?",
+}
+OPTION_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "vectorize": ("on", "off"),
+    "cache_mode": ("off", "exact", "subsume"),
+    "scheduler": ("fair", "fifo", "off"),
+    "admission": ("reject", "queue"),
+}
+VALUE_CLASSES = ("in", "boundary", "out", "bool", "float", "str", "none")
+
+
+@st.composite
+def option_values(
+    draw, fields: Sequence[str] = tuple(OPTION_KINDS)
+) -> Tuple[str, object, bool]:
+    """``(field, value, accepted)``: a value of one of ``fields`` and
+    whether ``ExecOptions`` must accept it."""
+    name = draw(st.sampled_from(fields))
+    kind = OPTION_KINDS[name]
+    optional = kind.endswith("?")
+    kind = kind.rstrip("?")
+    cls = draw(st.sampled_from(VALUE_CLASSES))
+    if cls == "bool":
+        return name, draw(st.booleans()), False
+    if cls == "none":
+        return name, None, optional
+    if kind == "enum":
+        choices = OPTION_CHOICES[name]
+        if cls == "in":
+            return name, draw(st.sampled_from(choices)), True
+        if cls == "float":
+            return name, 1.0, False
+        odd = draw(st.sampled_from(choices))
+        return name, draw(st.sampled_from(
+            (odd.upper(), f" {odd}", "maybe", "")
+        )), False
+    if kind.endswith("number"):
+        edge_ok = kind.startswith("non-negative")
+        if cls == "in":
+            return name, draw(st.one_of(
+                st.floats(1e-9, 1e9), st.integers(1, 10**9)
+            )), True
+        if cls == "boundary":
+            value = draw(st.sampled_from((0.0, 0, -0.0, 5e-324)))
+            return name, value, value > 0 or edge_ok
+        if cls == "out":
+            return name, draw(st.one_of(
+                st.floats(max_value=-1e-9, allow_infinity=False),
+                st.integers(max_value=-1),
+                st.just(float("nan")),
+            )), False
+        return name, str(draw(st.integers(1, 99))), False  # "float", "str"
+    low = {"positive": 1, "count": 0, "integer": None}[kind]
+    if cls == "in":
+        return name, draw(st.integers(
+            -(2**40) if low is None else low + 1, 2**40
+        )), True
+    if cls == "boundary":
+        value = draw(st.sampled_from((0, -1) if low is None else (low, low - 1)))
+        return name, value, low is None or value >= low
+    if cls == "out":
+        if low is None:  # every integer is in range
+            return name, draw(st.integers(2**63, 2**70)), True
+        return name, draw(st.integers(-(2**40), low - 1)), False
+    if cls == "float":
+        return name, float(draw(st.integers(1, 99))), False
+    return name, str(draw(st.integers(1, 99))), False

@@ -180,6 +180,33 @@ class TestChaos:
         assert code == 2
         assert "no fault rules" in err
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("chaos", ["--profile", "node-down", "--clients", "0"],
+             "option 'num_clients' must be a positive integer, got 0"),
+            ("chaos", ["--profile", "node-down", "--node-timeout", "0"],
+             "option 'node_timeout' must be a positive number or None, "
+             "got 0.0"),
+            ("cluster", ["--retries", "-1"],
+             "option 'retries' must be a non-negative integer, got -1"),
+            ("trace", ["--clients", "0"],
+             "option 'num_clients' must be a positive integer, got 0"),
+        ],
+    )
+    def test_refused_option_values_are_usage_errors(
+        self, capsys, tmp_path, command, flags, message
+    ):
+        # The descriptor does not exist: the value is refused (exit 2)
+        # before anything is read, compiled or launched (else exit 1).
+        code, out, err = run(
+            capsys, command, str(tmp_path / "missing.desc"), self.SQL,
+            "--root", str(tmp_path), *flags,
+        )
+        assert code == 2
+        assert err.strip() == f"error: {message}"
+        assert out == ""
+
     def test_bad_rule_spec_reports_error(self, capsys, desc_file, data_root):
         code, _, err = run(
             capsys, "chaos", desc_file, self.SQL, "--root", data_root,

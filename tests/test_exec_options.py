@@ -1,16 +1,22 @@
-"""Tests for the unified ExecOptions API and its deprecation shims."""
+"""Tests for the unified ExecOptions API and the values it accepts."""
 
+import dataclasses
+import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
 
 import repro
 from repro.core import ExecOptions, GeneratedDataset, Virtualizer, local_mount, open_dataset
-from repro.core.options import DEFAULT_OPTIONS
+from repro.core.options import DEFAULT_OPTIONS, OPTION_RULES
+from repro.errors import TransportError
+from repro.net import wire
 from repro.obs import NULL_TRACER, Tracer
 from repro.storm import Catalog, QueryService, RoundRobinPartitioner, VirtualCluster
 from repro.datasets import IparsConfig, ipars
 from tests.conftest import assert_tables_equal
+from tests.matrix import OPTION_KINDS, option_values
 
 
 class TestExecOptions:
@@ -110,15 +116,13 @@ class TestTransportOptions:
         assert repro.analyze_options(ExecOptions()) == []
 
     def test_nonsense_knobs_flagged(self):
-        findings = repro.analyze_options(
-            ExecOptions(
-                inflight_limit=0,
-                max_connections_per_node=-2,
-                connect_timeout=0.0,
-            )
-        )
-        assert {f.code for f in findings} == {"RO300", "RO301", "RO302"}
-        assert all(str(f.severity) == "error" for f in findings)
+        for field, value in (
+            ("inflight_limit", 0),
+            ("max_connections_per_node", -2),
+            ("connect_timeout", 0.0),
+        ):
+            with pytest.raises(ValueError, match=f"option '{field}' must be"):
+                ExecOptions(**{field: value})
 
     def test_backoff_without_retries_warns(self):
         findings = repro.analyze_options(
@@ -127,23 +131,80 @@ class TestTransportOptions:
         assert [f.code for f in findings] == ["RO303"]
         assert str(findings[0].severity) == "warning"
 
-    def test_strict_rejects_zero_inflight(self, small_service):
-        _, _, service = small_service
-        with pytest.raises(repro.QueryValidationError, match="RO300"):
-            service.submit(
-                "SELECT X FROM IparsData",
-                ExecOptions(strict=True, inflight_limit=0),
-            )
+    def test_strict_rejects_zero_inflight(self):
+        # Refused when built, whatever the mode: no transport ever sees it.
+        for strict in (True, False):
+            with pytest.raises(
+                ValueError,
+                match="option 'inflight_limit' must be a positive integer, "
+                "got 0",
+            ):
+                ExecOptions(strict=strict, inflight_limit=0)
 
-    def test_nonstrict_executes_despite_bad_knobs(self, small_service):
-        # Local transport never consults the pool limits; permissive mode
-        # must not punish that.
-        _, _, service = small_service
-        result = service.submit(
-            "SELECT X FROM IparsData",
-            ExecOptions(remote=False, inflight_limit=0),
-        )
-        assert result.num_rows > 0
+
+class TestOptionRules:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("intra_node_workers", 0),
+            ("coalesce_gap_bytes", -5),
+            ("batch_rows", 0),
+            ("retries", -1),
+            ("num_clients", 0),
+            ("node_timeout", 0),
+        ],
+    )
+    def test_values_no_query_runs_with_are_refused_when_built(
+        self, field, value
+    ):
+        match = f"option '{field}' must be .*, got {value}"
+        with pytest.raises(ValueError, match=match):
+            ExecOptions(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            DEFAULT_OPTIONS.replace(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            repro.connect("local://nowhere", descriptor="-", **{field: value})
+
+    def test_every_judged_field_has_a_kind_in_the_matrix(self):
+        assert set(OPTION_KINDS) == set(OPTION_RULES)
+        assert set(OPTION_RULES) <= {
+            f.name for f in dataclasses.fields(ExecOptions)
+        }
+        assert len(dataclasses.fields(ExecOptions)) == 31
+
+    def test_replace_refuses_an_unknown_field(self):
+        with pytest.raises(TypeError, match="bogus"):
+            DEFAULT_OPTIONS.replace(bogus=1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(option_values())
+    def test_a_field_accepts_exactly_its_values(self, case):
+        name, value, accepted = case
+        if accepted:
+            assert getattr(ExecOptions(**{name: value}), name) == value
+            changed = DEFAULT_OPTIONS.replace(**{name: value})
+            assert changed == ExecOptions(**{name: value})
+        else:
+            with pytest.raises(ValueError, match=f"option '{name}'"):
+                ExecOptions(**{name: value})
+            with pytest.raises(ValueError, match=f"option '{name}'"):
+                DEFAULT_OPTIONS.replace(**{name: value})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(option_values(fields=wire._NODE_OPTION_FIELDS))
+    def test_a_node_refuses_exactly_what_the_constructor_refuses(self, case):
+        name, value, _ = case
+        try:
+            options = ExecOptions(**{name: value})
+        except ValueError as exc:
+            with pytest.raises(TransportError) as refused:
+                wire.decode_options({name: value})
+            assert str(refused.value) == f"malformed EXECUTE: {exc}"
+        else:
+            sent = json.loads(json.dumps(wire.encode_options(options)))
+            decoded = wire.decode_options(sent)
+            assert getattr(decoded, name) == value
+            assert type(getattr(decoded, name)) is type(value)
 
 
 class TestVirtualizerOptions:

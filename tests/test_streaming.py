@@ -7,7 +7,6 @@ import repro
 from repro.core import CompiledDataset, ExecOptions, Virtualizer, local_mount
 from repro.core.table import concat_tables
 from repro.datasets.writers import write_dataset
-from repro.errors import ExtractionError
 from tests.conftest import PAPER_DESCRIPTOR, assert_tables_equal, paper_value_fn
 
 #: Row plans with a residual WHERE, with none, and with a WHERE the
@@ -108,9 +107,9 @@ class TestQueryIter:
         assert len(batches) == 1
         assert batches[0].num_rows == 3200
 
-    def test_invalid_batch_size(self, v):
-        with pytest.raises(ExtractionError):
-            list(v.query_iter("SELECT X FROM IparsData", options=ExecOptions(batch_rows=0)))
+    def test_invalid_batch_size(self):
+        with pytest.raises(ValueError, match="option 'batch_rows' must be"):
+            ExecOptions(batch_rows=0)
 
     def test_stats_accumulate_once(self, paper_dataset):
         from repro.core import IOStats
