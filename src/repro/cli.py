@@ -582,6 +582,11 @@ def cmd_serve(args) -> int:
     whoever spawned us.  Fault rules (``--profile`` / ``--rule``) are
     injected server-side — disk chaos and ``conn-reset`` live with the
     process that owns the data.
+
+    SIGTERM calls :meth:`~repro.net.server.NodeServer.shutdown`, which
+    wakes the blocked ``accept`` at once: the server closes its socket
+    and the process exits 0 without waiting on any timeout.  A request
+    in flight is not waited for; its connection dies with the process.
     """
     import signal
 
@@ -606,6 +611,9 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
     )
+    # Before the port file: whoever reads it may SIGTERM at once, and
+    # a shutdown that lands before serve_forever still stops it.
+    signal.signal(signal.SIGTERM, lambda *_: server.shutdown())
     if args.port_file:
         server.write_port_file(args.port_file)
     host, port = server.address
@@ -613,7 +621,6 @@ def cmd_serve(args) -> int:
           f"{host}:{port}" + (f" with {len(rules)} fault rule(s)"
                               if rules else ""),
           flush=True)
-    signal.signal(signal.SIGTERM, lambda *_: server.shutdown())
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -117,17 +117,17 @@ class NodeServer:
 
     # -- serving ------------------------------------------------------------
 
-    def serve_forever(self, poll_seconds: float = 0.5) -> None:
-        """Accept connections until :meth:`shutdown` (or SHUTDOWN frame)."""
-        self._sock.settimeout(poll_seconds)
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown` (or a SHUTDOWN
+        frame), then :meth:`close`.  ``accept`` blocks with no timeout:
+        the loop wakes for a connection or for :meth:`shutdown`, never
+        for a clock."""
         try:
             while not self._shutdown.is_set():
                 try:
                     conn, _ = self._sock.accept()
-                except socket.timeout:
-                    continue
                 except OSError:
-                    break
+                    break  # shut down (EINVAL) or closed under us
                 # Daemon threads, deliberately untracked: each ends with
                 # its connection, and a list of them would grow with
                 # every probe and redial for the life of the server.
@@ -141,7 +141,15 @@ class NodeServer:
             self.close()
 
     def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` now, from any thread or a signal
+        handler, before or while it runs.  Shutting the listening socket
+        down makes a blocked ``accept`` fail at once (``EINVAL`` on
+        Linux) and every later one too, so no wake-up is lost."""
         self._shutdown.set()
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed
 
     def close(self) -> None:
         self._shutdown.set()

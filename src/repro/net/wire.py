@@ -40,6 +40,7 @@ retires both.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass
 from typing import (
@@ -414,7 +415,15 @@ _NODE_OPTION_FIELDS = (
 
 
 def encode_options(options: ExecOptions) -> Dict[str, Any]:
-    return {name: getattr(options, name) for name in _NODE_OPTION_FIELDS}
+    """The node fields as plain JSON values: an integer field may hold
+    any ``Integral`` (a NumPy scalar, say), which ``json`` cannot write,
+    so each crosses as the ``int`` it stands for."""
+    return {
+        "coalesce_gap_bytes": operator.index(options.coalesce_gap_bytes),
+        "intra_node_workers": operator.index(options.intra_node_workers),
+        "batch_rows": operator.index(options.batch_rows),
+        "vectorize": options.vectorize,
+    }
 
 
 def decode_options(data: Dict[str, Any]) -> ExecOptions:

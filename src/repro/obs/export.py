@@ -11,6 +11,8 @@ profile of a query.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import os
 from typing import Any, Dict, List, Optional
 
@@ -60,10 +62,23 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     }
 
 
+def _plain_number(value: Any) -> Any:
+    """A tag ``json`` cannot write but that is a number — an option
+    value held as a NumPy scalar, e.g. ``sched``'s ``priority`` — as the
+    plain ``int`` or ``float`` it equals."""
+    if isinstance(value, numbers.Integral):
+        return operator.index(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
 def write_chrome_trace(tracer: Tracer, path) -> None:
     """Serialise :func:`chrome_trace` to ``path`` (str or Path)."""
     with open(os.fspath(path), "w") as handle:
-        json.dump(chrome_trace(tracer), handle, indent=1)
+        json.dump(chrome_trace(tracer), handle, indent=1, default=_plain_number)
 
 
 def read_chrome_trace(path) -> Dict[str, Any]:

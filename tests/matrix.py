@@ -28,9 +28,9 @@ draws from these instead of growing its own ``random.Random`` generator:
   midway, intra-node workers, result-cache mode (widened plans),
   big-endian columns and reply frame size;
 * :func:`option_values` — one judged ``ExecOptions`` field, a value for
-  it (in range, on and past its boundary, a ``bool``, a float for an
-  integer field, a string, ``None``) and whether the constructor must
-  accept it.
+  it (in range, an in-range NumPy scalar, on and past its boundary, a
+  ``bool``, a float for an integer field, a string, ``None``) and
+  whether the constructor must accept it.
 """
 
 from __future__ import annotations
@@ -463,7 +463,12 @@ OPTION_CHOICES: Dict[str, Tuple[str, ...]] = {
     "scheduler": ("fair", "fifo", "off"),
     "admission": ("reject", "queue"),
 }
-VALUE_CLASSES = ("in", "boundary", "out", "bool", "float", "str", "none")
+VALUE_CLASSES = (
+    "in", "numpy", "boundary", "out", "bool", "float", "str", "none"
+)
+#: The NumPy scalar types an in-range ``numpy`` value is drawn as.
+NUMPY_INTEGERS = (np.int64, np.int32, np.uint32)
+NUMPY_REALS = (np.float64, np.float32, np.int64)
 
 
 @st.composite
@@ -483,6 +488,8 @@ def option_values(
         return name, None, optional
     if kind == "enum":
         choices = OPTION_CHOICES[name]
+        if cls == "numpy":
+            return name, np.str_(draw(st.sampled_from(choices))), True
         if cls == "in":
             return name, draw(st.sampled_from(choices)), True
         if cls == "float":
@@ -493,6 +500,9 @@ def option_values(
         )), False
     if kind.endswith("number"):
         edge_ok = kind.startswith("non-negative")
+        if cls == "numpy":
+            scalar = draw(st.sampled_from(NUMPY_REALS))
+            return name, scalar(draw(st.integers(1, 10**6))), True
         if cls == "in":
             return name, draw(st.one_of(
                 st.floats(1e-9, 1e9), st.integers(1, 10**9)
@@ -508,6 +518,11 @@ def option_values(
             )), False
         return name, str(draw(st.integers(1, 99))), False  # "float", "str"
     low = {"positive": 1, "count": 0, "integer": None}[kind]
+    if cls == "numpy":
+        scalar = draw(st.sampled_from(NUMPY_INTEGERS))
+        return name, scalar(draw(st.integers(
+            0 if low is None else low + 1, 2**31 - 1
+        ))), True
     if cls == "in":
         return name, draw(st.integers(
             -(2**40) if low is None else low + 1, 2**40

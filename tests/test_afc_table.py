@@ -271,9 +271,7 @@ def serving_cluster(text, root):
         NodeServer(node, root, dataset)
         for node in dataset.descriptor.storage.nodes
     ]
-    threads = [
-        threading.Thread(target=s.serve_forever, args=(0.05,)) for s in servers
-    ]
+    threads = [threading.Thread(target=s.serve_forever) for s in servers]
     for thread in threads:
         thread.start()
     try:
@@ -347,7 +345,7 @@ def test_revision_2_peer_is_refused_at_connect(guard_data, monkeypatch):
     old_dataset = GeneratedDataset(text)
     old_server = NodeServer("osu0", root, old_dataset)
     monkeypatch.undo()
-    thread = threading.Thread(target=old_server.serve_forever, args=(0.05,))
+    thread = threading.Thread(target=old_server.serve_forever)
     thread.start()
     try:
         url = "tcp://{}:{}".format(*old_server.address)

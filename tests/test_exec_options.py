@@ -201,10 +201,11 @@ class TestOptionRules:
                 wire.decode_options({name: value})
             assert str(refused.value) == f"malformed EXECUTE: {exc}"
         else:
+            # A NumPy scalar crosses as the plain int or str it equals.
             sent = json.loads(json.dumps(wire.encode_options(options)))
-            decoded = wire.decode_options(sent)
-            assert getattr(decoded, name) == value
-            assert type(getattr(decoded, name)) is type(value)
+            decoded = getattr(wire.decode_options(sent), name)
+            assert decoded == value
+            assert type(decoded) is (str if name == "vectorize" else int)
 
 
 class TestVirtualizerOptions:

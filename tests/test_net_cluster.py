@@ -487,7 +487,7 @@ class TestRequestSizeIndependentOfAfcCount:
 def serving(node, root, dataset, **kwargs):
     """A NodeServer on a thread of this process (so tests can reach in)."""
     server = NodeServer(node, root, dataset, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread = threading.Thread(target=server.serve_forever)
     thread.start()
     try:
         yield server
@@ -1501,3 +1501,39 @@ class TestReplyFraming:
                 result = db.submit(self.WIDE_SQL)
         assert partial
         assert_bit_identical(result.table, expected)
+
+
+class TestNumpyOptionValues:
+    """An option value the constructor accepts answers on every
+    transport: an integer field holding a NumPy scalar crosses the wire
+    as the plain JSON number it equals."""
+
+    SQL = "SELECT REL, TIME, X, SOIL FROM IparsData WHERE TIME > 1 AND TIME <= 6"
+
+    def test_numpy_batch_rows_over_tcp_is_local_batch_for_batch(
+        self, two_nodes, tmp_path
+    ):
+        from repro.obs import Tracer, read_chrome_trace, write_chrome_trace
+
+        text, root = two_nodes
+        options = ExecOptions(batch_rows=np.int64(7), priority=np.int64(3))
+        with repro.connect(f"local://{root}", descriptor=text) as ref:
+            want = ref.query(self.SQL, options)
+            want_batches = list(ref.query_iter(self.SQL, options))
+        tracer = Tracer("numpy-options")
+        with serving_cluster(text, root, ["osu0", "osu1"]) as url:
+            with repro.connect(url, descriptor=text) as db:
+                got = db.query(self.SQL, options.replace(trace=tracer))
+                got_batches = list(db.query_iter(self.SQL, options))
+        assert_bit_identical(got, want)
+        sizes = [batch.num_rows for batch in got_batches]
+        assert sizes == [batch.num_rows for batch in want_batches]
+        assert len(sizes) > 2 and set(sizes[:-1]) == {7}
+        for remote, local in zip(got_batches, want_batches):
+            assert_bit_identical(remote, local)
+        # The traced query exports as JSON, its NumPy-valued tags too.
+        write_chrome_trace(tracer, tmp_path / "trace.json")
+        events = read_chrome_trace(tmp_path / "trace.json")["traceEvents"]
+        assert len([e for e in events if e["name"] == "rpc"]) == 2
+        (sched,) = [e for e in events if e["name"] == "sched"]
+        assert type(sched["args"]["priority"]) is int
